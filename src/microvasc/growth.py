@@ -720,6 +720,8 @@ class GrowthEngine:
         trace = self.traces[3]
         for j in range(params.max_iter_p3 + 1):
             for tip in self.net.terminal_nodes(self.domain):
+                if tip not in self.net.nodes:
+                    continue  # dropped with the other end of an isolated segment
                 if self.roi.contains(self.net.nodes[tip].position):
                     sid = self.net.adjacency[tip][0]
                     self.octants.remove(sid)

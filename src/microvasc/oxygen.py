@@ -1,5 +1,6 @@
 """Coupled stationary oxygen transport with Kedem-Katchalsky wall flux and
-Michaelis-Menten tissue consumption, solved by damped fixed-point iteration.
+Michaelis-Menten tissue consumption, solved by Newton's method with one LU
+factorization per state.
 
 Partial pressures stay in mmHg; every transport coefficient multiplying
 them is in SI, so both compartment balances carry units of mmHg*m^3/s.
@@ -16,9 +17,16 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from numpy.linalg import norm
 
 from .errors import ConvergenceError, StateError, ValidationError
-from .flow import FlowParameters, FlowState, _sparse_solve, face_velocities
+from .flow import (
+    RESIDUAL_TOL,
+    FlowParameters,
+    FlowState,
+    face_velocities,
+    scaled_residual,
+)
 from .grid import SurfaceCoupling, TissueGrid
 from .network import VascularNetwork
 
@@ -77,35 +85,22 @@ class OxygenState:
     history: list[float] = field(default_factory=list)
 
 
+@dataclass
 class TransportOperator:
-    """Affine operator in (po2_t, po2_v) for a frozen consumption linearization.
+    """Affine part of the transport problem in (po2_t, po2_v).
 
-    The matrix splits into a fixed part (convection, diffusion, exchange,
-    Dirichlet rows) and a diagonal consumption part rebuilt each Picard
-    iteration from the previous iterate.
+    `base` holds convection, diffusion, exchange and the Dirichlet rows;
+    the solver adds the Michaelis-Menten sink on the cell rows.
     """
 
-    def __init__(self, net, grid, node_index, base, rhs, cell_volume, oxy, dirichlet):
-        self.net = net
-        self.grid = grid
-        self.node_index = node_index
-        self.base = base
-        self.rhs = rhs
-        self.cell_volume = cell_volume
-        self.params = oxy
-        self.dirichlet = dirichlet
-
-    def matrix_for(self, po2_prev: np.ndarray) -> sp.csr_matrix:
-        """Base matrix plus the Picard-linearized Michaelis-Menten sink."""
-        n = self.base.shape[0]
-        coeff = np.zeros(n)
-        cells = self.grid.n_cells
-        coeff[:cells] = (
-            self.cell_volume
-            * self.params.max_consumption
-            / (np.maximum(po2_prev[:cells], 0.0) + self.params.po2_half)
-        )
-        return self.base + sp.diags(coeff)
+    net: VascularNetwork
+    grid: TissueGrid
+    node_index: dict[int, int]
+    base: sp.csr_matrix
+    rhs: np.ndarray
+    cell_volume: float
+    params: OxygenParameters
+    dirichlet: dict[int, float]
 
 
 def assemble_transport_operator(
@@ -143,12 +138,11 @@ def assemble_transport_operator(
         rows, cols, vals,
     )
 
-    for nid, value in sorted(dirichlet.items()):
-        r = node_index[nid]
-        rows.append(np.array([r]))
-        cols.append(np.array([r]))
-        vals.append(np.array([1.0]))
-        rhs[r] = value
+    pinned = np.array([node_index[nid] for nid in sorted(dirichlet)], dtype=int)
+    rows.append(pinned)
+    cols.append(pinned)
+    vals.append(np.ones(pinned.size))
+    rhs[pinned] = [dirichlet[nid] for nid in sorted(dirichlet)]
 
     base = sp.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -179,19 +173,13 @@ def _tissue_transport_entries(grid, flow, flow_params, params, rows, cols, vals)
         up = np.where(vflat > 0.0, lo, hi)
         # diffusion
         for a, b in ((lo, hi), (hi, lo)):
-            rows.append(a)
-            cols.append(a)
-            vals.append(np.full(a.shape, t))
-            rows.append(a)
-            cols.append(b)
-            vals.append(np.full(a.shape, -t))
+            rows += [a, a]
+            cols += [a, b]
+            vals += [np.full(a.shape, t), np.full(a.shape, -t)]
         # upwinded advection: flux = vflat * po2[up], out of lo, into hi
-        rows.append(lo)
-        cols.append(up)
-        vals.append(vflat)
-        rows.append(hi)
-        cols.append(up)
-        vals.append(-vflat)
+        rows += [lo, hi]
+        cols += [up, up]
+        vals += [vflat, -vflat]
 
 
 def _vessel_transport_entries(
@@ -243,49 +231,52 @@ def _exchange_entries(
         ia, ib = node_index[seg.node_a], node_index[seg.node_b]
         m = len(cells)
         # tissue rows: -J*area moved left
-        rows.append(cells)
-        cols.append(cells)
-        vals.append(-ct)
-        rows.append(cells)
-        cols.append(np.full(m, ia))
-        vals.append(-cv * w_a)
-        rows.append(cells)
-        cols.append(np.full(m, ib))
-        vals.append(-cv * w_b)
+        rows += [cells, cells, cells]
+        cols += [cells, np.full(m, ia), np.full(m, ib)]
+        vals += [-ct, -cv * w_a, -cv * w_b]
         # vessel rows: +J*area, split by nodal weight
         for node_id, node_row, w in ((seg.node_a, ia, w_a), (seg.node_b, ib, w_b)):
             if node_id in dirichlet:
                 continue
             m_idx = np.full(m, node_row)
-            rows.append(m_idx)
-            cols.append(np.full(m, ia))
-            vals.append(w * cv * w_a)
-            rows.append(m_idx)
-            cols.append(np.full(m, ib))
-            vals.append(w * cv * w_b)
-            rows.append(m_idx)
-            cols.append(cells)
-            vals.append(w * ct)
-    return rows, cols, vals
+            rows += [m_idx, m_idx, m_idx]
+            cols += [np.full(m, ia), np.full(m, ib), cells]
+            vals += [w * cv * w_a, w * cv * w_b, w * ct]
 
 
-_PICARD_LINEAR_TOL = 1.0e-12
+# GMRES tolerance of one Newton step; at 1e-12 the exit gate held with only
+# a 3x margin on grown networks, at 1e-14 with about 1000x.
+_LINEAR_TOL = 1.0e-14
+_ARMIJO = 1.0e-4  # sufficient decrease of ||F|| along a Newton step
+_MAX_HALVINGS = 30
 
 
-def _picard_solve(matrix, rhs, lu):
-    """Direct solve reusing the first factorization as a preconditioner.
+def _sink(rate: np.ndarray, k: float, x: np.ndarray):
+    """Michaelis-Menten sink s = rate*x / (max(x, 0) + k), its derivative d
+    and the Newton right-hand-side term g = d*x - s.
 
-    Only the consumption diagonal changes between fixed-point iterations,
-    so the LU of the first matrix remains an excellent preconditioner;
-    subsequent solves use preconditioned GMRES at back-substitution cost,
-    falling back to a fresh factorization if GMRES stalls.
+    `rate` is V*m0 on cell rows and 0 on vessel rows. Below zero the sink is
+    linear, so g vanishes there exactly and a zero solution is reached
+    exactly rather than approached through rounding noise.
     """
-    csc = matrix.tocsc()
+    pos = np.maximum(x, 0.0)
+    den = pos + k
+    return rate * x / den, rate * k / den**2, -rate * (pos / den) ** 2
+
+
+def _newton_solve(jacobian, rhs, lu):
+    """Solve J(x) x_new = b + g(x), reusing the first Jacobian's LU.
+
+    Only the consumption diagonal changes between Newton steps, so the LU of
+    the first Jacobian preconditions GMRES at back-substitution cost; a
+    stalled GMRES falls back to a fresh factorization.
+    """
+    csc = jacobian.tocsc()
     if lu is None:
         lu = spla.splu(csc)
         return lu.solve(rhs), lu
-    precond = spla.LinearOperator(csc.shape, lu.solve)
-    x, info = spla.gmres(csc, rhs, M=precond, rtol=_PICARD_LINEAR_TOL, maxiter=50)
+    precond = spla.LinearOperator(csc.shape, lu.solve, dtype=float)
+    x, info = spla.gmres(csc, rhs, M=precond, rtol=_LINEAR_TOL, maxiter=50)
     if info != 0:
         lu = spla.splu(csc)
         x = lu.solve(rhs)
@@ -296,63 +287,66 @@ def solve_oxygen(
     operator: TransportOperator,
     params: OxygenParameters,
     initial_guess: np.ndarray | None = None,
-    damping: float = 0.5,
     tol: float = 1.0e-8,
     max_iter: int = 200,
 ) -> OxygenState:
-    """Damped Picard iteration on the consumption linearization.
+    """Newton iteration on F(x) = B x + s(x) - b with Armijo backtracking.
 
-    x_{n+1} = (1-theta) x_n + theta * solve(A(x_n) x = b); stops when the
-    relative update drops below tol. With zero consumption the problem is
-    linear and the first solve is exact.
+    Each step solves J(x) x_new = b + g(x) with J = B + diag(s'(x)) and
+    stops once ||x_new - x|| <= tol * max(||x_new||, po2_half). With zero
+    consumption the problem is linear and the first solve is exact. On exit
+    the row-scaled residual of F must be at most RESIDUAL_TOL.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValidationError("damping factor must lie in (0, 1]")
     if tol <= 0.0:
         raise ValidationError("tolerance must be positive")
-    n = operator.base.shape[0]
-    x = np.zeros(n) if initial_guess is None else np.array(initial_guess, float)
-    dir_rows = np.array(
-        [operator.node_index[nid] for nid in sorted(operator.dirichlet)], dtype=int
-    )
-    dir_vals = np.array(
-        [operator.dirichlet[nid] for nid in sorted(operator.dirichlet)]
-    )
+    base, b, k = operator.base, operator.rhs, operator.params.po2_half
+    x = np.zeros(len(b)) if initial_guess is None else np.array(initial_guess, float)
+    pinned = [operator.node_index[nid] for nid in operator.dirichlet]
+    x[pinned] = b[pinned]  # Dirichlet rows are identity rows
+    m0, cells = operator.params.max_consumption, operator.grid.n_cells
+    rate = np.zeros(len(b))
+    rate[:cells] = operator.cell_volume * m0
+    linear = m0 == 0.0
+    s, d, g = _sink(rate, k, x)
+    f_norm = norm(base @ x + s - b)
     history: list[float] = []
-    linear = operator.params.max_consumption == 0.0
-    iterations = 0
     lu = None
-    for it in range(1, max_iter + 1):
-        matrix = operator.matrix_for(x)
-        y, lu = _picard_solve(matrix, operator.rhs, lu)
-        x_new = y if linear else (1.0 - damping) * x + damping * y
-        if dir_rows.size:
-            x_new[dir_rows] = dir_vals  # damping must not relax pinned values
-        denom = np.linalg.norm(x_new)
-        update = np.linalg.norm(x_new - x) / (denom if denom > 0 else 1.0)
-        history.append(update)
+    for iterations in range(1, max_iter + 1):
+        x_new, lu = _newton_solve(base + sp.diags(d), b + g, lu)
+        x_new[pinned] = b[pinned]  # rounding must not move pinned values
+        step = x_new - x
+        converged = linear or norm(step) <= tol * max(norm(x_new), k)
+        t = 1.0
+        for _ in range(_MAX_HALVINGS):  # backtrack on ||F|| (Armijo)
+            s, d, g = _sink(rate, k, x_new)
+            f_new = norm(base @ x_new + s - b)
+            if converged or f_new <= (1.0 - _ARMIJO * t) * f_norm:
+                break
+            t *= 0.5
+            x_new = x + t * step
+        else:
+            raise ConvergenceError(
+                f"Newton step {iterations} found no decrease of ||F||", history
+            )
+        f_norm = f_new
+        history.append(norm(x_new - x) / max(norm(x_new), k))
         x = x_new
-        iterations = it
-        if linear or update <= tol:
+        if converged:
             break
     else:
         raise ConvergenceError(
-            f"fixed point did not converge in {max_iter} iterations "
+            f"Newton did not converge in {max_iter} iterations "
             f"(last update {history[-1]:.3e})",
             history,
         )
-
-    cells = operator.grid.n_cells
-    po2_t = x[:cells]
-    po2_v = {
-        nid: float(x[operator.node_index[nid]]) for nid in sorted(operator.net.nodes)
-    }
+    residual = scaled_residual(base, x, b, s)
+    if not residual <= RESIDUAL_TOL:
+        raise ConvergenceError(
+            f"row-scaled oxygen residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
+            history,
+        )
+    index = operator.node_index
+    po2_v = {nid: float(x[index[nid]]) for nid in sorted(operator.net.nodes)}
     # boundedness: clip rounding-level violations only
-    po2_t = np.clip(po2_t, 0.0, None)
-    return OxygenState(
-        po2_t=po2_t,
-        po2_v=po2_v,
-        iterations=iterations,
-        update_norm=history[-1],
-        history=history,
-    )
+    po2_t = np.clip(x[:cells], 0.0, None)
+    return OxygenState(po2_t, po2_v, iterations, history[-1], history)

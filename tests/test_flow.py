@@ -14,8 +14,9 @@ from microvasc import (
     solve_flow,
     starling_flux,
 )
+from microvasc import flow as flow_module
 from microvasc.errors import SolverError, ValidationError
-from microvasc.flow import face_velocities
+from microvasc.flow import RESIDUAL_TOL, face_velocities, scaled_residual
 from microvasc.rheology import segment_viscosity, vessel_conductance
 
 from conftest import UM, make_desk_network, make_single_vessel, make_y_junction
@@ -122,6 +123,25 @@ class TestVesselNetworkFlow:
 
 
 class TestCoupledFlow:
+    def test_perturbed_solution_fails_residual_gate(self, monkeypatch):
+        net = make_desk_network()
+        grid = small_grid()
+        coupling = build_surface_coupling(grid, net)
+        system = assemble_flow_system(
+            net, grid, coupling, RheologyParameters(), FlowParameters()
+        )
+        exact = flow_module.spla.spsolve(system.matrix.tocsc(), system.rhs)
+        assert scaled_residual(system.matrix, exact, system.rhs) <= RESIDUAL_TOL
+        bad = exact.copy()
+        bad[0] *= 1.0 + 1e-6  # one tissue cell: a physics row
+        # a norm-wise ||Ax - b|| / ||b|| gate is blind to it ...
+        misfit = np.linalg.norm(system.matrix @ bad - system.rhs)
+        assert misfit / np.linalg.norm(system.rhs) < RESIDUAL_TOL
+        # ... the row-scaled gate is not
+        monkeypatch.setattr(flow_module.spla, "spsolve", lambda matrix, rhs: bad)
+        with pytest.raises(SolverError):
+            solve_flow(system)
+
     def test_desk_conservation(self, desk_grid):
         net = make_desk_network()
         state = solve(net, grid=desk_grid, params=FlowParameters())

@@ -6,13 +6,18 @@ from hypothesis import given, settings, strategies as st
 
 from microvasc import (
     DomainBox,
+    FlowParameters,
+    GrowthEngine,
     GrowthParameters,
     OctantIndex,
+    OxygenParameters,
+    RheologyParameters,
     VascularNetwork,
     bifurcation_angles,
     bifurcation_decision,
     bifurcation_probability,
     build_bifurcation_directions,
+    build_grid,
     check_and_insert,
     clip_to_box,
     collides,
@@ -340,3 +345,20 @@ class TestClipToBox:
         # outside endpoint is nearer to the cut: its pressure is carried over
         assert cut.boundary_pressure == 8000.0
         assert cut.kind == "boundary"
+
+
+class TestPhase3:
+    def test_isolated_segment_between_two_terminals(self):
+        # Clipping leaves pieces like this; pruning one end drops the other.
+        box = DomainBox([0.0, 0.0, 0.0], [0.5e-3, 0.5e-3, 0.5e-3])
+        net = VascularNetwork()
+        net.new_node([0.2e-3, 0.25e-3, 0.25e-3])
+        net.new_node([0.3e-3, 0.25e-3, 0.25e-3])
+        net.new_segment(0, 1, 5 * UM)
+        engine = GrowthEngine(
+            net, box, box, build_grid(box, (5, 5, 5)), RheologyParameters(),
+            FlowParameters(), OxygenParameters(), GrowthParameters(max_iter_p3=2),
+            np.random.default_rng(0),
+        )
+        out = engine.run_phase3()
+        assert len(out.segments) == 0 and len(out.nodes) == 0

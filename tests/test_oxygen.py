@@ -16,24 +16,47 @@ from microvasc import (
     solve_oxygen,
 )
 from microvasc.errors import StateError, ValidationError
+from microvasc.flow import RESIDUAL_TOL, scaled_residual
 from microvasc.network import ARTERIAL_PO2, VENOUS_PO2
 
 from conftest import make_desk_network
 
 
-def coupled_solve(net, grid, oxy_params=None, flow_params=None):
+def desk_operator(net, grid, oxy_params, flow_params=None, pin_boundary=True):
     flow_params = flow_params or FlowParameters()
-    oxy_params = oxy_params or OxygenParameters()
     coupling = build_surface_coupling(grid, net)
     system = assemble_flow_system(
         net, grid, coupling, RheologyParameters(), flow_params
     )
     flow = solve_flow(system)
     classify_arterial_venous(net, flow)
+    if not pin_boundary:
+        for nid in net.boundary_nodes():
+            net.nodes[nid].kind = "inner"
     operator = assemble_transport_operator(
         net, grid, coupling, flow, flow_params, oxy_params
     )
+    return operator, flow
+
+
+def coupled_solve(net, grid, oxy_params=None, flow_params=None):
+    oxy_params = oxy_params or OxygenParameters()
+    operator, flow = desk_operator(net, grid, oxy_params, flow_params)
     return solve_oxygen(operator, oxy_params), flow
+
+
+def oxygen_residual(operator, state, params):
+    """Row-scaled residual of B x + s(x) - b, the sink written out here."""
+    x = np.concatenate(
+        [state.po2_t, [state.po2_v[nid] for nid in sorted(operator.net.nodes)]]
+    )
+    cells = operator.grid.n_cells
+    sink = np.zeros_like(x)
+    sink[:cells] = (
+        operator.grid.cell_volume * params.max_consumption * x[:cells]
+        / (np.maximum(x[:cells], 0.0) + params.po2_half)
+    )
+    return scaled_residual(operator.base, x, operator.rhs, sink)
 
 
 class TestConsumptionLaw:
@@ -120,6 +143,27 @@ class TestCoupledOxygen:
         assert state.update_norm <= 1e-8
         assert len(state.history) == state.iterations
 
+    def test_newton_converges_fast_to_the_root(self, desk_grid):
+        params = OxygenParameters()
+        operator, _ = desk_operator(make_desk_network(), desk_grid, params)
+        state = solve_oxygen(operator, params)
+        assert state.iterations <= 8
+        assert oxygen_residual(operator, state, params) <= RESIDUAL_TOL
+
+    def test_zero_solution_reached(self, desk_grid):
+        # No Dirichlet rows and no source: the root is PO2 = 0 everywhere,
+        # where a purely relative update test can never be met.
+        params = OxygenParameters()
+        operator, _ = desk_operator(
+            make_desk_network(), desk_grid, params, pin_boundary=False
+        )
+        assert not operator.dirichlet
+        guess = np.full(operator.base.shape[0], 38.0)
+        state = solve_oxygen(operator, params, initial_guess=guess)
+        assert state.iterations <= 8
+        assert np.max(np.abs(state.po2_t)) <= 1e-12
+        assert max(abs(v) for v in state.po2_v.values()) <= 1e-12
+
     def test_warm_start_reduces_iterations(self, desk_grid):
         net = make_desk_network()
         params = OxygenParameters()
@@ -168,8 +212,6 @@ class TestCoupledOxygen:
         operator = assemble_transport_operator(
             net, desk_grid, coupling, flow, fp, OxygenParameters()
         )
-        with pytest.raises(ValidationError):
-            solve_oxygen(operator, OxygenParameters(), damping=0.0)
         with pytest.raises(ValidationError):
             solve_oxygen(operator, OxygenParameters(), tol=-1.0)
 

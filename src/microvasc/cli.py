@@ -69,14 +69,14 @@ def _solve_states(net, grid, config):
         net, grid, coupling, flow, config.flow, config.oxygen
     )
     oxy = solve_oxygen(operator, config.oxygen)
-    return flow, oxy
+    return coupling, flow, oxy
 
 
 def cmd_solve(args) -> int:
     config = _load_config(args)
     net = _read_network(config)
     roi, _, grid = _setup_domain(config)
-    flow, oxy = _solve_states(net, grid, config)
+    coupling, flow, oxy = _solve_states(net, grid, config)
     po2_roi, pt_roi, f_tv = tissue_averages(flow, oxy, grid, roi)
 
     out = Path(config.output_dir)
@@ -106,10 +106,19 @@ def cmd_solve(args) -> int:
     print(f"PO2_roi  = {po2_roi:.4f} mmHg")
     print(f"p_t_roi  = {pt_roi:.4f} mmHg")
     print(f"F_tv     = {f_tv:.6e} ug/s")
+    print(f"clamped  = {coupling.clamped_samples} samples")
     return 0
 
 
 def _run_generation(config: RunConfig, seed: int, out_dir: Path | None):
+    """Grow one network with `seed`; return the engine and its statistics.
+
+    The statistics describe two different networks. `L`, `A`, `V` and
+    `N_seg` measure the final network: pruned and clipped to the roi when
+    phase 3 runs. `PO2_roi`, `p_t_roi` and `F_tv` come from the last flow
+    and oxygen solve of the run, which is the last phase-2 solve when phase
+    2 runs; phase 3 solves nothing, and the final network is not re-solved.
+    """
     net = _read_network(config)
     roi, domain, grid = _setup_domain(config)
     rng = np.random.default_rng(seed)

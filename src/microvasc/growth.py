@@ -6,6 +6,16 @@ into the surrounding network, phase 3 prunes dead ends inside the region
 of interest. Growth direction follows the local tissue oxygen gradient,
 radii follow Murray's law at bifurcations, and every candidate vessel is
 collision-checked against the existing network.
+
+Collision queries go through `OctantIndex`, a uniform bucket grid whose
+edge is set by the network when it is built. `collides` measures the
+index's candidates in one vectorized pass (`segment_distances`) and
+re-measures only those within the sum of radii, plus a 1e-9 relative slack,
+with the scalar `segment_distance`; that scalar test alone decides, so the
+answers are those of a pairwise scan over all segments. Linking works the
+same way: one vectorized distance-and-cone pass over a table of all nodes
+keeps a superset of the nodes the scalar tests accept, and those tests,
+unchanged, decide and rank.
 """
 
 from __future__ import annotations
@@ -102,70 +112,160 @@ def segment_distance(a0, a1, b0, b1) -> float:
     return float(np.linalg.norm(closest1 - closest2))
 
 
+def segment_distances(a0, a1, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
+    """`segment_distance(a0, a1, b0[i], b1[i])` for every row i, in one pass.
+
+    Takes the same clamping branches as the scalar version, zero-length
+    segments on either side included; the two agree to rounding.
+    """
+    a0 = np.asarray(a0, float)
+    d1 = np.asarray(a1, float) - a0
+    d2 = b1 - b0
+    r = a0 - b0
+    a = d1 @ d1
+    e = np.einsum("ij,ij->i", d2, d2)
+    f = np.einsum("ij,ij->i", d2, r)
+    eps = 1e-30
+    point_b = e <= eps
+    e_safe = np.where(point_b, 1.0, e)
+    if a <= eps:
+        s = np.zeros_like(e)
+        t = np.where(point_b, 0.0, np.clip(f / e_safe, 0.0, 1.0))
+    else:
+        c = r @ d1
+        b = d2 @ d1
+        denom = a * e - b * b
+        skew = denom > 0
+        s = np.clip((b * f - c * e) / np.where(skew, denom, 1.0), 0.0, 1.0)
+        s = np.where(skew, s, 0.0)
+        t = (b * s + f) / e_safe
+        s_low = np.clip(-c / a, 0.0, 1.0)
+        s_high = np.clip((b - c) / a, 0.0, 1.0)
+        s = np.where(t < 0.0, s_low, np.where(t > 1.0, s_high, s))
+        t = np.clip(t, 0.0, 1.0)
+        s = np.where(point_b, s_low, s)
+        t = np.where(point_b, 0.0, t)
+    diff = (a0 + s[:, None] * d1) - (b0 + t[:, None] * d2)
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
 def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation of v about the unit axis."""
     c, s = math.cos(angle), math.sin(angle)
     return v * c + np.cross(axis, v) * s + axis * (axis @ v) * (1.0 - c)
 
 
-# -- octant spatial index ------------------------------------------------
+# -- segment index: uniform bucket grid ----------------------------------
+
+MAX_BUCKETS_PER_AXIS = 64  # keeps the grid coarse for tiny segments in big domains
+_RECHECK = 1.0 + 1e-9  # relative slack of the batched pre-filters
 
 
 class OctantIndex:
-    """Eight sub-boxes of the domain holding segment id lists.
+    """Uniform bucket grid over the domain, holding the network's segments.
 
-    Segments are registered in every octant their radius-inflated bounding
-    box overlaps; queries inflate the candidate box by the candidate radius
-    plus the largest registered radius, so the octant decision is always
-    identical to the brute-force pairwise decision.
+    The bucket edge is fixed when the index is built: the median segment
+    length plus twice the largest radius, but at least the longest domain
+    side over MAX_BUCKETS_PER_AXIS (an empty network gets one bucket). A
+    segment is listed in every bucket its radius-inflated bounding box
+    overlaps; a query lists the buckets of its own box inflated by its
+    radius, so every segment closer than the sum of radii is a candidate.
+    Bucket coordinates are clamped to the grid, so geometry outside the
+    domain falls into the border buckets and is still found. Endpoints and
+    radii are kept in arrays, one row (slot) per insert; `remove` only
+    marks a slot dead.
+
+    The index proposes, it does not decide: `collides` measures the
+    candidates in one batched pass and re-checks the near ones with the
+    scalar `segment_distance`. The class keeps the name it had when it split
+    the domain into eight octants, because `perfbench/tracing.py` wraps
+    `OctantIndex.candidates` by name.
     """
 
-    def __init__(self, domain: DomainBox):
-        self.domain = domain
-        self.center = domain.center
-        self.members: list[set[int]] = [set() for _ in range(8)]
-        self.max_radius = 0.0
+    def __init__(self, domain: DomainBox, edge: float):
+        extent = float(np.max(domain.extent))
+        self.edge = max(float(edge), extent / MAX_BUCKETS_PER_AXIS)
+        self.origin = np.asarray(domain.lower, float)
+        self.top = np.maximum(np.ceil(domain.extent / self.edge).astype(int), 1) - 1
+        self.buckets: dict[int, list[int]] = {}
+        self.slot_of: dict[int, int] = {}  # live segment id -> slot
+        self.size = 0
+        self.ids = np.empty(0, dtype=np.int64)
+        self.p0 = np.empty((0, 3))
+        self.p1 = np.empty((0, 3))
+        self.radius = np.empty(0)
+        self.alive = np.empty(0, dtype=bool)
 
-    def _octants_for_box(self, lo, hi):
-        out = []
-        for code in range(8):
-            ok = True
-            for axis in range(3):
-                if code >> axis & 1:
-                    if hi[axis] < self.center[axis]:
-                        ok = False
-                        break
-                else:
-                    if lo[axis] > self.center[axis]:
-                        ok = False
-                        break
-            if ok:
-                out.append(code)
-        return out
+    def _keys(self, p0, p1, pad: float):
+        """Linear keys of the buckets overlapping the box of p0-p1 grown by pad."""
+        lo = np.floor((np.minimum(p0, p1) - pad - self.origin) / self.edge)
+        hi = np.floor((np.maximum(p0, p1) + pad - self.origin) / self.edge)
+        i0, j0, k0 = np.clip(lo, 0, self.top).astype(int).tolist()
+        i1, j1, k1 = np.clip(hi, 0, self.top).astype(int).tolist()
+        ny, nz = int(self.top[1]) + 1, int(self.top[2]) + 1
+        return [
+            (i * ny + j) * nz + k
+            for i in range(i0, i1 + 1)
+            for j in range(j0, j1 + 1)
+            for k in range(k0, k1 + 1)
+        ]
+
+    def _grow(self):
+        cap = max(2 * self.size, 64)
+        for name in ("ids", "p0", "p1", "radius", "alive"):
+            old = getattr(self, name)
+            new = np.zeros((cap, *old.shape[1:]), dtype=old.dtype)
+            new[: self.size] = old[: self.size]
+            setattr(self, name, new)
 
     def insert(self, seg_id: int, p0, p1, radius: float):
-        lo = np.minimum(p0, p1) - radius
-        hi = np.maximum(p0, p1) + radius
-        for code in self._octants_for_box(lo, hi):
-            self.members[code].add(seg_id)
-        self.max_radius = max(self.max_radius, radius)
+        p0 = np.asarray(p0, float)
+        p1 = np.asarray(p1, float)
+        if self.size == self.ids.size:
+            self._grow()
+        slot = self.size
+        self.size += 1
+        self.ids[slot] = seg_id
+        self.p0[slot] = p0
+        self.p1[slot] = p1
+        self.radius[slot] = radius
+        self.alive[slot] = True
+        self.slot_of[seg_id] = slot
+        for key in self._keys(p0, p1, radius):
+            self.buckets.setdefault(key, []).append(slot)
 
     def remove(self, seg_id: int):
-        for cell in self.members:
-            cell.discard(seg_id)
+        slot = self.slot_of.pop(seg_id, None)
+        if slot is not None:
+            self.alive[slot] = False
 
-    def candidates(self, p0, p1, radius: float) -> set[int]:
-        pad = radius + self.max_radius
-        lo = np.minimum(p0, p1) - pad
-        hi = np.maximum(p0, p1) + pad
-        out: set[int] = set()
-        for code in self._octants_for_box(lo, hi):
-            out |= self.members[code]
-        return out
+    def candidates(self, p0, p1, radius: float) -> np.ndarray:
+        """Slots of the live segments sharing a bucket with the query box.
+
+        The box is grown by the radius plus a rounding slack. Index `ids`,
+        `p0`, `p1` and `radius` with the result.
+        """
+        p0 = np.asarray(p0, float)
+        p1 = np.asarray(p1, float)
+        found: set[int] = set()
+        for key in self._keys(p0, p1, radius * _RECHECK + 1e-9 * self.edge):
+            members = self.buckets.get(key)
+            if members:
+                found.update(members)
+        slots = np.fromiter(found, dtype=np.intp, count=len(found))
+        return slots[self.alive[slots]]
 
     @classmethod
     def build(cls, domain: DomainBox, net: VascularNetwork) -> "OctantIndex":
-        index = cls(domain)
+        lengths = [
+            float(np.linalg.norm(np.subtract(*net.segment_endpoints(sid))))
+            for sid in net.segments
+        ]
+        radii = [seg.radius for seg in net.segments.values()]
+        # no segments: one bucket holding everything added later
+        edge = (float(np.median(lengths)) + 2.0 * max(radii) if lengths
+                else float(np.max(domain.extent)))
+        index = cls(domain, edge)
         for sid in net.segments:
             p0, p1 = net.segment_endpoints(sid)
             index.insert(sid, p0, p1, net.segments[sid].radius)
@@ -184,13 +284,19 @@ def collides(
 
     Segments sharing a network node with the candidate (those incident to
     `attached_nodes`) are exempt; the rejection guard is the strict
-    inequality dist < R_new + R_k.
+    inequality dist < R_new + R_k. The index's candidates are measured in
+    one batched pass; only those within the sum of radii (plus a 1e-9
+    relative slack) are re-measured with the scalar `segment_distance`,
+    which makes the decision.
     """
-    for sid in octants.candidates(p0, p1, radius):
-        if sid not in net.segments:
-            continue
-        seg = net.segments[sid]
-        if seg.node_a in attached_nodes or seg.node_b in attached_nodes:
+    slots = octants.candidates(p0, p1, radius)
+    if not slots.size:
+        return False
+    reach = (radius + octants.radius[slots]) * _RECHECK
+    dist = segment_distances(p0, p1, octants.p0[slots], octants.p1[slots])
+    for sid in octants.ids[slots[dist < reach]].tolist():
+        seg = net.segments.get(sid)
+        if seg is None or seg.node_a in attached_nodes or seg.node_b in attached_nodes:
             continue
         q0, q1 = net.segment_endpoints(sid)
         if segment_distance(p0, p1, q0, q1) < radius + seg.radius:
@@ -590,22 +696,31 @@ class GrowthEngine:
 
     # -- linking ----------------------------------------------------------
 
-    def _link_terminal(self, tip: int) -> bool:
-        """Connect one terminal node to a nearby node inside the cone.
+    def _node_table(self):
+        """Sorted node ids and their positions, for the link pre-filter."""
+        ids = np.array(sorted(self.net.nodes), dtype=np.int64)
+        positions = np.array([self.net.nodes[nid].position for nid in ids.tolist()])
+        return ids, positions
 
-        Candidates within the cone and inside the drawn search distance are
-        ranked by normalized pressure difference minus normalized distance;
-        the best collision-free candidate wins.
+    def _link_candidates(self, tip: int, d_x: float, table):
+        """Nodes inside the tip's cone and within d_x of it, best first.
+
+        Returns [(node id, distance, score)] sorted by (-score, id), where
+        the score is the normalized pressure difference minus the
+        normalized distance. One vectorized pass over the node table keeps
+        the nodes within d_x and the cone up to a 1e-9 relative slack; the
+        scalar tests below then make the decision, node by node.
         """
         seg, d_tip = self._tip_segment(tip)
         x = self.net.nodes[tip].position
-        d_x = self.rng.normal(self.params.link_mu, self.params.link_sigma)
-        if d_x <= 0.0:
-            return False
         cos_half = math.cos(self.params.cone_angle / 2.0)
+        ids, positions = table
+        offsets = positions - x
+        spans = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
+        near = (spans <= d_x * _RECHECK) & (offsets @ d_tip >= (cos_half - 1e-9) * spans)
         p_x = self.flow.p_v.get(tip) if self.flow else None
         candidates = []
-        for nid in sorted(self.net.nodes):
+        for nid in ids[near].tolist():
             if nid == tip or nid in (seg.node_a, seg.node_b):
                 continue
             delta = self.net.nodes[nid].position - x
@@ -619,14 +734,27 @@ class GrowthEngine:
                 dp = abs(self.flow.p_v[nid] - p_x)
             candidates.append((nid, dist, dp))
         if not candidates:
-            return False
+            return []
         dp_max = max(c[2] for c in candidates)
-        scored = sorted(
-            candidates,
-            key=lambda c: (-((c[2] / dp_max if dp_max > 0 else 0.0) - c[1] / d_x),
-                           c[0]),
-        )
-        for nid, dist, _ in scored:
+        scored = [
+            (nid, dist, (dp / dp_max if dp_max > 0 else 0.0) - dist / d_x)
+            for nid, dist, dp in candidates
+        ]
+        return sorted(scored, key=lambda c: (-c[2], c[0]))
+
+    def _link_terminal(self, tip: int, table) -> bool:
+        """Connect one terminal node to a nearby node inside the cone.
+
+        Candidates within the cone and inside the drawn search distance are
+        ranked by `_link_candidates`; the best collision-free one wins.
+        `table` is `_node_table()`, taken before linking began.
+        """
+        seg, _ = self._tip_segment(tip)
+        x = self.net.nodes[tip].position
+        d_x = self.rng.normal(self.params.link_mu, self.params.link_sigma)
+        if d_x <= 0.0:
+            return False
+        for nid, _, _ in self._link_candidates(tip, d_x, table):
             other_radii = [
                 self.net.segments[s].radius for s in self.net.adjacency[nid]
             ]
@@ -643,9 +771,11 @@ class GrowthEngine:
         return False
 
     def _link_all_terminals(self):
+        # linking adds segments, never nodes: one table serves every tip
+        table = self._node_table()
         linked = 0
         for tip in self.net.terminal_nodes(self.domain):
-            if self._link_terminal(tip):
+            if self._link_terminal(tip, table):
                 linked += 1
         return linked
 

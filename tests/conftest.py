@@ -1,7 +1,10 @@
 """Shared network/grid fixtures for the test suite."""
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from microvasc import (
     DomainBox,
@@ -12,6 +15,12 @@ from microvasc import (
 )
 
 UM = 1e-6
+
+# Property tests draw fixed examples under CI (GitHub Actions sets CI), so a
+# failure there reproduces locally with CI=1.
+settings.register_profile("ci", derandomize=True, database=None, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def make_single_vessel(
@@ -92,6 +101,51 @@ def make_starter_network():
         )
         tip = net.new_node(np.array(tip_pos))
         net.new_segment(root.id, tip.id, 6 * UM)
+    return net
+
+
+def make_jittered_lattice(seed, n_per_axis, side=0.5e-3, jitter=0.15,
+                          twig_fraction=0.05):
+    """Cubic capillary lattice filling [0, side]^3 with n_per_axis^3 nodes.
+
+    Interior nodes move by up to `jitter` spacings on each axis; nodes on
+    the x = 0 and x = side faces hold 8000 and 4000 Pa, and no vessel lies
+    in those faces. About `twig_fraction` of the interior nodes carry a
+    dead-end twig of two segments. 13 nodes per axis give ~5.6k segments.
+    """
+    rng = np.random.default_rng(seed)
+    n = n_per_axis
+    h = side / (n - 1)
+    net = VascularNetwork()
+    ids = {}
+    for ijk in np.ndindex(n, n, n):
+        index = np.array(ijk)
+        interior = (index > 0) & (index < n - 1)
+        pos = index * h + np.where(interior, rng.uniform(-jitter, jitter, 3) * h, 0.0)
+        if ijk[0] in (0, n - 1):
+            pressure = 8000.0 if ijk[0] == 0 else 4000.0
+            node = net.new_node(pos, kind="boundary", boundary_pressure=pressure)
+        else:
+            node = net.new_node(pos)
+        ids[ijk] = node.id
+    for ijk, nid in ids.items():
+        for axis in range(3):
+            step = list(ijk)
+            step[axis] += 1
+            other = ids.get(tuple(step))
+            if other is not None and (axis == 0 or ijk[0] not in (0, n - 1)):
+                net.new_segment(nid, other, float(rng.uniform(2.5, 4.0)) * UM)
+    interior = [nid for ijk, nid in ids.items() if all(0 < c < n - 1 for c in ijk)]
+    for nid in rng.choice(interior, size=round(twig_fraction * len(interior)),
+                          replace=False):
+        direction = rng.normal(size=3)
+        direction /= np.linalg.norm(direction)
+        base = net.nodes[int(nid)].position
+        prev = int(nid)
+        for k in (1, 2):
+            tip = net.new_node(base + direction * (0.3 * h * k))
+            net.new_segment(prev, tip.id, 2.5 * UM)
+            prev = tip.id
     return net
 
 

@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from microvasc import RunConfig, serialize_dgf
-from microvasc.cli import main
+from microvasc import GrowthEngine, RunConfig, network_characteristics, serialize_dgf
+from microvasc.cli import _run_generation, _setup_domain, main
 from microvasc.errors import ValidationError
+from microvasc.growth import control_volume_averages
+from microvasc.units import pa_to_mmhg
 
 from conftest import make_single_vessel, make_starter_network
 
@@ -61,6 +63,19 @@ class TestCommands:
             assert (out / name).exists()
         printed = capsys.readouterr().out
         assert "PO2_roi" in printed and "F_tv" in printed
+        assert "clamped  = 0 samples" in printed
+
+    def test_solve_reports_clamped_samples(self, tmp_path, capsys):
+        # the grid spans the roi [0, 1 mm] grown by 10%: the vessel pokes out
+        net = make_single_vessel(
+            start=(0.5e-3, 0.5e-3, 0.5e-3), end=(1.3e-3, 0.5e-3, 0.5e-3)
+        )
+        config, _ = write_inputs(tmp_path, net=net)
+        assert main(["solve", "--config", str(config)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        (line,) = [l for l in lines if l.startswith("clamped")]
+        assert line.endswith(" samples")
+        assert int(line.split("=")[1].split()[0]) > 0
 
     def test_characteristics_report(self, tmp_path, capsys):
         config, _ = write_inputs(tmp_path)
@@ -109,6 +124,40 @@ class TestCommands:
         assert any(line.startswith("L,") for line in stats_lines)
         assert (out / "checkpoints").is_dir()
         assert list((out / "checkpoints").glob("phase1_step*.dgf"))
+
+    def test_generation_statistics_sources(self, tmp_path, monkeypatch):
+        """Solver quantities come from the last phase-2 solve; the network
+        quantities from the pruned, clipped phase-3 network."""
+        config, _ = write_inputs(
+            tmp_path,
+            net=make_starter_network(),
+            roi_lower=[0.0, 0.0, 0.0],
+            roi_upper=[0.5e-3, 0.5e-3, 0.5e-3],
+            grid_cells=[8, 8, 8],
+            growth={"max_iter_p1": 2, "max_iter_p2": 2, "max_iter_p3": 3},
+        )
+        config = RunConfig.from_file(config)
+        solves = []
+        solve_state = GrowthEngine.solve_state
+
+        def counted(engine):
+            solves.append(len(engine.net.segments))
+            return solve_state(engine)
+
+        monkeypatch.setattr(GrowthEngine, "solve_state", counted)
+        engine, stats = _run_generation(config, 11, None)
+        # every solve belongs to phase 1 or 2: the final network is not re-solved
+        phase_solves = [len(engine.traces[phase].po2_roi) for phase in (1, 2, 3)]
+        assert phase_solves[2] == 0 and len(solves) == sum(phase_solves)
+        assert stats.PO2_roi == engine.traces[2].po2_roi[-1]
+        roi, _, grid = _setup_domain(config)
+        _, pt_avg = control_volume_averages(engine.flow.p_t, grid, roi, 1)
+        assert stats.p_t_roi == pa_to_mmhg(pt_avg)
+        assert stats.F_tv == engine.flow.f_tv
+        final = network_characteristics(engine.net)
+        assert (stats.L, stats.A, stats.V, stats.N_seg) == final
+        assert all(roi.contains(node.position) for node in engine.net.nodes.values())
+        assert solves[-1] != stats.N_seg
 
     def test_stats_running_means(self, tmp_path):
         net = make_starter_network()

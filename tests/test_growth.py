@@ -1,4 +1,6 @@
 import math
+from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,15 +23,16 @@ from microvasc import (
     check_and_insert,
     clip_to_box,
     collides,
+    enlarge_domain,
     growth_direction,
     murray_branch_radii,
     sample_length,
     segment_distance,
 )
 from microvasc.errors import ValidationError
-from microvasc.growth import control_volume_averages
+from microvasc.growth import control_volume_averages, segment_distances
 
-from conftest import UM
+from conftest import UM, make_jittered_lattice
 
 point = st.floats(-1e-3, 1e-3, allow_nan=False)
 point3 = st.tuples(point, point, point)
@@ -156,12 +159,244 @@ class TestCollision:
         sid = next(iter(net.segments))
         p0, p1 = (x.copy() for x in net.segment_endpoints(sid))
         radius = net.segments[sid].radius
+        # a query along the segment's own axis hits it while it is indexed
+        assert collides(net, octants, p0, p1, radius, set())
         octants.remove(sid)
+        assert sid not in octants.ids[octants.candidates(p0, p1, radius)]
         net.remove_segment(sid)
-        assert not self.brute_force(net, p0, p1, radius, set()) or collides(
-            net, octants, p0, p1, radius, set()
-        ) == self.brute_force(net, p0, p1, radius, set())
+        assert not self.brute_force(net, p0, p1, radius, set())
+        assert not collides(net, octants, p0, p1, radius, set())
+        # a new segment in the same place is found again
+        a = net.new_node(p0)
+        b = net.new_node(p1)
+        seg = net.new_segment(a.id, b.id, radius)
+        assert seg.id != sid
+        octants.insert(seg.id, p0, p1, radius)
+        assert collides(net, octants, p0, p1, radius, set())
+        assert not collides(net, octants, p0, p1, radius, {a.id})
 
+    @given(
+        ops=st.lists(
+            st.tuples(st.sampled_from(("insert", "remove", "query")),
+                      st.integers(0, 2**32 - 1)),
+            min_size=1, max_size=40,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_collides_matches_brute_force_after_edits(self, ops):
+        # dense, so that queries hit; vessels may leave the indexed domain
+        domain = DomainBox([0.0, 0.0, 0.0], [0.3e-3, 0.3e-3, 0.3e-3])
+        net = self.build_random_net(60, seed=1, hi=0.3e-3)
+        octants = OctantIndex.build(domain, net)
+        for kind, seed in ops:
+            rng = np.random.default_rng(seed)
+            if kind == "remove":
+                if net.segments:
+                    sid = sorted(net.segments)[seed % len(net.segments)]
+                    octants.remove(sid)
+                    net.remove_segment(sid)
+                continue
+            nodes = sorted(net.nodes)
+            if not nodes:
+                assert not collides(net, octants, np.zeros(3), np.ones(3) * 1e-4,
+                                    3 * UM, set())
+                continue
+            tip = nodes[seed % len(nodes)]
+            p0 = net.nodes[tip].position.copy()
+            p1 = p0 + rng.uniform(-80e-6, 80e-6, 3)
+            radius = rng.uniform(2e-6, 8e-6)
+            if kind == "insert":
+                expected = not self.brute_force(net, p0, p1, radius, {tip})
+                seg = check_and_insert(net, octants, tip, p1, radius)
+                assert (seg is not None) == expected
+            else:
+                attached = {tip, nodes[(seed // 7) % len(nodes)]}
+                if seed % 3 == 0:
+                    p0 = rng.uniform(-0.05e-3, 0.35e-3, 3)  # from anywhere
+                assert collides(net, octants, p0, p1, radius, attached) == (
+                    self.brute_force(net, p0, p1, radius, attached)
+                )
+
+
+coord = st.floats(-1e-3, 1e-3, allow_nan=False)
+vec3 = st.builds(lambda *c: np.array(c), coord, coord, coord)
+
+
+@st.composite
+def stored_segment(draw, a0, a1):
+    """A segment random, parallel or collinear to a0-a1, or of zero length."""
+    kind = draw(st.sampled_from(("random", "parallel", "collinear", "point")))
+    if kind == "collinear":
+        u, v = (draw(st.floats(-1.5, 2.5)) for _ in range(2))
+        return a0 + u * (a1 - a0), a0 + v * (a1 - a0)
+    q0 = draw(vec3)
+    if kind == "random":
+        return q0, draw(vec3)
+    if kind == "parallel":
+        return q0, q0 + draw(st.floats(-2.0, 2.0)) * (a1 - a0)
+    return q0, q0.copy()
+
+
+class TestBatchedDistance:
+    @given(data=st.data(), a0=vec3, a1=vec3, zero_length=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_segment_distance(self, data, a0, a1, zero_length):
+        if zero_length:
+            a1 = a0.copy()
+        pairs = data.draw(st.lists(stored_segment(a0, a1), min_size=1, max_size=8))
+        b0 = np.array([q0 for q0, _ in pairs])
+        b1 = np.array([q1 for _, q1 in pairs])
+        batched = segment_distances(a0, a1, b0, b1)
+        # near zero the coordinates' own rounding sets the scale
+        scale = max(np.max(np.abs(b0)), np.max(np.abs(b1)), np.max(np.abs(a0)),
+                    np.max(np.abs(a1)), 1e-300)
+        for i, (q0, q1) in enumerate(pairs):
+            scalar = segment_distance(a0, a1, q0, q1)
+            assert batched[i] == pytest.approx(scalar, rel=1e-12, abs=1e-12 * scale)
+
+
+@lru_cache(maxsize=1)
+def indexed_lattice():
+    """The 5.6k-segment jittered lattice and its index over the grown domain."""
+    net = make_jittered_lattice(0, 13)
+    domain = enlarge_domain(DomainBox([0.0] * 3, [0.5e-3] * 3), 0.10)
+    return net, OctantIndex.build(domain, net)
+
+
+class TestBucketIndex:
+    @given(
+        start=st.tuples(*[st.floats(0.0, 0.5e-3)] * 3),
+        direction=st.tuples(*[st.floats(-1.0, 1.0)] * 3).filter(
+            lambda d: np.linalg.norm(d) > 1e-3
+        ),
+        length=st.floats(20 * UM, 60 * UM),
+        radius=st.floats(2 * UM, 5 * UM),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_lattice_queries_see_few_candidates(self, start, direction, length, radius):
+        net, octants = indexed_lattice()
+        assert len(net.segments) > 5500
+        p0 = np.array(start)
+        p1 = p0 + length * np.array(direction) / np.linalg.norm(direction)
+        assert len(octants.candidates(p0, p1, radius)) < 0.05 * len(net.segments)
+
+    def test_neighbour_across_a_bucket_face_is_found(self):
+        domain = DomainBox([0.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3])
+        net = VascularNetwork()
+        a = net.new_node([0.107e-3, 0.40e-3, 0.5e-3])
+        b = net.new_node([0.107e-3, 0.50e-3, 0.5e-3])
+        net.new_segment(a.id, b.id, 2 * UM)
+        octants = OctantIndex.build(domain, net)
+        assert octants.edge == pytest.approx(0.104e-3)
+        # the stored vessel's box lies in the second bucket along x, the
+        # query's axis in the first: only the query radius bridges the face
+        p0 = np.array([0.102e-3, 0.40e-3, 0.5e-3])
+        p1 = np.array([0.102e-3, 0.50e-3, 0.5e-3])
+        gap = segment_distance(p0, p1, *net.segment_endpoints(0))
+        assert collides(net, octants, p0, p1, gap * (1 + 1e-7) - 2 * UM, set())
+        assert not collides(net, octants, p0, p1, gap * (1 - 1e-7) - 2 * UM, set())
+
+    def test_geometry_outside_the_domain_is_found(self):
+        domain = DomainBox([0.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3])
+        net = VascularNetwork()
+        a = net.new_node([1.4e-3, 0.5e-3, 0.5e-3])
+        b = net.new_node([1.5e-3, 0.5e-3, 0.5e-3])
+        net.new_segment(a.id, b.id, 5 * UM)
+        octants = OctantIndex.build(domain, net)
+        assert collides(net, octants, np.array([1.45e-3, 0.4e-3, 0.5e-3]),
+                        np.array([1.45e-3, 0.6e-3, 0.5e-3]), 3 * UM, set())
+
+
+def all_node_link_candidates(engine, tip, d_x):
+    """Oracle: the scan over every node `_link_terminal` made before the
+    vectorized pre-filter, returning `_link_candidates`' format."""
+    seg, d_tip = engine._tip_segment(tip)
+    x = engine.net.nodes[tip].position
+    cos_half = math.cos(engine.params.cone_angle / 2.0)
+    p_x = engine.flow.p_v.get(tip) if engine.flow else None
+    candidates = []
+    for nid in sorted(engine.net.nodes):
+        if nid == tip or nid in (seg.node_a, seg.node_b):
+            continue
+        delta = engine.net.nodes[nid].position - x
+        dist = float(np.linalg.norm(delta))
+        if dist == 0.0 or dist > d_x:
+            continue
+        if (delta / dist) @ d_tip < cos_half:
+            continue
+        dp = 0.0
+        if p_x is not None and nid in engine.flow.p_v:
+            dp = abs(engine.flow.p_v[nid] - p_x)
+        candidates.append((nid, dist, dp))
+    if not candidates:
+        return []
+    dp_max = max(c[2] for c in candidates)
+    scored = sorted(
+        candidates,
+        key=lambda c: (-((c[2] / dp_max if dp_max > 0 else 0.0) - c[1] / d_x), c[0]),
+    )
+    return [
+        (nid, dist, (dp / dp_max if dp_max > 0 else 0.0) - dist / d_x)
+        for nid, dist, dp in scored
+    ]
+
+
+class TestLinking:
+    def test_prefiltered_candidates_match_all_node_scan(self):
+        net = make_jittered_lattice(3, 8, twig_fraction=0.2)
+        roi = DomainBox([0.0] * 3, [0.5e-3] * 3)
+        domain = enlarge_domain(roi, 0.10)
+        engine = GrowthEngine(
+            net, domain, roi, build_grid(domain, (4, 4, 4)), RheologyParameters(),
+            FlowParameters(), OxygenParameters(), GrowthParameters(),
+            np.random.default_rng(0),
+        )
+        rng = np.random.default_rng(1)
+        # pressures on most nodes; the rest score with dp = 0
+        engine.flow = SimpleNamespace(p_v={
+            nid: float(rng.uniform(4000.0, 8000.0))
+            for nid in net.nodes if rng.uniform() < 0.9
+        })
+        table = engine._node_table()
+        tips = net.terminal_nodes(domain)
+        assert len(tips) >= 40
+        compared = 0
+        for tip in tips:
+            wide = all_node_link_candidates(engine, tip, 150 * UM)
+            # drawn-looking radii, and radii exactly at candidate distances
+            for d_x in [40 * UM, 60 * UM, 90 * UM] + [c[1] for c in wide[:3]]:
+                expected = all_node_link_candidates(engine, tip, d_x)
+                assert engine._link_candidates(tip, d_x, table) == expected
+                compared += len(expected)
+        assert compared > 100
+
+    def test_cone_and_distance_edges_match_all_node_scan(self):
+        # nodes within 1e-9 rad of the cone's edge, at two distances
+        box = DomainBox([0.0] * 3, [0.5e-3] * 3)
+        net = VascularNetwork()
+        root = net.new_node([0.15e-3, 0.25e-3, 0.25e-3])
+        tip = net.new_node([0.25e-3, 0.25e-3, 0.25e-3])
+        net.new_segment(root.id, tip.id, 4 * UM)
+        engine = GrowthEngine(
+            net, box, box, build_grid(box, (4, 4, 4)), RheologyParameters(),
+            FlowParameters(), OxygenParameters(), GrowthParameters(),
+            np.random.default_rng(0),
+        )
+        half = engine.params.cone_angle / 2.0
+        for theta in half + np.linspace(-1e-9, 1e-9, 21):
+            for phi in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False):
+                for rho in (30 * UM, 50 * UM):
+                    unit = [math.cos(theta), math.sin(theta) * math.cos(phi),
+                            math.sin(theta) * math.sin(phi)]
+                    net.new_node(tip.position + rho * np.array(unit))
+        table = engine._node_table()
+        edges = {c[1] for c in all_node_link_candidates(engine, tip.id, 60 * UM)}
+        inside = 0
+        for d_x in [60 * UM] + sorted(edges)[-5:]:
+            expected = all_node_link_candidates(engine, tip.id, d_x)
+            assert engine._link_candidates(tip.id, d_x, table) == expected
+            inside += len(expected)
+        assert 0 < inside
 
 class TestStochasticRules:
     def test_bifurcation_probability_frozen(self):

@@ -19,7 +19,6 @@ from .grid import (  # noqa: F401
     TissueGrid,
     build_grid,
     build_surface_coupling,
-    circumferential_average,
     project_1d_to_surface,
 )
 from .flow import FlowParameters, FlowState, assemble_flow_system, solve_flow, starling_flux  # noqa: F401

@@ -2,10 +2,15 @@
 graph Poiseuille flow with Starling wall leakage.
 
 Both compartments are assembled into one sparse linear system over
-(tissue cells, network nodes) and solved monolithically. The exchange
-terms on the 3D and 1D sides are built from the identical sample set of
-the surface coupling, so total filtration agrees between the two sides
-to rounding.
+(tissue cells, network nodes) and solved monolithically. The wall exchange
+is the surface coupling's jump operator G = [-C, Pi] weighted by the
+sample areas: the block G^T diag(L_p a) G with right-hand side
+G^T (L_p a sigma dpi). Both sides of the exchange come from the same
+product, so total filtration agrees between them to rounding.
+
+The module also holds the assembly pieces oxygen transport shares: the
+Laplacian over an edge list (tissue faces, vessel segments) and the
+Dirichlet-row helper.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .errors import SolverError, ValidationError
 from .grid import SurfaceCoupling, TissueGrid
@@ -77,10 +83,8 @@ class FlowSystem:
         self.coupling = coupling
         self.rheology = rheology
         self.params = params
-        self.node_order = sorted(net.nodes)
-        self.node_index = {
-            nid: grid.n_cells + i for i, nid in enumerate(self.node_order)
-        }
+        self.node_order = coupling.node_order
+        self.node_index = coupling.node_index
         self.conductance = {}
         self.viscosity = {}
         self.matrix = None
@@ -91,26 +95,23 @@ class FlowSystem:
         return self.grid.n_cells + len(self.node_order)
 
 
-def _tissue_diffusion_entries(grid: TissueGrid, mobility: float, rows, cols, vals):
-    """Two-point-flux Laplacian on the uniform grid; Neumann outer boundary."""
-    nx, ny, nz = grid.cells_per_axis
-    dx, dy, dz = grid.spacing
-    face_t = [
-        mobility * dy * dz / dx,
-        mobility * dx * dz / dy,
-        mobility * dx * dy / dz,
-    ]
-    idx = np.arange(grid.n_cells).reshape((nz, ny, nx))  # [k, j, i]
-    for axis, t in zip((2, 1, 0), face_t):  # array axes: 2 -> x, 1 -> y, 0 -> z
-        lo = np.take(idx, range(idx.shape[axis] - 1), axis=axis).ravel()
-        hi = np.take(idx, range(1, idx.shape[axis]), axis=axis).ravel()
-        for a, b in ((lo, hi), (hi, lo)):
-            rows.append(a)
-            cols.append(a)
-            vals.append(np.full(a.shape, t))
-            rows.append(a)
-            cols.append(b)
-            vals.append(np.full(a.shape, -t))
+def edge_laplacian(lo, hi, weight, n: int) -> sp.csr_matrix:
+    """n x n sum over edges of weight * (e_lo - e_hi)(e_lo - e_hi)^T."""
+    rows = np.concatenate([lo, lo, hi, hi])
+    cols = np.concatenate([lo, hi, hi, lo])
+    vals = np.concatenate([weight, -weight, weight, -weight])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+
+
+def pin_rows(matrix, rhs, values: dict[int, float]):
+    """Dirichlet rows: replace each row r in `values` by an identity row
+    with right-hand side values[r]."""
+    rows = list(values)
+    pinned = np.zeros(matrix.shape[0])
+    pinned[rows] = 1.0
+    rhs = rhs.copy()
+    rhs[rows] = list(values.values())
+    return (sp.diags(1.0 - pinned) @ matrix + sp.diags(pinned)).tocsr(), rhs
 
 
 def assemble_flow_system(
@@ -122,126 +123,59 @@ def assemble_flow_system(
 ) -> FlowSystem:
     sys = FlowSystem(net, grid, coupling, rheology, params)
     n = sys.n_unknowns
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    rhs = np.zeros(n)
-
-    mobility = params.tissue_permeability / params.interstitial_viscosity
-    _tissue_diffusion_entries(grid, mobility, rows, cols, vals)
-
     dirichlet = {
         nid
         for nid in net.nodes
         if net.nodes[nid].kind == "boundary"
         and net.nodes[nid].boundary_pressure is not None
     }
-    _check_1d_solvability(net, dirichlet, params)
+    _check_1d_solvability(coupling, dirichlet, params)
 
-    # 1D graph Laplacian with Poiseuille conductances
-    for sid in sorted(net.segments):
-        seg = net.segments[sid]
-        length, _ = net.segment_geometry(sid)
-        mu = segment_viscosity(seg.radius, rheology)
-        g = vessel_conductance(seg.radius, length, mu)
-        sys.viscosity[sid] = mu
-        sys.conductance[sid] = g
-        ia, ib = sys.node_index[seg.node_a], sys.node_index[seg.node_b]
-        for p, q in ((ia, ib), (ib, ia)):
-            if sys.node_order[p - grid.n_cells] in dirichlet:
-                continue
-            rows.append(np.array([p, p]))
-            cols.append(np.array([p, q]))
-            vals.append(np.array([g, -g]))
+    # Poiseuille conductances on the graph, two-point fluxes in the tissue
+    table = coupling.segments
+    radius, length = table.radius.tolist(), table.length.tolist()
+    mu = [segment_viscosity(r, rheology) for r in radius]
+    g = [vessel_conductance(r, l, m) for r, l, m in zip(radius, length, mu)]
+    sys.viscosity = dict(zip(table.ids, mu))
+    sys.conductance = dict(zip(table.ids, g))
+    lo, hi, area, h = grid.faces()
+    mobility = params.tissue_permeability / params.interstitial_viscosity
+    matrix = edge_laplacian(lo, hi, mobility * area / h, n)
+    matrix += edge_laplacian(table.a, table.b, np.array(g), n)
 
-    # Wall exchange over the shared sample set
-    lp = params.wall_conductivity
-    osm = params.reflection * params.oncotic_jump
-    if lp > 0.0:
-        for sid in sorted(net.segments):
-            seg = net.segments[sid]
-            sc = coupling.per_segment[sid]
-            length, _ = net.segment_geometry(sid)
-            la = lp * sc.sample_area
-            w_b = sc.s / length
-            w_a = 1.0 - w_b
-            cells = sc.cells
-            ia, ib = sys.node_index[seg.node_a], sys.node_index[seg.node_b]
-            m = len(cells)
-            # tissue rows: +la*p_t - la*(w_a p_a + w_b p_b) = -la*osm
-            rows.append(cells)
-            cols.append(cells)
-            vals.append(np.full(m, la))
-            rows.append(cells)
-            cols.append(np.full(m, ia))
-            vals.append(-la * w_a)
-            rows.append(cells)
-            cols.append(np.full(m, ib))
-            vals.append(-la * w_b)
-            np.add.at(rhs, cells, -la * osm)
-            # vessel rows: node share w of  la*(Pi p_v - p_t) = la*osm,
-            # with Pi p_v = w_a p_a + w_b p_b on each sample
-            for node_row, w in ((ia, w_a), (ib, w_b)):
-                if sys.node_order[node_row - grid.n_cells] in dirichlet:
-                    continue
-                m_idx = np.full(m, node_row)
-                rows.append(m_idx)
-                cols.append(np.full(m, ia))
-                vals.append(la * w * w_a)
-                rows.append(m_idx)
-                cols.append(np.full(m, ib))
-                vals.append(la * w * w_b)
-                rows.append(m_idx)
-                cols.append(cells)
-                vals.append(-la * w)
-                rhs[node_row] += float(np.sum(la * w * osm))
+    rhs = np.zeros(n)
+    if params.wall_conductivity > 0.0:
+        la = params.wall_conductivity * coupling.area
+        matrix += coupling.G.T @ (sp.diags(la) @ coupling.G)
+        rhs += coupling.G.T @ (la * (params.reflection * params.oncotic_jump))
     else:
         # decoupled 3D Neumann problem: pin one tissue cell to remove null space
-        rows.append(np.array([0]))
-        cols.append(np.array([0]))
-        vals.append(np.array([1.0]))
+        matrix += sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
 
-    # Dirichlet rows for boundary nodes
-    for nid in sorted(dirichlet):
-        r = sys.node_index[nid]
-        rows.append(np.array([r]))
-        cols.append(np.array([r]))
-        vals.append(np.array([1.0]))
-        rhs[r] = net.nodes[nid].boundary_pressure
-
-    r = np.concatenate(rows)
-    c = np.concatenate(cols)
-    v = np.concatenate(vals)
-    sys.matrix = sp.csr_matrix((v, (r, c)), shape=(n, n))
-    sys.rhs = rhs
+    sys.matrix, sys.rhs = pin_rows(matrix, rhs, {
+        sys.node_index[nid]: net.nodes[nid].boundary_pressure for nid in dirichlet
+    })
     sys.dirichlet = dirichlet
     return sys
 
 
-def _check_1d_solvability(net, dirichlet, params):
+def _check_1d_solvability(coupling, dirichlet, params):
     """With L_p = 0 every connected 1D component needs a Dirichlet node."""
     if params.wall_conductivity > 0.0:
         return
-    seen: set[int] = set()
-    for start in net.nodes:
-        if start in seen:
-            continue
-        component = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            nid = stack.pop()
-            component.append(nid)
-            for sid in net.adjacency[nid]:
-                other = net.segments[sid].other(nid)
-                if other not in seen:
-                    seen.add(other)
-                    stack.append(other)
-        if not any(nid in dirichlet for nid in component):
-            raise SolverError(
-                f"1D component containing node {start} has no Dirichlet node "
-                "and no wall coupling; system is singular"
-            )
+    table, first, nodes = coupling.segments, coupling.C.shape[1], len(coupling.node_order)
+    graph = sp.csr_matrix(
+        (np.ones(len(table.ids)), (table.a - first, table.b - first)), shape=(nodes, nodes)
+    )
+    count, component = connected_components(graph, directed=False)
+    grounded = np.zeros(count, dtype=bool)
+    grounded[component[[coupling.node_index[nid] - first for nid in dirichlet]]] = True
+    floating = ~grounded[component]
+    if floating.any():
+        raise SolverError(
+            f"1D component containing node {coupling.node_order[int(np.argmax(floating))]} "
+            "has no Dirichlet node and no wall coupling; system is singular"
+        )
 
 
 def scaled_residual(matrix, x, rhs, nonlinear=0.0) -> float:
@@ -266,75 +200,34 @@ def _sparse_solve(matrix, rhs):
 
 
 def solve_flow(system: FlowSystem) -> FlowState:
-    net, grid, params = system.net, system.grid, system.params
+    grid, params, coupling = system.grid, system.params, system.coupling
+    table, n, n_all = coupling.segments, grid.n_cells, system.n_unknowns
     x, residual = _sparse_solve(system.matrix, system.rhs)
-    p_t = x[: grid.n_cells]
-    p_v = {nid: float(x[system.node_index[nid]]) for nid in system.node_order}
+    p_t = x[:n]
+    g = np.array([system.conductance[sid] for sid in table.ids])
+    q = g * (x[table.a] - x[table.b])  # Poiseuille flow node_a -> node_b, m^3/s
 
-    u_v = {}
-    for sid in sorted(net.segments):
-        seg = net.segments[sid]
-        length, _ = net.segment_geometry(sid)
-        dp = p_v[seg.node_b] - p_v[seg.node_a]
-        u_v[sid] = -(seg.radius**2) / (8.0 * system.viscosity[sid]) * dp / length
-
-    u_t = _cell_velocities(grid, p_t, params)
-
-    sample_jp: dict[int, np.ndarray] = {}
-    filtration = 0.0
-    positive = 0.0
-    for sid in sorted(net.segments):
-        seg = net.segments[sid]
-        sc = system.coupling.per_segment[sid]
-        length, _ = net.segment_geometry(sid)
-        w_b = sc.s / length
-        pv_wall = (1.0 - w_b) * p_v[seg.node_a] + w_b * p_v[seg.node_b]
-        jp = params.wall_conductivity * (
-            (pv_wall - p_t[sc.cells]) - params.reflection * params.oncotic_jump
-        )
-        sample_jp[sid] = jp
-        filtration += float(np.sum(jp) * sc.sample_area)
-        positive += float(np.sum(jp[jp > 0.0]) * sc.sample_area)
-
-    # 3D-side accumulation of the same exchange, summed in cell order
-    filtration_3d = _filtration_from_tissue_side(system, p_t, p_v)
-
-    f_tv = positive * WATER_DENSITY * MICROGRAM_PER_KG
-
-    boundary_flux = _boundary_fluxes(system, p_v, sample_jp)
-
+    jp = params.wall_conductivity * (
+        coupling.jump(x) - params.reflection * params.oncotic_jump
+    )
+    exchange = coupling.area * jp  # m^3/s through each sample, out of the vessel
+    wall = coupling.G.T @ exchange  # -C^T(a jp) on cells, Pi^T(a jp) on nodes
+    # node inflow: Poiseuille flow away from the node plus its wall share
+    inflow = np.bincount(table.a, q, n_all) - np.bincount(table.b, q, n_all) + wall
     return FlowState(
         p_t=p_t,
-        p_v=p_v,
-        u_v=u_v,
-        u_t=u_t,
-        f_tv=f_tv,
+        p_v=dict(zip(system.node_order, x[n:].tolist())),
+        u_v=dict(zip(table.ids, (q / (np.pi * table.radius**2)).tolist())),
+        u_t=_cell_velocities(grid, p_t, params),
+        f_tv=float(np.sum(exchange[jp > 0.0])) * WATER_DENSITY * MICROGRAM_PER_KG,
         residual=residual,
-        sample_jp=sample_jp,
-        boundary_flux=boundary_flux,
-        filtration_3d=filtration_3d,
-        filtration_1d=filtration,
+        sample_jp=dict(zip(table.ids, np.split(jp, coupling.offsets[1:-1]))),
+        boundary_flux={
+            nid: float(inflow[system.node_index[nid]]) for nid in sorted(system.dirichlet)
+        },
+        filtration_3d=-float(np.sum(wall[:n])),
+        filtration_1d=float(np.sum(exchange)),
     )
-
-
-def _cell_velocities(grid: TissueGrid, p_t: np.ndarray, params: FlowParameters):
-    """Cell-center Darcy velocity from two-point face differences.
-
-    Outer boundary faces carry zero flux, matching the Neumann condition.
-    """
-    mobility = params.tissue_permeability / params.interstitial_viscosity
-    nx, ny, nz = grid.cells_per_axis
-    p = p_t.reshape((nz, ny, nx))
-    u = np.zeros((nz, ny, nx, 3))
-    for comp, (axis, h) in enumerate(zip((2, 1, 0), grid.spacing)):
-        face = -mobility * np.diff(p, axis=axis) / h
-        pad_shape = list(p.shape)
-        pad_shape[axis] = 1
-        zeros = np.zeros(pad_shape)
-        lo = np.concatenate([zeros, face], axis=axis)
-        hi = np.concatenate([face, zeros], axis=axis)
-        u[..., comp] = 0.5 * (lo + hi)
-    return u.reshape(grid.n_cells, 3)
 
 
 def face_velocities(grid: TissueGrid, p_t: np.ndarray, params: FlowParameters):
@@ -352,37 +245,13 @@ def face_velocities(grid: TissueGrid, p_t: np.ndarray, params: FlowParameters):
     return out
 
 
-def _filtration_from_tissue_side(system, p_t, p_v):
-    """Net exchange accumulated cell-by-cell (3D bookkeeping order)."""
-    params = system.params
-    per_cell = np.zeros(system.grid.n_cells)
-    for sid in sorted(system.net.segments):
-        seg = system.net.segments[sid]
-        sc = system.coupling.per_segment[sid]
-        length, _ = system.net.segment_geometry(sid)
-        w_b = sc.s / length
-        pv_wall = (1.0 - w_b) * p_v[seg.node_a] + w_b * p_v[seg.node_b]
-        jp = params.wall_conductivity * (
-            (pv_wall - p_t[sc.cells]) - params.reflection * params.oncotic_jump
-        )
-        np.add.at(per_cell, sc.cells, jp * sc.sample_area)
-    return float(np.sum(per_cell))
-
-
-def _boundary_fluxes(system, p_v, sample_jp):
-    """Volumetric inflow at each Dirichlet node, wall-leak share included."""
-    net, grid = system.net, system.grid
-    out = {}
-    for nid in sorted(system.dirichlet):
-        flux = 0.0
-        for sid in net.adjacency[nid]:
-            seg = net.segments[sid]
-            g = system.conductance[sid]
-            flux += g * (p_v[nid] - p_v[seg.other(nid)])
-            sc = system.coupling.per_segment[sid]
-            length, _ = net.segment_geometry(sid)
-            w_b = sc.s / length
-            w = w_b if seg.node_b == nid else (1.0 - w_b)
-            flux += float(np.sum(w * sample_jp[sid]) * sc.sample_area)
-        out[nid] = flux
-    return out
+def _cell_velocities(grid: TissueGrid, p_t: np.ndarray, params: FlowParameters):
+    """Cell-center Darcy velocity, the mean of the two face velocities on
+    each axis; outer boundary faces carry zero flux (the Neumann condition).
+    """
+    u = []
+    for axis, face in zip((2, 1, 0), face_velocities(grid, p_t, params)):
+        before, after = [(0, 0)] * 3, [(0, 0)] * 3
+        before[axis], after[axis] = (1, 0), (0, 1)
+        u.append(0.5 * (np.pad(face, before) + np.pad(face, after)))
+    return np.stack(u, axis=-1).reshape(grid.n_cells, 3)

@@ -8,7 +8,6 @@ classification.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -356,24 +355,3 @@ def serialize_dgf(net: VascularNetwork) -> str:
         )
     lines.append("#")
     return "\n".join(lines) + "\n"
-
-
-def network_to_json(net: VascularNetwork) -> str:
-    """JSON export for debugging; not a round-trip format for ids."""
-    payload = {
-        "nodes": [
-            {
-                "id": n.id,
-                "position": list(n.position),
-                "kind": n.kind,
-                "boundary_pressure": n.boundary_pressure,
-                "boundary_po2": n.boundary_po2,
-            }
-            for n in (net.nodes[i] for i in sorted(net.nodes))
-        ],
-        "segments": [
-            {"id": s.id, "node_a": s.node_a, "node_b": s.node_b, "radius": s.radius}
-            for s in (net.segments[i] for i in sorted(net.segments))
-        ],
-    }
-    return json.dumps(payload, indent=2)

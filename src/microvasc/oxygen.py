@@ -6,12 +6,13 @@ Partial pressures stay in mmHg; every transport coefficient multiplying
 them is in SI, so both compartment balances carry units of mmHg*m^3/s.
 The 1D advective-diffusive flux carries the cross-section factor pi*R^2,
 which makes the 1D volumetric flow identical to the flow solver's and the
-junction balance conservative.
+junction balance conservative. The wall exchange is built from the same
+surface-coupling operators as the flow's (see `grid.SurfaceCoupling`), on
+the same node index, face list and Dirichlet-row helper.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,8 +25,11 @@ from .flow import (
     RESIDUAL_TOL,
     FlowParameters,
     FlowState,
+    edge_laplacian,
     face_velocities,
+    pin_rows,
     scaled_residual,
+    starling_flux,
 )
 from .grid import SurfaceCoupling, TissueGrid
 from .network import VascularNetwork
@@ -67,8 +71,6 @@ def kedem_katchalsky_flux(
     oxy_params: OxygenParameters,
 ) -> float:
     """Oxygen wall flux [mmHg*m/s]: advective drag plus diffusive permeation."""
-    from .flow import starling_flux
-
     jp = starling_flux(p_v_wall, p_t_wall, flow_params)
     mean = 0.5 * (po2_v_wall + po2_t_wall)
     return (1.0 - flow_params.reflection) * jp * mean + oxy_params.wall_permeability * (
@@ -111,14 +113,16 @@ def assemble_transport_operator(
     flow_params: FlowParameters,
     params: OxygenParameters,
 ) -> TransportOperator:
-    node_order = sorted(net.nodes)
-    node_index = {nid: grid.n_cells + i for i, nid in enumerate(node_order)}
-    n = grid.n_cells + len(node_order)
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    rhs = np.zeros(n)
+    """Convection-diffusion in both compartments plus the Kedem-Katchalsky
+    exchange block G^T [diag(c_t) C, diag(c_v) Pi].
 
+    Per sample the wall flux is linear in the partial pressures:
+    J = (1-sigma)*J_p*(po2_v + po2_t)/2 + L*(po2_v - po2_t), so
+    J*a = c_t po2_t + c_v po2_v with c_t, c_v = ((1-sigma)*J_p/2 -/+ L)*a.
+    Outer tissue faces are zero-flux for both terms, which realises the
+    zero-total-flux boundary condition exactly (the Darcy normal velocity
+    vanishes there by the Neumann flow condition).
+    """
     dirichlet = {}
     for nid in net.boundary_nodes():
         node = net.nodes[nid]
@@ -128,120 +132,45 @@ def assemble_transport_operator(
                 "arterial/venous classification first"
             )
         dirichlet[nid] = node.boundary_po2
+    table = coupling.segments
+    n = grid.n_cells + len(coupling.node_order)
 
-    _tissue_transport_entries(grid, flow, flow_params, params, rows, cols, vals)
-    _vessel_transport_entries(
-        net, flow, params, node_index, dirichlet, rows, cols, vals
-    )
-    _exchange_entries(
-        net, grid, coupling, flow, flow_params, params, node_index, dirichlet,
-        rows, cols, vals,
-    )
-
-    pinned = np.array([node_index[nid] for nid in sorted(dirichlet)], dtype=int)
-    rows.append(pinned)
-    cols.append(pinned)
-    vals.append(np.ones(pinned.size))
-    rhs[pinned] = [dirichlet[nid] for nid in sorted(dirichlet)]
-
-    base = sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+    # upwinded convection: volumetric flow v out of lo into hi (tissue faces)
+    # and q out of node_a into node_b (vessels), carrying po2 of the upwind end
+    lo, hi, area, h = grid.faces()
+    v = np.concatenate([f.ravel() for f in face_velocities(grid, flow.p_t, flow_params)])
+    v *= area
+    cross = np.pi * table.radius**2
+    q = np.array([flow.u_v[sid] for sid in table.ids]) * cross
+    out = np.concatenate([lo, table.a])
+    into = np.concatenate([hi, table.b])
+    upwind = np.concatenate([np.where(v > 0.0, lo, hi), np.where(q > 0.0, table.a, table.b)])
+    flux = np.concatenate([v, q])
+    convection = sp.csr_matrix(
+        (np.concatenate([flux, -flux]), (np.concatenate([out, into]), np.tile(upwind, 2))),
         shape=(n, n),
     )
-    return TransportOperator(
-        net, grid, node_index, base, rhs, grid.cell_volume, params, dirichlet
+
+    jp = np.concatenate([flow.sample_jp[sid] for sid in table.ids])
+    adv = 0.5 * (1.0 - flow_params.reflection) * jp
+    c_t = (adv - params.wall_permeability) * coupling.area
+    c_v = (adv + params.wall_permeability) * coupling.area
+    exchange = coupling.G.T @ sp.hstack(
+        [sp.diags(c_t) @ coupling.C, sp.diags(c_v) @ coupling.Pi], format="csr"
     )
 
-
-def _tissue_transport_entries(grid, flow, flow_params, params, rows, cols, vals):
-    """Upwinded convection with the Darcy face velocities plus diffusion.
-
-    Outer boundary faces are zero-flux for both terms, which realises the
-    zero-total-flux boundary condition exactly (the Darcy normal velocity
-    vanishes there by the Neumann flow condition).
-    """
-    nx, ny, nz = grid.cells_per_axis
-    dx, dy, dz = grid.spacing
-    areas = [dy * dz, dx * dz, dx * dy]
-    diff_t = [params.diffusion_tissue * a / h for a, h in zip(areas, grid.spacing)]
-    idx = np.arange(grid.n_cells).reshape((nz, ny, nx))
-    faces = face_velocities(grid, flow.p_t, flow_params)
-    for (axis, t, area, v) in zip((2, 1, 0), diff_t, areas, faces):
-        lo = np.take(idx, range(idx.shape[axis] - 1), axis=axis).ravel()
-        hi = np.take(idx, range(1, idx.shape[axis]), axis=axis).ravel()
-        vflat = v.ravel() * area  # volumetric face flow lo -> hi
-        up = np.where(vflat > 0.0, lo, hi)
-        # diffusion
-        for a, b in ((lo, hi), (hi, lo)):
-            rows += [a, a]
-            cols += [a, b]
-            vals += [np.full(a.shape, t), np.full(a.shape, -t)]
-        # upwinded advection: flux = vflat * po2[up], out of lo, into hi
-        rows += [lo, hi]
-        cols += [up, up]
-        vals += [vflat, -vflat]
-
-
-def _vessel_transport_entries(
-    net, flow, params, node_index, dirichlet, rows, cols, vals
-):
-    for sid in sorted(net.segments):
-        seg = net.segments[sid]
-        length, _ = net.segment_geometry(sid)
-        area = math.pi * seg.radius**2
-        q = flow.u_v[sid] * area  # volumetric flow node_a -> node_b
-        d = params.diffusion_vessel * area / length
-        ia, ib = node_index[seg.node_a], node_index[seg.node_b]
-        up = ia if q > 0.0 else ib
-        entries = [
-            (ia, ia, d), (ia, ib, -d), (ib, ib, d), (ib, ia, -d),
-            (ia, up, q), (ib, up, -q),
-        ]
-        for r, c, v in entries:
-            nid = seg.node_a if r == ia else seg.node_b
-            if nid in dirichlet:
-                continue
-            rows.append(np.array([r]))
-            cols.append(np.array([c]))
-            vals.append(np.array([v]))
-
-
-def _exchange_entries(
-    net, grid, coupling, flow, flow_params, params, node_index, dirichlet,
-    rows, cols, vals,
-):
-    """Kedem-Katchalsky coupling over the shared sample set.
-
-    Per sample the flux is linear in the unknown partial pressures:
-    J = (1-sigma)*J_p*(po2_v + po2_t)/2 + L*(po2_v - po2_t).
-    """
-    sigma = flow_params.reflection
-    lpo2 = params.wall_permeability
-    for sid in sorted(net.segments):
-        seg = net.segments[sid]
-        sc = coupling.per_segment[sid]
-        length, _ = net.segment_geometry(sid)
-        w_b = sc.s / length
-        w_a = 1.0 - w_b
-        jp = flow.sample_jp[sid]
-        adv = 0.5 * (1.0 - sigma) * jp
-        cv = (adv + lpo2) * sc.sample_area  # coefficient on po2_v_wall
-        ct = (adv - lpo2) * sc.sample_area  # coefficient on po2_t
-        cells = sc.cells
-        ia, ib = node_index[seg.node_a], node_index[seg.node_b]
-        m = len(cells)
-        # tissue rows: -J*area moved left
-        rows += [cells, cells, cells]
-        cols += [cells, np.full(m, ia), np.full(m, ib)]
-        vals += [-ct, -cv * w_a, -cv * w_b]
-        # vessel rows: +J*area, split by nodal weight
-        for node_id, node_row, w in ((seg.node_a, ia, w_a), (seg.node_b, ib, w_b)):
-            if node_id in dirichlet:
-                continue
-            m_idx = np.full(m, node_row)
-            rows += [m_idx, m_idx, m_idx]
-            cols += [np.full(m, ia), np.full(m, ib), cells]
-            vals += [w * cv * w_a, w * cv * w_b, w * ct]
+    matrix = (
+        edge_laplacian(lo, hi, params.diffusion_tissue * area / h, n)
+        + edge_laplacian(table.a, table.b, params.diffusion_vessel * cross / table.length, n)
+        + convection
+        + exchange
+    )
+    base, rhs = pin_rows(
+        matrix, np.zeros(n), {coupling.node_index[nid]: po2 for nid, po2 in dirichlet.items()}
+    )
+    return TransportOperator(
+        net, grid, coupling.node_index, base, rhs, grid.cell_volume, params, dirichlet
+    )
 
 
 # GMRES tolerance of one Newton step; at 1e-12 the exit gate held with only
@@ -345,8 +274,7 @@ def solve_oxygen(
             f"row-scaled oxygen residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
             history,
         )
-    index = operator.node_index
-    po2_v = {nid: float(x[index[nid]]) for nid in sorted(operator.net.nodes)}
+    po2_v = dict(zip(operator.node_index, x[cells:].tolist()))  # unknown order
     # boundedness: clip rounding-level violations only
     po2_t = np.clip(x[:cells], 0.0, None)
     return OxygenState(po2_t, po2_v, iterations, history[-1], history)

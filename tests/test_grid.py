@@ -8,7 +8,6 @@ from microvasc import (
     DomainBox,
     build_grid,
     build_surface_coupling,
-    circumferential_average,
     project_1d_to_surface,
 )
 from microvasc.errors import ValidationError
@@ -143,20 +142,3 @@ class TestProjections:
         assert mid == pytest.approx(6000.0, rel=1e-12)
         quarter = project_1d_to_surface(net, field, 0, 25 * UM)
         assert quarter == pytest.approx(7000.0, rel=1e-12)
-
-    def test_circumferential_average_uniform_field(self, desk_grid):
-        net = make_single_vessel(start=(0.2e-3, 0.5e-3, 0.5e-3),
-                                 end=(0.8e-3, 0.5e-3, 0.5e-3))
-        coupling = build_surface_coupling(desk_grid, net)
-        field = np.full(desk_grid.n_cells, 3.5)
-        assert circumferential_average(field, coupling, 0, 0.3e-3) == pytest.approx(3.5)
-
-    def test_circumferential_average_picks_nearest_ring(self, desk_grid):
-        net = make_single_vessel(start=(0.2e-3, 0.5e-3, 0.5e-3),
-                                 end=(0.8e-3, 0.5e-3, 0.5e-3))
-        coupling = build_surface_coupling(desk_grid, net)
-        centers = desk_grid.cell_centers()
-        field = centers[:, 0].copy()  # ramp in x
-        near_start = circumferential_average(field, coupling, 0, 0.0)
-        near_end = circumferential_average(field, coupling, 0, 0.6e-3)
-        assert near_start < near_end

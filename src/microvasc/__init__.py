@@ -8,7 +8,6 @@ from .network import (  # noqa: F401
     NetworkNode,
     Segment,
     VascularNetwork,
-    classify_arterial_venous,
     enlarge_domain,
     parse_dgf,
     serialize_dgf,
@@ -26,6 +25,7 @@ from .oxygen import (  # noqa: F401
     OxygenParameters,
     OxygenState,
     assemble_transport_operator,
+    classify_arterial_venous,
     kedem_katchalsky_flux,
     michaelis_menten,
     solve_oxygen,

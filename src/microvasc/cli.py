@@ -18,9 +18,9 @@ from .errors import MicrovascError
 from .export import cell_field_to_vtk, network_to_vtk, write_csv
 from .flow import assemble_flow_system, solve_flow
 from .grid import build_grid, build_surface_coupling
-from .growth import GrowthEngine
-from .network import classify_arterial_venous, enlarge_domain, parse_dgf, serialize_dgf
-from .oxygen import assemble_transport_operator, solve_oxygen
+from .growth import GrowthEngine, control_volume_averages
+from .network import enlarge_domain, parse_dgf, serialize_dgf
+from .oxygen import assemble_transport_operator, classify_arterial_venous, solve_oxygen
 from .stats import (
     QUANTITIES,
     RunStatistics,
@@ -64,7 +64,7 @@ def _solve_states(net, grid, config):
     coupling = build_surface_coupling(grid, net)
     system = assemble_flow_system(net, grid, coupling, config.rheology, config.flow)
     flow = solve_flow(system)
-    classify_arterial_venous(net, flow)
+    classify_arterial_venous(net, flow, config.oxygen)
     operator = assemble_transport_operator(
         net, grid, coupling, flow, config.flow, config.oxygen
     )
@@ -149,8 +149,6 @@ def _run_generation(config: RunConfig, seed: int, out_dir: Path | None):
     stats.L, stats.A, stats.V, stats.N_seg = network_characteristics(engine.net)
     if engine.flow is not None and engine.oxygen is not None:
         stats.PO2_roi = engine.po2_roi
-        from .growth import control_volume_averages
-
         _, pt_avg = control_volume_averages(engine.flow.p_t, grid, roi, 1)
         stats.p_t_roi = pa_to_mmhg(pt_avg)
         stats.F_tv = engine.flow.f_tv

@@ -86,7 +86,6 @@ class FlowSystem:
         self.node_order = coupling.node_order
         self.node_index = coupling.node_index
         self.conductance = {}
-        self.viscosity = {}
         self.matrix = None
         self.rhs = None
 
@@ -136,7 +135,6 @@ def assemble_flow_system(
     radius, length = table.radius.tolist(), table.length.tolist()
     mu = [segment_viscosity(r, rheology) for r in radius]
     g = [vessel_conductance(r, l, m) for r, l, m in zip(radius, length, mu)]
-    sys.viscosity = dict(zip(table.ids, mu))
     sys.conductance = dict(zip(table.ids, g))
     lo, hi, area, h = grid.faces()
     mobility = params.tissue_permeability / params.interstitial_viscosity

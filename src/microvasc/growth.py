@@ -3,9 +3,11 @@
 Phase 1 grows the large vessels (radius > 4.5 um) from the terminal nodes
 of the segmented tree, phase 2 fills in the capillary bed and links tips
 into the surrounding network, phase 3 prunes dead ends inside the region
-of interest. Growth direction follows the local tissue oxygen gradient,
-radii follow Murray's law at bifurcations, and every candidate vessel is
-collision-checked against the existing network.
+of interest. Growth direction follows the tissue PO2 gradient, one cell
+field per solved state (`cell_gradient`) read at each tip's cell; radii
+follow Murray's law at bifurcations, and every candidate vessel is
+collision-checked against the existing network. Boundary PO2 values come
+from the run's `OxygenParameters`.
 
 Collision queries go through `OctantIndex`, a uniform bucket grid whose
 edge is set by the network when it is built. `collides` measures the
@@ -21,21 +23,20 @@ unchanged, decide and rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import ValidationError
 from .flow import FlowParameters, assemble_flow_system, solve_flow
-from .grid import SurfaceCoupling, TissueGrid, build_surface_coupling
-from .network import (
-    DomainBox,
-    NetworkNode,
-    Segment,
-    VascularNetwork,
+from .grid import TissueGrid, build_surface_coupling
+from .network import DomainBox, Segment, VascularNetwork
+from .oxygen import (
+    OxygenParameters,
+    assemble_transport_operator,
     classify_arterial_venous,
+    solve_oxygen,
 )
-from .oxygen import OxygenParameters, assemble_transport_operator, solve_oxygen
 from .rheology import RheologyParameters
 from .units import UM
 
@@ -458,7 +459,16 @@ def build_bifurcation_directions(
     return dirs[0], dirs[1], 1 - i_min, n_p
 
 
-# -- control-volume averages ---------------------------------------------
+# -- cell fields: gradient and control-volume averages -------------------
+
+
+def cell_gradient(values: np.ndarray, grid: TissueGrid) -> np.ndarray:
+    """(n_cells, 3) gradient of a cell field, columns d/dx, d/dy, d/dz:
+    central differences inside the grid, one-sided on its faces."""
+    nx, ny, nz = grid.cells_per_axis
+    dx, dy, dz = grid.spacing
+    d_z, d_y, d_x = np.gradient(values.reshape((nz, ny, nx)), dz, dy, dx)
+    return np.stack([d_x.ravel(), d_y.ravel(), d_z.ravel()], axis=1)
 
 
 def _axis_overlaps(grid_lo, spacing, n_cells, roi_lo, roi_hi, n_cv):
@@ -481,12 +491,11 @@ def control_volume_averages(
     Returns (cv_averages with shape (n,n,n) indexed [ix, iy, iz], po2_roi).
     """
     nx, ny, nz = grid.cells_per_axis
-    ox = _axis_overlaps(grid.box.lower[0], grid.spacing[0], nx, roi.lower[0],
-                        roi.upper[0], n_per_axis)
-    oy = _axis_overlaps(grid.box.lower[1], grid.spacing[1], ny, roi.lower[1],
-                        roi.upper[1], n_per_axis)
-    oz = _axis_overlaps(grid.box.lower[2], grid.spacing[2], nz, roi.lower[2],
-                        roi.upper[2], n_per_axis)
+    ox, oy, oz = (
+        _axis_overlaps(grid.box.lower[a], grid.spacing[a], grid.cells_per_axis[a],
+                       roi.lower[a], roi.upper[a], n_per_axis)
+        for a in range(3)
+    )
     p = po2_t.reshape((nz, ny, nx))
     # weighted sums: value[cx,cy,cz] = sum_{ijk} p[k,j,i] ox[i,cx] oy[j,cy] oz[k,cz]
     weighted = np.einsum("kji,ix,jy,kz->xyz", p, ox, oy, oz, optimize=True)
@@ -546,13 +555,14 @@ class GrowthEngine:
         self.oxygen = None
         self.cv_field = None
         self.po2_roi = None
+        self.po2_grad = None  # (n_cells, 3), of the last solved state
         self.bifurcations: list[BifurcationRecord] = []
         self.traces = {1: PhaseTrace(), 2: PhaseTrace(), 3: PhaseTrace()}
 
     # -- solving --------------------------------------------------------
 
     def solve_state(self):
-        """Flow + oxygen solve on the current network."""
+        """Flow + oxygen solve, PO2 gradient and control-volume averages."""
         coupling = build_surface_coupling(self.grid, self.net)
         system = assemble_flow_system(
             self.net, self.grid, coupling, self.rheology, self.flow_params
@@ -562,13 +572,14 @@ class GrowthEngine:
             self.net.nodes[nid].boundary_po2 is None
             for nid in self.net.boundary_nodes()
         ):
-            classify_arterial_venous(self.net, self.flow)
+            classify_arterial_venous(self.net, self.flow, self.oxygen_params)
         operator = assemble_transport_operator(
             self.net, self.grid, coupling, self.flow, self.flow_params,
             self.oxygen_params,
         )
         guess = self._initial_guess(operator)
         self.oxygen = solve_oxygen(operator, self.oxygen_params, guess)
+        self.po2_grad = cell_gradient(self.oxygen.po2_t, self.grid)
         self.cv_field, self.po2_roi = control_volume_averages(
             self.oxygen.po2_t, self.grid, self.roi, self.params.cv_per_axis
         )
@@ -579,33 +590,16 @@ class GrowthEngine:
             return None
         guess = np.zeros(operator.base.shape[0])
         guess[: self.grid.n_cells] = self.oxygen.po2_t
-        for nid in operator.net.nodes:
-            prev = self.oxygen.po2_v.get(nid)
+        for nid, node in operator.net.nodes.items():
+            prev = self.oxygen.po2_v.get(nid, node.boundary_po2)
             if prev is None:
-                node = operator.net.nodes[nid]
-                prev = node.boundary_po2 if node.boundary_po2 is not None else 38.0
+                prev = self.oxygen_params.venous_po2
             guess[operator.node_index[nid]] = prev
         return guess
 
     def po2_gradient(self, position: np.ndarray) -> np.ndarray:
-        """Central differences of the cell field at the containing cell."""
-        cell, _ = self.grid.locate(position)
-        i, j, k = self.grid.linear_to_ijk(cell)
-        nx, ny, nz = self.grid.cells_per_axis
-        p = self.oxygen.po2_t.reshape((nz, ny, nx))
-        grad = np.zeros(3)
-        for comp, (idx, count, h) in enumerate(
-            zip((i, j, k), (nx, ny, nz), self.grid.spacing)
-        ):
-            lo = max(idx - 1, 0)
-            hi = min(idx + 1, count - 1)
-            sel = [i, j, k]
-            sel[comp] = hi
-            vh = p[sel[2], sel[1], sel[0]]
-            sel[comp] = lo
-            vl = p[sel[2], sel[1], sel[0]]
-            grad[comp] = (vh - vl) / ((hi - lo) * h) if hi > lo else 0.0
-        return grad
+        """PO2 gradient of the last solved state at `position`'s cell."""
+        return self.po2_grad[self.grid.locate(position)[0]]
 
     # -- tip extension ---------------------------------------------------
 
@@ -635,11 +629,8 @@ class GrowthEngine:
             return None
         return check_and_insert(self.net, self.octants, tip, new_pos, radius)
 
-    def _extend_tip(self, tip: int, phase: int) -> bool:
-        """Grow a single vessel or a bifurcation at one terminal node.
-
-        Returns True if at least one vessel was attached.
-        """
+    def _extend_tip(self, tip: int, phase: int):
+        """Grow a single vessel or a bifurcation at one terminal node."""
         seg, d_k = self._tip_segment(tip)
         parent_radius = seg.radius
         r = sample_length_ratio(self.rng, self.params)
@@ -656,35 +647,29 @@ class GrowthEngine:
             d_b1, d_b2, kept, n_p = build_bifurcation_directions(
                 d_k, d_g, phi1, phi2, self.rng
             )
-            lengths = (
-                parent_radius * sample_length_ratio(self.rng, self.params),
-                parent_radius * sample_length_ratio(self.rng, self.params),
-            )
-            created = []
-            for direction, length, radius in zip(
-                (d_b1, d_b2), lengths, (r_b1, r_b2)
+            for branch, (direction, radius, phi) in enumerate(
+                ((d_b1, r_b1, phi1), (d_b2, r_b2, phi2))
             ):
-                created.append(self._try_attach(tip, direction, length, radius))
-            if any(c is not None for c in created):
+                length = sample_length(parent_radius, self.rng, self.params)
+                if self._try_attach(tip, direction, length, radius) is None:
+                    continue
                 attached = True
-                kept_created = created[kept] is not None
-                if kept_created:
+                if branch == kept:
                     self.bifurcations.append(
                         BifurcationRecord(
                             parent_direction=d_k,
                             plane_normal=n_p,
-                            kept_direction=(d_b1, d_b2)[kept],
-                            kept_angle=(phi1, phi2)[kept],
+                            kept_direction=direction,
+                            kept_angle=phi,
                             angles_clamped=clamped,
                         )
                     )
         else:
+            # r drew both this length and the decision not to bifurcate
             radius = self._child_radius(parent_radius, parent_radius, phase)
-            if self._try_attach(tip, d_g, parent_radius * r, radius) is not None:
-                attached = True
+            attached = self._try_attach(tip, d_g, parent_radius * r, radius) is not None
         if attached:
             self._demote_tip(tip)
-        return attached
 
     def _demote_tip(self, tip: int):
         """A tip that received children becomes an interior junction."""
@@ -742,7 +727,7 @@ class GrowthEngine:
         ]
         return sorted(scored, key=lambda c: (-c[2], c[0]))
 
-    def _link_terminal(self, tip: int, table) -> bool:
+    def _link_terminal(self, tip: int, table):
         """Connect one terminal node to a nearby node inside the cone.
 
         Candidates within the cone and inside the drawn search distance are
@@ -753,7 +738,7 @@ class GrowthEngine:
         x = self.net.nodes[tip].position
         d_x = self.rng.normal(self.params.link_mu, self.params.link_sigma)
         if d_x <= 0.0:
-            return False
+            return
         for nid, _, _ in self._link_candidates(tip, d_x, table):
             other_radii = [
                 self.net.segments[s].radius for s in self.net.adjacency[nid]
@@ -767,17 +752,13 @@ class GrowthEngine:
             self._demote_tip(tip)
             if len(self.net.adjacency[nid]) > 1 and not self.net.nodes[nid].is_root:
                 self._demote_tip(nid)
-            return True
-        return False
+            return
 
     def _link_all_terminals(self):
         # linking adds segments, never nodes: one table serves every tip
         table = self._node_table()
-        linked = 0
         for tip in self.net.terminal_nodes(self.domain):
-            if self._link_terminal(tip, table):
-                linked += 1
-        return linked
+            self._link_terminal(tip, table)
 
     # -- phases -----------------------------------------------------------
 
@@ -786,30 +767,28 @@ class GrowthEngine:
         params = self.params
         trace = self.traces[1]
         po2_old = 0.0
+        large_tips = self._large_tips()
         for j in range(params.max_iter_p1 + 1):
             self.solve_state()
             trace.po2_roi.append(self.po2_roi)
-            large_tips = [
-                tip
-                for tip in self.net.terminal_nodes(self.domain)
-                if self.net.segments[self.net.adjacency[tip][0]].radius
-                > params.large_radius
-            ]
+            trace.iterations = j + 1
             for tip in large_tips:
                 self._extend_tip(tip, phase=1)
-            trace.iterations = j + 1
-            n_large = sum(
-                1
-                for tip in self.net.terminal_nodes(self.domain)
-                if self.net.segments[self.net.adjacency[tip][0]].radius
-                > params.large_radius
-            )
             self._emit_checkpoint(1, j)
             rel = abs(self.po2_roi - po2_old) / self.po2_roi if self.po2_roi else 1.0
             po2_old = self.po2_roi
-            if rel < params.rel_change_p1 or j >= params.max_iter_p1 or n_large == 0:
+            large_tips = self._large_tips()  # also the next step's tips
+            if rel < params.rel_change_p1 or not large_tips:
                 break
         return self.net
+
+    def _large_tips(self) -> list[int]:
+        return [
+            tip
+            for tip in self.net.terminal_nodes(self.domain)
+            if self.net.segments[self.net.adjacency[tip][0]].radius
+            > self.params.large_radius
+        ]
 
     def run_phase2(self):
         """Grow the capillary bed, freezing saturated control volumes."""
@@ -819,8 +798,8 @@ class GrowthEngine:
         for j in range(params.max_iter_p2 + 1):
             self.solve_state()
             trace.po2_roi.append(self.po2_roi)
+            trace.iterations = j + 1
             if self.po2_roi > params.po2_stop:
-                trace.iterations = j + 1
                 self._emit_checkpoint(2, j)
                 break
             for tip in self.net.terminal_nodes(self.domain):
@@ -828,11 +807,10 @@ class GrowthEngine:
                     continue
                 self._extend_tip(tip, phase=2)
             self._link_all_terminals()
-            trace.iterations = j + 1
             self._emit_checkpoint(2, j)
             change = abs(self.po2_roi - po2_old)
             po2_old = self.po2_roi
-            if change < params.change_p2 or j >= params.max_iter_p2:
+            if change < params.change_p2:
                 break
         return self.net
 
@@ -849,6 +827,7 @@ class GrowthEngine:
         params = self.params
         trace = self.traces[3]
         for j in range(params.max_iter_p3 + 1):
+            trace.iterations = j + 1
             for tip in self.net.terminal_nodes(self.domain):
                 if tip not in self.net.nodes:
                     continue  # dropped with the other end of an isolated segment
@@ -857,14 +836,8 @@ class GrowthEngine:
                     self.octants.remove(sid)
                     self.net.remove_segment(sid)
             self._link_all_terminals()
-            trace.iterations = j + 1
-            n_term = sum(
-                1
-                for tip in self.net.terminal_nodes(self.domain)
-                if self.roi.contains(self.net.nodes[tip].position)
-            )
             self._emit_checkpoint(3, j)
-            if n_term < params.p3_terminal_stop or j >= params.max_iter_p3:
+            if self.interior_terminal_count() < params.p3_terminal_stop:
                 break
         self.net = clip_to_box(self.net, self.roi)
         return self.net
@@ -895,18 +868,13 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
     for nid in sorted(net.nodes):
         node = net.nodes[nid]
         if box.contains(node.position):
-            out.add_node(
-                NetworkNode(
-                    nid, node.position.copy(), node.kind,
-                    node.boundary_pressure, node.boundary_po2, node.is_root,
-                )
-            )
+            out.add_node(node.copy())
     for sid in sorted(net.segments):
         seg = net.segments[sid]
         a_in = seg.node_a in out.nodes
         b_in = seg.node_b in out.nodes
         if a_in and b_in:
-            out.add_segment(Segment(seg.id, seg.node_a, seg.node_b, seg.radius))
+            out.add_segment(replace(seg))
         elif a_in or b_in:
             inside = seg.node_a if a_in else seg.node_b
             outside = seg.node_b if a_in else seg.node_a

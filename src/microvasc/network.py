@@ -3,19 +3,16 @@
 The network is a collection of straight cylindrical segments joining nodes.
 Nodes carrying a pressure value are Dirichlet boundary nodes of the 1D flow
 problem; their oxygen boundary value is assigned later by arterial/venous
-classification.
+classification (`oxygen.classify_arterial_venous`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ParseError, StateError, TopologyError, ValidationError
-
-ARTERIAL_PO2 = 75.0  # mmHg
-VENOUS_PO2 = 38.0  # mmHg
+from .errors import ParseError, TopologyError, ValidationError
 
 
 @dataclass
@@ -36,6 +33,9 @@ class NetworkNode:
                 raise ValidationError(
                     f"node {self.id}: boundary pressure must be positive"
                 )
+
+    def copy(self) -> "NetworkNode":
+        return replace(self, position=self.position.copy())
 
 
 @dataclass
@@ -135,11 +135,12 @@ class VascularNetwork:
         seg = Segment(self._next_segment_id, node_a, node_b, radius)
         return self.add_segment(seg)
 
-    def remove_segment(self, seg_id: int, drop_orphans: bool = True):
+    def remove_segment(self, seg_id: int):
+        """Remove a segment and every node it leaves without segments."""
         seg = self.segments.pop(seg_id)
         for nid in (seg.node_a, seg.node_b):
             self.adjacency[nid].remove(seg_id)
-            if drop_orphans and not self.adjacency[nid]:
+            if not self.adjacency[nid]:
                 del self.adjacency[nid]
                 del self.nodes[nid]
 
@@ -149,18 +150,9 @@ class VascularNetwork:
     def copy(self) -> "VascularNetwork":
         out = VascularNetwork()
         for node in self.nodes.values():
-            out.add_node(
-                NetworkNode(
-                    node.id,
-                    node.position.copy(),
-                    node.kind,
-                    node.boundary_pressure,
-                    node.boundary_po2,
-                    node.is_root,
-                )
-            )
+            out.add_node(node.copy())
         for seg in self.segments.values():
-            out.add_segment(Segment(seg.id, seg.node_a, seg.node_b, seg.radius))
+            out.add_segment(replace(seg))
         return out
 
     # -- queries --------------------------------------------------------
@@ -208,34 +200,6 @@ class VascularNetwork:
                 incidences += 1
         if incidences != 2 * len(self.segments):
             raise TopologyError("adjacency incidence count mismatch")
-
-
-# -- arterial/venous classification -------------------------------------
-
-
-def classify_arterial_venous(net: VascularNetwork, flow) -> dict[int, str]:
-    """Label every boundary node artery/vein from the segment velocities.
-
-    A boundary node whose terminal segment moves blood slower than the
-    network-wide mean velocity magnitude is a vein (low-velocity side);
-    ties go to artery. boundary_po2 is written onto the nodes.
-    """
-    if flow is None or flow.u_v is None:
-        raise StateError("classification requires a converged flow state")
-    speeds = {sid: abs(flow.u_v[sid]) for sid in net.segments}
-    if not speeds:
-        return {}
-    avg = sum(speeds.values()) / len(speeds)
-    labels: dict[int, str] = {}
-    for nid in net.boundary_nodes():
-        incident = net.adjacency[nid]
-        if not incident:
-            continue
-        v = speeds[incident[0]]
-        label = "vein" if v < avg else "artery"
-        labels[nid] = label
-        net.nodes[nid].boundary_po2 = VENOUS_PO2 if label == "vein" else ARTERIAL_PO2
-    return labels
 
 
 # -- DGF ingestion / serialization ---------------------------------------

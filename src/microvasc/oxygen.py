@@ -8,7 +8,9 @@ The 1D advective-diffusive flux carries the cross-section factor pi*R^2,
 which makes the 1D volumetric flow identical to the flow solver's and the
 junction balance conservative. The wall exchange is built from the same
 surface-coupling operators as the flow's (see `grid.SurfaceCoupling`), on
-the same node index, face list and Dirichlet-row helper.
+the same node index, face list and Dirichlet-row helper. The oxygen
+boundary data, the PO2 of each arterial and venous pressure-boundary node,
+comes from the run's `OxygenParameters` through `classify_arterial_venous`.
 """
 
 from __future__ import annotations
@@ -78,6 +80,36 @@ def kedem_katchalsky_flux(
     )
 
 
+def classify_arterial_venous(
+    net: VascularNetwork, flow, params: OxygenParameters = OxygenParameters()
+) -> dict[int, str]:
+    """Label every boundary node artery/vein from the segment velocities.
+
+    A boundary node whose terminal segment moves blood slower than the
+    network-wide mean velocity magnitude is a vein (low-velocity side);
+    ties go to artery. The label's boundary PO2, `params.venous_po2` or
+    `params.arterial_po2`, is written onto the node.
+    """
+    if flow is None or flow.u_v is None:
+        raise StateError("classification requires a converged flow state")
+    speeds = {sid: abs(flow.u_v[sid]) for sid in net.segments}
+    if not speeds:
+        return {}
+    avg = sum(speeds.values()) / len(speeds)
+    labels: dict[int, str] = {}
+    for nid in net.boundary_nodes():
+        incident = net.adjacency[nid]
+        if not incident:
+            continue
+        v = speeds[incident[0]]
+        label = "vein" if v < avg else "artery"
+        labels[nid] = label
+        net.nodes[nid].boundary_po2 = (
+            params.venous_po2 if label == "vein" else params.arterial_po2
+        )
+    return labels
+
+
 @dataclass
 class OxygenState:
     po2_t: np.ndarray  # per-cell, mmHg
@@ -92,7 +124,8 @@ class TransportOperator:
     """Affine part of the transport problem in (po2_t, po2_v).
 
     `base` holds convection, diffusion, exchange and the Dirichlet rows;
-    the solver adds the Michaelis-Menten sink on the cell rows.
+    `solve_oxygen` adds the Michaelis-Menten sink of the parameters it is
+    given on the cell rows.
     """
 
     net: VascularNetwork
@@ -100,8 +133,6 @@ class TransportOperator:
     node_index: dict[int, int]
     base: sp.csr_matrix
     rhs: np.ndarray
-    cell_volume: float
-    params: OxygenParameters
     dirichlet: dict[int, float]
 
 
@@ -168,9 +199,7 @@ def assemble_transport_operator(
     base, rhs = pin_rows(
         matrix, np.zeros(n), {coupling.node_index[nid]: po2 for nid, po2 in dirichlet.items()}
     )
-    return TransportOperator(
-        net, grid, coupling.node_index, base, rhs, grid.cell_volume, params, dirichlet
-    )
+    return TransportOperator(net, grid, coupling.node_index, base, rhs, dirichlet)
 
 
 # GMRES tolerance of one Newton step; at 1e-12 the exit gate held with only
@@ -222,19 +251,20 @@ def solve_oxygen(
     """Newton iteration on F(x) = B x + s(x) - b with Armijo backtracking.
 
     Each step solves J(x) x_new = b + g(x) with J = B + diag(s'(x)) and
-    stops once ||x_new - x|| <= tol * max(||x_new||, po2_half). With zero
+    stops once ||x_new - x|| <= tol * max(||x_new||, po2_half). The sink
+    (max_consumption, po2_half) comes from `params` alone. With zero
     consumption the problem is linear and the first solve is exact. On exit
     the row-scaled residual of F must be at most RESIDUAL_TOL.
     """
     if tol <= 0.0:
         raise ValidationError("tolerance must be positive")
-    base, b, k = operator.base, operator.rhs, operator.params.po2_half
+    base, b, k = operator.base, operator.rhs, params.po2_half
     x = np.zeros(len(b)) if initial_guess is None else np.array(initial_guess, float)
     pinned = [operator.node_index[nid] for nid in operator.dirichlet]
     x[pinned] = b[pinned]  # Dirichlet rows are identity rows
-    m0, cells = operator.params.max_consumption, operator.grid.n_cells
+    m0, cells = params.max_consumption, operator.grid.n_cells
     rate = np.zeros(len(b))
-    rate[:cells] = operator.cell_volume * m0
+    rate[:cells] = operator.grid.cell_volume * m0
     linear = m0 == 0.0
     s, d, g = _sink(rate, k, x)
     f_norm = norm(base @ x + s - b)

@@ -30,9 +30,9 @@ from microvasc import (
     segment_distance,
 )
 from microvasc.errors import ValidationError
-from microvasc.growth import control_volume_averages, segment_distances
+from microvasc.growth import cell_gradient, control_volume_averages, segment_distances
 
-from conftest import UM, make_jittered_lattice
+from conftest import UM, make_jittered_lattice, make_starter_network
 
 point = st.floats(-1e-3, 1e-3, allow_nan=False)
 point3 = st.tuples(point, point, point)
@@ -535,6 +535,82 @@ class TestControlVolumes:
         cv, mean = control_volume_averages(field, grid, roi, 2)
         assert cv[0, 0, 0] < cv[1, 0, 0]
         assert mean == pytest.approx(0.5e-3, rel=1e-6)
+
+
+    def test_roi_equal_to_grid_is_plain_mean(self):
+        box = DomainBox([0.1e-3, -0.2e-3, 0.0], [0.6e-3, 0.5e-3, 0.3e-3])
+        grid = build_grid(box, (5, 7, 3))
+        field = np.random.default_rng(3).uniform(0.0, 80.0, grid.n_cells)
+        cv, mean = control_volume_averages(field, grid, box, 1)
+        assert mean == pytest.approx(field.mean(), rel=1e-12)
+        assert cv[0, 0, 0] == pytest.approx(field.mean(), rel=1e-12)
+
+
+def stencil_gradient(po2_t, grid, position):
+    """Oracle: the per-tip central-difference stencil `po2_gradient` ran
+    before the gradient became one field per solved state."""
+    cell, _ = grid.locate(position)
+    i, j, k = grid.linear_to_ijk(cell)
+    nx, ny, nz = grid.cells_per_axis
+    p = po2_t.reshape((nz, ny, nx))
+    grad = np.zeros(3)
+    for comp, (idx, count, h) in enumerate(zip((i, j, k), (nx, ny, nz), grid.spacing)):
+        lo = max(idx - 1, 0)
+        hi = min(idx + 1, count - 1)
+        sel = [i, j, k]
+        sel[comp] = hi
+        vh = p[sel[2], sel[1], sel[0]]
+        sel[comp] = lo
+        vl = p[sel[2], sel[1], sel[0]]
+        grad[comp] = (vh - vl) / ((hi - lo) * h) if hi > lo else 0.0
+    return grad
+
+
+class TestGradientField:
+    @pytest.mark.parametrize("cells", [(2, 3, 4), (5, 7, 3), (12, 12, 12), (20, 20, 20)])
+    def test_field_equals_per_tip_stencil_in_every_cell(self, cells):
+        box = DomainBox([-0.1e-3, 0.0, 0.2e-3], [0.4e-3, 0.7e-3, 0.5e-3])
+        grid = build_grid(box, cells)
+        po2_t = np.random.default_rng(sum(cells)).uniform(0.0, 80.0, grid.n_cells)
+        engine = GrowthEngine(
+            make_starter_network(), box, box, grid, RheologyParameters(),
+            FlowParameters(), OxygenParameters(), GrowthParameters(),
+            np.random.default_rng(0),
+        )
+        engine.po2_grad = cell_gradient(po2_t, grid)
+        assert engine.po2_grad.shape == (grid.n_cells, 3)
+        for cell in range(grid.n_cells):
+            center = grid.cell_center(cell)
+            assert np.array_equal(
+                engine.po2_gradient(center), stencil_gradient(po2_t, grid, center)
+            )
+
+
+class TestPhaseLoops:
+    # Only the step budget can end phases 1 and 3 after one step: phase 1
+    # keeps large tips and p3_terminal_stop = 0 never fires. po2_stop = 0
+    # makes phase 2 stop on its first solve, before growing.
+    @pytest.mark.parametrize("po2_stop", [36.5, 0.0])
+    def test_zero_iteration_budget_runs_one_step_per_phase(self, po2_stop):
+        roi = DomainBox([0.0, 0.0, 0.0], [0.5e-3, 0.5e-3, 0.5e-3])
+        domain = enlarge_domain(roi, 0.10)
+        steps = []
+        engine = GrowthEngine(
+            make_starter_network(), domain, roi, build_grid(domain, (8, 8, 8)),
+            RheologyParameters(), FlowParameters(), OxygenParameters(),
+            GrowthParameters(max_iter_p1=0, max_iter_p2=0, max_iter_p3=0,
+                             po2_stop=po2_stop, p3_terminal_stop=0),
+            np.random.default_rng(0),
+            checkpoint=lambda phase, step, net, po2_roi: steps.append((phase, step)),
+        )
+        engine.run_phase1()
+        n_seg = len(engine.net.segments)
+        engine.run_phase2()
+        assert (len(engine.net.segments) == n_seg) == (po2_stop == 0.0)
+        engine.run_phase3()
+        assert steps == [(1, 0), (2, 0), (3, 0)]
+        assert [engine.traces[p].iterations for p in (1, 2, 3)] == [1, 1, 1]
+        assert [len(engine.traces[p].po2_roi) for p in (1, 2, 3)] == [1, 1, 0]
 
 
 class TestClipToBox:

@@ -18,7 +18,7 @@ from microvasc.errors import (
     TopologyError,
     ValidationError,
 )
-from microvasc.network import ARTERIAL_PO2, VENOUS_PO2
+from microvasc import OxygenParameters
 
 from conftest import UM, make_single_vessel, make_y_junction
 
@@ -180,8 +180,8 @@ class TestClassification:
         labels = classify_arterial_venous(net, Flow())
         assert labels[0] == "artery" and labels[1] == "artery"
         assert labels[2] == "vein" and labels[3] == "vein"
-        assert net.nodes[0].boundary_po2 == ARTERIAL_PO2
-        assert net.nodes[2].boundary_po2 == VENOUS_PO2
+        assert net.nodes[0].boundary_po2 == OxygenParameters().arterial_po2
+        assert net.nodes[2].boundary_po2 == OxygenParameters().venous_po2
 
     def test_tie_goes_to_artery(self):
         net = make_single_vessel()

@@ -17,9 +17,11 @@ from microvasc import (
 )
 from microvasc.errors import StateError, ValidationError
 from microvasc.flow import RESIDUAL_TOL, scaled_residual
-from microvasc.network import ARTERIAL_PO2, VENOUS_PO2
 
 from conftest import make_desk_network
+
+ARTERIAL_PO2 = OxygenParameters().arterial_po2
+VENOUS_PO2 = OxygenParameters().venous_po2
 
 
 def desk_operator(net, grid, oxy_params, flow_params=None, pin_boundary=True):
@@ -29,7 +31,7 @@ def desk_operator(net, grid, oxy_params, flow_params=None, pin_boundary=True):
         net, grid, coupling, RheologyParameters(), flow_params
     )
     flow = solve_flow(system)
-    classify_arterial_venous(net, flow)
+    classify_arterial_venous(net, flow, oxy_params)
     if not pin_boundary:
         for nid in net.boundary_nodes():
             net.nodes[nid].kind = "inner"
@@ -125,6 +127,29 @@ class TestCoupledOxygen:
         state, _ = coupled_solve(net, desk_grid)
         for nid in net.boundary_nodes():
             assert state.po2_v[nid] in (ARTERIAL_PO2, VENOUS_PO2)
+
+    def test_boundary_po2_comes_from_parameters(self, desk_grid):
+        net = make_desk_network()
+        params = OxygenParameters(arterial_po2=80.0)
+        operator, flow = desk_operator(net, desk_grid, params)
+        state = solve_oxygen(operator, params)
+        labels = classify_arterial_venous(net, flow, params)
+        arteries = [nid for nid, label in labels.items() if label == "artery"]
+        assert arteries
+        for nid in arteries:
+            assert net.nodes[nid].boundary_po2 == 80.0
+            assert state.po2_v[nid] == 80.0
+        assert state.po2_t.max() <= 80.0 + 1e-9
+
+    def test_sink_comes_from_solver_parameters(self, desk_grid):
+        # the operator is assembled with the default sink; the solve has none
+        operator, _ = desk_operator(make_desk_network(), desk_grid, OxygenParameters())
+        state = solve_oxygen(operator, OxygenParameters(max_consumption=0.0))
+        linear, _ = coupled_solve(
+            make_desk_network(), desk_grid, OxygenParameters(max_consumption=0.0)
+        )
+        assert state.iterations == 1
+        assert np.array_equal(state.po2_t, linear.po2_t)
 
     def test_consumption_lowers_tissue_po2(self, desk_grid):
         net = make_desk_network()

@@ -2,11 +2,13 @@
 graph Poiseuille flow with Starling wall leakage.
 
 Both compartments are assembled into one sparse linear system over
-(tissue cells, network nodes) and solved monolithically. The wall exchange
-is the surface coupling's jump operator G = [-C, Pi] weighted by the
-sample areas: the block G^T diag(L_p a) G with right-hand side
-G^T (L_p a sigma dpi). Both sides of the exchange come from the same
-product, so total filtration agrees between them to rounding.
+(tissue cells, network nodes) and solved monolithically by
+`linsolve.solve_linear`, multigrid-preconditioned GMRES, behind the
+row-scaled residual gate. The wall exchange is the surface coupling's jump
+operator G = [-C, Pi] weighted by the sample areas: the block
+G^T diag(L_p a) G with right-hand side G^T (L_p a sigma dpi). Both sides
+of the exchange come from the same product, so total filtration agrees
+between them to rounding.
 
 The module also holds the assembly pieces oxygen transport shares: the
 Laplacian over an edge list (tissue faces, vessel segments) and the
@@ -19,11 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
 from .errors import SolverError, ValidationError
 from .grid import SurfaceCoupling, TissueGrid
+from .linsolve import scaled_residual, solve_linear
 from .network import VascularNetwork
 from .rheology import RheologyParameters, segment_viscosity, vessel_conductance
 from .units import MICROGRAM_PER_KG, WATER_DENSITY
@@ -65,7 +67,6 @@ class FlowState:
     p_t: np.ndarray  # per-cell pressure, Pa
     p_v: dict[int, float]  # per-node pressure, Pa
     u_v: dict[int, float]  # per-segment velocity along node_a -> node_b, m/s
-    u_t: np.ndarray  # (n_cells, 3) Darcy velocity, m/s
     f_tv: float  # one-directional filtration into tissue, ug/s
     residual: float
     sample_jp: dict[int, np.ndarray] = field(default_factory=dict)
@@ -176,31 +177,15 @@ def _check_1d_solvability(coupling, dirichlet, params):
         )
 
 
-def scaled_residual(matrix, x, rhs, nonlinear=0.0) -> float:
-    """Row-scaled residual max_i |(Ax + f - b)_i| / (sum_j |A_ij x_j| +
-    |f_i| + |b_i|), with f an optional nonlinear term such as a sink.
-
-    Every row, physics and Dirichlet alike, is measured against its own
-    magnitude, so a bad solve fails the gate even where the coefficients
-    are many orders below the Dirichlet rows' 1.
-    """
-    residual = np.abs(matrix @ x + nonlinear - rhs)
-    scale = abs(matrix) @ np.abs(x) + np.abs(nonlinear) + np.abs(rhs)
-    return float(np.max(residual / np.where(scale > 0.0, scale, 1.0)))
-
-
-def _sparse_solve(matrix, rhs):
-    x = spla.spsolve(matrix.tocsc(), rhs)
-    residual = scaled_residual(matrix, x, rhs)
-    if not residual <= RESIDUAL_TOL:
-        raise SolverError(f"linear solve residual {residual:.3e} above tolerance")
-    return x, residual
-
-
 def solve_flow(system: FlowSystem) -> FlowState:
     grid, params, coupling = system.grid, system.params, system.coupling
     table, n, n_all = coupling.segments, grid.n_cells, system.n_unknowns
-    x, residual = _sparse_solve(system.matrix, system.rhs)
+    x, _ = solve_linear(system.matrix, system.rhs, grid.cells_per_axis)
+    pinned = [system.node_index[nid] for nid in system.dirichlet]
+    x[pinned] = system.rhs[pinned]  # rounding must not move pinned values
+    residual = scaled_residual(system.matrix, x, system.rhs)
+    if not residual <= RESIDUAL_TOL:
+        raise SolverError(f"linear solve residual {residual:.3e} above tolerance")
     p_t = x[:n]
     g = np.array([system.conductance[sid] for sid in table.ids])
     q = g * (x[table.a] - x[table.b])  # Poiseuille flow node_a -> node_b, m^3/s
@@ -216,7 +201,6 @@ def solve_flow(system: FlowSystem) -> FlowState:
         p_t=p_t,
         p_v=dict(zip(system.node_order, x[n:].tolist())),
         u_v=dict(zip(table.ids, (q / (np.pi * table.radius**2)).tolist())),
-        u_t=_cell_velocities(grid, p_t, params),
         f_tv=float(np.sum(exchange[jp > 0.0])) * WATER_DENSITY * MICROGRAM_PER_KG,
         residual=residual,
         sample_jp=dict(zip(table.ids, np.split(jp, coupling.offsets[1:-1]))),
@@ -241,15 +225,3 @@ def face_velocities(grid: TissueGrid, p_t: np.ndarray, params: FlowParameters):
     for axis, h in zip((2, 1, 0), grid.spacing):
         out.append(-mobility * np.diff(p, axis=axis) / h)
     return out
-
-
-def _cell_velocities(grid: TissueGrid, p_t: np.ndarray, params: FlowParameters):
-    """Cell-center Darcy velocity, the mean of the two face velocities on
-    each axis; outer boundary faces carry zero flux (the Neumann condition).
-    """
-    u = []
-    for axis, face in zip((2, 1, 0), face_velocities(grid, p_t, params)):
-        before, after = [(0, 0)] * 3, [(0, 0)] * 3
-        before[axis], after[axis] = (1, 0), (0, 1)
-        u.append(0.5 * (np.pad(face, before) + np.pad(face, after)))
-    return np.stack(u, axis=-1).reshape(grid.n_cells, 3)

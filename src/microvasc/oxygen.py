@@ -1,6 +1,7 @@
 """Coupled stationary oxygen transport with Kedem-Katchalsky wall flux and
-Michaelis-Menten tissue consumption, solved by Newton's method with one LU
-factorization per state.
+Michaelis-Menten tissue consumption, solved by Newton's method; every
+Newton step is one `linsolve.solve_linear` call, the multigrid-preconditioned
+GMRES the flow solve uses too.
 
 Partial pressures stay in mmHg; every transport coefficient multiplying
 them is in SI, so both compartment balances carry units of mmHg*m^3/s.
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.linalg import norm
 
 from .errors import ConvergenceError, StateError, ValidationError
@@ -30,10 +30,10 @@ from .flow import (
     edge_laplacian,
     face_velocities,
     pin_rows,
-    scaled_residual,
     starling_flux,
 )
 from .grid import SurfaceCoupling, TissueGrid
+from .linsolve import scaled_residual, solve_linear
 from .network import VascularNetwork
 
 
@@ -202,9 +202,6 @@ def assemble_transport_operator(
     return TransportOperator(net, grid, coupling.node_index, base, rhs, dirichlet)
 
 
-# GMRES tolerance of one Newton step; at 1e-12 the exit gate held with only
-# a 3x margin on grown networks, at 1e-14 with about 1000x.
-_LINEAR_TOL = 1.0e-14
 _ARMIJO = 1.0e-4  # sufficient decrease of ||F|| along a Newton step
 _MAX_HALVINGS = 30
 
@@ -222,25 +219,6 @@ def _sink(rate: np.ndarray, k: float, x: np.ndarray):
     return rate * x / den, rate * k / den**2, -rate * (pos / den) ** 2
 
 
-def _newton_solve(jacobian, rhs, lu):
-    """Solve J(x) x_new = b + g(x), reusing the first Jacobian's LU.
-
-    Only the consumption diagonal changes between Newton steps, so the LU of
-    the first Jacobian preconditions GMRES at back-substitution cost; a
-    stalled GMRES falls back to a fresh factorization.
-    """
-    csc = jacobian.tocsc()
-    if lu is None:
-        lu = spla.splu(csc)
-        return lu.solve(rhs), lu
-    precond = spla.LinearOperator(csc.shape, lu.solve, dtype=float)
-    x, info = spla.gmres(csc, rhs, M=precond, rtol=_LINEAR_TOL, maxiter=50)
-    if info != 0:
-        lu = spla.splu(csc)
-        x = lu.solve(rhs)
-    return x, lu
-
-
 def solve_oxygen(
     operator: TransportOperator,
     params: OxygenParameters,
@@ -253,8 +231,8 @@ def solve_oxygen(
     Each step solves J(x) x_new = b + g(x) with J = B + diag(s'(x)) and
     stops once ||x_new - x|| <= tol * max(||x_new||, po2_half). The sink
     (max_consumption, po2_half) comes from `params` alone. With zero
-    consumption the problem is linear and the first solve is exact. On exit
-    the row-scaled residual of F must be at most RESIDUAL_TOL.
+    consumption the problem is linear and the first solve is the answer. On
+    exit the row-scaled residual of F must be at most RESIDUAL_TOL.
     """
     if tol <= 0.0:
         raise ValidationError("tolerance must be positive")
@@ -269,9 +247,8 @@ def solve_oxygen(
     s, d, g = _sink(rate, k, x)
     f_norm = norm(base @ x + s - b)
     history: list[float] = []
-    lu = None
     for iterations in range(1, max_iter + 1):
-        x_new, lu = _newton_solve(base + sp.diags(d), b + g, lu)
+        x_new, _ = solve_linear(base + sp.diags(d), b + g, operator.grid.cells_per_axis)
         x_new[pinned] = b[pinned]  # rounding must not move pinned values
         step = x_new - x
         converged = linear or norm(step) <= tol * max(norm(x_new), k)

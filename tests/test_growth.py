@@ -59,6 +59,32 @@ class TestSegmentDistance:
         d = segment_distance([0, 0, 0], [0, 0, 0], [1, 1, 1], [1, 1, 1])
         assert d == pytest.approx(math.sqrt(3), rel=1e-12)
 
+    @staticmethod
+    def both_ways(a0, a1, b0, b1):
+        """Scalar and batched distance, each with the segments in both orders."""
+        a0, a1, b0, b1 = (np.array(p, float) for p in (a0, a1, b0, b1))
+        return [
+            segment_distance(a0, a1, b0, b1),
+            segment_distance(b0, b1, a0, a1),
+            float(segment_distances(a0, a1, b0[None], b1[None])[0]),
+            float(segment_distances(b0, b1, a0[None], a1[None])[0]),
+        ]
+
+    def test_nearly_collinear_overlap(self):
+        # a recorded property-test failure: a*e - b*b is rounding noise here,
+        # and the clamped closest pair gave 1e-12 in one order
+        a0, a1 = (0.0, -5.579e-4, 0.0), (0.0, 0.0, 0.0)
+        b0, b1 = (0.0, 0.0, 1e-12), (0.0, -8.088e-4, 0.0)
+        height = 1e-12 * (1.0 - 5.579e-4 / 8.088e-4)  # b above a0, the closest point
+        for d in self.both_ways(a0, a1, b0, b1):
+            assert d == pytest.approx(height, rel=1e-9)
+
+    def test_shared_endpoint_is_zero(self):
+        # nearly collinear segments meeting at a1 == b1; the clamped closest
+        # pair gave 1e-11 in both orders
+        a0, b0, shared = (0.0, 8.909e-4, 0.0), (1e-11, 5.87994e-4, 0.0), (0.0, 0.0, 0.0)
+        assert self.both_ways(a0, shared, b0, shared) == [0.0] * 4
+
     @given(a0=point3, a1=point3, b0=point3, b1=point3)
     @settings(max_examples=200, deadline=None)
     def test_symmetry_and_lower_bound(self, a0, a1, b0, b1):

@@ -15,7 +15,8 @@ from microvasc import (
     solve_flow,
     solve_oxygen,
 )
-from microvasc.errors import StateError, ValidationError
+from microvasc import oxygen as oxygen_module
+from microvasc.errors import ConvergenceError, StateError, ValidationError
 from microvasc.flow import RESIDUAL_TOL, scaled_residual
 
 from conftest import make_desk_network
@@ -174,6 +175,22 @@ class TestCoupledOxygen:
         state = solve_oxygen(operator, params)
         assert state.iterations <= 8
         assert oxygen_residual(operator, state, params) <= RESIDUAL_TOL
+
+    def test_perturbed_newton_solution_fails_residual_gate(self, desk_grid, monkeypatch):
+        params = OxygenParameters()
+        operator, _ = desk_operator(make_desk_network(), desk_grid, params)
+        solve = oxygen_module.solve_linear
+
+        def perturbed(matrix, rhs, shape):
+            x, iterations = solve(matrix, rhs, shape)
+            x[0] *= 1.0 + 1e-8  # one tissue cell: a physics row
+            return x, iterations
+
+        monkeypatch.setattr(oxygen_module, "solve_linear", perturbed)
+        # Newton still meets its update test; the row-scaled gate does not pass
+        with pytest.raises(ConvergenceError, match="row-scaled") as failure:
+            solve_oxygen(operator, params)
+        assert failure.value.history
 
     def test_zero_solution_reached(self, desk_grid):
         # No Dirichlet rows and no source: the root is PO2 = 0 everywhere,

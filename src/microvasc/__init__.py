@@ -18,7 +18,6 @@ from .grid import (  # noqa: F401
     TissueGrid,
     build_grid,
     build_surface_coupling,
-    project_1d_to_surface,
 )
 from .flow import FlowParameters, FlowState, assemble_flow_system, solve_flow, starling_flux  # noqa: F401
 from .oxygen import (  # noqa: F401

@@ -3,7 +3,7 @@ graph Poiseuille flow with Starling wall leakage.
 
 Both compartments are assembled into one sparse linear system over
 (tissue cells, network nodes) and solved monolithically by
-`linsolve.solve_linear`, multigrid-preconditioned GMRES, behind the
+`linsolve.LinearSolver`, multigrid-preconditioned GMRES, behind the
 row-scaled residual gate. The wall exchange is the surface coupling's jump
 operator G = [-C, Pi] weighted by the sample areas: the block
 G^T diag(L_p a) G with right-hand side G^T (L_p a sigma dpi). Both sides
@@ -25,7 +25,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import SolverError, ValidationError
 from .grid import SurfaceCoupling, TissueGrid
-from .linsolve import scaled_residual, solve_linear
+from .linsolve import LinearSolver, scaled_residual
 from .network import VascularNetwork
 from .rheology import RheologyParameters, segment_viscosity, vessel_conductance
 from .units import MICROGRAM_PER_KG, WATER_DENSITY
@@ -129,7 +129,7 @@ def assemble_flow_system(
         if net.nodes[nid].kind == "boundary"
         and net.nodes[nid].boundary_pressure is not None
     }
-    _check_1d_solvability(coupling, dirichlet, params)
+    _check_solvability(coupling, dirichlet, params)
 
     # Poiseuille conductances on the graph, two-point fluxes in the tissue
     table = coupling.segments
@@ -158,8 +158,12 @@ def assemble_flow_system(
     return sys
 
 
-def _check_1d_solvability(coupling, dirichlet, params):
-    """With L_p = 0 every connected 1D component needs a Dirichlet node."""
+def _check_solvability(coupling, dirichlet, params):
+    """The network needs a Dirichlet node, or a constant pressure shift
+    solves the homogeneous system; with L_p = 0 every connected 1D
+    component needs one."""
+    if not dirichlet:
+        raise SolverError("no pressure-boundary node; system is singular")
     if params.wall_conductivity > 0.0:
         return
     table, first, nodes = coupling.segments, coupling.C.shape[1], len(coupling.node_order)
@@ -180,7 +184,7 @@ def _check_1d_solvability(coupling, dirichlet, params):
 def solve_flow(system: FlowSystem) -> FlowState:
     grid, params, coupling = system.grid, system.params, system.coupling
     table, n, n_all = coupling.segments, grid.n_cells, system.n_unknowns
-    x, _ = solve_linear(system.matrix, system.rhs, grid.cells_per_axis)
+    x, _ = LinearSolver(system.matrix, grid.cells_per_axis).solve(system.rhs)
     pinned = [system.node_index[nid] for nid in system.dirichlet]
     x[pinned] = system.rhs[pinned]  # rounding must not move pinned values
     residual = scaled_residual(system.matrix, x, system.rhs)

@@ -155,7 +155,7 @@ class SurfaceCoupling:
 
     def jump(self, x: np.ndarray) -> np.ndarray:
         """G x, evaluated as Pi x_v - C x_t: the wall value of the nodal
-        field is formed first, as project_1d_to_surface forms it."""
+        field, its linear interpolation along the segment, is formed first."""
         n = self.C.shape[1]
         return self.Pi @ x[n:] - x[:n][self.cells]
 
@@ -264,14 +264,3 @@ def build_surface_coupling(
         G=sp.hstack([-C, Pi], format="csr"),
     )
 
-
-def project_1d_to_surface(
-    net: VascularNetwork, nodal_field: dict[int, float], seg_id: int, s: float
-) -> float:
-    """Extend the 1D field to the wall ring at arc length s (linear interp)."""
-    seg = net.segments[seg_id]
-    length, _ = net.segment_geometry(seg_id)
-    if not 0.0 <= s <= length * (1.0 + 1e-12):
-        raise ValidationError(f"arc length {s} outside segment {seg_id}")
-    t = min(max(s / length, 0.0), 1.0)
-    return (1.0 - t) * nodal_field[seg.node_a] + t * nodal_field[seg.node_b]

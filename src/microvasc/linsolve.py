@@ -1,10 +1,13 @@
 """One linear solver for the coupled 3D-1D systems of flow and oxygen.
 
 Both physics assemble one sparse matrix over (tissue cells, network nodes),
-cells first in the grid's linear order. `solve_linear` solves it by
-restarted GMRES, right-preconditioned block lower-triangularly: an exact
-LU of the node block (small, and it holds the pinned Dirichlet rows), then
-one multigrid V-cycle on the tissue block applied to r_t - A_tv x_v.
+cells first in the grid's linear order. A `LinearSolver` is built once per
+matrix A and solves A + diag(d, 0) for any cell diagonal d, as every
+Newton step of the oxygen solve needs: only the cell sink diagonal changes
+from step to step. Each solve is restarted GMRES, right-preconditioned
+block lower-triangularly: an exact LU of the node block (small, and it
+holds the pinned Dirichlet rows), then one multigrid V-cycle on the tissue
+block applied to r_t - A_tv x_v.
 
 The V-cycle aggregates 2x2x2 cells per coarse cell (ceil(n/2) coarse cells
 on an odd axis), takes Galerkin coarse operators P^T A P, smooths with
@@ -13,10 +16,19 @@ aggregation-based algebraic multigrid method", ETNA 37 (2010), and factors
 the first level small enough exactly. See Briggs, Henson & McCormick, "A
 Multigrid Tutorial", 2nd ed. (SIAM, 2000).
 
+Built once per solver: the node-block LU, the off-diagonal blocks, the
+aggregation maps and the Galerkin levels of the tissue block. A solve with
+a cell diagonal d adds it in place: d on the finest level and
+bincount(aggregate, d) on each coarser one, exact because
+P^T (A + D) P = P^T A P + diag(P^T D P) when P has one 1 per row; then
+only the Jacobi weights and the coarsest LU are redone.
+
 GMRES stops on the row-scaled residual the callers gate on
 (`scaled_residual`): each cycle runs on the system whose rows are divided
 by |A||x| + |b| of the cycle's starting iterate, so the Krylov residual's
-2-norm bounds that measure, and the cycle ends once it reaches TARGET.
+2-norm bounds that measure, and the cycle ends once it reaches TARGET. A
+solve given a guess starts from whichever of the guess and M^-1 b has the
+smaller row-scaled residual.
 """
 
 from __future__ import annotations
@@ -64,24 +76,43 @@ def _aggregate(shape):
 
 
 class VCycle:
-    """Aggregation V-cycle for the tissue block of a grid of `shape` cells."""
+    """Aggregation V-cycle for the tissue block of a grid of `shape` cells,
+    with the Galerkin levels built once and a cell diagonal set by `shift`."""
 
     def __init__(self, matrix, shape):
-        self.levels = []  # (matrix, Jacobi weights, coarse cell of each cell)
+        matrix = sp.csr_matrix(matrix, copy=True)  # `shift` writes its diagonal
+        cells = matrix.shape[0]
+        self.levels = []  # (matrix, diagonal as built, coarse cell of each cell)
         while matrix.shape[0] > COARSEST_CELLS:
             aggregate, shape = _aggregate(shape)
             n_fine, n_coarse = aggregate.size, int(np.prod(shape))
             prolong = sp.csr_matrix(
                 (np.ones(n_fine), (np.arange(n_fine), aggregate)), shape=(n_fine, n_coarse)
             )
-            self.levels.append((matrix, JACOBI_WEIGHT / matrix.diagonal(), aggregate))
+            self.levels.append((matrix, matrix.diagonal(), aggregate))
             matrix = (prolong.T @ matrix @ prolong).tocsr()
+        self.bottom = (matrix, matrix.diagonal())  # factored as `coarsest`
+        self.shift(np.zeros(cells))
+
+    def shift(self, d):
+        """Make this, in place, the V-cycle of the tissue block plus diag(d):
+        d on the finest level and diag(P^T D P) = bincount(aggregate, d) on
+        each coarser one; refreshes the Jacobi weights and the coarsest LU."""
+        self.weights = []
+        for matrix, diagonal, aggregate in self.levels:
+            shifted = diagonal + d
+            matrix.setdiag(shifted)
+            self.weights.append(JACOBI_WEIGHT / shifted)
+            d = np.bincount(aggregate, d)
+        matrix, diagonal = self.bottom
+        matrix.setdiag(diagonal + d)
         self.coarsest = spla.splu(matrix.tocsc())
 
     def __call__(self, r, depth=0):
         if depth == len(self.levels):
             return self.coarsest.solve(r)
-        matrix, weight, aggregate = self.levels[depth]
+        matrix, _, aggregate = self.levels[depth]
+        weight = self.weights[depth]
         x = weight * r
         for _ in range(SWEEPS - 1):
             x += weight * (r - matrix @ x)
@@ -92,54 +123,82 @@ class VCycle:
         return x
 
 
-class BlockPreconditioner:
-    """x_v = A_vv^-1 r_v exactly, then x_t = V-cycle(r_t - A_tv x_v)."""
+class LinearSolver:
+    """Solver for (A + diag(d, 0)) x = b, A a coupled system over the cells
+    of a grid with `shape` cells per axis followed by the network nodes,
+    and d a diagonal on the cell rows given per solve.
+
+    The preconditioner M is x_v = A_vv^-1 r_v exactly, then
+    x_t = V-cycle(r_t - A_tv x_v); neither the node block nor the
+    off-diagonal blocks see d.
+    """
 
     def __init__(self, matrix, shape):
+        self.matrix = matrix = sp.csr_matrix(matrix, copy=True)  # `solve` writes its diagonal
+        self.diagonal = matrix.diagonal()
+        self.magnitude = abs(matrix)
         self.cells = cells = int(np.prod(shape))
         self.tissue_nodes = matrix[:cells, cells:]
         self.nodes_tissue = matrix[cells:, :cells]
         self.nodes = spla.splu(matrix[cells:, cells:].tocsc())
         self.vcycle = VCycle(matrix[:cells, :cells], shape)
+        self.shifted = False
 
-    def __call__(self, r):
+    def solve(self, rhs, cell_diagonal=None, guess=None) -> tuple[np.ndarray, int]:
+        """Solve (A + diag(cell_diagonal, 0)) x = rhs; returns x and the
+        number of GMRES iterations taken.
+
+        GMRES starts from M^-1 rhs or, if it has the smaller row-scaled
+        residual, from `guess`; both with their node part settled. Cycles
+        end once the 2-norm of the row-scaled residuals is at most TARGET,
+        when a cycle fails to halve it (rounding has the last word), or
+        after MAX_CYCLES. The last iterate is returned either way: whether
+        it is good enough is the caller's gate on `scaled_residual`.
+        """
+        if cell_diagonal is None and self.shifted:
+            cell_diagonal = np.zeros(self.cells)  # back to A itself
+        if cell_diagonal is not None:
+            diagonal = self.diagonal.copy()
+            diagonal[: self.cells] += cell_diagonal
+            self.matrix.setdiag(diagonal)
+            self.magnitude.setdiag(np.abs(diagonal))
+            self.vcycle.shift(cell_diagonal)
+            self.shifted = bool(np.any(cell_diagonal))
+        starts = [self._precondition(rhs)]
+        if guess is not None:
+            starts.append(np.asarray(guess, float))
+        x = min(
+            (self._settle(start, rhs) for start in starts),
+            key=lambda start: self._residual(start, rhs)[2],
+        )
+        previous, iterations = np.inf, 0
+        for cycle in range(MAX_CYCLES + 1):
+            r, weight, measure = self._residual(x, rhs)
+            if measure <= TARGET or measure > 0.5 * previous or cycle == MAX_CYCLES:
+                return x, iterations
+            previous = measure
+            correction, steps = _gmres_cycle(self.matrix, self._precondition, weight * r, weight)
+            x, iterations = self._settle(x + correction, rhs), iterations + steps
+
+    def _precondition(self, r):
         x_v = self.nodes.solve(r[self.cells :])
         x_t = self.vcycle(r[: self.cells] - self.tissue_nodes @ x_v)
         return np.concatenate([x_t, x_v])
 
-    def settle_nodes(self, x, rhs):
+    def _settle(self, x, rhs):
         """x with its node part solved exactly for its tissue part, so the
         node rows, and with them the 1D mass balance, hold to rounding."""
         x_t = x[: self.cells]
         x_v = self.nodes.solve(rhs[self.cells :] - self.nodes_tissue @ x_t)
         return np.concatenate([x_t, x_v])
 
-
-def solve_linear(matrix, rhs, shape) -> tuple[np.ndarray, int]:
-    """Solve matrix @ x = rhs for a coupled system over the cells of a grid
-    with `shape` cells per axis, followed by the network nodes; returns x
-    and the number of GMRES iterations taken.
-
-    Cycles end once the 2-norm of the row-scaled residuals is at most
-    TARGET, when a cycle fails to halve it (rounding has the last word), or
-    after MAX_CYCLES. The last iterate is returned either way: whether it
-    is good enough is the caller's gate on `scaled_residual`.
-    """
-    matrix = sp.csr_matrix(matrix)
-    magnitude = abs(matrix)
-    precond = BlockPreconditioner(matrix, shape)
-    x, previous, iterations = precond(rhs), np.inf, 0
-    for cycle in range(MAX_CYCLES + 1):
-        x = precond.settle_nodes(x, rhs)
-        r = rhs - matrix @ x
-        scale = magnitude @ np.abs(x) + np.abs(rhs)
+    def _residual(self, x, rhs):
+        """rhs - A x, the row weights 1 / (|A||x| + |rhs|) and the 2-norm of
+        the row-scaled residuals."""
+        r = rhs - self.matrix @ x
+        scale = self.magnitude @ np.abs(x) + np.abs(rhs)
         weight = 1.0 / np.where(scale > 0.0, scale, 1.0)
-        measure = np.linalg.norm(weight * r)
-        if measure <= TARGET or measure > 0.5 * previous or cycle == MAX_CYCLES:
-            return x, iterations
-        previous = measure
-        correction, steps = _gmres_cycle(matrix, precond, weight * r, weight)
-        x, iterations = x + correction, iterations + steps
+        return r, weight, np.linalg.norm(weight * r)
 
 
 def _gmres_cycle(matrix, precond, residual, weight):

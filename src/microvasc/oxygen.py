@@ -1,7 +1,9 @@
 """Coupled stationary oxygen transport with Kedem-Katchalsky wall flux and
-Michaelis-Menten tissue consumption, solved by Newton's method; every
-Newton step is one `linsolve.solve_linear` call, the multigrid-preconditioned
-GMRES the flow solve uses too.
+Michaelis-Menten tissue consumption, solved by Newton's method. One
+`linsolve.LinearSolver`, the multigrid-preconditioned GMRES the flow solve
+uses too, is built per `solve_oxygen` from the affine operator; each Newton
+step adds only its sink derivative on the cell diagonal and starts GMRES
+from the Newton iterate when that is the better start.
 
 Partial pressures stay in mmHg; every transport coefficient multiplying
 them is in SI, so both compartment balances carry units of mmHg*m^3/s.
@@ -33,7 +35,7 @@ from .flow import (
     starling_flux,
 )
 from .grid import SurfaceCoupling, TissueGrid
-from .linsolve import scaled_residual, solve_linear
+from .linsolve import LinearSolver, scaled_residual
 from .network import VascularNetwork
 
 
@@ -114,9 +116,10 @@ def classify_arterial_venous(
 class OxygenState:
     po2_t: np.ndarray  # per-cell, mmHg
     po2_v: dict[int, float]  # per-node, mmHg
-    iterations: int
+    iterations: int  # Newton steps
     update_norm: float
     history: list[float] = field(default_factory=list)
+    linear_iterations: int = 0  # GMRES iterations summed over the Newton steps
 
 
 @dataclass
@@ -233,6 +236,10 @@ def solve_oxygen(
     (max_consumption, po2_half) comes from `params` alone. With zero
     consumption the problem is linear and the first solve is the answer. On
     exit the row-scaled residual of F must be at most RESIDUAL_TOL.
+
+    The linear solver is built once from B: the sink acts on cell rows
+    only, so each step changes nothing but the cell diagonal, and GMRES
+    may start from the iterate x, whose residual for the step is F(x).
     """
     if tol <= 0.0:
         raise ValidationError("tolerance must be positive")
@@ -246,9 +253,12 @@ def solve_oxygen(
     linear = m0 == 0.0
     s, d, g = _sink(rate, k, x)
     f_norm = norm(base @ x + s - b)
+    solver = LinearSolver(base, operator.grid.cells_per_axis)
     history: list[float] = []
+    linear_iterations = 0
     for iterations in range(1, max_iter + 1):
-        x_new, _ = solve_linear(base + sp.diags(d), b + g, operator.grid.cells_per_axis)
+        x_new, steps = solver.solve(b + g, d[:cells], guess=x)
+        linear_iterations += steps
         x_new[pinned] = b[pinned]  # rounding must not move pinned values
         step = x_new - x
         converged = linear or norm(step) <= tol * max(norm(x_new), k)
@@ -284,4 +294,4 @@ def solve_oxygen(
     po2_v = dict(zip(operator.node_index, x[cells:].tolist()))  # unknown order
     # boundedness: clip rounding-level violations only
     po2_t = np.clip(x[:cells], 0.0, None)
-    return OxygenState(po2_t, po2_v, iterations, history[-1], history)
+    return OxygenState(po2_t, po2_v, iterations, history[-1], history, linear_iterations)

@@ -53,6 +53,8 @@ def histogram(values, bin_width: float):
     if bin_width <= 0.0:
         raise ValidationError("bin width must be positive")
     first = math.floor(data.min() / bin_width)
+    if first * bin_width > data.min():  # the quotient rounded up, e.g. to -0.0
+        first -= 1
     last = math.floor(data.max() / bin_width) + 1
     edges = np.arange(first, last + 1) * bin_width
     counts, _ = np.histogram(data, bins=edges)

@@ -2,9 +2,10 @@
 
 These are the loops the library used before the surface coupling became a
 set of sparse operators: the scalar point location and sampling loop of
-the coupling, the flow assembly with its wall-exchange loop, its 3D-side
-filtration and boundary-flux sums, and the transport assembly with the
-Kedem-Katchalsky loop. Each skips the rows of Dirichlet nodes while it
+the coupling, the per-sample interpolation of a nodal field to the wall,
+the flow assembly with its wall-exchange loop, its 3D-side filtration and
+boundary-flux sums, and the transport assembly with the Kedem-Katchalsky
+loop. Each skips the rows of Dirichlet nodes while it
 assembles. The tests compare the operator-based library against them.
 """
 
@@ -13,6 +14,7 @@ import math
 import numpy as np
 import scipy.sparse as sp
 
+from microvasc.errors import ValidationError
 from microvasc.flow import face_velocities
 from microvasc.rheology import segment_viscosity, vessel_conductance
 
@@ -73,6 +75,16 @@ def surface_samples(grid, net, n_axial=None, n_angular=8):
         area = 2.0 * math.pi * seg.radius * length / (na * n_angular)
         out[sid] = (cells, s_arr, area, na)
     return out, clamped_samples
+
+
+def project_1d_to_surface(net, nodal_field, seg_id, s):
+    """Extend the 1D field to the wall ring at arc length s (linear interp)."""
+    seg = net.segments[seg_id]
+    length, _ = net.segment_geometry(seg_id)
+    if not 0.0 <= s <= length * (1.0 + 1e-12):
+        raise ValidationError(f"arc length {s} outside segment {seg_id}")
+    t = min(max(s / length, 0.0), 1.0)
+    return (1.0 - t) * nodal_field[seg.node_a] + t * nodal_field[seg.node_b]
 
 
 # -- flow ---------------------------------------------------------------------

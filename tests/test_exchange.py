@@ -18,7 +18,6 @@ from microvasc import (
     build_surface_coupling,
     classify_arterial_venous,
     enlarge_domain,
-    project_1d_to_surface,
     solve_flow,
     starling_flux,
 )
@@ -122,8 +121,9 @@ def test_sample_flux_is_starling_flux_of_projected_pressure(solved):
     net, _, flow_params, coupling, _, flow = solved
     for sid, sc in coupling.per_segment.items():
         want = np.array([
-            starling_flux(project_1d_to_surface(net, flow.p_v, sid, s), flow.p_t[cell],
-                          flow_params)
+            starling_flux(
+                oracle.project_1d_to_surface(net, flow.p_v, sid, s), flow.p_t[cell], flow_params
+            )
             for cell, s in zip(sc.cells, sc.s)
         ])
         assert relative_difference(flow.sample_jp[sid], want) <= FLUX_RTOL

@@ -139,9 +139,22 @@ class TestCoupledFlow:
         misfit = np.linalg.norm(system.matrix @ bad - system.rhs)
         assert misfit / np.linalg.norm(system.rhs) < RESIDUAL_TOL
         # ... the row-scaled gate is not
-        monkeypatch.setattr(flow_module, "solve_linear", lambda matrix, rhs, shape: (bad, 0))
+        monkeypatch.setattr(
+            flow_module.LinearSolver, "solve", lambda self, rhs, *args, **kwargs: (bad, 0)
+        )
         with pytest.raises(SolverError):
             solve_flow(system)
+
+    def test_network_without_pressure_boundary_rejected(self):
+        # wall leakage couples every node to the tissue, but only a
+        # Dirichlet node fixes the level of the pressures
+        net = make_desk_network()
+        for nid in net.boundary_nodes():
+            net.nodes[nid].kind = "inner"
+        grid = small_grid()
+        coupling = build_surface_coupling(grid, net)
+        with pytest.raises(SolverError, match="no pressure-boundary node"):
+            assemble_flow_system(net, grid, coupling, RheologyParameters(), FlowParameters())
 
     def test_desk_conservation(self, desk_grid):
         net = make_desk_network()

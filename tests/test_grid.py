@@ -4,15 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from microvasc import (
-    DomainBox,
-    build_grid,
-    build_surface_coupling,
-    project_1d_to_surface,
-)
+from microvasc import DomainBox, build_grid, build_surface_coupling
 from microvasc.errors import ValidationError
 
 from conftest import UM, make_single_vessel
+from exchange_oracle import project_1d_to_surface
 
 
 class TestTissueGrid:

@@ -2,7 +2,9 @@
 
 The oracle is scipy's `spsolve`, kept here only. Every case must agree
 with it to 1e-12 (max-norm, relative), pass the row-scaled residual at
-1e-12 and need no more than one GMRES(60) cycle.
+1e-12 and need no more than one GMRES(60) cycle, also when one solver is
+reused for several cell diagonals. A hierarchy given a diagonal must match
+one rebuilt from scratch.
 """
 
 import numpy as np
@@ -24,7 +26,7 @@ from microvasc import (
     solve_flow,
 )
 from microvasc.flow import edge_laplacian
-from microvasc.linsolve import RESTART, VCycle, _aggregate, scaled_residual, solve_linear
+from microvasc.linsolve import RESTART, LinearSolver, VCycle, _aggregate, scaled_residual
 from microvasc.oxygen import _sink
 
 from conftest import UM, make_desk_network, make_jittered_lattice, make_y_junction
@@ -44,8 +46,9 @@ def flow_system(net, box, cells, params=None):
 
 
 def newton_system(po2):
-    """Oxygen Jacobian and right-hand side of the desk ladder at 20^3 for a
-    Newton step from the uniform PO2 `po2`."""
+    """Oxygen operator of the desk ladder at 20^3, the diagonal its Jacobian
+    adds at a Newton step from the uniform PO2 `po2` (0 on node rows) and
+    that step's right-hand side."""
     net, params = make_desk_network(), OxygenParameters()
     system = flow_system(net, CUBE, (20, 20, 20))
     flow = solve_flow(system)
@@ -57,7 +60,15 @@ def newton_system(po2):
     rate = np.zeros(operator.rhs.size)
     rate[: grid.n_cells] = grid.cell_volume * params.max_consumption
     _, d, g = _sink(rate, params.po2_half, np.full(operator.rhs.size, po2))
-    return operator.base + sp.diags(d), operator.rhs + g, grid.cells_per_axis
+    return operator.base, d, operator.rhs + g, grid.cells_per_axis
+
+
+def jacobian_case(po2):
+    def build():
+        base, d, rhs, shape = newton_system(po2)
+        return base + sp.diags(d), rhs, shape
+
+    return build
 
 
 def flow_case(net_fn, box, cells, params=None):
@@ -79,19 +90,71 @@ CASES = {
     ),
     "y_junction": flow_case(make_y_junction, Y_BOX, (12, 8, 4)),
     "lattice": flow_case(lambda: make_jittered_lattice(0, 9), LATTICE_BOX, (14, 14, 14)),
-    "oxygen_at_0": lambda: newton_system(0.0),
-    "oxygen_at_38": lambda: newton_system(38.0),
+    "oxygen_at_0": jacobian_case(0.0),
+    "oxygen_at_38": jacobian_case(38.0),
 }
+
+
+def assert_agrees(matrix, rhs, x, iterations):
+    exact = spla.spsolve(sp.csc_matrix(matrix), rhs)
+    assert np.max(np.abs(x - exact)) <= AGREEMENT * np.max(np.abs(exact))
+    assert scaled_residual(matrix, x, rhs) <= AGREEMENT
+    assert iterations <= RESTART
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_agrees_with_direct_solve(case):
     matrix, rhs, shape = CASES[case]()
-    x, iterations = solve_linear(matrix, rhs, shape)
+    assert_agrees(matrix, rhs, *LinearSolver(matrix, shape).solve(rhs))
+
+
+def test_reused_solver_agrees_on_newton_systems():
+    base, at_38, rhs_38, shape = newton_system(38.0)
+    _, at_0, rhs_0, _ = newton_system(0.0)
+    solver, cells = LinearSolver(base, shape), int(np.prod(shape))
+    for d, rhs in ((at_38, rhs_38), (at_0, rhs_0)):
+        assert_agrees(base + sp.diags(d), rhs, *solver.solve(rhs, d[:cells]))
+    # a solve without a diagonal is of the operator itself again
+    assert_agrees(base, rhs_38, *solver.solve(rhs_38))
+
+
+# At 20^3 the direct answer's own row-scaled 2-norm, about 1.4e-14, is
+# above TARGET, so there even the exact guess takes one short cycle.
+@pytest.mark.parametrize("case", ["desk_12", "lattice"])
+def test_exact_guess_needs_no_iterations(case):
+    matrix, rhs, shape = CASES[case]()
     exact = spla.spsolve(matrix.tocsc(), rhs)
+    x, iterations = LinearSolver(matrix, shape).solve(rhs, guess=exact)
+    assert iterations == 0
     assert np.max(np.abs(x - exact)) <= AGREEMENT * np.max(np.abs(exact))
-    assert scaled_residual(matrix, x, rhs) <= AGREEMENT
-    assert iterations <= RESTART
+
+
+def test_zero_right_hand_side_gives_zero_from_any_guess():
+    matrix, rhs, shape = CASES["oxygen_at_38"]()
+    guess = np.full(rhs.size, 38.0)
+    x, iterations = LinearSolver(matrix, shape).solve(np.zeros(rhs.size), guess=guess)
+    assert iterations == 0
+    assert not np.any(x)
+
+
+@pytest.mark.parametrize("cells", [(20, 20, 20), (15, 13, 11)])
+def test_diagonal_update_matches_rebuilt_hierarchy(cells):
+    system = flow_system(make_desk_network(), CUBE, cells)
+    n = system.grid.n_cells
+    tissue = system.matrix[:n, :n]
+    d = np.random.default_rng(7).uniform(0.0, 1.0, n) * tissue.diagonal()
+    shifted = VCycle(tissue, cells)
+    shifted.shift(d)
+    rebuilt = VCycle(tissue + sp.diags(d), cells)
+    levels = [level[0] for level in shifted.levels + [shifted.bottom]]
+    fresh = [level[0] for level in rebuilt.levels + [rebuilt.bottom]]
+    assert len(levels) == len(fresh) > 1
+    for a, b in zip(levels, fresh):
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert np.max(np.abs(a.data - b.data)) <= 1e-14 * np.max(np.abs(b.data))
+    r = np.random.default_rng(8).standard_normal(n)
+    want = rebuilt(r)
+    assert np.max(np.abs(shifted(r) - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("shape", [(4, 4, 4), (7, 5, 9), (1, 3, 2)])

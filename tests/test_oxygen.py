@@ -176,17 +176,26 @@ class TestCoupledOxygen:
         assert state.iterations <= 8
         assert oxygen_residual(operator, state, params) <= RESIDUAL_TOL
 
+    def test_linear_work_reported(self, desk_grid):
+        params = OxygenParameters()
+        operator, _ = desk_operator(make_desk_network(), desk_grid, params)
+        state = solve_oxygen(operator, params)
+        assert state.iterations == 5
+        # GMRES iterations over all Newton steps; each step reuses one
+        # solver and starts from the Newton iterate where that is better
+        assert 0 < state.linear_iterations <= 80
+
     def test_perturbed_newton_solution_fails_residual_gate(self, desk_grid, monkeypatch):
         params = OxygenParameters()
         operator, _ = desk_operator(make_desk_network(), desk_grid, params)
-        solve = oxygen_module.solve_linear
+        solve = oxygen_module.LinearSolver.solve
 
-        def perturbed(matrix, rhs, shape):
-            x, iterations = solve(matrix, rhs, shape)
+        def perturbed(self, *args, **kwargs):
+            x, iterations = solve(self, *args, **kwargs)
             x[0] *= 1.0 + 1e-8  # one tissue cell: a physics row
             return x, iterations
 
-        monkeypatch.setattr(oxygen_module, "solve_linear", perturbed)
+        monkeypatch.setattr(oxygen_module.LinearSolver, "solve", perturbed)
         # Newton still meets its update test; the row-scaled gate does not pass
         with pytest.raises(ConvergenceError, match="row-scaled") as failure:
             solve_oxygen(operator, params)

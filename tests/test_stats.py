@@ -67,6 +67,11 @@ class TestHistogram:
         with pytest.raises(ValidationError):
             histogram([1.0], 0.0)
 
+    def test_tiny_negative_sample_counted(self):
+        # -5e-324 / 2 rounds to -0.0, which floors to the bin right of it
+        edges, counts, _, _ = histogram([-5e-324], 2.0)
+        assert counts.sum() == 1 and edges[0] == -2.0
+
     @settings(max_examples=60, deadline=None)
     @given(
         data=st.lists(st.floats(-100, 100), min_size=1, max_size=60),

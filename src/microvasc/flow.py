@@ -73,6 +73,7 @@ class FlowState:
     boundary_flux: dict[int, float] = field(default_factory=dict)  # m^3/s, inflow > 0
     filtration_3d: float = 0.0  # net volumetric exchange, 3D-side sum, m^3/s
     filtration_1d: float = 0.0  # net volumetric exchange, 1D-side sum, m^3/s
+    linear_iterations: int = 0  # GMRES iterations of the solve
 
 
 class FlowSystem:
@@ -184,7 +185,7 @@ def _check_solvability(coupling, dirichlet, params):
 def solve_flow(system: FlowSystem) -> FlowState:
     grid, params, coupling = system.grid, system.params, system.coupling
     table, n, n_all = coupling.segments, grid.n_cells, system.n_unknowns
-    x, _ = LinearSolver(system.matrix, grid.cells_per_axis).solve(system.rhs)
+    x, linear_iterations = LinearSolver(system.matrix, grid.cells_per_axis).solve(system.rhs)
     pinned = [system.node_index[nid] for nid in system.dirichlet]
     x[pinned] = system.rhs[pinned]  # rounding must not move pinned values
     residual = scaled_residual(system.matrix, x, system.rhs)
@@ -213,6 +214,7 @@ def solve_flow(system: FlowSystem) -> FlowState:
         },
         filtration_3d=-float(np.sum(wall[:n])),
         filtration_1d=float(np.sum(exchange)),
+        linear_iterations=linear_iterations,
     )
 
 

@@ -26,9 +26,15 @@ only the Jacobi weights and the coarsest LU are redone.
 GMRES stops on the row-scaled residual the callers gate on
 (`scaled_residual`): each cycle runs on the system whose rows are divided
 by |A||x| + |b| of the cycle's starting iterate, so the Krylov residual's
-2-norm bounds that measure, and the cycle ends once it reaches TARGET. A
-solve given a guess starts from whichever of the guess and M^-1 b has the
-smaller row-scaled residual.
+2-norm bounds that measure, and the cycle ends once it reaches the solve's
+target. A solve given a guess starts from whichever of the guess and
+M^-1 b has the smaller row-scaled residual.
+
+The target is TARGET, far below the callers' gates, unless the solve is
+given a forcing term eta > 0: then it is max(TARGET, eta * the measure of
+the start), the relative accuracy an inexact Newton step asks for
+(Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996). Flow solves use
+eta = 0; an oxygen Newton solve sets eta per step.
 """
 
 from __future__ import annotations
@@ -51,17 +57,22 @@ OVER_CORRECTION = 1.9
 COARSEST_CELLS = 1500
 
 
+def scaled_residuals(matrix, x, rhs, nonlinear=0.0) -> np.ndarray:
+    """Row-scaled residuals |(Ax + f - b)_i| / (sum_j |A_ij x_j| + |f_i| +
+    |b_i|), with f an optional nonlinear term such as a sink."""
+    residual = np.abs(matrix @ x + nonlinear - rhs)
+    scale = abs(matrix) @ np.abs(x) + np.abs(nonlinear) + np.abs(rhs)
+    return residual / np.where(scale > 0.0, scale, 1.0)
+
+
 def scaled_residual(matrix, x, rhs, nonlinear=0.0) -> float:
-    """Row-scaled residual max_i |(Ax + f - b)_i| / (sum_j |A_ij x_j| +
-    |f_i| + |b_i|), with f an optional nonlinear term such as a sink.
+    """Row-scaled residual, the largest of `scaled_residuals`.
 
     Every row, physics and Dirichlet alike, is measured against its own
     magnitude, so a bad solve fails the gate even where the coefficients
     are many orders below the Dirichlet rows' 1.
     """
-    residual = np.abs(matrix @ x + nonlinear - rhs)
-    scale = abs(matrix) @ np.abs(x) + np.abs(nonlinear) + np.abs(rhs)
-    return float(np.max(residual / np.where(scale > 0.0, scale, 1.0)))
+    return float(np.max(scaled_residuals(matrix, x, rhs, nonlinear)))
 
 
 def _aggregate(shape):
@@ -144,16 +155,17 @@ class LinearSolver:
         self.vcycle = VCycle(matrix[:cells, :cells], shape)
         self.shifted = False
 
-    def solve(self, rhs, cell_diagonal=None, guess=None) -> tuple[np.ndarray, int]:
+    def solve(self, rhs, cell_diagonal=None, guess=None, forcing=0.0) -> tuple[np.ndarray, int]:
         """Solve (A + diag(cell_diagonal, 0)) x = rhs; returns x and the
         number of GMRES iterations taken.
 
         GMRES starts from M^-1 rhs or, if it has the smaller row-scaled
         residual, from `guess`; both with their node part settled. Cycles
-        end once the 2-norm of the row-scaled residuals is at most TARGET,
-        when a cycle fails to halve it (rounding has the last word), or
-        after MAX_CYCLES. The last iterate is returned either way: whether
-        it is good enough is the caller's gate on `scaled_residual`.
+        end once the 2-norm of the row-scaled residuals is at most
+        max(TARGET, forcing * that of the start), when a cycle fails to
+        halve it (rounding has the last word), or after MAX_CYCLES. The
+        last iterate is returned either way: whether it is good enough is
+        the caller's gate on `scaled_residual`.
         """
         if cell_diagonal is None and self.shifted:
             cell_diagonal = np.zeros(self.cells)  # back to A itself
@@ -174,10 +186,14 @@ class LinearSolver:
         previous, iterations = np.inf, 0
         for cycle in range(MAX_CYCLES + 1):
             r, weight, measure = self._residual(x, rhs)
-            if measure <= TARGET or measure > 0.5 * previous or cycle == MAX_CYCLES:
+            if cycle == 0:
+                target = max(TARGET, forcing * measure)
+            if measure <= target or measure > 0.5 * previous or cycle == MAX_CYCLES:
                 return x, iterations
             previous = measure
-            correction, steps = _gmres_cycle(self.matrix, self._precondition, weight * r, weight)
+            correction, steps = _gmres_cycle(
+                self.matrix, self._precondition, weight * r, weight, target
+            )
             x, iterations = self._settle(x + correction, rhs), iterations + steps
 
     def _precondition(self, r):
@@ -201,9 +217,9 @@ class LinearSolver:
         return r, weight, np.linalg.norm(weight * r)
 
 
-def _gmres_cycle(matrix, precond, residual, weight):
+def _gmres_cycle(matrix, precond, residual, weight, target):
     """One GMRES(RESTART) cycle on W A M W^-1 y = W r, with W = diag(weight)
-    and M the preconditioner, from y = 0 until ||W r||_2 <= TARGET; returns
+    and M the preconditioner, from y = 0 until ||W r||_2 <= target; returns
     the correction M W^-1 y and the iterations taken."""
     basis = np.empty((RESTART + 1, residual.size))
     hessenberg = np.zeros((RESTART + 1, RESTART))
@@ -230,7 +246,7 @@ def _gmres_cycle(matrix, precond, residual, weight):
         cos[k], sin[k] = column[k] / radius, norm / radius
         column[k] = radius
         g[k + 1], g[k] = -sin[k] * g[k], cos[k] * g[k]
-        if abs(g[k + 1]) <= TARGET or norm == 0.0:
+        if abs(g[k + 1]) <= target or norm == 0.0:
             break
     y = solve_triangular(hessenberg[: k + 1, : k + 1], g[: k + 1])
     return precond((y @ basis[: k + 1]) / weight), k + 1

@@ -1,9 +1,12 @@
 """Coupled stationary oxygen transport with Kedem-Katchalsky wall flux and
-Michaelis-Menten tissue consumption, solved by Newton's method. One
-`linsolve.LinearSolver`, the multigrid-preconditioned GMRES the flow solve
-uses too, is built per `solve_oxygen` from the affine operator; each Newton
-step adds only its sink derivative on the cell diagonal and starts GMRES
-from the Newton iterate when that is the better start.
+Michaelis-Menten tissue consumption, solved by an inexact Newton method.
+One `linsolve.LinearSolver`, the multigrid-preconditioned GMRES the flow
+solve uses too, is built per `solve_oxygen` from the affine operator; each
+Newton step adds only its sink derivative on the cell diagonal, starts
+GMRES from the Newton iterate when that is the better start, and stops it
+at the Eisenstat-Walker forcing term (Eisenstat & Walker, SIAM J. Sci.
+Comput. 17, 1996; Knoll & Keyes, J. Comput. Phys. 193, 2004), so the early
+steps are solved loosely and the last ones tightly.
 
 Partial pressures stay in mmHg; every transport coefficient multiplying
 them is in SI, so both compartment balances carry units of mmHg*m^3/s.
@@ -35,7 +38,7 @@ from .flow import (
     starling_flux,
 )
 from .grid import SurfaceCoupling, TissueGrid
-from .linsolve import LinearSolver, scaled_residual
+from .linsolve import LinearSolver, scaled_residuals
 from .network import VascularNetwork
 
 
@@ -207,6 +210,14 @@ def assemble_transport_operator(
 
 _ARMIJO = 1.0e-4  # sufficient decrease of ||F|| along a Newton step
 _MAX_HALVINGS = 30
+# Eisenstat-Walker forcing, their choice 2: the first step's GMRES reduces
+# its residual by FORCING_MAX, each later one by
+# FORCING_GAMMA * (phi_new / phi)^2, phi the row-scaled 2-norm of F, at
+# most FORCING_MAX and at least FORCING_GAMMA * eta_prev^2 while that
+# exceeds FORCING_SAFEGUARD.
+FORCING_MAX = 0.5
+FORCING_GAMMA = 0.9
+FORCING_SAFEGUARD = 0.1
 
 
 def _sink(rate: np.ndarray, k: float, x: np.ndarray):
@@ -222,6 +233,12 @@ def _sink(rate: np.ndarray, k: float, x: np.ndarray):
     return rate * x / den, rate * k / den**2, -rate * (pos / den) ** 2
 
 
+def _decreases(f_new: float, f_norm: float, t: float, forcing: float) -> bool:
+    """The inexact-Newton Armijo test for the fraction t of a step whose
+    linear solve met the forcing term."""
+    return f_new <= (1.0 - _ARMIJO * t * (1.0 - forcing)) * f_norm
+
+
 def solve_oxygen(
     operator: TransportOperator,
     params: OxygenParameters,
@@ -229,7 +246,8 @@ def solve_oxygen(
     tol: float = 1.0e-8,
     max_iter: int = 200,
 ) -> OxygenState:
-    """Newton iteration on F(x) = B x + s(x) - b with Armijo backtracking.
+    """Inexact Newton iteration on F(x) = B x + s(x) - b with Armijo
+    backtracking.
 
     Each step solves J(x) x_new = b + g(x) with J = B + diag(s'(x)) and
     stops once ||x_new - x|| <= tol * max(||x_new||, po2_half). The sink
@@ -240,9 +258,17 @@ def solve_oxygen(
     The linear solver is built once from B: the sink acts on cell rows
     only, so each step changes nothing but the cell diagonal, and GMRES
     may start from the iterate x, whose residual for the step is F(x).
+    GMRES stops at the Eisenstat-Walker forcing term (0 when the problem
+    is linear). The Armijo test stays on the unscaled ||F||, relaxed by
+    (1 - eta). Two safeguards keep the loose steps honest: a loose step
+    that fails that test at t = 1 is redone from the same x with eta = 0
+    rather than backtracked along, and a loose step that meets the update
+    test but not the row-scaled gate is followed by one with eta = 0.
     """
     if tol <= 0.0:
         raise ValidationError("tolerance must be positive")
+    if max_iter < 1:
+        raise ValidationError("at least one Newton iteration is needed")
     base, b, k = operator.base, operator.rhs, params.po2_half
     x = np.zeros(len(b)) if initial_guess is None else np.array(initial_guess, float)
     pinned = [operator.node_index[nid] for nid in operator.dirichlet]
@@ -250,42 +276,59 @@ def solve_oxygen(
     m0, cells = params.max_consumption, operator.grid.n_cells
     rate = np.zeros(len(b))
     rate[:cells] = operator.grid.cell_volume * m0
+
+    def merit(x):
+        sink = _sink(rate, k, x)
+        return norm(base @ x + sink[0] - b), sink
+
     linear = m0 == 0.0
-    s, d, g = _sink(rate, k, x)
-    f_norm = norm(base @ x + s - b)
+    f_norm, (s, d, g) = merit(x)
+    phi = norm(scaled_residuals(base, x, b, s))
+    forcing = 0.0 if linear else FORCING_MAX
     solver = LinearSolver(base, operator.grid.cells_per_axis)
     history: list[float] = []
     linear_iterations = 0
     for iterations in range(1, max_iter + 1):
-        x_new, steps = solver.solve(b + g, d[:cells], guess=x)
-        linear_iterations += steps
-        x_new[pinned] = b[pinned]  # rounding must not move pinned values
-        step = x_new - x
-        converged = linear or norm(step) <= tol * max(norm(x_new), k)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):  # backtrack on ||F|| (Armijo)
-            s, d, g = _sink(rate, k, x_new)
-            f_new = norm(base @ x_new + s - b)
-            if converged or f_new <= (1.0 - _ARMIJO * t) * f_norm:
+        for forcing in (forcing, 0.0):  # the second pass redoes a loose step tight
+            x_new, steps = solver.solve(b + g, d[:cells], guess=x, forcing=forcing)
+            linear_iterations += steps
+            x_new[pinned] = b[pinned]  # rounding must not move pinned values
+            step = x_new - x
+            converged = linear or norm(step) <= tol * max(norm(x_new), k)
+            f_new, sink = merit(x_new)
+            if converged or forcing == 0.0 or _decreases(f_new, f_norm, 1.0, forcing):
                 break
+        t, halvings = 1.0, 0
+        while not (converged or _decreases(f_new, f_norm, t, forcing)):  # Armijo
+            halvings += 1
+            if halvings == _MAX_HALVINGS:
+                raise ConvergenceError(
+                    f"Newton step {iterations} found no decrease of ||F||", history
+                )
             t *= 0.5
             x_new = x + t * step
-        else:
-            raise ConvergenceError(
-                f"Newton step {iterations} found no decrease of ||F||", history
-            )
-        f_norm = f_new
+            f_new, sink = merit(x_new)
         history.append(norm(x_new - x) / max(norm(x_new), k))
-        x = x_new
-        if converged:
+        x, f_norm, (s, d, g) = x_new, f_new, sink
+        rows = scaled_residuals(base, x, b, s)
+        residual = float(np.max(rows))
+        if converged and (forcing == 0.0 or residual <= RESIDUAL_TOL):
             break
+        phi_new = norm(rows)
+        if converged:  # a loose step met the update test short of the gate
+            forcing = 0.0
+        else:
+            floor = FORCING_GAMMA * forcing**2
+            forcing = min(FORCING_MAX, FORCING_GAMMA * (phi_new / phi) ** 2)
+            if floor > FORCING_SAFEGUARD:
+                forcing = max(forcing, floor)
+        phi = phi_new
     else:
         raise ConvergenceError(
             f"Newton did not converge in {max_iter} iterations "
             f"(last update {history[-1]:.3e})",
             history,
         )
-    residual = scaled_residual(base, x, b, s)
     if not residual <= RESIDUAL_TOL:
         raise ConvergenceError(
             f"row-scaled oxygen residual {residual:.3e} above {RESIDUAL_TOL:.0e}",

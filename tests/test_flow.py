@@ -18,6 +18,7 @@ from microvasc import (
 from microvasc import flow as flow_module
 from microvasc.errors import SolverError, ValidationError
 from microvasc.flow import RESIDUAL_TOL, face_velocities, scaled_residual
+from microvasc.linsolve import RESTART
 from microvasc.rheology import segment_viscosity, vessel_conductance
 
 from conftest import UM, make_desk_network, make_single_vessel, make_y_junction
@@ -162,6 +163,11 @@ class TestCoupledFlow:
         inflow = sum(state.boundary_flux.values())
         scale = sum(abs(v) for v in state.boundary_flux.values())
         assert abs(inflow) <= 1e-8 * scale
+
+    def test_linear_work_reported(self, desk_grid):
+        state = solve(make_desk_network(), grid=desk_grid, params=FlowParameters())
+        # one GMRES cycle's worth at most, as on every tier-1 input
+        assert 1 <= state.linear_iterations <= RESTART
 
     def test_filtration_bookkeeping_consistent(self, desk_grid):
         net = make_desk_network()

@@ -4,7 +4,8 @@ The oracle is scipy's `spsolve`, kept here only. Every case must agree
 with it to 1e-12 (max-norm, relative), pass the row-scaled residual at
 1e-12 and need no more than one GMRES(60) cycle, also when one solver is
 reused for several cell diagonals. A hierarchy given a diagonal must match
-one rebuilt from scratch.
+one rebuilt from scratch. A solve given a forcing term stops once it has
+reduced the row-scaled residual by that factor, in fewer iterations.
 """
 
 import numpy as np
@@ -26,7 +27,14 @@ from microvasc import (
     solve_flow,
 )
 from microvasc.flow import edge_laplacian
-from microvasc.linsolve import RESTART, LinearSolver, VCycle, _aggregate, scaled_residual
+from microvasc.linsolve import (
+    RESTART,
+    LinearSolver,
+    VCycle,
+    _aggregate,
+    scaled_residual,
+    scaled_residuals,
+)
 from microvasc.oxygen import _sink
 
 from conftest import UM, make_desk_network, make_jittered_lattice, make_y_junction
@@ -127,6 +135,33 @@ def test_exact_guess_needs_no_iterations(case):
     x, iterations = LinearSolver(matrix, shape).solve(rhs, guess=exact)
     assert iterations == 0
     assert np.max(np.abs(x - exact)) <= AGREEMENT * np.max(np.abs(exact))
+
+
+def scaled_norm(matrix, x, rhs):
+    """2-norm of the row-scaled residuals, the measure GMRES stops on."""
+    return np.linalg.norm(scaled_residuals(matrix, x, rhs))
+
+
+@pytest.mark.parametrize("case", ["desk_20", "lattice"])
+def test_forcing_stops_at_the_relative_target(case):
+    matrix, rhs, shape = CASES[case]()
+    solver = LinearSolver(matrix, shape)
+    start = solver._settle(solver._precondition(rhs), rhs)  # the start without a guess
+    tight, tight_iterations = solver.solve(rhs)
+    loose, loose_iterations = solver.solve(rhs, forcing=0.1)
+    assert scaled_norm(matrix, loose, rhs) <= 0.1 * scaled_norm(matrix, start, rhs)
+    assert 0 < loose_iterations < tight_iterations
+    assert scaled_norm(matrix, tight, rhs) <= scaled_norm(matrix, loose, rhs)
+
+
+@pytest.mark.parametrize("case", ["desk_20", "oxygen_at_38"])
+def test_zero_forcing_is_the_default(case):
+    matrix, rhs, shape = CASES[case]()
+    solver = LinearSolver(matrix, shape)
+    default, default_iterations = solver.solve(rhs)
+    forced, forced_iterations = solver.solve(rhs, forcing=0.0)
+    assert np.array_equal(default, forced)
+    assert default_iterations == forced_iterations
 
 
 def test_zero_right_hand_side_gives_zero_from_any_guess():

@@ -182,8 +182,9 @@ class TestCoupledOxygen:
         state = solve_oxygen(operator, params)
         assert state.iterations == 5
         # GMRES iterations over all Newton steps; each step reuses one
-        # solver and starts from the Newton iterate where that is better
-        assert 0 < state.linear_iterations <= 80
+        # solver, starts from the Newton iterate where that is better and
+        # stops at its Eisenstat-Walker forcing term
+        assert 0 < state.linear_iterations <= 35
 
     def test_perturbed_newton_solution_fails_residual_gate(self, desk_grid, monkeypatch):
         params = OxygenParameters()
@@ -200,6 +201,46 @@ class TestCoupledOxygen:
         with pytest.raises(ConvergenceError, match="row-scaled") as failure:
             solve_oxygen(operator, params)
         assert failure.value.history
+
+    def test_non_descent_loose_step_is_redone_tight(self, desk_grid, monkeypatch):
+        params = OxygenParameters()
+        operator, _ = desk_operator(make_desk_network(), desk_grid, params)
+        solve = oxygen_module.LinearSolver.solve
+        forcings = []
+
+        def reversed_once(self, rhs, cell_diagonal=None, guess=None, forcing=0.0):
+            x, iterations = solve(self, rhs, cell_diagonal, guess, forcing)
+            forcings.append(forcing)
+            if len(forcings) == 1:
+                x = 2.0 * guess - x  # the step turned round: ||F|| grows along it
+            return x, iterations
+
+        monkeypatch.setattr(oxygen_module.LinearSolver, "solve", reversed_once)
+        state = solve_oxygen(operator, params)
+        assert forcings[0] > 0.0 and forcings[1] == 0.0
+        assert len(forcings) == state.iterations + 1  # one step solved twice
+        assert oxygen_residual(operator, state, params) <= RESIDUAL_TOL
+
+    def test_loose_step_short_of_the_gate_is_followed_by_a_tight_one(
+        self, desk_grid, monkeypatch
+    ):
+        params = OxygenParameters()
+        operator, _ = desk_operator(make_desk_network(), desk_grid, params)
+        solve = oxygen_module.LinearSolver.solve
+        forcings = []
+
+        def recorded(self, *args, **kwargs):
+            forcings.append(kwargs["forcing"])
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(oxygen_module.LinearSolver, "solve", recorded)
+        # a loose update test is met by the loose fourth step, whose
+        # row-scaled residual is still above the gate
+        tol = 1e-3
+        state = solve_oxygen(operator, params, tol=tol)
+        assert state.history[-2] <= tol and forcings[-2] > 0.0
+        assert forcings[-1] == 0.0 and len(forcings) == state.iterations
+        assert oxygen_residual(operator, state, params) <= RESIDUAL_TOL
 
     def test_zero_solution_reached(self, desk_grid):
         # No Dirichlet rows and no source: the root is PO2 = 0 everywhere,
@@ -265,6 +306,8 @@ class TestCoupledOxygen:
         )
         with pytest.raises(ValidationError):
             solve_oxygen(operator, OxygenParameters(), tol=-1.0)
+        with pytest.raises(ValidationError):
+            solve_oxygen(operator, OxygenParameters(), max_iter=0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValidationError):

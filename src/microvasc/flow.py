@@ -11,8 +11,9 @@ of the exchange come from the same product, so total filtration agrees
 between them to rounding.
 
 The module also holds the assembly pieces oxygen transport shares: the
-Laplacian over an edge list (tissue faces, vessel segments) and the
-Dirichlet-row helper.
+grid's face Laplacian scaled into the cell block of the coupled system
+(built once per grid, see `TissueGrid.laplacian`) and the Dirichlet-row
+helper.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import SolverError, ValidationError
-from .grid import SurfaceCoupling, TissueGrid
+from .grid import SurfaceCoupling, TissueGrid, edge_laplacian
 from .linsolve import LinearSolver, scaled_residual
 from .network import VascularNetwork
 from .rheology import RheologyParameters, segment_viscosity, vessel_conductance
@@ -96,12 +97,16 @@ class FlowSystem:
         return self.grid.n_cells + len(self.node_order)
 
 
-def edge_laplacian(lo, hi, weight, n: int) -> sp.csr_matrix:
-    """n x n sum over edges of weight * (e_lo - e_hi)(e_lo - e_hi)^T."""
-    rows = np.concatenate([lo, lo, hi, hi])
-    cols = np.concatenate([lo, hi, hi, lo])
-    vals = np.concatenate([weight, -weight, weight, -weight])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+def tissue_laplacian(grid: TissueGrid, coefficient: float, n: int) -> sp.csr_matrix:
+    """coefficient * the grid's face Laplacian, as the cell block of an
+    n x n system over (cells, nodes)."""
+    laplacian = grid.laplacian
+    indptr = np.concatenate(
+        [laplacian.indptr, np.full(n - grid.n_cells, laplacian.nnz, laplacian.indptr.dtype)]
+    )
+    return sp.csr_matrix(
+        (coefficient * laplacian.data, laplacian.indices, indptr), shape=(n, n)
+    )
 
 
 def pin_rows(matrix, rhs, values: dict[int, float]):
@@ -138,9 +143,8 @@ def assemble_flow_system(
     mu = [segment_viscosity(r, rheology) for r in radius]
     g = [vessel_conductance(r, l, m) for r, l, m in zip(radius, length, mu)]
     sys.conductance = dict(zip(table.ids, g))
-    lo, hi, area, h = grid.faces()
     mobility = params.tissue_permeability / params.interstitial_viscosity
-    matrix = edge_laplacian(lo, hi, mobility * area / h, n)
+    matrix = tissue_laplacian(grid, mobility, n)
     matrix += edge_laplacian(table.a, table.b, np.array(g), n)
 
     rhs = np.zeros(n)
@@ -185,7 +189,7 @@ def _check_solvability(coupling, dirichlet, params):
 def solve_flow(system: FlowSystem) -> FlowState:
     grid, params, coupling = system.grid, system.params, system.coupling
     table, n, n_all = coupling.segments, grid.n_cells, system.n_unknowns
-    x, linear_iterations = LinearSolver(system.matrix, grid.cells_per_axis).solve(system.rhs)
+    x, linear_iterations = LinearSolver(system.matrix, grid).solve(system.rhs)
     pinned = [system.node_index[nid] for nid in system.dirichlet]
     x[pinned] = system.rhs[pinned]  # rounding must not move pinned values
     residual = scaled_residual(system.matrix, x, system.rhs)

@@ -1,5 +1,12 @@
 """Uniform hexahedral tissue mesh and the discretized 3D-1D exchange operator.
 
+A `TissueGrid` builds what depends on it alone once, on first use, and
+keeps it for every solve on it (flow, oxygen, each Newton step, each
+growth state): its interior faces, the face Laplacian with unit
+coefficient, whose sparsity every tissue block shares, and the linear
+solver's `MultigridPlan`. They are kept on the instance, not in the
+module, so a new grid starts afresh.
+
 The Dirac surface measure concentrated on the vessel walls is discretised
 by equal-area point sampling of each cylinder's lateral surface on an
 (arc length, angle) lattice; each sample carries area 2*pi*R*l/(n_ax*n_ang)
@@ -18,16 +25,21 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
+from .linsolve import MultigridPlan
 from .network import DomainBox, VascularNetwork
 
 
 class TissueGrid:
-    """Cell-centered uniform grid tiling a box; linear index i + nx*(j + ny*k)."""
+    """Cell-centered uniform grid tiling a box; linear index i + nx*(j + ny*k).
+
+    `faces()`, `laplacian` and `multigrid` are built on first use and kept.
+    """
 
     def __init__(self, box: DomainBox, cells_per_axis):
         counts = tuple(int(c) for c in cells_per_axis)
@@ -79,9 +91,13 @@ class TissueGrid:
         return np.column_stack([I.ravel(), J.ravel(), K.ravel()])
 
     def faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Interior faces as flat arrays (lo cell, hi cell, face area, cell
-        spacing across the face): x faces, then y, then z, each in the
-        order of np.diff along that axis of the [z, y, x] cell array."""
+        """Interior faces as flat read-only arrays (lo cell, hi cell, face
+        area, cell spacing across the face): x faces, then y, then z, each in
+        the order of np.diff along that axis of the [z, y, x] cell array."""
+        return self._faces
+
+    @cached_property
+    def _faces(self):
         nx, ny, nz = self.cells_per_axis
         dx, dy, dz = self.spacing
         idx = np.arange(self.n_cells).reshape((nz, ny, nx))
@@ -90,7 +106,37 @@ class TissueGrid:
             lo = np.take(idx, range(idx.shape[axis] - 1), axis=axis).ravel()
             hi = np.take(idx, range(1, idx.shape[axis]), axis=axis).ravel()
             parts.append((lo, hi, np.full(lo.size, area), np.full(lo.size, h)))
-        return tuple(np.concatenate(column) for column in zip(*parts))
+        return tuple(_read_only(np.concatenate(column)) for column in zip(*parts))
+
+    @cached_property
+    def laplacian(self) -> sp.csr_matrix:
+        """Face Laplacian with unit coefficient, weight area/h per face, over
+        the cells; read-only. Its sparsity, the face stencil plus the
+        diagonal, is that of the tissue block of every coupled system."""
+        lo, hi, area, h = self.faces()
+        matrix = edge_laplacian(lo, hi, area / h, self.n_cells)
+        for array in (matrix.data, matrix.indices, matrix.indptr):
+            _read_only(array)
+        return matrix
+
+    @cached_property
+    def multigrid(self) -> MultigridPlan:
+        """The V-cycle's aggregation, level patterns, Galerkin maps and
+        coarsest ordering for this grid, shared by every solve on it."""
+        return MultigridPlan(self.cells_per_axis, self.laplacian)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+def edge_laplacian(lo, hi, weight, n: int) -> sp.csr_matrix:
+    """n x n sum over edges of weight * (e_lo - e_hi)(e_lo - e_hi)^T."""
+    rows = np.concatenate([lo, lo, hi, hi])
+    cols = np.concatenate([lo, hi, hi, lo])
+    vals = np.concatenate([weight, -weight, weight, -weight])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
 
 
 def build_grid(box: DomainBox, cells_per_axis) -> TissueGrid:

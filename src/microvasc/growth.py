@@ -916,6 +916,12 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
             p_out = net.nodes[outside].position
             t = _box_exit_parameter(p_in, p_out, box)
             cut = p_in + t * (p_out - p_in)
+            # onto the face, where rounding may leave the cut just outside;
+            # p_in lies outside only where an earlier cut node took the id of
+            # a dropped node, a defect whose fix changes the recorded growth
+            # answers (ROADMAP)
+            if box.contains(p_in):
+                cut = np.clip(cut, box.lower, box.upper)
             donor = net.nodes[inside] if t < 0.5 else net.nodes[outside]
             cut_node = out.new_node(
                 cut,

@@ -12,16 +12,25 @@ block applied to r_t - A_tv x_v.
 The V-cycle aggregates 2x2x2 cells per coarse cell (ceil(n/2) coarse cells
 on an odd axis), takes Galerkin coarse operators P^T A P, smooths with
 damped Jacobi, over-corrects the coarse-grid correction as in Notay, "An
-aggregation-based algebraic multigrid method", ETNA 37 (2010), and factors
-the first level small enough exactly. See Briggs, Henson & McCormick, "A
-Multigrid Tutorial", 2nd ed. (SIAM, 2000).
+aggregation-based algebraic multigrid method", ETNA 37 (2010), and solves
+the first level small enough exactly, by an LU in nested-dissection order
+(George, SIAM J. Numer. Anal. 10, 1973). See Briggs, Henson & McCormick,
+"A Multigrid Tutorial", 2nd ed. (SIAM, 2000).
 
-Built once per solver: the node-block LU, the off-diagonal blocks, the
-aggregation maps and the Galerkin levels of the tissue block. A solve with
-a cell diagonal d adds it in place: d on the finest level and
-bincount(aggregate, d) on each coarser one, exact because
-P^T (A + D) P = P^T A P + diag(P^T D P) when P has one 1 per row; then
-only the Jacobi weights and the coarsest LU are redone.
+What is fixed by the grid is built once per grid, as its `MultigridPlan`
+(`TissueGrid.multigrid`): the aggregation maps, every level's sparsity,
+the index map sending each fine nonzero to its coarse one, and the
+dissection order of the coarsest level. Every tissue block is on the
+grid's face stencil plus the diagonal, so with P one 1 per row a coarse
+level's data is bincount(map, fine data): exact Galerkin, only summed in
+another order. A block off that sparsity raises SolverError.
+
+Built once per solver: the node-block LU, the off-diagonal blocks and the
+values of every level. A solve with a cell diagonal d adds it in place: d
+on the finest level and bincount(aggregate, d) on each coarser one, exact
+because P^T (A + D) P = P^T A P + diag(P^T D P) when P has one 1 per row;
+then only the Jacobi weights are redone, and the coarsest level is
+refactored when a V-cycle next reaches it.
 
 GMRES stops on the row-scaled residual the callers gate on
 (`scaled_residual`): each cycle runs on the system whose rows are divided
@@ -39,10 +48,14 @@ eta = 0; an oxygen Newton solve sets eta per step.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
+
+from .errors import SolverError
 
 RESTART = 60  # GMRES(60): Krylov vectors per cycle
 MAX_CYCLES = 10
@@ -86,42 +99,143 @@ def _aggregate(shape):
     return (i + coarse[0] * (j + coarse[1] * k)).ravel(), coarse
 
 
-class VCycle:
-    """Aggregation V-cycle for the tissue block of a grid of `shape` cells,
-    with the Galerkin levels built once and a cell diagonal set by `shift`."""
+def _dissection(shape):
+    """Nested-dissection order of a box of cells in linear order
+    i + nx*(j + ny*k): the middle plane across the longest axis goes last,
+    after the two halves on either side, each ordered the same way (George,
+    SIAM J. Numer. Anal. 10, 1973)."""
 
-    def __init__(self, matrix, shape):
-        matrix = sp.csr_matrix(matrix, copy=True)  # `shift` writes its diagonal
-        cells = matrix.shape[0]
-        self.levels = []  # (matrix, diagonal as built, coarse cell of each cell)
-        while matrix.shape[0] > COARSEST_CELLS:
-            aggregate, shape = _aggregate(shape)
-            n_fine, n_coarse = aggregate.size, int(np.prod(shape))
-            prolong = sp.csr_matrix(
-                (np.ones(n_fine), (np.arange(n_fine), aggregate)), shape=(n_fine, n_coarse)
+    def order(block):  # cell indices, axes [z, y, x]
+        axis = int(np.argmax(block.shape))
+        if block.shape[axis] < 3:
+            return block.ravel()
+        mid = block.shape[axis] // 2
+        lower, plane, upper = np.split(block, [mid, mid + 1], axis=axis)
+        return np.concatenate([order(lower), order(upper), plane.ravel()])
+
+    nx, ny, nz = shape
+    return order(np.arange(nx * ny * nz).reshape(nz, ny, nx))
+
+
+def _galerkin(rows, cols, n):
+    """CSR pattern (indptr, indices) of the n x n matrix that sums each
+    nonzero k of a fine one into entry (rows[k], cols[k]), and the position
+    of that entry in the pattern for every k."""
+    key = rows.astype(np.int64) * n + cols
+    unique, position = np.unique(key, return_inverse=True)
+    indptr = np.zeros(n + 1, np.int32)
+    np.cumsum(np.bincount(unique // n, minlength=n), out=indptr[1:])
+    return indptr, (unique % n).astype(np.int32), position
+
+
+@dataclass(frozen=True)
+class Level:
+    """The sparsity of one level's operator and its map to the next.
+
+    `aggregate` is the next level's cell of each cell and `galerkin` the
+    next level's nonzero of each nonzero, so P^T A P has the data
+    bincount(galerkin, A.data). For the coarsest level the "next" one is
+    the same operator in dissection order, as a CSC pattern: `aggregate`
+    is then each cell's place in that order.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    diagonal: np.ndarray  # position of each row's diagonal entry in the data
+    aggregate: np.ndarray
+    galerkin: np.ndarray
+
+    def matrix(self, data) -> sp.csr_matrix:
+        n = self.indptr.size - 1
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def restrict(self, data) -> np.ndarray:
+        """The next level's data from this level's."""
+        return np.bincount(self.galerkin, data)
+
+
+class MultigridPlan:
+    """What a V-cycle needs of a grid and does not depend on the values:
+    the aggregation, every level's pattern and Galerkin map, and the
+    nested-dissection order of the coarsest level.
+
+    Built from the shape and the sparsity of the grid's tissue operators
+    (the face stencil plus the diagonal), once per grid: see
+    `TissueGrid.multigrid`.
+    """
+
+    def __init__(self, shape, pattern):
+        indptr, indices = pattern.indptr, pattern.indices
+        n = int(np.prod(shape))
+        self.levels = []  # the smoothed levels, then the coarsest
+        coarsest = False
+        while not coarsest:
+            coarsest = n <= COARSEST_CELLS
+            rows = np.repeat(np.arange(n), np.diff(indptr))
+            if coarsest:  # P permutes to dissection order; coarse pattern is CSC
+                aggregate = np.empty(n, np.intp)
+                aggregate[_dissection(shape)] = np.arange(n)
+                *coarse, galerkin = _galerkin(aggregate[indices], aggregate[rows], n)
+            else:
+                aggregate, shape = _aggregate(shape)
+                n = int(np.prod(shape))
+                *coarse, galerkin = _galerkin(aggregate[rows], aggregate[indices], n)
+            diagonal = np.flatnonzero(indices == rows)
+            self.levels.append(Level(indptr, indices, diagonal, aggregate, galerkin))
+            indptr, indices = coarse
+        self.dissection = (indptr, indices)  # CSC of the coarsest, reordered
+
+    def data(self, matrix) -> np.ndarray:
+        """A copy of the data of `matrix`, a tissue block, on the finest
+        level's pattern; SolverError when its sparsity is not the grid's."""
+        matrix = sp.csr_matrix(matrix, copy=True)
+        matrix.sum_duplicates()  # sorted indices, as the plan's
+        fine = self.levels[0]
+        if not (
+            np.array_equal(matrix.indptr, fine.indptr)
+            and np.array_equal(matrix.indices, fine.indices)
+        ):
+            raise SolverError(
+                "tissue block is not on the grid's face stencil plus diagonal"
             )
-            self.levels.append((matrix, matrix.diagonal(), aggregate))
-            matrix = (prolong.T @ matrix @ prolong).tocsr()
-        self.bottom = (matrix, matrix.diagonal())  # factored as `coarsest`
-        self.shift(np.zeros(cells))
+        return matrix.data
+
+
+class VCycle:
+    """Aggregation V-cycle for the tissue block of `grid`'s cells: the
+    grid's `MultigridPlan` filled with the block's values, and a cell
+    diagonal set by `shift`. The coarsest level is factored when a cycle
+    first reaches it after construction or a shift."""
+
+    def __init__(self, matrix, grid):
+        self.plan = plan = grid.multigrid
+        data = plan.data(matrix)  # `shift` writes its diagonal
+        self.levels = []  # (matrix, diagonal as built, coarse cell of each cell)
+        for level in plan.levels[:-1]:
+            self.levels.append((level.matrix(data), data[level.diagonal], level.aggregate))
+            data = level.restrict(data)
+        bottom = plan.levels[-1]
+        self.bottom = (bottom.matrix(data), data[bottom.diagonal])
+        self.shift(np.zeros(plan.levels[0].diagonal.size))
 
     def shift(self, d):
         """Make this, in place, the V-cycle of the tissue block plus diag(d):
         d on the finest level and diag(P^T D P) = bincount(aggregate, d) on
-        each coarser one; refreshes the Jacobi weights and the coarsest LU."""
+        each coarser one; refreshes the Jacobi weights and drops the
+        coarsest LU."""
         self.weights = []
-        for matrix, diagonal, aggregate in self.levels:
+        for (matrix, diagonal, aggregate), level in zip(self.levels, self.plan.levels):
             shifted = diagonal + d
-            matrix.setdiag(shifted)
+            matrix.data[level.diagonal] = shifted
             self.weights.append(JACOBI_WEIGHT / shifted)
             d = np.bincount(aggregate, d)
         matrix, diagonal = self.bottom
-        matrix.setdiag(diagonal + d)
-        self.coarsest = spla.splu(matrix.tocsc())
+        matrix.data[self.plan.levels[-1].diagonal] = diagonal + d
+        self.coarsest = None
 
     def __call__(self, r, depth=0):
         if depth == len(self.levels):
-            return self.coarsest.solve(r)
+            return self._solve_coarsest(r)
         matrix, _, aggregate = self.levels[depth]
         weight = self.weights[depth]
         x = weight * r
@@ -133,26 +247,43 @@ class VCycle:
             x += weight * (r - matrix @ x)
         return x
 
+    def _solve_coarsest(self, r):
+        """The coarsest level solved exactly in dissection order, factored
+        (with that order kept) on first use."""
+        level = self.plan.levels[-1]
+        rank = level.aggregate
+        if self.coarsest is None:
+            indptr, indices = self.plan.dissection
+            ordered = sp.csc_matrix(
+                (level.restrict(self.bottom[0].data), indices, indptr), shape=(rank.size,) * 2
+            )
+            self.coarsest = spla.splu(ordered, permc_spec="NATURAL")
+        return self.coarsest.solve(np.bincount(rank, r))[rank]
+
 
 class LinearSolver:
     """Solver for (A + diag(d, 0)) x = b, A a coupled system over the cells
-    of a grid with `shape` cells per axis followed by the network nodes,
-    and d a diagonal on the cell rows given per solve.
+    of `grid` followed by the network nodes, and d a diagonal on the cell
+    rows given per solve.
 
     The preconditioner M is x_v = A_vv^-1 r_v exactly, then
     x_t = V-cycle(r_t - A_tv x_v); neither the node block nor the
     off-diagonal blocks see d.
     """
 
-    def __init__(self, matrix, shape):
+    def __init__(self, matrix, grid):
         self.matrix = matrix = sp.csr_matrix(matrix, copy=True)  # `solve` writes its diagonal
-        self.diagonal = matrix.diagonal()
-        self.magnitude = abs(matrix)
-        self.cells = cells = int(np.prod(shape))
+        matrix.sum_duplicates()
+        self.cells = cells = grid.n_cells
+        self.vcycle = VCycle(matrix[:cells, :cells], grid)
+        self.magnitude = abs(matrix)  # same pattern as the matrix
+        end = matrix.indptr[cells]
+        rows = np.repeat(np.arange(cells), np.diff(matrix.indptr[: cells + 1]))
+        self.cell_diagonal_at = np.flatnonzero(matrix.indices[:end] == rows)
+        self.cell_diagonal = matrix.data[self.cell_diagonal_at]
         self.tissue_nodes = matrix[:cells, cells:]
         self.nodes_tissue = matrix[cells:, :cells]
         self.nodes = spla.splu(matrix[cells:, cells:].tocsc())
-        self.vcycle = VCycle(matrix[:cells, :cells], shape)
         self.shifted = False
 
     def solve(self, rhs, cell_diagonal=None, guess=None, forcing=0.0) -> tuple[np.ndarray, int]:
@@ -170,10 +301,9 @@ class LinearSolver:
         if cell_diagonal is None and self.shifted:
             cell_diagonal = np.zeros(self.cells)  # back to A itself
         if cell_diagonal is not None:
-            diagonal = self.diagonal.copy()
-            diagonal[: self.cells] += cell_diagonal
-            self.matrix.setdiag(diagonal)
-            self.magnitude.setdiag(np.abs(diagonal))
+            diagonal = self.cell_diagonal + cell_diagonal
+            self.matrix.data[self.cell_diagonal_at] = diagonal
+            self.magnitude.data[self.cell_diagonal_at] = np.abs(diagonal)
             self.vcycle.shift(cell_diagonal)
             self.shifted = bool(np.any(cell_diagonal))
         starts = [self._precondition(rhs)]

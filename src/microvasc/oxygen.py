@@ -1,12 +1,13 @@
 """Coupled stationary oxygen transport with Kedem-Katchalsky wall flux and
 Michaelis-Menten tissue consumption, solved by an inexact Newton method.
 One `linsolve.LinearSolver`, the multigrid-preconditioned GMRES the flow
-solve uses too, is built per `solve_oxygen` from the affine operator; each
-Newton step adds only its sink derivative on the cell diagonal, starts
-GMRES from the Newton iterate when that is the better start, and stops it
-at the Eisenstat-Walker forcing term (Eisenstat & Walker, SIAM J. Sci.
-Comput. 17, 1996; Knoll & Keyes, J. Comput. Phys. 193, 2004), so the early
-steps are solved loosely and the last ones tightly.
+solve uses too, is built per `solve_oxygen` from the affine operator, on
+the multigrid plan its grid keeps for every solve; each Newton step adds
+only its sink derivative on the cell diagonal, starts GMRES from the
+Newton iterate when that is the better start, and stops it at the
+Eisenstat-Walker forcing term (Eisenstat & Walker, SIAM J. Sci. Comput.
+17, 1996; Knoll & Keyes, J. Comput. Phys. 193, 2004), so the early steps
+are solved loosely and the last ones tightly.
 
 Partial pressures stay in mmHg; every transport coefficient multiplying
 them is in SI, so both compartment balances carry units of mmHg*m^3/s.
@@ -14,9 +15,10 @@ The 1D advective-diffusive flux carries the cross-section factor pi*R^2,
 which makes the 1D volumetric flow identical to the flow solver's and the
 junction balance conservative. The wall exchange is built from the same
 surface-coupling operators as the flow's (see `grid.SurfaceCoupling`), on
-the same node index, face list and Dirichlet-row helper. The oxygen
-boundary data, the PO2 of each arterial and venous pressure-boundary node,
-comes from the run's `OxygenParameters` through `classify_arterial_venous`.
+the same node index, face list, face Laplacian and Dirichlet-row helper.
+The oxygen boundary data, the PO2 of each arterial and venous
+pressure-boundary node, comes from the run's `OxygenParameters` through
+`classify_arterial_venous`.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from .flow import (
     RESIDUAL_TOL,
     FlowParameters,
     FlowState,
-    edge_laplacian,
     face_velocities,
     pin_rows,
     starling_flux,
+    tissue_laplacian,
 )
-from .grid import SurfaceCoupling, TissueGrid
+from .grid import SurfaceCoupling, TissueGrid, edge_laplacian
 from .linsolve import LinearSolver, scaled_residuals
 from .network import VascularNetwork
 
@@ -174,7 +176,7 @@ def assemble_transport_operator(
 
     # upwinded convection: volumetric flow v out of lo into hi (tissue faces)
     # and q out of node_a into node_b (vessels), carrying po2 of the upwind end
-    lo, hi, area, h = grid.faces()
+    lo, hi, area, _ = grid.faces()
     v = np.concatenate([f.ravel() for f in face_velocities(grid, flow.p_t, flow_params)])
     v *= area
     cross = np.pi * table.radius**2
@@ -197,7 +199,7 @@ def assemble_transport_operator(
     )
 
     matrix = (
-        edge_laplacian(lo, hi, params.diffusion_tissue * area / h, n)
+        tissue_laplacian(grid, params.diffusion_tissue, n)
         + edge_laplacian(table.a, table.b, params.diffusion_vessel * cross / table.length, n)
         + convection
         + exchange
@@ -285,7 +287,7 @@ def solve_oxygen(
     f_norm, (s, d, g) = merit(x)
     phi = norm(scaled_residuals(base, x, b, s))
     forcing = 0.0 if linear else FORCING_MAX
-    solver = LinearSolver(base, operator.grid.cells_per_axis)
+    solver = LinearSolver(base, operator.grid)
     history: list[float] = []
     linear_iterations = 0
     for iterations in range(1, max_iter + 1):

@@ -660,6 +660,18 @@ class TestClipToBox:
         cut = [n for n in out.nodes.values() if n.id != 0][0]
         assert cut.position[0] == pytest.approx(1e-3, rel=1e-12)
 
+    def test_cut_that_rounds_outside_lands_on_the_face(self):
+        # p_in + t (p_out - p_in) gives z = -3.4e-21 here
+        box = DomainBox([0.0, 0.0, 0.0], [0.5e-3, 0.5e-3, 0.5e-3])
+        net = VascularNetwork()
+        net.new_node([0.00033584686718037227, 0.00018550137534781842, 2.301873567573609e-05])
+        net.new_node([0.00023155655328082166, 0.00015838282393266994, -0.0001325250586824877])
+        net.new_segment(0, 1, 5 * UM)
+        out = clip_to_box(net, box)
+        cut = out.nodes[1].position
+        assert cut[2] == 0.0
+        assert all(box.contains(node.position) for node in out.nodes.values())
+
     def test_outside_segment_dropped(self):
         box = DomainBox([0.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3])
         net = VascularNetwork()

@@ -6,6 +6,11 @@ with it to 1e-12 (max-norm, relative), pass the row-scaled residual at
 reused for several cell diagonals. A hierarchy given a diagonal must match
 one rebuilt from scratch. A solve given a forcing term stops once it has
 reduced the row-scaled residual by that factor, in fewer iterations.
+
+The grid's multigrid plan is checked against scipy's Galerkin product
+P^T A P, also kept here only, and its dissection-ordered coarsest solve
+against scipy's default-ordered `splu`. One plan serves every solve on a
+grid, and the coarsest level is factored only when a V-cycle reaches it.
 """
 
 import numpy as np
@@ -16,6 +21,8 @@ import scipy.sparse.linalg as spla
 from microvasc import (
     DomainBox,
     FlowParameters,
+    GrowthEngine,
+    GrowthParameters,
     OxygenParameters,
     RheologyParameters,
     assemble_flow_system,
@@ -26,18 +33,28 @@ from microvasc import (
     enlarge_domain,
     solve_flow,
 )
+from microvasc import grid as grid_module
+from microvasc import linsolve
+from microvasc.errors import SolverError
 from microvasc.flow import edge_laplacian
 from microvasc.linsolve import (
     RESTART,
     LinearSolver,
     VCycle,
     _aggregate,
+    _dissection,
     scaled_residual,
     scaled_residuals,
 )
 from microvasc.oxygen import _sink
 
-from conftest import UM, make_desk_network, make_jittered_lattice, make_y_junction
+from conftest import (
+    UM,
+    make_desk_network,
+    make_jittered_lattice,
+    make_starter_network,
+    make_y_junction,
+)
 
 AGREEMENT = 1e-12
 CUBE = DomainBox([0.0, 0.0, 0.0], [1.0e-3, 1.0e-3, 1.0e-3])
@@ -68,13 +85,13 @@ def newton_system(po2):
     rate = np.zeros(operator.rhs.size)
     rate[: grid.n_cells] = grid.cell_volume * params.max_consumption
     _, d, g = _sink(rate, params.po2_half, np.full(operator.rhs.size, po2))
-    return operator.base, d, operator.rhs + g, grid.cells_per_axis
+    return operator.base, d, operator.rhs + g, grid
 
 
 def jacobian_case(po2):
     def build():
-        base, d, rhs, shape = newton_system(po2)
-        return base + sp.diags(d), rhs, shape
+        base, d, rhs, grid = newton_system(po2)
+        return base + sp.diags(d), rhs, grid
 
     return build
 
@@ -82,7 +99,7 @@ def jacobian_case(po2):
 def flow_case(net_fn, box, cells, params=None):
     def build():
         system = flow_system(net_fn(), box, cells, params)
-        return system.matrix, system.rhs, system.grid.cells_per_axis
+        return system.matrix, system.rhs, system.grid
 
     return build
 
@@ -112,14 +129,14 @@ def assert_agrees(matrix, rhs, x, iterations):
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_agrees_with_direct_solve(case):
-    matrix, rhs, shape = CASES[case]()
-    assert_agrees(matrix, rhs, *LinearSolver(matrix, shape).solve(rhs))
+    matrix, rhs, grid = CASES[case]()
+    assert_agrees(matrix, rhs, *LinearSolver(matrix, grid).solve(rhs))
 
 
 def test_reused_solver_agrees_on_newton_systems():
-    base, at_38, rhs_38, shape = newton_system(38.0)
+    base, at_38, rhs_38, grid = newton_system(38.0)
     _, at_0, rhs_0, _ = newton_system(0.0)
-    solver, cells = LinearSolver(base, shape), int(np.prod(shape))
+    solver, cells = LinearSolver(base, grid), grid.n_cells
     for d, rhs in ((at_38, rhs_38), (at_0, rhs_0)):
         assert_agrees(base + sp.diags(d), rhs, *solver.solve(rhs, d[:cells]))
     # a solve without a diagonal is of the operator itself again
@@ -130,9 +147,9 @@ def test_reused_solver_agrees_on_newton_systems():
 # above TARGET, so there even the exact guess takes one short cycle.
 @pytest.mark.parametrize("case", ["desk_12", "lattice"])
 def test_exact_guess_needs_no_iterations(case):
-    matrix, rhs, shape = CASES[case]()
+    matrix, rhs, grid = CASES[case]()
     exact = spla.spsolve(matrix.tocsc(), rhs)
-    x, iterations = LinearSolver(matrix, shape).solve(rhs, guess=exact)
+    x, iterations = LinearSolver(matrix, grid).solve(rhs, guess=exact)
     assert iterations == 0
     assert np.max(np.abs(x - exact)) <= AGREEMENT * np.max(np.abs(exact))
 
@@ -144,8 +161,8 @@ def scaled_norm(matrix, x, rhs):
 
 @pytest.mark.parametrize("case", ["desk_20", "lattice"])
 def test_forcing_stops_at_the_relative_target(case):
-    matrix, rhs, shape = CASES[case]()
-    solver = LinearSolver(matrix, shape)
+    matrix, rhs, grid = CASES[case]()
+    solver = LinearSolver(matrix, grid)
     start = solver._settle(solver._precondition(rhs), rhs)  # the start without a guess
     tight, tight_iterations = solver.solve(rhs)
     loose, loose_iterations = solver.solve(rhs, forcing=0.1)
@@ -156,8 +173,8 @@ def test_forcing_stops_at_the_relative_target(case):
 
 @pytest.mark.parametrize("case", ["desk_20", "oxygen_at_38"])
 def test_zero_forcing_is_the_default(case):
-    matrix, rhs, shape = CASES[case]()
-    solver = LinearSolver(matrix, shape)
+    matrix, rhs, grid = CASES[case]()
+    solver = LinearSolver(matrix, grid)
     default, default_iterations = solver.solve(rhs)
     forced, forced_iterations = solver.solve(rhs, forcing=0.0)
     assert np.array_equal(default, forced)
@@ -165,9 +182,9 @@ def test_zero_forcing_is_the_default(case):
 
 
 def test_zero_right_hand_side_gives_zero_from_any_guess():
-    matrix, rhs, shape = CASES["oxygen_at_38"]()
+    matrix, rhs, grid = CASES["oxygen_at_38"]()
     guess = np.full(rhs.size, 38.0)
-    x, iterations = LinearSolver(matrix, shape).solve(np.zeros(rhs.size), guess=guess)
+    x, iterations = LinearSolver(matrix, grid).solve(np.zeros(rhs.size), guess=guess)
     assert iterations == 0
     assert not np.any(x)
 
@@ -178,9 +195,9 @@ def test_diagonal_update_matches_rebuilt_hierarchy(cells):
     n = system.grid.n_cells
     tissue = system.matrix[:n, :n]
     d = np.random.default_rng(7).uniform(0.0, 1.0, n) * tissue.diagonal()
-    shifted = VCycle(tissue, cells)
+    shifted = VCycle(tissue, system.grid)
     shifted.shift(d)
-    rebuilt = VCycle(tissue + sp.diags(d), cells)
+    rebuilt = VCycle(tissue + sp.diags(d), system.grid)
     levels = [level[0] for level in shifted.levels + [shifted.bottom]]
     fresh = [level[0] for level in rebuilt.levels + [rebuilt.bottom]]
     assert len(levels) == len(fresh) > 1
@@ -207,7 +224,139 @@ def test_vcycle_coarsens_odd_axes_down_to_the_direct_size():
     grid = build_grid(CUBE, (25, 23, 21))
     lo, hi, area, h = grid.faces()
     matrix = edge_laplacian(lo, hi, area / h, grid.n_cells) + sp.identity(grid.n_cells) * 1e-6
-    vcycle = VCycle(matrix.tocsr(), grid.cells_per_axis)
-    # smoothed levels above COARSEST_CELLS, then one factored level
+    vcycle = VCycle(matrix.tocsr(), grid)
+    # smoothed levels above COARSEST_CELLS, then one level factored on use
     assert [level[0].shape[0] for level in vcycle.levels] == [25 * 23 * 21, 13 * 12 * 11]
-    assert vcycle.coarsest.shape == (7 * 6 * 6, 7 * 6 * 6)
+    assert vcycle.bottom[0].shape == (7 * 6 * 6, 7 * 6 * 6)
+
+
+def tissue_block(physics, cells):
+    """Tissue block of the desk ladder's flow system or, with convection
+    and the wall exchange, of its oxygen transport operator."""
+    system = flow_system(make_desk_network(), CUBE, cells)
+    matrix = system.matrix
+    if physics == "oxygen":
+        flow, params = solve_flow(system), OxygenParameters()
+        classify_arterial_venous(system.net, flow, params)
+        matrix = assemble_transport_operator(
+            system.net, system.grid, system.coupling, flow, FlowParameters(), params
+        ).base
+    n = system.grid.n_cells
+    return matrix[:n, :n], system.grid
+
+
+@pytest.mark.parametrize("physics", ["flow", "oxygen"])
+@pytest.mark.parametrize("cells", [(20, 20, 20), (15, 13, 11), (25, 23, 21)])
+def test_galerkin_levels_match_the_triple_product(physics, cells):
+    tissue, grid = tissue_block(physics, cells)
+    if physics == "oxygen":  # convection: nonsymmetric far above the tolerance
+        assert abs(tissue - tissue.T).max() > 1e-12 * abs(tissue).max()
+    vcycle = VCycle(tissue, grid)
+    levels = [level[0] for level in vcycle.levels + [vcycle.bottom]]
+    oracle, shape = tissue.tocsr(), grid.cells_per_axis
+    for level in levels:
+        want = oracle.sorted_indices()
+        assert np.array_equal(level.indptr, want.indptr)
+        assert np.array_equal(level.indices, want.indices)
+        assert np.max(np.abs(level.data - want.data)) <= 1e-14 * np.max(np.abs(want.data))
+        aggregate, shape = _aggregate(shape)
+        prolong = sp.csr_matrix(
+            (np.ones(aggregate.size), (np.arange(aggregate.size), aggregate)),
+            shape=(aggregate.size, int(np.prod(shape))),
+        )
+        oracle = (prolong.T @ oracle @ prolong).tocsr()
+    assert len(levels) > 1
+
+
+@pytest.mark.parametrize("shape", [(13, 12, 11), (7, 5, 9), (3, 1, 5), (1, 1, 1)])
+def test_dissection_order_is_a_permutation(shape):
+    order = _dissection(shape)
+    assert np.array_equal(np.sort(order), np.arange(np.prod(shape)))
+
+
+# the coarsest level itself (desk_odd_axes_small) or below one or two
+# smoothed levels, symmetric and not
+@pytest.mark.parametrize("case", ["desk_odd_axes_small", "desk_odd_axes", "lattice", "oxygen_at_38"])
+def test_dissection_ordered_coarsest_matches_default_splu(case):
+    matrix, _, grid = CASES[case]()
+    n = grid.n_cells
+    vcycle = VCycle(matrix[:n, :n], grid)
+    bottom = vcycle.bottom[0]
+    r = np.random.default_rng(3).standard_normal(bottom.shape[0])
+    want = spla.splu(bottom.tocsc()).solve(r)
+    got = vcycle(r, depth=len(vcycle.levels))
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_coarsest_factored_on_first_use_and_once_after_each_shift(monkeypatch):
+    tissue, grid = tissue_block("flow", (12, 12, 12))
+    factored = []
+    splu = linsolve.spla.splu
+
+    def counted(*args, **kwargs):
+        factored.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve.spla, "splu", counted)
+    vcycle = VCycle(tissue, grid)
+    r = np.ones(grid.n_cells)
+    assert factored == []
+    vcycle(r)
+    vcycle(r)
+    assert factored == [vcycle.bottom[0].shape]
+    d = tissue.diagonal()
+    for shifts in (1, 2):
+        for _ in range(shifts):
+            vcycle.shift(d)
+        assert len(factored) == 1 + (shifts == 2)
+        vcycle(r)
+        vcycle(r)
+    assert len(factored) == 3
+
+
+def test_one_plan_and_laplacian_serve_every_solve_on_a_grid(monkeypatch):
+    """Flow and oxygen, over two growth states, share the grid's plan."""
+    plans, laplacians, vcycles = [], [], []
+
+    class CountedPlan(grid_module.MultigridPlan):
+        def __init__(self, *args):
+            plans.append(self)
+            super().__init__(*args)
+
+    def counted_laplacian(*args):
+        laplacians.append(args)
+        return edge_laplacian(*args)
+
+    init = VCycle.__init__
+
+    def recorded(self, *args):
+        vcycles.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(grid_module, "MultigridPlan", CountedPlan)
+    monkeypatch.setattr(grid_module, "edge_laplacian", counted_laplacian)
+    monkeypatch.setattr(VCycle, "__init__", recorded)
+    roi = DomainBox([0.0] * 3, [0.5e-3] * 3)
+    domain = enlarge_domain(roi, 0.10)
+    grid = build_grid(domain, (12, 12, 12))
+    engine = GrowthEngine(
+        make_starter_network(), domain, roi, grid, RheologyParameters(),
+        FlowParameters(), OxygenParameters(), GrowthParameters(max_iter_p1=1),
+        np.random.default_rng(0),
+    )
+    engine.run_phase1()
+    assert len(engine.traces[1].po2_roi) == 2  # two states, grown in between
+    assert len(vcycles) == 4  # flow and oxygen per state
+    assert len(plans) == 1 and len(laplacians) == 1
+    assert all(vcycle.plan is grid.multigrid is plans[0] for vcycle in vcycles)
+
+
+def test_tissue_block_off_the_grid_pattern_is_rejected():
+    matrix, _, grid = CASES["desk_12"]()
+    n = grid.n_cells
+    coupled = matrix.tolil()
+    coupled[0, n - 1] = -1e-30  # no face joins these cells
+    with pytest.raises(SolverError):
+        VCycle(coupled.tocsr()[:n, :n], grid)
+    with pytest.raises(SolverError):
+        LinearSolver(coupled.tocsr(), grid)

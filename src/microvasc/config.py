@@ -44,23 +44,10 @@ class RunConfig:
     def roi_box(self) -> DomainBox:
         return DomainBox(np.array(self.roi_lower), np.array(self.roi_upper))
 
-    def to_dict(self) -> dict:
-        def conv(obj):
-            if dataclasses.is_dataclass(obj):
-                return {
-                    f.name: conv(getattr(obj, f.name))
-                    for f in dataclasses.fields(obj)
-                }
-            if isinstance(obj, (tuple, list)):
-                return [conv(v) for v in obj]
-            return obj
-
-        return conv(self)
-
     def digest(self) -> str:
         """Hash of the scientific parameters; artifact location is excluded
         so identical runs into different directories share a digest."""
-        payload = self.to_dict()
+        payload = dataclasses.asdict(self)
         payload.pop("output_dir", None)
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()

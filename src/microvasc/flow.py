@@ -55,6 +55,11 @@ class FlowParameters:
     def oncotic_jump(self) -> float:
         return self.oncotic_vessel - self.oncotic_tissue
 
+    @property
+    def mobility(self) -> float:
+        """Darcy mobility k/mu of the interstitium, m^2/(Pa*s)."""
+        return self.tissue_permeability / self.interstitial_viscosity
+
 
 def starling_flux(p_v_wall: float, p_t_wall: float, params: FlowParameters) -> float:
     """Transmural plasma flux [m/s]: L_p((p_v - p_t) - sigma*(pi_v - pi_t))."""
@@ -143,8 +148,7 @@ def assemble_flow_system(
     mu = [segment_viscosity(r, rheology) for r in radius]
     g = [vessel_conductance(r, l, m) for r, l, m in zip(radius, length, mu)]
     sys.conductance = dict(zip(table.ids, g))
-    mobility = params.tissue_permeability / params.interstitial_viscosity
-    matrix = tissue_laplacian(grid, mobility, n)
+    matrix = tissue_laplacian(grid, params.mobility, n)
     matrix += edge_laplacian(table.a, table.b, np.array(g), n)
 
     rhs = np.zeros(n)
@@ -221,17 +225,3 @@ def solve_flow(system: FlowSystem) -> FlowState:
         linear_iterations=linear_iterations,
     )
 
-
-def face_velocities(grid: TissueGrid, p_t: np.ndarray, params: FlowParameters):
-    """Per-axis interior-face Darcy velocities, for upwinded transport.
-
-    Returns a list of three arrays shaped like the cell grid with one fewer
-    entry along the respective axis (array axes ordered [z, y, x]).
-    """
-    mobility = params.tissue_permeability / params.interstitial_viscosity
-    nx, ny, nz = grid.cells_per_axis
-    p = p_t.reshape((nz, ny, nx))
-    out = []
-    for axis, h in zip((2, 1, 0), grid.spacing):
-        out.append(-mobility * np.diff(p, axis=axis) / h)
-    return out

@@ -177,7 +177,7 @@ class SurfaceCoupling:
     Samples are stored flat, segment by segment in ascending id order;
     `offsets[k]:offsets[k + 1]` are the samples of segment `segments.ids[k]`.
     C (samples x cells) is the sample->cell indicator, Pi (samples x nodes)
-    interpolates nodal values to the samples with weights w_a and w_b, and
+    interpolates nodal values to the samples with weights 1 - s/l and s/l, and
     G = [-C, Pi] maps the coupled unknowns to the vessel-minus-tissue jump.
     """
 
@@ -188,9 +188,6 @@ class SurfaceCoupling:
     node_index: dict[int, int]  # node id -> unknown index
     offsets: np.ndarray
     cells: np.ndarray
-    s: np.ndarray
-    w_a: np.ndarray
-    w_b: np.ndarray
     area: np.ndarray  # m^2 per sample
     C: sp.csr_matrix
     Pi: sp.csr_matrix
@@ -206,17 +203,11 @@ class SurfaceCoupling:
         return self.Pi @ x[n:] - x[:n][self.cells]
 
 
-def _row_norms(v: np.ndarray) -> np.ndarray:
-    # np.linalg.norm per row, the call segment_geometry and the scalar frame
-    # make: a batched norm rounds differently and would move samples.
-    return np.array([np.linalg.norm(row) for row in v])
-
-
 def _frames(orientation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per row, two unit vectors orthogonal to `orientation` and each other."""
     helper = np.where(np.abs(orientation[:, :1]) > 0.9, [0.0, 1.0, 0.0], [1.0, 0.0, 0.0])
     e1 = np.cross(orientation, helper)
-    e1 /= _row_norms(e1)[:, None]
+    e1 /= np.sqrt(np.vecdot(e1, e1))[:, None]
     return e1, np.cross(orientation, e1)
 
 
@@ -244,7 +235,9 @@ def build_surface_coupling(
     position = np.array([net.nodes[nid].position for nid in node_order]).reshape(-1, 3)
     x0 = position[a - grid.n_cells]
     delta = position[b - grid.n_cells] - x0
-    length = _row_norms(delta)
+    # vecdot rounds as np.linalg.norm of each row does; einsum and
+    # norm(axis=1) do not, and would move samples
+    length = np.sqrt(np.vecdot(delta, delta))
     if np.any(length == 0.0):
         raise ValidationError(
             f"segment {ids[int(np.argmin(length))]}: coincident endpoints"
@@ -301,9 +294,6 @@ def build_surface_coupling(
         node_index=node_index,
         offsets=offsets,
         cells=cells,
-        s=s,
-        w_a=w_a,
-        w_b=w_b,
         area=seg_area[sample_seg],
         C=C,
         Pi=Pi,

@@ -14,10 +14,12 @@ edge is set by the network when it is built. `collides` measures the
 index's candidates in one vectorized pass (`segment_distances`) and
 re-measures only those within the sum of radii, plus a 1e-9 relative slack,
 with the scalar `segment_distance`; that scalar test alone decides, so the
-answers are those of a pairwise scan over all segments. Linking works the
-same way: one vectorized distance-and-cone pass over a table of all nodes
-keeps a superset of the nodes the scalar tests accept, and those tests,
-unchanged, decide and rank.
+answers are those of a pairwise scan over all segments. A batched twin of
+`segment_distance` exact enough to decide alone would need the endpoint
+distances on every row, at two to three times the cost of the batched pass.
+Linking is one exact vectorized pass over a table of all nodes: its
+distances and cone cosines come from `np.vecdot`, the dot kernel behind
+`np.linalg.norm` and 1-D `@`, so they equal a scalar scan's bit for bit.
 """
 
 from __future__ import annotations
@@ -193,7 +195,7 @@ def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
 # -- segment index: uniform bucket grid ----------------------------------
 
 MAX_BUCKETS_PER_AXIS = 64  # keeps the grid coarse for tiny segments in big domains
-_RECHECK = 1.0 + 1e-9  # relative slack of the batched pre-filters
+_RECHECK = 1.0 + 1e-9  # relative slack of the batched collision pre-filter
 
 
 class OctantIndex:
@@ -716,7 +718,7 @@ class GrowthEngine:
     # -- linking ----------------------------------------------------------
 
     def _node_table(self):
-        """Sorted node ids and their positions, for the link pre-filter."""
+        """Sorted node ids and their positions, for the link search."""
         ids = np.array(sorted(self.net.nodes), dtype=np.int64)
         positions = np.array([self.net.nodes[nid].position for nid in ids.tolist()])
         return ids, positions
@@ -726,32 +728,27 @@ class GrowthEngine:
 
         Returns [(node id, distance, score)] sorted by (-score, id), where
         the score is the normalized pressure difference minus the
-        normalized distance. One vectorized pass over the node table keeps
-        the nodes within d_x and the cone up to a 1e-9 relative slack; the
-        scalar tests below then make the decision, node by node.
+        normalized distance. One vectorized pass over the node table
+        decides: `np.vecdot` runs the dot kernel of `np.linalg.norm` and
+        1-D `@` row by row, so distances and cone cosines are those of a
+        scalar scan over every node, bit for bit.
         """
         seg, d_tip = self._tip_segment(tip)
-        x = self.net.nodes[tip].position
-        cos_half = math.cos(self.params.cone_angle / 2.0)
         ids, positions = table
-        offsets = positions - x
-        spans = np.sqrt(np.einsum("ij,ij->i", offsets, offsets))
-        near = (spans <= d_x * _RECHECK) & (offsets @ d_tip >= (cos_half - 1e-9) * spans)
+        delta = positions - self.net.nodes[tip].position
+        dist = np.sqrt(np.vecdot(delta, delta))
+        near = np.flatnonzero((dist > 0.0) & (dist <= d_x))
+        cone = np.vecdot(delta[near] / dist[near, None], d_tip)
+        keep = near[cone >= math.cos(self.params.cone_angle / 2.0)]
         p_x = self.flow.p_v.get(tip) if self.flow else None
         candidates = []
-        for nid in ids[near].tolist():
-            if nid == tip or nid in (seg.node_a, seg.node_b):
-                continue
-            delta = self.net.nodes[nid].position - x
-            dist = float(np.linalg.norm(delta))
-            if dist == 0.0 or dist > d_x:
-                continue
-            if (delta / dist) @ d_tip < cos_half:
+        for nid, span in zip(ids[keep].tolist(), dist[keep].tolist()):
+            if nid in (seg.node_a, seg.node_b):
                 continue
             dp = 0.0
             if p_x is not None and nid in self.flow.p_v:
                 dp = abs(self.flow.p_v[nid] - p_x)
-            candidates.append((nid, dist, dp))
+            candidates.append((nid, span, dp))
         if not candidates:
             return []
         dp_max = max(c[2] for c in candidates)
@@ -896,7 +893,9 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
 
     Segments with both endpoints inside are kept; segments crossing the
     boundary are truncated at the face, the cut point becoming a boundary
-    node carrying the nearer endpoint's data.
+    node carrying the nearer endpoint's data. A segment whose inside end
+    lies on the face and which leaves the box outward is dropped with no
+    cut node.
     """
     out = VascularNetwork()
     for nid in sorted(net.nodes):
@@ -922,6 +921,8 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
             # answers (ROADMAP)
             if box.contains(p_in):
                 cut = np.clip(cut, box.lower, box.upper)
+            if float(np.linalg.norm(cut - p_in)) == 0.0:
+                continue
             donor = net.nodes[inside] if t < 0.5 else net.nodes[outside]
             cut_node = out.new_node(
                 cut,
@@ -929,8 +930,7 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
                 boundary_pressure=donor.boundary_pressure,
                 boundary_po2=donor.boundary_po2,
             )
-            if float(np.linalg.norm(cut - p_in)) > 0.0:
-                out.add_segment(Segment(sid, inside, cut_node.id, seg.radius))
+            out.add_segment(Segment(sid, inside, cut_node.id, seg.radius))
     return out
 
 

@@ -34,7 +34,6 @@ from .flow import (
     RESIDUAL_TOL,
     FlowParameters,
     FlowState,
-    face_velocities,
     pin_rows,
     starling_flux,
     tissue_laplacian,
@@ -176,9 +175,8 @@ def assemble_transport_operator(
 
     # upwinded convection: volumetric flow v out of lo into hi (tissue faces)
     # and q out of node_a into node_b (vessels), carrying po2 of the upwind end
-    lo, hi, area, _ = grid.faces()
-    v = np.concatenate([f.ravel() for f in face_velocities(grid, flow.p_t, flow_params)])
-    v *= area
+    lo, hi, area, h = grid.faces()
+    v = -flow_params.mobility * (flow.p_t[hi] - flow.p_t[lo]) / h * area
     cross = np.pi * table.radius**2
     q = np.array([flow.u_v[sid] for sid in table.ids]) * cross
     out = np.concatenate([lo, table.a])

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from microvasc.errors import ValidationError
-from microvasc.flow import face_velocities
 from microvasc.rheology import segment_viscosity, vessel_conductance
 
 
@@ -282,7 +281,11 @@ def _tissue_transport_entries(grid, flow, flow_params, params, rows, cols, vals)
     areas = [dy * dz, dx * dz, dx * dy]
     diff_t = [params.diffusion_tissue * a / h for a, h in zip(areas, grid.spacing)]
     idx = np.arange(grid.n_cells).reshape((nz, ny, nx))
-    faces = face_velocities(grid, flow.p_t, flow_params)
+    mobility = flow_params.tissue_permeability / flow_params.interstitial_viscosity
+    p = flow.p_t.reshape((nz, ny, nx))
+    faces = [
+        -mobility * np.diff(p, axis=axis) / h for axis, h in zip((2, 1, 0), grid.spacing)
+    ]
     for (axis, t, area, v) in zip((2, 1, 0), diff_t, areas, faces):
         lo = np.take(idx, range(idx.shape[axis] - 1), axis=axis).ravel()
         hi = np.take(idx, range(1, idx.shape[axis]), axis=axis).ravel()

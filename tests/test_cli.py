@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -33,7 +34,7 @@ def write_inputs(tmp_path, net=None, **overrides):
 class TestConfig:
     def test_defaults_round_trip(self):
         config = RunConfig()
-        again = RunConfig.from_dict(config.to_dict())
+        again = RunConfig.from_dict(dataclasses.asdict(config))
         assert again == config
         assert again.digest() == config.digest()
 

@@ -17,7 +17,7 @@ from microvasc import (
 )
 from microvasc import flow as flow_module
 from microvasc.errors import SolverError, ValidationError
-from microvasc.flow import RESIDUAL_TOL, face_velocities, scaled_residual
+from microvasc.flow import RESIDUAL_TOL, scaled_residual
 from microvasc.linsolve import RESTART
 from microvasc.rheology import segment_viscosity, vessel_conductance
 
@@ -201,11 +201,6 @@ class TestCoupledFlow:
         # no wall exchange: tissue pressure field is constant
         assert state.p_t.max() - state.p_t.min() < 1e-8
         assert state.f_tv == pytest.approx(0.0, abs=1e-18)
-
-    def test_face_velocities_zero_for_uniform_pressure(self, desk_grid):
-        p_t = np.full(desk_grid.n_cells, 4321.0)
-        for comp in face_velocities(desk_grid, p_t, FlowParameters()):
-            assert np.allclose(comp, 0.0)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValidationError):

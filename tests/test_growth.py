@@ -424,6 +424,34 @@ class TestLinking:
             inside += len(expected)
         assert 0 < inside
 
+magnitude = st.floats(1e-9, 1e-2)
+signed = st.one_of(magnitude, magnitude.map(lambda x: -x))
+row3 = st.tuples(signed, signed, signed)
+
+
+class TestVecdotPremise:
+    """The link pass and the surface coupling take norms and dots of rows
+    with np.vecdot, trusting it to round as np.linalg.norm of one row and
+    1-D @ do; einsum and norm(axis=1) do not."""
+
+    @given(data=st.data(), rows=st.lists(row3, min_size=1, max_size=64), d=row3)
+    @settings(max_examples=200, deadline=None)
+    def test_vecdot_rounds_as_row_norm_and_matmul(self, data, rows, d):
+        v = np.array(rows)
+        d = np.array(d)
+        pick = np.array(
+            data.draw(st.lists(st.integers(0, len(rows) - 1), max_size=64)), dtype=np.intp
+        )
+        norms = np.sqrt(np.vecdot(v, v))
+        # whole rows, fancy-indexed rows, and fancy-indexed rows over their
+        # norms, as the link pass forms its cone cosines
+        for u in (v, v[pick], v[pick] / norms[pick, None]):
+            scalar_norms = np.array([np.linalg.norm(r) for r in u])
+            assert np.array_equal(np.sqrt(np.vecdot(u, u)), scalar_norms)
+            scalar_dots = np.array([r @ d for r in u])
+            assert np.array_equal(np.vecdot(u, d), scalar_dots)
+
+
 class TestStochasticRules:
     def test_bifurcation_probability_frozen(self):
         params = GrowthParameters()
@@ -694,6 +722,19 @@ class TestClipToBox:
         # outside endpoint is nearer to the cut: its pressure is carried over
         assert cut.boundary_pressure == 8000.0
         assert cut.kind == "boundary"
+
+
+    def test_end_on_the_face_leaving_outward_adds_no_cut_node(self):
+        box = DomainBox([0.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3])
+        net = VascularNetwork()
+        on_face = net.new_node([0.0, 0.5e-3, 0.5e-3])
+        outside = net.new_node([-0.2e-3, 0.5e-3, 0.5e-3])
+        inside = net.new_node([0.5e-3, 0.5e-3, 0.5e-3])
+        net.new_segment(on_face.id, outside.id, 5 * UM)
+        net.new_segment(on_face.id, inside.id, 5 * UM)
+        out = clip_to_box(net, box)
+        assert len(out.nodes) == 2 and len(out.segments) == 1
+        assert all(out.adjacency[nid] for nid in out.nodes)
 
 
 class TestPhase3:

@@ -92,7 +92,7 @@ def cmd_solve(args) -> int:
             out / "nodes.csv",
             ["node", "x", "y", "z", "p_v_pa", "po2_v_mmhg"],
             [
-                [nid, *net.nodes[nid].position, flow.p_v[nid], oxy.po2_v[nid]]
+                [nid, *net.nodes[nid].position.tolist(), flow.p_v[nid], oxy.po2_v[nid]]
                 for nid in sorted(net.nodes)
             ],
             prov,
@@ -100,7 +100,7 @@ def cmd_solve(args) -> int:
         write_csv(
             out / "cells.csv",
             ["cell", "p_t_pa", "po2_t_mmhg"],
-            [[i, flow.p_t[i], oxy.po2_t[i]] for i in range(grid.n_cells)],
+            zip(range(grid.n_cells), flow.p_t.tolist(), oxy.po2_t.tolist()),
             prov,
         )
     print(f"PO2_roi  = {po2_roi:.4f} mmHg")

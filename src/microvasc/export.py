@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import csv
 import io
+from itertools import chain
 
 import numpy as np
 
@@ -56,17 +56,18 @@ def cell_field_to_vtk(grid: TissueGrid, fields: dict[str, np.ndarray]) -> str:
     buf.write(f"POINT_DATA {grid.n_cells}\n")
     for name, values in fields.items():
         buf.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        for v in np.asarray(values).ravel():
-            buf.write(f"{v:.12g}\n")
+        buf.writelines(map("{:.12g}\n".format, np.asarray(values).ravel().tolist()))
     return buf.getvalue()
 
 
 def write_csv(path, header: list[str], rows, preamble: list[str] | None = None):
-    """CSV with optional '#'-prefixed provenance preamble lines."""
+    """CSV with optional '#'-prefixed provenance preamble lines.
+
+    Fields are numbers and plain names, written as csv.writer writes them:
+    str of each (the shortest round-trip repr of a float), CRLF line ends.
+    Rows of Python numbers (`tolist()`) format fastest; they are streamed,
+    so an iterator of rows is never held whole.
+    """
     with open(path, "w", newline="") as fh:
-        for line in preamble or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(row)
+        fh.writelines(f"# {line}\n" for line in preamble or [])
+        fh.writelines(",".join(map(str, row)) + "\r\n" for row in chain([header], rows))

@@ -7,13 +7,11 @@ Both compartments are assembled into one sparse linear system over
 row-scaled residual gate. The wall exchange is the surface coupling's jump
 operator G = [-C, Pi] weighted by the sample areas: the block
 G^T diag(L_p a) G with right-hand side G^T (L_p a sigma dpi). Both sides
-of the exchange come from the same product, so total filtration agrees
-between them to rounding.
-
-The module also holds the assembly pieces oxygen transport shares: the
-grid's face Laplacian scaled into the cell block of the coupled system
-(built once per grid, see `TissueGrid.laplacian`) and the Dirichlet-row
-helper.
+of the exchange come from the same per-sample terms, so total filtration
+agrees between them to rounding. The system is filled on the coupling's
+pattern (`SurfaceCoupling.coupled_matrix`): the grid's face Laplacian
+scaled by the mobility, the Poiseuille conductances on the segment blocks
+and the exchange, with the rows of pressure-boundary nodes pinned in place.
 """
 
 from __future__ import annotations
@@ -25,13 +23,16 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import SolverError, ValidationError
-from .grid import SurfaceCoupling, TissueGrid, edge_laplacian
+from .grid import SurfaceCoupling, TissueGrid
 from .linsolve import LinearSolver, scaled_residual
 from .network import VascularNetwork
 from .rheology import RheologyParameters, segment_viscosity, vessel_conductance
 from .units import MICROGRAM_PER_KG, WATER_DENSITY
 
 RESIDUAL_TOL = 1.0e-10
+# a segment's 2x2 graph Laplacian per unit weight, in the order of
+# `CoupledPattern.segment_at`: (a, a), (a, b), (b, a), (b, b)
+GRAPH_LAPLACIAN = np.array([1.0, -1.0, -1.0, 1.0])
 
 
 @dataclass
@@ -102,29 +103,6 @@ class FlowSystem:
         return self.grid.n_cells + len(self.node_order)
 
 
-def tissue_laplacian(grid: TissueGrid, coefficient: float, n: int) -> sp.csr_matrix:
-    """coefficient * the grid's face Laplacian, as the cell block of an
-    n x n system over (cells, nodes)."""
-    laplacian = grid.laplacian
-    indptr = np.concatenate(
-        [laplacian.indptr, np.full(n - grid.n_cells, laplacian.nnz, laplacian.indptr.dtype)]
-    )
-    return sp.csr_matrix(
-        (coefficient * laplacian.data, laplacian.indices, indptr), shape=(n, n)
-    )
-
-
-def pin_rows(matrix, rhs, values: dict[int, float]):
-    """Dirichlet rows: replace each row r in `values` by an identity row
-    with right-hand side values[r]."""
-    rows = list(values)
-    pinned = np.zeros(matrix.shape[0])
-    pinned[rows] = 1.0
-    rhs = rhs.copy()
-    rhs[rows] = list(values.values())
-    return (sp.diags(1.0 - pinned) @ matrix + sp.diags(pinned)).tocsr(), rhs
-
-
 def assemble_flow_system(
     net: VascularNetwork,
     grid: TissueGrid,
@@ -148,21 +126,23 @@ def assemble_flow_system(
     mu = [segment_viscosity(r, rheology) for r in radius]
     g = [vessel_conductance(r, l, m) for r, l, m in zip(radius, length, mu)]
     sys.conductance = dict(zip(table.ids, g))
-    matrix = tissue_laplacian(grid, params.mobility, n)
-    matrix += edge_laplacian(table.a, table.b, np.array(g), n)
+    tissue = params.mobility * grid.laplacian.data
+    graph = np.outer(GRAPH_LAPLACIAN, g)
 
-    rhs = np.zeros(n)
+    alpha = beta = None
     if params.wall_conductivity > 0.0:
         la = params.wall_conductivity * coupling.area
-        matrix += coupling.G.T @ (sp.diags(la) @ coupling.G)
-        rhs += coupling.G.T @ (la * (params.reflection * params.oncotic_jump))
+        alpha, beta = -la, la
+        rhs = coupling.jump_transpose(la * (params.reflection * params.oncotic_jump))
     else:
         # decoupled 3D Neumann problem: pin one tissue cell to remove null space
-        matrix += sp.csr_matrix(([1.0], ([0], [0])), shape=(n, n))
+        tissue[grid.stencil[0][0]] += 1.0
+        rhs = np.zeros(n)
 
-    sys.matrix, sys.rhs = pin_rows(matrix, rhs, {
-        sys.node_index[nid]: net.nodes[nid].boundary_pressure for nid in dirichlet
-    })
+    pinned = {sys.node_index[nid]: net.nodes[nid].boundary_pressure for nid in dirichlet}
+    sys.matrix = coupling.coupled_matrix(tissue, graph, alpha, beta, list(pinned))
+    rhs[list(pinned)] = list(pinned.values())
+    sys.rhs = rhs
     sys.dirichlet = dirichlet
     return sys
 
@@ -175,7 +155,7 @@ def _check_solvability(coupling, dirichlet, params):
         raise SolverError("no pressure-boundary node; system is singular")
     if params.wall_conductivity > 0.0:
         return
-    table, first, nodes = coupling.segments, coupling.C.shape[1], len(coupling.node_order)
+    table, first, nodes = coupling.segments, coupling.grid.n_cells, len(coupling.node_order)
     graph = sp.csr_matrix(
         (np.ones(len(table.ids)), (table.a - first, table.b - first)), shape=(nodes, nodes)
     )
@@ -207,7 +187,7 @@ def solve_flow(system: FlowSystem) -> FlowState:
         coupling.jump(x) - params.reflection * params.oncotic_jump
     )
     exchange = coupling.area * jp  # m^3/s through each sample, out of the vessel
-    wall = coupling.G.T @ exchange  # -C^T(a jp) on cells, Pi^T(a jp) on nodes
+    wall = coupling.jump_transpose(exchange)  # -C^T(a jp) on cells, Pi^T(a jp) on nodes
     # node inflow: Poiseuille flow away from the node plus its wall share
     inflow = np.bincount(table.a, q, n_all) - np.bincount(table.b, q, n_all) + wall
     return FlowState(

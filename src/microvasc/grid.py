@@ -3,9 +3,10 @@
 A `TissueGrid` builds what depends on it alone once, on first use, and
 keeps it for every solve on it (flow, oxygen, each Newton step, each
 growth state): its interior faces, the face Laplacian with unit
-coefficient, whose sparsity every tissue block shares, and the linear
-solver's `MultigridPlan`. They are kept on the instance, not in the
-module, so a new grid starts afresh.
+coefficient, whose sparsity every tissue block shares, where each face's
+entries sit in that Laplacian, and the linear solver's `MultigridPlan`.
+They are kept on the instance, not in the module, so a new grid starts
+afresh.
 
 The Dirac surface measure concentrated on the vessel walls is discretised
 by equal-area point sampling of each cylinder's lateral surface on an
@@ -13,12 +14,18 @@ by equal-area point sampling of each cylinder's lateral surface on an
 and is charged to the finite volume cell containing it, so per-segment
 area sums are exact by construction.
 
-`SurfaceCoupling` turns the samples into sparse operators: C maps cell
-values to samples (one 1 per sample), Pi interpolates nodal values to the
-samples with weights w_a = 1 - s/l and w_b = s/l, and G = [-C, Pi] is the
-vessel-minus-tissue jump on the wall. Flow and oxygen both build their
-exchange blocks from these products, over the node index and the segment
-table kept alongside them.
+On the samples, C maps cell values to samples (one 1 per sample), Pi
+interpolates nodal values with weights w_a = 1 - s/l and w_b = s/l, and
+G = [-C, Pi] is the vessel-minus-tissue jump on the wall. Flow and oxygen
+both need blocks G^T [diag(alpha) C, diag(beta) Pi] for per-sample alpha
+and beta. `SurfaceCoupling` never forms C, Pi or G: it keeps the flat
+sample arrays (cell, weight w_b, area, segment by segment) and the CSR
+pattern of the coupled (cells, nodes) system, built once per coupling with
+the position of every assembled term in it. An assembly is then a few
+bincounts: per-cell, per-pair (one per distinct (segment, cell) of the
+samples) and per-segment sums of the sample terms, scattered onto those
+positions. This is the same algebra as the sparse products, summed in
+another order.
 """
 
 from __future__ import annotations
@@ -31,14 +38,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .linsolve import MultigridPlan
+from .linsolve import MultigridPlan, csr_pattern
 from .network import DomainBox, VascularNetwork
 
 
 class TissueGrid:
     """Cell-centered uniform grid tiling a box; linear index i + nx*(j + ny*k).
 
-    `faces()`, `laplacian` and `multigrid` are built on first use and kept.
+    `faces()`, `laplacian`, `stencil` and `multigrid` are built on first use
+    and kept.
     """
 
     def __init__(self, box: DomainBox, cells_per_axis):
@@ -120,6 +128,24 @@ class TissueGrid:
         return matrix
 
     @cached_property
+    def stencil(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where the face stencil sits in `laplacian.data`: the position of
+        each cell's diagonal, and a (4, faces) array of each face's (lo, lo),
+        (lo, hi), (hi, lo) and (hi, hi) entries, faces in `faces()` order."""
+        lo, hi, _, _ = self.faces()
+        laplacian, n = self.laplacian, self.n_cells
+        rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(laplacian.indptr))
+        keys = rows * n + laplacian.indices  # ascending: the CSR is canonical
+
+        def at(row, col):
+            return np.searchsorted(keys, row * n + col).astype(np.int32)
+
+        cells = np.arange(n, dtype=np.int64)
+        diagonal = at(cells, cells)
+        faces = np.stack([diagonal[lo], at(lo, hi), at(hi, lo), diagonal[hi]])
+        return _read_only(diagonal), _read_only(faces)
+
+    @cached_property
     def multigrid(self) -> MultigridPlan:
         """The V-cycle's aggregation, level patterns, Galerkin maps and
         coarsest ordering for this grid, shared by every solve on it."""
@@ -170,28 +196,58 @@ class SegmentTable:
     radius: np.ndarray  # m
 
 
+@dataclass(frozen=True)
+class CoupledPattern:
+    """CSR sparsity of the coupled (cells, nodes) system on one network, and
+    the position in its data of every term an assembly adds.
+
+    Its entries are the grid's face stencil and diagonal on the cell rows,
+    each segment's 2x2 block (a, a), (a, b), (b, a), (b, b) and every node's
+    diagonal on the node rows, and for every distinct (segment, cell) pair
+    of wall samples the entries (cell, a), (cell, b), (a, cell) and
+    (b, cell), a and b the segment's end nodes. Positions are int32; those
+    of the cell rows' stencil are derived from the grid's Laplacian.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    pair: np.ndarray  # (samples,) pair of each sample
+    pair_at: np.ndarray  # (4, pairs): (cell, a), (cell, b), (a, cell), (b, cell)
+    segment_at: np.ndarray  # (4, segments): (a, a), (a, b), (b, a), (b, b)
+    node_diagonal_at: np.ndarray  # (nodes,)
+
+    def stencil_at(self, laplacian: sp.csr_matrix) -> np.ndarray:
+        """Position of each entry of `laplacian.data`: a cell row holds the
+        Laplacian's row, then its node columns."""
+        counts = np.diff(laplacian.indptr)
+        shift = self.indptr[: counts.size] - laplacian.indptr[:-1]
+        return np.arange(laplacian.nnz, dtype=np.int32) + np.repeat(shift, counts)
+
+
 @dataclass
 class SurfaceCoupling:
     """The exchange operator on the wall samples of every segment.
 
     Samples are stored flat, segment by segment in ascending id order;
     `offsets[k]:offsets[k + 1]` are the samples of segment `segments.ids[k]`.
-    C (samples x cells) is the sample->cell indicator, Pi (samples x nodes)
-    interpolates nodal values to the samples with weights 1 - s/l and s/l, and
-    G = [-C, Pi] maps the coupled unknowns to the vessel-minus-tissue jump.
+    Each sample has its cell, its interpolation weight w_b = s/l of the
+    segment's node_b (w_a = 1 - w_b) and its area. G = [-C, Pi] maps the
+    coupled unknowns to the vessel-minus-tissue jump (see the module
+    docstring); `jump`, `jump_transpose` and `coupled_matrix` apply it on
+    these arrays and `pattern`.
     """
 
     per_segment: dict[int, SegmentCoupling]
     clamped_samples: int  # samples that fell outside the grid
+    grid: TissueGrid
     segments: SegmentTable
     node_order: list[int]  # node ids in unknown order
     node_index: dict[int, int]  # node id -> unknown index
     offsets: np.ndarray
     cells: np.ndarray
+    weight: np.ndarray  # w_b = s/l per sample
     area: np.ndarray  # m^2 per sample
-    C: sp.csr_matrix
-    Pi: sp.csr_matrix
-    G: sp.csr_matrix
+    pattern: CoupledPattern
 
     def total_area(self) -> float:
         return sum(sc.total_area for sc in self.per_segment.values())
@@ -199,8 +255,64 @@ class SurfaceCoupling:
     def jump(self, x: np.ndarray) -> np.ndarray:
         """G x, evaluated as Pi x_v - C x_t: the wall value of the nodal
         field, its linear interpolation along the segment, is formed first."""
-        n = self.C.shape[1]
-        return self.Pi @ x[n:] - x[:n][self.cells]
+        counts, table = np.diff(self.offsets), self.segments
+        x_a, x_b = np.repeat(x[table.a], counts), np.repeat(x[table.b], counts)
+        return ((1.0 - self.weight) * x_a + self.weight * x_b) - x[self.cells]
+
+    def jump_transpose(self, v: np.ndarray) -> np.ndarray:
+        """G^T v for per-sample v: -C^T v on the cells, Pi^T v on the nodes."""
+        n_cells, n_nodes = self.grid.n_cells, len(self.node_order)
+        starts, table = self.offsets[:-1], self.segments
+        on_a = np.add.reduceat((1.0 - self.weight) * v, starts)
+        on_b = np.add.reduceat(self.weight * v, starts)
+        return np.concatenate([
+            -np.bincount(self.cells, v, n_cells),
+            np.bincount(table.a - n_cells, on_a, n_nodes)
+            + np.bincount(table.b - n_cells, on_b, n_nodes),
+        ])
+
+    def coupled_matrix(self, tissue, graph, alpha=None, beta=None, pinned=()) -> sp.csr_matrix:
+        """The coupled matrix on `pattern`: `tissue`, data on the grid's
+        Laplacian pattern, as the cell block; `graph`, a (4, segments)
+        array, on the segments' 2x2 blocks; plus, given per-sample alpha and
+        beta, the exchange G^T [diag(alpha) C, diag(beta) Pi]. The rows of
+        the node unknowns `pinned` are then identity rows."""
+        pattern, grid = self.pattern, self.grid
+        stencil_at = pattern.stencil_at(grid.laplacian)
+        positions = [stencil_at, pattern.segment_at.ravel()]
+        terms = [tissue, graph.ravel()]
+        if alpha is not None:
+            w_b = self.weight
+            w_a = 1.0 - w_b
+            pair, pairs = pattern.pair, pattern.pair_at.shape[1]
+            beta_a, beta_b = beta * w_a, beta * w_b
+            aa, ab, bb = (
+                np.add.reduceat(term, self.offsets[:-1])
+                for term in (beta_a * w_a, beta_a * w_b, beta_b * w_b)
+            )
+            positions += [
+                stencil_at[grid.stencil[0]],
+                pattern.pair_at.ravel(),
+                pattern.segment_at.ravel(),
+            ]
+            terms += [
+                -np.bincount(self.cells, alpha, grid.n_cells),  # -C^T diag(alpha) C
+                -np.bincount(pair, beta_a, pairs),  # -C^T diag(beta) Pi
+                -np.bincount(pair, beta_b, pairs),
+                np.bincount(pair, alpha * w_a, pairs),  # Pi^T diag(alpha) C
+                np.bincount(pair, alpha * w_b, pairs),
+                aa, ab, ab, bb,  # Pi^T diag(beta) Pi
+            ]
+        data = np.bincount(
+            np.concatenate(positions), np.concatenate(terms), pattern.indices.size
+        )
+        rows = np.asarray(pinned, dtype=np.int64)
+        first, count = pattern.indptr[rows], np.diff(pattern.indptr)[rows]
+        within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        data[np.repeat(first, count) + within] = 0.0
+        data[pattern.node_diagonal_at[rows - grid.n_cells]] = 1.0
+        n = pattern.indptr.size - 1
+        return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def _frames(orientation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,18 +380,6 @@ def build_surface_coupling(
     offsets = np.concatenate([[0], np.cumsum(per_sample)])
     sample_seg = np.repeat(np.arange(len(ids)), per_sample)
     seg_area = 2.0 * math.pi * radius * length / per_sample
-    w_b = s / length[sample_seg]
-    w_a = 1.0 - w_b
-    m = cells.size
-    C = sp.csr_matrix((np.ones(m), cells, np.arange(m + 1)), shape=(m, grid.n_cells))
-    Pi = sp.csr_matrix(
-        (
-            np.column_stack([w_a, w_b]).ravel(),
-            np.column_stack([a[sample_seg], b[sample_seg]]).ravel() - grid.n_cells,
-            np.arange(0, 2 * m + 1, 2),
-        ),
-        shape=(m, len(node_order)),
-    )
     per_segment = {
         sid: SegmentCoupling(
             cells[lo:hi], s[lo:hi], float(seg_area[k]), int(na[k]), n_angular
@@ -289,14 +389,57 @@ def build_surface_coupling(
     return SurfaceCoupling(
         per_segment=per_segment,
         clamped_samples=int(np.count_nonzero(clamped)),
+        grid=grid,
         segments=SegmentTable(ids, a, b, length, radius),
         node_order=node_order,
         node_index=node_index,
         offsets=offsets,
         cells=cells,
+        weight=s / length[sample_seg],
         area=seg_area[sample_seg],
-        C=C,
-        Pi=Pi,
-        G=sp.hstack([-C, Pi], format="csr"),
+        pattern=_coupled_pattern(grid, len(node_order), a, b, sample_seg, cells),
     )
 
+
+def _coupled_pattern(grid, n_nodes, a, b, sample_seg, cells) -> CoupledPattern:
+    """The pattern of the coupled system over the grid's cells and n_nodes
+    nodes, for segments from unknowns a to b whose wall samples lie on
+    segments `sample_seg` in cells `cells`."""
+    n_cells = grid.n_cells
+    key = sample_seg * n_cells + cells
+    # neighbouring samples mostly share their cell: sort only the runs
+    run = np.flatnonzero(np.diff(key, prepend=-1))
+    keys, run_pair = np.unique(key[run], return_inverse=True)
+    pair = np.repeat(run_pair.astype(np.int32), np.diff(run, append=key.size))
+    pair_seg, pair_cell = np.divmod(keys, n_cells)
+    pair_a, pair_b = a[pair_seg], b[pair_seg]
+    nodes = np.arange(n_cells, n_cells + n_nodes)
+    parts = [  # (rows, columns) of the entries off the face stencil
+        (pair_cell, pair_a), (pair_cell, pair_b), (pair_a, pair_cell), (pair_b, pair_cell),
+        (a, a), (a, b), (b, a), (b, b),
+        (nodes, nodes),
+    ]
+    rows, cols = (np.concatenate(side) for side in zip(*parts))
+    n = n_cells + n_nodes
+    off_indptr, off_indices, position = csr_pattern(rows, cols, n)
+    # a cell row holds the Laplacian's row, then its node columns
+    laplacian = grid.laplacian
+    stencil_indptr = np.full(n + 1, laplacian.nnz, np.int32)
+    stencil_indptr[: n_cells + 1] = laplacian.indptr
+    off_at = np.arange(off_indices.size, dtype=np.int32) + np.repeat(
+        stencil_indptr[1:], np.diff(off_indptr)
+    )
+    pair_at, segment_at, node_diagonal_at = np.split(
+        off_at[position], np.cumsum([part[0].size for part in parts])[[3, 7]]
+    )
+    pattern = CoupledPattern(
+        indptr=off_indptr + stencil_indptr,
+        indices=np.empty(off_indices.size + laplacian.nnz, np.int32),
+        pair=pair,
+        pair_at=pair_at.reshape(4, -1),
+        segment_at=segment_at.reshape(4, -1),
+        node_diagonal_at=node_diagonal_at,
+    )
+    pattern.indices[off_at] = off_indices
+    pattern.indices[pattern.stencil_at(laplacian)] = laplacian.indices
+    return pattern

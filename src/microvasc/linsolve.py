@@ -70,12 +70,21 @@ OVER_CORRECTION = 1.9
 COARSEST_CELLS = 1500
 
 
-def scaled_residuals(matrix, x, rhs, nonlinear=0.0) -> np.ndarray:
+def scaled_residuals(matrix, x, rhs, nonlinear=0.0, magnitude=None) -> np.ndarray:
     """Row-scaled residuals |(Ax + f - b)_i| / (sum_j |A_ij x_j| + |f_i| +
-    |b_i|), with f an optional nonlinear term such as a sink."""
+    |b_i|), with f an optional nonlinear term such as a sink. `magnitude`
+    is |A|, for a caller that measures the same A many times."""
+    if magnitude is None:
+        magnitude = abs(matrix)
     residual = np.abs(matrix @ x + nonlinear - rhs)
-    scale = abs(matrix) @ np.abs(x) + np.abs(nonlinear) + np.abs(rhs)
+    scale = magnitude @ np.abs(x) + np.abs(nonlinear) + np.abs(rhs)
     return residual / np.where(scale > 0.0, scale, 1.0)
+
+
+def absolute(matrix: sp.csr_matrix) -> sp.csr_matrix:
+    """|A| of a CSR matrix, as abs(matrix) is, but sharing its index arrays."""
+    matrix.sum_duplicates()
+    return sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 def scaled_residual(matrix, x, rhs, nonlinear=0.0) -> float:
@@ -117,10 +126,11 @@ def _dissection(shape):
     return order(np.arange(nx * ny * nz).reshape(nz, ny, nx))
 
 
-def _galerkin(rows, cols, n):
+def csr_pattern(rows, cols, n):
     """CSR pattern (indptr, indices) of the n x n matrix that sums each
-    nonzero k of a fine one into entry (rows[k], cols[k]), and the position
-    of that entry in the pattern for every k."""
+    term k of a list into entry (rows[k], cols[k]), and the position of
+    that entry in the pattern for every k: the matrix's data is then
+    bincount(position, terms)."""
     key = rows.astype(np.int64) * n + cols
     unique, position = np.unique(key, return_inverse=True)
     indptr = np.zeros(n + 1, np.int32)
@@ -175,11 +185,11 @@ class MultigridPlan:
             if coarsest:  # P permutes to dissection order; coarse pattern is CSC
                 aggregate = np.empty(n, np.intp)
                 aggregate[_dissection(shape)] = np.arange(n)
-                *coarse, galerkin = _galerkin(aggregate[indices], aggregate[rows], n)
+                *coarse, galerkin = csr_pattern(aggregate[indices], aggregate[rows], n)
             else:
                 aggregate, shape = _aggregate(shape)
                 n = int(np.prod(shape))
-                *coarse, galerkin = _galerkin(aggregate[rows], aggregate[indices], n)
+                *coarse, galerkin = csr_pattern(aggregate[rows], aggregate[indices], n)
             diagonal = np.flatnonzero(indices == rows)
             self.levels.append(Level(indptr, indices, diagonal, aggregate, galerkin))
             indptr, indices = coarse
@@ -276,14 +286,17 @@ class LinearSolver:
         matrix.sum_duplicates()
         self.cells = cells = grid.n_cells
         self.vcycle = VCycle(matrix[:cells, :cells], grid)
-        self.magnitude = abs(matrix)  # same pattern as the matrix
+        self.magnitude = absolute(matrix)
         end = matrix.indptr[cells]
         rows = np.repeat(np.arange(cells), np.diff(matrix.indptr[: cells + 1]))
         self.cell_diagonal_at = np.flatnonzero(matrix.indices[:end] == rows)
         self.cell_diagonal = matrix.data[self.cell_diagonal_at]
         self.tissue_nodes = matrix[:cells, cells:]
         self.nodes_tissue = matrix[cells:, :cells]
-        self.nodes = spla.splu(matrix[cells:, cells:].tocsc())
+        # the node block is a graph Laplacian plus the wall terms, nearly
+        # symmetric: a minimum-degree order on its symmetric part fills in
+        # about half what COLAMD's does on a lattice of capillaries
+        self.nodes = spla.splu(matrix[cells:, cells:].tocsc(), permc_spec="MMD_AT_PLUS_A")
         self.shifted = False
 
     def solve(self, rhs, cell_diagonal=None, guess=None, forcing=0.0) -> tuple[np.ndarray, int]:

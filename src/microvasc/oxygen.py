@@ -13,9 +13,9 @@ Partial pressures stay in mmHg; every transport coefficient multiplying
 them is in SI, so both compartment balances carry units of mmHg*m^3/s.
 The 1D advective-diffusive flux carries the cross-section factor pi*R^2,
 which makes the 1D volumetric flow identical to the flow solver's and the
-junction balance conservative. The wall exchange is built from the same
-surface-coupling operators as the flow's (see `grid.SurfaceCoupling`), on
-the same node index, face list, face Laplacian and Dirichlet-row helper.
+junction balance conservative. The operator is filled on the same
+coupled pattern as the flow's (`SurfaceCoupling.coupled_matrix`), with the
+same node index, face list and face Laplacian.
 The oxygen boundary data, the PO2 of each arterial and venous
 pressure-boundary node, comes from the run's `OxygenParameters` through
 `classify_arterial_venous`.
@@ -30,16 +30,9 @@ import scipy.sparse as sp
 from numpy.linalg import norm
 
 from .errors import ConvergenceError, StateError, ValidationError
-from .flow import (
-    RESIDUAL_TOL,
-    FlowParameters,
-    FlowState,
-    pin_rows,
-    starling_flux,
-    tissue_laplacian,
-)
-from .grid import SurfaceCoupling, TissueGrid, edge_laplacian
-from .linsolve import LinearSolver, scaled_residuals
+from .flow import GRAPH_LAPLACIAN, RESIDUAL_TOL, FlowParameters, FlowState, starling_flux
+from .grid import SurfaceCoupling, TissueGrid
+from .linsolve import LinearSolver, absolute, scaled_residuals
 from .network import VascularNetwork
 
 
@@ -177,35 +170,33 @@ def assemble_transport_operator(
     # and q out of node_a into node_b (vessels), carrying po2 of the upwind end
     lo, hi, area, h = grid.faces()
     v = -flow_params.mobility * (flow.p_t[hi] - flow.p_t[lo]) / h * area
+    laplacian = grid.laplacian
+    tissue = params.diffusion_tissue * laplacian.data + np.bincount(
+        grid.stencil[1].ravel(), _upwind(v).ravel(), laplacian.nnz
+    )
     cross = np.pi * table.radius**2
     q = np.array([flow.u_v[sid] for sid in table.ids]) * cross
-    out = np.concatenate([lo, table.a])
-    into = np.concatenate([hi, table.b])
-    upwind = np.concatenate([np.where(v > 0.0, lo, hi), np.where(q > 0.0, table.a, table.b)])
-    flux = np.concatenate([v, q])
-    convection = sp.csr_matrix(
-        (np.concatenate([flux, -flux]), (np.concatenate([out, into]), np.tile(upwind, 2))),
-        shape=(n, n),
-    )
+    graph = np.outer(GRAPH_LAPLACIAN, params.diffusion_vessel * cross / table.length) + _upwind(q)
 
     jp = np.concatenate([flow.sample_jp[sid] for sid in table.ids])
     adv = 0.5 * (1.0 - flow_params.reflection) * jp
     c_t = (adv - params.wall_permeability) * coupling.area
     c_v = (adv + params.wall_permeability) * coupling.area
-    exchange = coupling.G.T @ sp.hstack(
-        [sp.diags(c_t) @ coupling.C, sp.diags(c_v) @ coupling.Pi], format="csr"
-    )
 
-    matrix = (
-        tissue_laplacian(grid, params.diffusion_tissue, n)
-        + edge_laplacian(table.a, table.b, params.diffusion_vessel * cross / table.length, n)
-        + convection
-        + exchange
-    )
-    base, rhs = pin_rows(
-        matrix, np.zeros(n), {coupling.node_index[nid]: po2 for nid, po2 in dirichlet.items()}
-    )
+    pinned = {coupling.node_index[nid]: po2 for nid, po2 in dirichlet.items()}
+    base = coupling.coupled_matrix(tissue, graph, c_t, c_v, list(pinned))
+    rhs = np.zeros(n)
+    rhs[list(pinned)] = list(pinned.values())
     return TransportOperator(net, grid, coupling.node_index, base, rhs, dirichlet)
+
+
+def _upwind(flux: np.ndarray) -> np.ndarray:
+    """Upwinded convection of a flux out of lo into hi, carrying the value
+    of its upwind end, as the (lo, lo), (lo, hi), (hi, lo), (hi, hi) rows of
+    a (4, edges) array."""
+    up = flux > 0.0
+    from_lo, from_hi = np.where(up, flux, 0.0), np.where(up, 0.0, flux)
+    return np.stack([from_lo, from_hi, -from_lo, -from_hi])
 
 
 _ARMIJO = 1.0e-4  # sufficient decrease of ||F|| along a Newton step
@@ -282,8 +273,9 @@ def solve_oxygen(
         return norm(base @ x + sink[0] - b), sink
 
     linear = m0 == 0.0
+    magnitude = absolute(base)
     f_norm, (s, d, g) = merit(x)
-    phi = norm(scaled_residuals(base, x, b, s))
+    phi = norm(scaled_residuals(base, x, b, s, magnitude))
     forcing = 0.0 if linear else FORCING_MAX
     solver = LinearSolver(base, operator.grid)
     history: list[float] = []
@@ -310,7 +302,7 @@ def solve_oxygen(
             f_new, sink = merit(x_new)
         history.append(norm(x_new - x) / max(norm(x_new), k))
         x, f_norm, (s, d, g) = x_new, f_new, sink
-        rows = scaled_residuals(base, x, b, s)
+        rows = scaled_residuals(base, x, b, s, magnitude)
         residual = float(np.max(rows))
         if converged and (forcing == 0.0 or residual <= RESIDUAL_TOL):
             break

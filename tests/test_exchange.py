@@ -1,8 +1,10 @@
 """The operator-built 3D-1D exchange against the per-segment reference
-assemblies in `exchange_oracle`."""
+assemblies in `exchange_oracle`, and the scatter assembly on the coupled
+pattern against scipy's sparse products."""
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import assume, given, settings, strategies as st
 
 import exchange_oracle as oracle
@@ -141,6 +143,64 @@ def test_filtration_and_boundary_fluxes_match_per_segment_sums(solved):
     assert flow.boundary_flux.keys() == ref_fluxes.keys()
     for nid, ref in ref_fluxes.items():
         assert abs(flow.boundary_flux[nid] - ref) <= FLUX_RTOL * abs(ref)
+
+
+def sample_operators(coupling):
+    """C and Pi as scipy matrices, built from the flat sample arrays: each
+    sample's cell, its segment's end nodes and w_b = s/l."""
+    table, n = coupling.segments, coupling.grid.n_cells
+    m, nodes = coupling.cells.size, len(coupling.node_order)
+    segment = np.repeat(np.arange(len(table.ids)), np.diff(coupling.offsets))
+    s = np.concatenate([coupling.per_segment[sid].s for sid in table.ids])
+    w_b = s / table.length[segment]
+    ends = np.concatenate([table.a[segment], table.b[segment]]) - n
+    C = sp.csr_matrix((np.ones(m), (np.arange(m), coupling.cells)), shape=(m, n))
+    Pi = sp.csr_matrix(
+        (np.concatenate([1.0 - w_b, w_b]), (np.tile(np.arange(m), 2), ends)), shape=(m, nodes)
+    )
+    return C, Pi
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_scatter_matches_the_sparse_products(case):
+    net, grid, _ = CASES[case]()
+    coupling = build_surface_coupling(grid, net)
+    C, Pi = sample_operators(coupling)
+    G = sp.hstack([-C, Pi], format="csr")
+    rng = np.random.default_rng(sorted(CASES).index(case))
+    alpha, beta = rng.standard_normal((2, C.shape[0]))
+    want = G.T @ sp.hstack([sp.diags(alpha) @ C, sp.diags(beta) @ Pi], format="csr")
+    zero_tissue = np.zeros(grid.laplacian.nnz)
+    zero_graph = np.zeros((4, len(coupling.segments.ids)))
+    got = coupling.coupled_matrix(zero_tissue, zero_graph, alpha, beta)
+    assert row_scaled_difference(got, want) <= OPERATOR_RTOL
+    for mine, theirs in zip(pattern(got), pattern(want)):
+        assert np.array_equal(mine, theirs)
+
+    # the products with G, each row against sum_j |G_ij y_j|
+    x, v = rng.standard_normal(G.shape[1]), rng.standard_normal(G.shape[0])
+    products = ((coupling.jump(x), G, x), (coupling.jump_transpose(v), G.T, v))
+    for product, operator, y in products:
+        scale = abs(operator) @ np.abs(y)
+        assert np.all(np.abs(product - operator @ y) <= OPERATOR_RTOL * scale)
+
+    # pinned rows become identity rows and leave every other row as it was
+    rows = grid.n_cells + np.arange(0, len(coupling.node_order), 3)
+    pinned = coupling.coupled_matrix(zero_tissue, zero_graph, alpha, beta, rows)
+    identity = sp.csr_matrix(
+        (np.ones(rows.size), (np.arange(rows.size), rows)), shape=(rows.size, got.shape[1])
+    )
+    assert abs(pinned[rows] - identity).max() == 0.0
+    kept = np.setdiff1d(np.arange(got.shape[0]), rows)
+    assert abs(pinned[kept] - got[kept]).max() == 0.0
+
+    # the cell block is on the pattern the multigrid plan's finest level has
+    ones = sp.csr_matrix(
+        (np.ones(got.nnz), got.indices, got.indptr), shape=got.shape
+    )[: grid.n_cells, : grid.n_cells]
+    finest = grid.multigrid.levels[0]
+    assert np.array_equal(ones.indptr, finest.indptr)
+    assert np.array_equal(ones.indices, finest.indices)
 
 
 def assert_same_samples(grid, net, n_axial=None, n_angular=8):

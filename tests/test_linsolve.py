@@ -36,7 +36,7 @@ from microvasc import (
 from microvasc import grid as grid_module
 from microvasc import linsolve
 from microvasc.errors import SolverError
-from microvasc.flow import edge_laplacian
+from microvasc.grid import edge_laplacian
 from microvasc.linsolve import (
     RESTART,
     LinearSolver,

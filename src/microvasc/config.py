@@ -67,6 +67,7 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        _check_keys(cls, data, "config")
         kwargs = dict(data)
         for name, typ in (
             ("rheology", RheologyParameters),
@@ -75,12 +76,18 @@ class RunConfig:
             ("growth", GrowthParameters),
         ):
             if name in kwargs:
+                _check_keys(typ, kwargs[name], f"config section {name!r}")
                 kwargs[name] = typ(**kwargs[name])
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(kwargs) - known
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
         for key in ("grid_cells", "roi_lower", "roi_upper", "phases"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
         return cls(**kwargs)
+
+
+def _check_keys(typ, data, where: str):
+    """Reject a section that is not a JSON object or names unknown fields."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - {f.name for f in dataclasses.fields(typ)}
+    if unknown:
+        raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")

@@ -94,7 +94,7 @@ class FlowSystem:
         self.params = params
         self.node_order = coupling.node_order
         self.node_index = coupling.node_index
-        self.conductance = {}
+        self.conductance = None  # per segment, in coupling.segments.ids order
         self.matrix = None
         self.rhs = None
 
@@ -122,12 +122,11 @@ def assemble_flow_system(
 
     # Poiseuille conductances on the graph, two-point fluxes in the tissue
     table = coupling.segments
-    radius, length = table.radius.tolist(), table.length.tolist()
-    mu = [segment_viscosity(r, rheology) for r in radius]
-    g = [vessel_conductance(r, l, m) for r, l, m in zip(radius, length, mu)]
-    sys.conductance = dict(zip(table.ids, g))
+    sys.conductance = vessel_conductance(
+        table.radius, table.length, segment_viscosity(table.radius, rheology)
+    )
     tissue = params.mobility * grid.laplacian.data
-    graph = np.outer(GRAPH_LAPLACIAN, g)
+    graph = np.outer(GRAPH_LAPLACIAN, sys.conductance)
 
     alpha = beta = None
     if params.wall_conductivity > 0.0:
@@ -180,8 +179,8 @@ def solve_flow(system: FlowSystem) -> FlowState:
     if not residual <= RESIDUAL_TOL:
         raise SolverError(f"linear solve residual {residual:.3e} above tolerance")
     p_t = x[:n]
-    g = np.array([system.conductance[sid] for sid in table.ids])
-    q = g * (x[table.a] - x[table.b])  # Poiseuille flow node_a -> node_b, m^3/s
+    # Poiseuille flow node_a -> node_b, m^3/s
+    q = system.conductance * (x[table.a] - x[table.b])
 
     jp = params.wall_conductivity * (
         coupling.jump(x) - params.reflection * params.oncotic_jump

@@ -11,12 +11,11 @@ from the run's `OxygenParameters`.
 
 Collision queries go through `OctantIndex`, a uniform bucket grid whose
 edge is set by the network when it is built. `collides` measures the
-index's candidates in one vectorized pass (`segment_distances`) and
-re-measures only those within the sum of radii, plus a 1e-9 relative slack,
-with the scalar `segment_distance`; that scalar test alone decides, so the
-answers are those of a pairwise scan over all segments. A batched twin of
-`segment_distance` exact enough to decide alone would need the endpoint
-distances on every row, at two to three times the cost of the batched pass.
+index's candidates in one vectorized pass (`segment_distances`) and decides
+on those distances. The kernel takes every dot product with `np.vecdot`,
+which reduces each row on its own, so a row's distance is the same bit for
+bit in any batch and equals `segment_distance`, its one-row call: the
+answers are those of a scan of `segment_distance` over all segments.
 Linking is one exact vectorized pass over a table of all nodes: its
 distances and cone cosines come from `np.vecdot`, the dot kernel behind
 `np.linalg.norm` and 1-D `@`, so they equal a scalar scan's bit for bit.
@@ -82,71 +81,28 @@ _EPS = 1e-30  # squared length below which a segment is a point
 _PARALLEL = 1e-6  # sin^2 of the angle below which segments count as parallel
 
 
-def _dot(u, v) -> float:
-    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
-
-
-def _clamp(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
-
-
-def segment_distance(a0, a1, b0, b1) -> float:
-    """Minimum distance between 3D line segments a0-a1 and b0-b1.
-
-    The closest pair from the clamped line parameters is wrong for nearly
-    parallel segments, where a*e - b*b is rounding noise, so the answer is
-    the least of it and the four endpoint-to-segment distances: each is a
-    true point-pair distance, and in the degenerate case the minimum is one
-    of the endpoint ones (Eberly, "Robust Computation of Distance Between
-    Line Segments", 2015). Plain float arithmetic: one call is one pair.
-    """
-    a0, a1, b0, b1 = (np.asarray(p, float).tolist() for p in (a0, a1, b0, b1))
-    d1 = [q - p for p, q in zip(a0, a1)]
-    d2 = [q - p for p, q in zip(b0, b1)]
-    r = [p - q for p, q in zip(a0, b0)]
-    a, e, f, c, b = _dot(d1, d1), _dot(d2, d2), _dot(d2, r), _dot(d1, r), _dot(d1, d2)
-    # a0 and a1 projected onto segment b, b0 and b1 onto segment a
-    t0, t1 = (_clamp(f / e), _clamp((f + b) / e)) if e > _EPS else (0.0, 0.0)
-    s0, s1 = (_clamp(-c / a), _clamp((b - c) / a)) if a > _EPS else (0.0, 0.0)
-    if a <= _EPS:
-        s, t = 0.0, t0
-    elif e <= _EPS:
-        s, t = s0, 0.0
-    else:
-        denom = a * e - b * b
-        s = _clamp((b * f - c * e) / denom) if denom > 0 else 0.0
-        t = (b * s + f) / e
-        if t < 0.0:
-            s, t = s0, 0.0
-        elif t > 1.0:
-            s, t = s1, 1.0
-    pairs = ((s, t), (0.0, t0), (1.0, t1), (s0, 0.0), (s1, 1.0))
-    return math.sqrt(min(
-        sum((ri + sk * u - tk * v) ** 2 for ri, u, v in zip(r, d1, d2)) for sk, tk in pairs
-    ))
-
-
 def segment_distances(a0, a1, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
-    """`segment_distance(a0, a1, b0[i], b1[i])` for every row i, in one pass.
+    """Minimum distance between segment a0-a1 and each row's b0[i]-b1[i].
 
-    Takes the same clamping branches as the scalar version, zero-length
-    segments on either side included. The endpoint-to-segment distances
-    can only undercut the clamped pair where that pair is unreliable:
-    nearly parallel or zero-length segments, a*e - b*b <= _PARALLEL * a*e.
-    Only those rows take the minimum with them; on random pairs whose sin^2
-    of the angle is above 1e-9 the clamped pair is within 2e-16 of the
-    coordinate scale of it. So the two versions agree to rounding without
-    four more distances per row.
+    The closest pair comes from the clamped line parameters, zero-length
+    segments on either side taking their own branch. That pair is wrong for
+    nearly parallel segments, where a*e - b*b is rounding noise, so on rows
+    with a*e - b*b <= _PARALLEL * a*e (zero-length ones included) the answer
+    is the least of it and the four endpoint-to-segment distances: each is a
+    true point-pair distance, and in the degenerate case the minimum is one
+    of them (Eberly, "Robust Computation of Distance Between Line Segments",
+    2015). Every dot product is an `np.vecdot`, which reduces each row on
+    its own, so a row's distance does not depend on the batch around it.
     """
     a0 = np.asarray(a0, float)
     d1 = np.asarray(a1, float) - a0
     d2 = b1 - b0
     r = a0 - b0
-    a = d1 @ d1
-    e = np.einsum("ij,ij->i", d2, d2)
-    f = np.einsum("ij,ij->i", d2, r)
-    c = r @ d1
-    b = d2 @ d1
+    a = np.vecdot(d1, d1)
+    e = np.vecdot(d2, d2)
+    f = np.vecdot(d2, r)
+    c = np.vecdot(r, d1)
+    b = np.vecdot(d2, d1)
     denom = a * e - b * b
     point_b = e <= _EPS
     e_safe = np.where(point_b, 1.0, e)
@@ -165,13 +121,20 @@ def segment_distances(a0, a1, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
         s = np.where(point_b, s_low, s)
         t = np.where(point_b, 0.0, t)
     diff = r + s[:, None] * d1 - t[:, None] * d2
-    dist = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    dist = np.sqrt(np.vecdot(diff, diff))
     near = np.flatnonzero(denom <= _PARALLEL * a * e)
     if near.size:
         dist[near] = np.minimum(dist[near], _endpoint_distances(
             r[near], d1, d2[near], a, e[near], f[near], c[near], b[near]
         ))
     return dist
+
+
+def segment_distance(a0, a1, b0, b1) -> float:
+    """Minimum distance between 3D line segments a0-a1 and b0-b1: the
+    one-row call of `segment_distances`."""
+    b0, b1 = (np.asarray(p, float).reshape(1, 3) for p in (b0, b1))
+    return float(segment_distances(a0, a1, b0, b1)[0])
 
 
 def _endpoint_distances(r, d1, d2, a, e, f, c, b):
@@ -183,7 +146,7 @@ def _endpoint_distances(r, d1, d2, a, e, f, c, b):
     s = np.stack([zeros, ones, np.clip(-c / a_safe, 0, 1), np.clip((b - c) / a_safe, 0, 1)])
     t = np.stack([np.clip(f / e_safe, 0, 1), np.clip((f + b) / e_safe, 0, 1), zeros, ones])
     diff = r + s[..., None] * d1 - t[..., None] * d2
-    return np.sqrt(np.min(np.einsum("kij,kij->ki", diff, diff), axis=0))
+    return np.sqrt(np.min(np.vecdot(diff, diff), axis=0))
 
 
 def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
@@ -195,7 +158,6 @@ def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
 # -- segment index: uniform bucket grid ----------------------------------
 
 MAX_BUCKETS_PER_AXIS = 64  # keeps the grid coarse for tiny segments in big domains
-_RECHECK = 1.0 + 1e-9  # relative slack of the batched collision pre-filter
 
 
 class OctantIndex:
@@ -213,10 +175,9 @@ class OctantIndex:
     marks a slot dead.
 
     The index proposes, it does not decide: `collides` measures the
-    candidates in one batched pass and re-checks the near ones with the
-    scalar `segment_distance`. The class keeps the name it had when it split
-    the domain into eight octants, because `perfbench/tracing.py` wraps
-    `OctantIndex.candidates` by name.
+    candidates in one batched pass. The class keeps the name it had when it
+    split the domain into eight octants, because `perfbench/tracing.py`
+    wraps `OctantIndex.candidates` by name.
     """
 
     def __init__(self, domain: DomainBox, edge: float):
@@ -279,13 +240,13 @@ class OctantIndex:
     def candidates(self, p0, p1, radius: float) -> np.ndarray:
         """Slots of the live segments sharing a bucket with the query box.
 
-        The box is grown by the radius plus a rounding slack. Index `ids`,
-        `p0`, `p1` and `radius` with the result.
+        The box is grown by the radius plus a rounding pad of 1e-9 bucket
+        edges. Index `ids`, `p0`, `p1` and `radius` with the result.
         """
         p0 = np.asarray(p0, float)
         p1 = np.asarray(p1, float)
         found: set[int] = set()
-        for key in self._keys(p0, p1, radius * _RECHECK + 1e-9 * self.edge):
+        for key in self._keys(p0, p1, radius + 1e-9 * self.edge):
             members = self.buckets.get(key)
             if members:
                 found.update(members)
@@ -321,22 +282,16 @@ def collides(
 
     Segments sharing a network node with the candidate (those incident to
     `attached_nodes`) are exempt; the rejection guard is the strict
-    inequality dist < R_new + R_k. The index's candidates are measured in
-    one batched pass; only those within the sum of radii (plus a 1e-9
-    relative slack) are re-measured with the scalar `segment_distance`,
-    which makes the decision.
+    inequality dist < R_new + R_k on the index's candidates, measured in
+    one batched pass.
     """
     slots = octants.candidates(p0, p1, radius)
     if not slots.size:
         return False
-    reach = (radius + octants.radius[slots]) * _RECHECK
     dist = segment_distances(p0, p1, octants.p0[slots], octants.p1[slots])
-    for sid in octants.ids[slots[dist < reach]].tolist():
+    for sid in octants.ids[slots[dist < radius + octants.radius[slots]]].tolist():
         seg = net.segments.get(sid)
-        if seg is None or seg.node_a in attached_nodes or seg.node_b in attached_nodes:
-            continue
-        q0, q1 = net.segment_endpoints(sid)
-        if segment_distance(p0, p1, q0, q1) < radius + seg.radius:
+        if seg is not None and not (seg.node_a in attached_nodes or seg.node_b in attached_nodes):
             return True
     return False
 
@@ -408,16 +363,16 @@ def bifurcation_decision(r: float, params: GrowthParameters) -> bool:
 
 
 def murray_branch_radii(
-    parent_radius: float, gamma: float, rng: np.random.Generator,
-    params: GrowthParameters,
+    parent_radius: float, rng: np.random.Generator, params: GrowthParameters
 ) -> tuple[float, float]:
-    """Two branch radii around the symmetric Murray radius 2^(-1/gamma)*R.
+    """Two branch radii around the symmetric Murray radius 2^(-1/gamma)*R,
+    gamma being `params.gamma`.
 
     Each is drawn from Normal(R_c, R_c/divisor), truncated to (0, parent].
     """
     if parent_radius <= 0.0:
         raise ValidationError("parent radius must be positive")
-    r_c = 2.0 ** (-1.0 / gamma) * parent_radius
+    r_c = 2.0 ** (-1.0 / params.gamma) * parent_radius
     sigma = r_c / params.radius_sigma_divisor
     out = []
     for _ in range(2):
@@ -674,9 +629,7 @@ class GrowthEngine:
         d_g = growth_direction(grad, d_k, self.params.lambda_g)
         attached = False
         if bifurcation_decision(r, self.params):
-            r_b1, r_b2 = murray_branch_radii(
-                parent_radius, self.params.gamma, self.rng, self.params
-            )
+            r_b1, r_b2 = murray_branch_radii(parent_radius, self.rng, self.params)
             r_b1 = self._child_radius(r_b1, parent_radius, phase)
             r_b2 = self._child_radius(r_b2, parent_radius, phase)
             phi1, phi2, clamped = bifurcation_angles(parent_radius, r_b1, r_b2)

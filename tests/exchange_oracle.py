@@ -224,12 +224,13 @@ def filtration_from_tissue_side(system, p_t, p_v):
 def boundary_fluxes(system, p_v, sample_jp):
     """Volumetric inflow at each Dirichlet node, wall-leak share included."""
     net = system.net
+    position = {sid: k for k, sid in enumerate(system.coupling.segments.ids)}
     out = {}
     for nid in sorted(system.dirichlet):
         flux = 0.0
         for sid in net.adjacency[nid]:
             seg = net.segments[sid]
-            g = system.conductance[sid]
+            g = system.conductance[position[sid]]
             flux += g * (p_v[nid] - p_v[seg.other(nid)])
             sc = system.coupling.per_segment[sid]
             length, _ = net.segment_geometry(sid)

@@ -39,8 +39,9 @@ class TestConfig:
         assert again.digest() == config.digest()
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValidationError):
-            RunConfig.from_dict({"not_a_key": 1})
+        for data in ({"not_a_key": 1}, {"growth": {"gama": 3.0}}, {"oxygen": [1, 2]}):
+            with pytest.raises(ValidationError):
+                RunConfig.from_dict(data)
 
     def test_nested_parameter_override(self):
         config = RunConfig.from_dict(
@@ -95,6 +96,13 @@ class TestCommands:
         assert code == 1
         report = json.loads(capsys.readouterr().err)
         assert "not found" in report["message"]
+
+    def test_malformed_config_section_is_reported(self, tmp_path, capsys):
+        config, _ = write_inputs(tmp_path, growth={"gama": 3.0})
+        assert main(["solve", "--config", str(config)]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "ValidationError"
+        assert "gama" in report["message"]
 
     def test_flag_overrides_config(self, tmp_path, capsys):
         config, _ = write_inputs(tmp_path)

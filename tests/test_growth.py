@@ -38,6 +38,55 @@ point = st.floats(-1e-3, 1e-3, allow_nan=False)
 point3 = st.tuples(point, point, point)
 
 
+# -- reference: the scalar Eberly distance, plain float arithmetic -----------
+
+_EPS = 1e-30  # squared length below which a segment is a point
+
+
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _clamp(x: float) -> float:
+    return min(max(x, 0.0), 1.0)
+
+
+def reference_segment_distance(a0, a1, b0, b1) -> float:
+    """Minimum distance between 3D line segments a0-a1 and b0-b1.
+
+    The closest pair from the clamped line parameters is wrong for nearly
+    parallel segments, where a*e - b*b is rounding noise, so the answer is
+    the least of it and the four endpoint-to-segment distances: each is a
+    true point-pair distance, and in the degenerate case the minimum is one
+    of the endpoint ones (Eberly, "Robust Computation of Distance Between
+    Line Segments", 2015). Plain float arithmetic: one call is one pair.
+    """
+    a0, a1, b0, b1 = (np.asarray(p, float).tolist() for p in (a0, a1, b0, b1))
+    d1 = [q - p for p, q in zip(a0, a1)]
+    d2 = [q - p for p, q in zip(b0, b1)]
+    r = [p - q for p, q in zip(a0, b0)]
+    a, e, f, c, b = _dot(d1, d1), _dot(d2, d2), _dot(d2, r), _dot(d1, r), _dot(d1, d2)
+    # a0 and a1 projected onto segment b, b0 and b1 onto segment a
+    t0, t1 = (_clamp(f / e), _clamp((f + b) / e)) if e > _EPS else (0.0, 0.0)
+    s0, s1 = (_clamp(-c / a), _clamp((b - c) / a)) if a > _EPS else (0.0, 0.0)
+    if a <= _EPS:
+        s, t = 0.0, t0
+    elif e <= _EPS:
+        s, t = s0, 0.0
+    else:
+        denom = a * e - b * b
+        s = _clamp((b * f - c * e) / denom) if denom > 0 else 0.0
+        t = (b * s + f) / e
+        if t < 0.0:
+            s, t = s0, 0.0
+        elif t > 1.0:
+            s, t = s1, 1.0
+    pairs = ((s, t), (0.0, t0), (1.0, t1), (s0, 0.0), (s1, 1.0))
+    return math.sqrt(min(
+        sum((ri + sk * u - tk * v) ** 2 for ri, u, v in zip(r, d1, d2)) for sk, tk in pairs
+    ))
+
+
 class TestSegmentDistance:
     def test_parallel_offset(self):
         d = segment_distance([0, 0, 0], [1, 0, 0], [0, 0.5, 0], [1, 0.5, 0])
@@ -61,13 +110,13 @@ class TestSegmentDistance:
 
     @staticmethod
     def both_ways(a0, a1, b0, b1):
-        """Scalar and batched distance, each with the segments in both orders."""
+        """Library and reference distance, each with the segments in both orders."""
         a0, a1, b0, b1 = (np.array(p, float) for p in (a0, a1, b0, b1))
         return [
             segment_distance(a0, a1, b0, b1),
             segment_distance(b0, b1, a0, a1),
-            float(segment_distances(a0, a1, b0[None], b1[None])[0]),
-            float(segment_distances(b0, b1, a0[None], a1[None])[0]),
+            reference_segment_distance(a0, a1, b0, b1),
+            reference_segment_distance(b0, b1, a0, a1),
         ]
 
     def test_nearly_collinear_overlap(self):
@@ -277,8 +326,60 @@ class TestBatchedDistance:
         scale = max(np.max(np.abs(b0)), np.max(np.abs(b1)), np.max(np.abs(a0)),
                     np.max(np.abs(a1)), 1e-300)
         for i, (q0, q1) in enumerate(pairs):
-            scalar = segment_distance(a0, a1, q0, q1)
+            scalar = reference_segment_distance(a0, a1, q0, q1)
             assert batched[i] == pytest.approx(scalar, rel=1e-12, abs=1e-12 * scale)
+
+
+def seeded_batches(seed, queries):
+    """Queries with up to 39 stored rows each: random, parallel or collinear
+    to the query, or of zero length; one query in ten is itself a point."""
+    rng = np.random.default_rng(seed)
+    for _ in range(queries):
+        a0 = rng.uniform(-1e-3, 1e-3, 3)
+        a1 = a0.copy() if rng.random() < 0.1 else rng.uniform(-1e-3, 1e-3, 3)
+        n = int(rng.integers(1, 40))
+        kind = rng.integers(0, 4, n)
+        b0 = rng.uniform(-1e-3, 1e-3, (n, 3))
+        b1 = rng.uniform(-1e-3, 1e-3, (n, 3))
+        parallel, collinear, point_rows = kind == 1, kind == 2, kind == 3
+        b1[parallel] = b0[parallel] + rng.uniform(-2, 2, (parallel.sum(), 1)) * (a1 - a0)
+        u = rng.uniform(-1.5, 2.5, (collinear.sum(), 2))
+        b0[collinear] = a0 + u[:, :1] * (a1 - a0)
+        b1[collinear] = a0 + u[:, 1:] * (a1 - a0)
+        b1[point_rows] = b0[point_rows]
+        yield a0, a1, b0, b1
+
+
+class TestRowIndependence:
+    """A row's distance alone equals the same row inside any batch, bit for
+    bit, so `collides` deciding on one batched pass is a scan of
+    `segment_distance` over every candidate."""
+
+    @staticmethod
+    def alone(a0, a1, b0, b1):
+        return np.array([segment_distance(a0, a1, q0, q1) for q0, q1 in zip(b0, b1)])
+
+    @given(data=st.data(), a0=vec3, a1=vec3, zero_length=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_row_alone_equals_row_in_batch(self, data, a0, a1, zero_length):
+        if zero_length:
+            a1 = a0.copy()
+        pairs = data.draw(st.lists(stored_segment(a0, a1), min_size=1, max_size=32))
+        b0 = np.array([q0 for q0, _ in pairs])
+        b1 = np.array([q1 for _, q1 in pairs])
+        pick = np.array(
+            data.draw(st.lists(st.integers(0, len(pairs) - 1), max_size=32)), dtype=np.intp
+        )
+        alone = self.alone(a0, a1, b0, b1)
+        assert np.array_equal(segment_distances(a0, a1, b0, b1), alone)
+        assert np.array_equal(segment_distances(a0, a1, b0[pick], b1[pick]), alone[pick])
+
+    def test_seeded_batches(self):
+        mismatches = 0
+        for a0, a1, b0, b1 in seeded_batches(0, 300):
+            alone = self.alone(a0, a1, b0, b1)
+            mismatches += np.count_nonzero(segment_distances(a0, a1, b0, b1) != alone)
+        assert mismatches == 0
 
 
 @lru_cache(maxsize=1)
@@ -494,7 +595,7 @@ class TestStochasticRules:
         rng = np.random.default_rng(1)
         parent = 10 * UM
         draws = np.array(
-            [murray_branch_radii(parent, 3.0, rng, params) for _ in range(2000)]
+            [murray_branch_radii(parent, rng, params) for _ in range(2000)]
         )
         r_c = 2.0 ** (-1.0 / 3.0) * parent
         assert np.mean(draws) == pytest.approx(r_c, rel=5e-3)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -56,6 +57,14 @@ class TestViscosityLaw:
         mu = in_vivo_viscosity(d_um, params)
         assert mu > params.plasma_viscosity
 
+    def test_one_call_over_an_array(self):
+        # flow assembly evaluates the law once over the whole segment table
+        params = RheologyParameters()
+        d_um, expected = (np.array(v) for v in zip(*sorted(VISCOSITY_ORACLE.items())))
+        np.testing.assert_allclose(in_vivo_viscosity(d_um, params), expected, rtol=1e-12)
+        with pytest.raises(ValidationError):
+            in_vivo_viscosity(np.array([10.0, 1.1, 25.0]), params)
+
     def test_segment_viscosity_uses_diameter_in_um(self):
         params = RheologyParameters()
         assert segment_viscosity(5 * UM, params) == pytest.approx(
@@ -87,6 +96,8 @@ class TestConductance:
             vessel_conductance(5 * UM, 0.0, 1e-3)
         with pytest.raises(ValidationError):
             vessel_conductance(5 * UM, 100 * UM, 0.0)
+        with pytest.raises(ValidationError):
+            vessel_conductance(np.array([5, 0]) * UM, np.array([100, 100]) * UM, 1e-3)
 
     @given(
         st.floats(1 * UM, 50 * UM),

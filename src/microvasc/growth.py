@@ -171,8 +171,15 @@ class OctantIndex:
     radius, so every segment closer than the sum of radii is a candidate.
     Bucket coordinates are clamped to the grid, so geometry outside the
     domain falls into the border buckets and is still found. Endpoints and
-    radii are kept in arrays, one row (slot) per insert; `remove` only
+    radii are kept in arrays, one row (slot) per segment; `remove` only
     marks a slot dead.
+
+    `build` indexes the whole network in one array pass: every segment's
+    (bucket, slot) pairs at once (`_bucket_pairs`), sorted by bucket. It
+    gives the index that inserting the segments one by one gives, down to
+    the order of the bucket dict and of each bucket's slots. `insert` and
+    `candidates` key one box at a time with plain float arithmetic
+    (`_keys`), elementwise the same as the array pass.
 
     The index proposes, it does not decide: `collides` measures the
     candidates in one batched pass. The class keeps the name it had when it
@@ -185,6 +192,8 @@ class OctantIndex:
         self.edge = max(float(edge), extent / MAX_BUCKETS_PER_AXIS)
         self.origin = np.asarray(domain.lower, float)
         self.top = np.maximum(np.ceil(domain.extent / self.edge).astype(int), 1) - 1
+        self._origin = self.origin.tolist()
+        self._top = self.top.astype(float).tolist()
         self.buckets: dict[int, list[int]] = {}
         self.slot_of: dict[int, int] = {}  # live segment id -> slot
         self.size = 0
@@ -194,12 +203,17 @@ class OctantIndex:
         self.radius = np.empty(0)
         self.alive = np.empty(0, dtype=bool)
 
-    def _keys(self, p0, p1, pad: float):
-        """Linear keys of the buckets overlapping the box of p0-p1 grown by pad."""
-        lo = np.floor((np.minimum(p0, p1) - pad - self.origin) / self.edge)
-        hi = np.floor((np.maximum(p0, p1) + pad - self.origin) / self.edge)
-        i0, j0, k0 = np.clip(lo, 0, self.top).astype(int).tolist()
-        i1, j1, k1 = np.clip(hi, 0, self.top).astype(int).tolist()
+    def _keys(self, p0: np.ndarray, p1: np.ndarray, pad: float) -> list[int]:
+        """Linear keys of the buckets overlapping the box of p0-p1 grown by pad.
+
+        Bucket coordinates are clamped to [0, top] before the floor, which
+        is the floor clamped to the grid, since both bounds are integers.
+        """
+        lo, hi = [], []
+        for a, b, o, t in zip(p0.tolist(), p1.tolist(), self._origin, self._top):
+            lo.append(math.floor(min(max((min(a, b) - pad - o) / self.edge, 0.0), t)))
+            hi.append(math.floor(min(max((max(a, b) + pad - o) / self.edge, 0.0), t)))
+        (i0, j0, k0), (i1, j1, k1) = lo, hi
         ny, nz = int(self.top[1]) + 1, int(self.top[2]) + 1
         return [
             (i * ny + j) * nz + k
@@ -207,6 +221,25 @@ class OctantIndex:
             for j in range(j0, j1 + 1)
             for k in range(k0, k1 + 1)
         ]
+
+    def _bucket_pairs(self, p0: np.ndarray, p1: np.ndarray, pad: np.ndarray):
+        """(key, row) of every bucket overlapping each row's box of p0-p1
+        grown by pad: `_keys` of all rows at once, rows in order and keys
+        ascending within a row."""
+        lo = np.floor((np.minimum(p0, p1) - pad[:, None] - self.origin) / self.edge)
+        hi = np.floor((np.maximum(p0, p1) + pad[:, None] - self.origin) / self.edge)
+        lo = np.clip(lo, 0, self.top).astype(np.int64)
+        span = np.clip(hi, 0, self.top).astype(np.int64) - lo + 1
+        counts = span.prod(axis=1)
+        rows = np.repeat(np.arange(len(counts)), counts)
+        # position of each pair inside its row's i-major (i, j, k) block
+        local = np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        nj, nk = span[rows, 1], span[rows, 2]
+        i = lo[rows, 0] + local // (nj * nk)
+        j = lo[rows, 1] + local // nk % nj
+        k = lo[rows, 2] + local % nk
+        ny, nz = self.top[1] + 1, self.top[2] + 1
+        return (i * ny + j) * nz + k, rows
 
     def _grow(self):
         cap = max(2 * self.size, 64)
@@ -255,18 +288,31 @@ class OctantIndex:
 
     @classmethod
     def build(cls, domain: DomainBox, net: VascularNetwork) -> "OctantIndex":
-        lengths = [
-            float(np.linalg.norm(np.subtract(*net.segment_endpoints(sid))))
-            for sid in net.segments
-        ]
-        radii = [seg.radius for seg in net.segments.values()]
+        nodes = net.nodes
+        segments = list(net.segments.values())
+        n = len(segments)
+        p0 = np.array([nodes[seg.node_a].position for seg in segments]).reshape(n, 3)
+        p1 = np.array([nodes[seg.node_b].position for seg in segments]).reshape(n, 3)
+        radius = np.fromiter((seg.radius for seg in segments), float, n)
+        d = p0 - p1
         # no segments: one bucket holding everything added later
-        edge = (float(np.median(lengths)) + 2.0 * max(radii) if lengths
+        edge = (float(np.median(np.sqrt(np.vecdot(d, d)))) + 2.0 * float(radius.max()) if n
                 else float(np.max(domain.extent)))
         index = cls(domain, edge)
-        for sid in net.segments:
-            p0, p1 = net.segment_endpoints(sid)
-            index.insert(sid, p0, p1, net.segments[sid].radius)
+        index.size = n
+        index.ids = np.fromiter(net.segments, np.int64, n)
+        index.p0, index.p1, index.radius = p0, p1, radius
+        index.alive = np.ones(n, dtype=bool)
+        index.slot_of = dict(zip(net.segments, range(n)))
+        keys, slots = index._bucket_pairs(p0, p1, radius)
+        order = np.argsort(keys, kind="stable")  # slots stay ascending in a bucket
+        keys, slots = keys[order], slots[order]
+        starts = np.flatnonzero(np.diff(keys, prepend=-1))
+        bounds = np.append(starts, keys.size).tolist()
+        # buckets in the order inserts would create them: by their first slot
+        first = np.argsort(slots[starts], kind="stable").tolist()
+        keys, slots = keys[starts].tolist(), slots.tolist()
+        index.buckets = {keys[g]: slots[bounds[g]:bounds[g + 1]] for g in first}
         return index
 
 
@@ -851,10 +897,13 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
     cut node.
     """
     out = VascularNetwork()
-    for nid in sorted(net.nodes):
-        node = net.nodes[nid]
-        if box.contains(node.position):
-            out.add_node(node.copy())
+    ids = sorted(net.nodes)
+    positions = np.array([net.nodes[nid].position for nid in ids]).reshape(-1, 3)
+    contained = np.all((positions >= box.lower) & (positions <= box.upper), axis=1)
+    in_box = dict(zip(ids, contained.tolist()))  # by original node id
+    for nid in ids:
+        if in_box[nid]:
+            out.add_node(net.nodes[nid].copy())
     for sid in sorted(net.segments):
         seg = net.segments[sid]
         a_in = seg.node_a in out.nodes
@@ -872,7 +921,7 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
             # p_in lies outside only where an earlier cut node took the id of
             # a dropped node, a defect whose fix changes the recorded growth
             # answers (ROADMAP)
-            if box.contains(p_in):
+            if in_box[inside]:
                 cut = np.clip(cut, box.lower, box.upper)
             if float(np.linalg.norm(cut - p_in)) == 0.0:
                 continue

@@ -382,6 +382,82 @@ class TestRowIndependence:
         assert mismatches == 0
 
 
+# -- reference: the index built one insert at a time -------------------------
+
+
+def reference_keys(index, p0, p1, pad: float):
+    """`OctantIndex._keys` as it was written in numpy on 3-vectors."""
+    lo = np.floor((np.minimum(p0, p1) - pad - index.origin) / index.edge)
+    hi = np.floor((np.maximum(p0, p1) + pad - index.origin) / index.edge)
+    i0, j0, k0 = np.clip(lo, 0, index.top).astype(int).tolist()
+    i1, j1, k1 = np.clip(hi, 0, index.top).astype(int).tolist()
+    ny, nz = int(index.top[1]) + 1, int(index.top[2]) + 1
+    return [
+        (i * ny + j) * nz + k
+        for i in range(i0, i1 + 1)
+        for j in range(j0, j1 + 1)
+        for k in range(k0, k1 + 1)
+    ]
+
+
+def reference_build(domain, net):
+    """`OctantIndex.build` as a loop of one `insert` per segment."""
+    lengths = [
+        float(np.linalg.norm(np.subtract(*net.segment_endpoints(sid))))
+        for sid in net.segments
+    ]
+    radii = [seg.radius for seg in net.segments.values()]
+    # no segments: one bucket holding everything added later
+    edge = (float(np.median(lengths)) + 2.0 * max(radii) if lengths
+            else float(np.max(domain.extent)))
+    index = OctantIndex(domain, edge)
+    for sid in net.segments:
+        p0, p1 = net.segment_endpoints(sid)
+        index.insert(sid, p0, p1, net.segments[sid].radius)
+    return index
+
+
+def assert_same_index(built, reference):
+    """Same edge, buckets (keys, slot lists and order, all Python ints),
+    slot map and live rows."""
+    assert built.edge == reference.edge
+    assert list(built.buckets.items()) == list(reference.buckets.items())
+    assert all(type(key) is int and all(type(slot) is int for slot in slots)
+               for key, slots in built.buckets.items())
+    assert list(built.slot_of.items()) == list(reference.slot_of.items())
+    n = reference.size
+    assert built.size == n
+    for name in ("ids", "p0", "p1", "radius", "alive"):
+        ours, theirs = getattr(built, name), getattr(reference, name)
+        assert ours.dtype == theirs.dtype
+        assert np.array_equal(ours[:n], theirs[:n])
+
+
+@st.composite
+def index_inputs(draw):
+    """A domain and a network to index in it, possibly empty, with segments
+    random, tiny or of zero length, partly or wholly outside the domain, and
+    some removed before the build. In the 1 m domain tiny segments make the
+    bucket edge that of MAX_BUCKETS_PER_AXIS."""
+    side = draw(st.sampled_from((1e-3, 1.0)))
+    lower = np.array(draw(st.tuples(*[st.floats(-1e-3, 1e-3)] * 3)))
+    upper = lower + side * np.array(draw(st.tuples(*[st.floats(0.2, 1.0)] * 3)))
+    offset = st.tuples(*[st.floats(-0.5 * side, 1.5 * side)] * 3)
+    tiny = st.tuples(*[st.floats(-1e-6, 1e-6)] * 3)
+    net = VascularNetwork()
+    for kind in draw(st.lists(st.sampled_from(("random", "tiny", "point")), max_size=24)):
+        p0 = lower + np.array(draw(offset))
+        p1 = {"random": lambda: lower + np.array(draw(offset)),
+              "tiny": lambda: p0 + np.array(draw(tiny)),
+              "point": p0.copy}[kind]()
+        a, b = net.new_node(p0), net.new_node(p1)
+        net.new_segment(a.id, b.id, draw(st.floats(1e-7, 1e-4)))
+    if net.segments:
+        for sid in draw(st.lists(st.sampled_from(sorted(net.segments)), unique=True)):
+            net.remove_segment(sid)
+    return DomainBox(lower, upper), net
+
+
 @lru_cache(maxsize=1)
 def indexed_lattice():
     """The 5.6k-segment jittered lattice and its index over the grown domain."""
@@ -432,6 +508,57 @@ class TestBucketIndex:
         octants = OctantIndex.build(domain, net)
         assert collides(net, octants, np.array([1.45e-3, 0.4e-3, 0.5e-3]),
                         np.array([1.45e-3, 0.6e-3, 0.5e-3]), 3 * UM, set())
+
+    @given(inputs=index_inputs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_build_matches_incremental_inserts(self, inputs, data):
+        domain, net = inputs
+        built, reference = OctantIndex.build(domain, net), reference_build(domain, net)
+        assert_same_index(built, reference)
+        # inserts and removals after the build, through `_grow`
+        _, extra = data.draw(index_inputs())
+        next_id = max(net.segments, default=-1) + 1
+        for i, seg in enumerate(extra.segments.values()):
+            p0, p1 = extra.nodes[seg.node_a].position, extra.nodes[seg.node_b].position
+            for index in (built, reference):
+                index.insert(next_id + i, p0, p1, seg.radius)
+        for sid in data.draw(st.lists(st.sampled_from(sorted(built.slot_of)), unique=True)
+                             if built.slot_of else st.just([])):
+            built.remove(sid)
+            reference.remove(sid)
+        assert_same_index(built, reference)
+
+    def test_lattice_build_matches_incremental_inserts(self):
+        net, octants = indexed_lattice()
+        domain = enlarge_domain(DomainBox([0.0] * 3, [0.5e-3] * 3), 0.10)
+        assert_same_index(octants, reference_build(domain, net))
+
+    @given(
+        lower=st.tuples(*[st.floats(-1e-3, 1e-3)] * 3),
+        edge=st.floats(2e-5, 2e-3),
+        boxes=st.lists(
+            st.tuples(
+                st.tuples(*[st.floats(-2e-3, 3e-3)] * 3),
+                st.one_of(st.none(), st.tuples(*[st.floats(-5e-4, 5e-4)] * 3)),
+                st.one_of(st.just(0.0), st.floats(1e-9, 3e-4)),
+            ),
+            min_size=1, max_size=16,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_keys_match_the_array_pass(self, lower, edge, boxes):
+        # boxes partly or wholly outside the domain, padded or not; a
+        # missing offset is a zero-length segment
+        lower = np.array(lower)
+        index = OctantIndex(DomainBox(lower, lower + 1e-3), edge)
+        p0 = np.array([lower + start for start, _, _ in boxes])
+        p1 = np.array([p + (offset or 0.0) for p, (_, offset, _) in zip(p0, boxes)])
+        pad = np.array([pad for _, _, pad in boxes])
+        keys, rows = index._bucket_pairs(p0, p1, pad)
+        for row in range(len(boxes)):
+            expected = keys[rows == row].tolist()
+            assert index._keys(p0[row], p1[row], float(pad[row])) == expected
+            assert reference_keys(index, p0[row], p1[row], pad[row]) == expected
 
 
 def all_node_link_candidates(engine, tip, d_x):

@@ -8,10 +8,10 @@ row-scaled residual gate. The wall exchange is the surface coupling's jump
 operator G = [-C, Pi] weighted by the sample areas: the block
 G^T diag(L_p a) G with right-hand side G^T (L_p a sigma dpi). Both sides
 of the exchange come from the same per-sample terms, so total filtration
-agrees between them to rounding. The system is filled on the coupling's
+agrees between them to rounding. The matrix is filled on the coupling's
 pattern (`SurfaceCoupling.coupled_matrix`): the grid's face Laplacian
 scaled by the mobility, the Poiseuille conductances on the segment blocks
-and the exchange, with the rows of pressure-boundary nodes pinned in place.
+and the exchange, in a `grid.CoupledSystem` pinning pressure-boundary nodes.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .errors import SolverError, ValidationError
-from .grid import SurfaceCoupling, TissueGrid
+from .grid import CoupledSystem, SurfaceCoupling, TissueGrid
 from .linsolve import LinearSolver, scaled_residual
 from .network import VascularNetwork
 from .rheology import RheologyParameters, segment_viscosity, vessel_conductance
@@ -83,24 +83,12 @@ class FlowState:
     linear_iterations: int = 0  # GMRES iterations of the solve
 
 
-class FlowSystem:
-    """Assembled sparse system plus the index maps needed to interpret it."""
+@dataclass
+class FlowSystem(CoupledSystem):
+    """The pressure system, plus what `solve_flow` turns pressures into fluxes with."""
 
-    def __init__(self, net, grid, coupling, rheology, params):
-        self.net = net
-        self.grid = grid
-        self.coupling = coupling
-        self.rheology = rheology
-        self.params = params
-        self.node_order = coupling.node_order
-        self.node_index = coupling.node_index
-        self.conductance = None  # per segment, in coupling.segments.ids order
-        self.matrix = None
-        self.rhs = None
-
-    @property
-    def n_unknowns(self) -> int:
-        return self.grid.n_cells + len(self.node_order)
+    params: FlowParameters
+    conductance: np.ndarray  # per segment, in coupling.segments.ids order
 
 
 def assemble_flow_system(
@@ -110,23 +98,20 @@ def assemble_flow_system(
     rheology: RheologyParameters,
     params: FlowParameters,
 ) -> FlowSystem:
-    sys = FlowSystem(net, grid, coupling, rheology, params)
-    n = sys.n_unknowns
     dirichlet = {
-        nid
-        for nid in net.nodes
-        if net.nodes[nid].kind == "boundary"
-        and net.nodes[nid].boundary_pressure is not None
+        nid: node.boundary_pressure
+        for nid, node in net.nodes.items()
+        if node.kind == "boundary" and node.boundary_pressure is not None
     }
     _check_solvability(coupling, dirichlet, params)
 
     # Poiseuille conductances on the graph, two-point fluxes in the tissue
     table = coupling.segments
-    sys.conductance = vessel_conductance(
+    conductance = vessel_conductance(
         table.radius, table.length, segment_viscosity(table.radius, rheology)
     )
     tissue = params.mobility * grid.laplacian.data
-    graph = np.outer(GRAPH_LAPLACIAN, sys.conductance)
+    graph = np.outer(GRAPH_LAPLACIAN, conductance)
 
     alpha = beta = None
     if params.wall_conductivity > 0.0:
@@ -136,14 +121,10 @@ def assemble_flow_system(
     else:
         # decoupled 3D Neumann problem: pin one tissue cell to remove null space
         tissue[grid.stencil[0][0]] += 1.0
-        rhs = np.zeros(n)
+        rhs = np.zeros(grid.n_cells + len(coupling.node_order))
 
-    pinned = {sys.node_index[nid]: net.nodes[nid].boundary_pressure for nid in dirichlet}
-    sys.matrix = coupling.coupled_matrix(tissue, graph, alpha, beta, list(pinned))
-    rhs[list(pinned)] = list(pinned.values())
-    sys.rhs = rhs
-    sys.dirichlet = dirichlet
-    return sys
+    matrix = coupling.coupled_matrix(tissue, graph, alpha, beta)
+    return FlowSystem(coupling, matrix, rhs, dirichlet, params, conductance)
 
 
 def _check_solvability(coupling, dirichlet, params):
@@ -158,10 +139,9 @@ def _check_solvability(coupling, dirichlet, params):
     graph = sp.csr_matrix(
         (np.ones(len(table.ids)), (table.a - first, table.b - first)), shape=(nodes, nodes)
     )
-    count, component = connected_components(graph, directed=False)
-    grounded = np.zeros(count, dtype=bool)
-    grounded[component[[coupling.node_index[nid] - first for nid in dirichlet]]] = True
-    floating = ~grounded[component]
+    _, component = connected_components(graph, directed=False)
+    grounded = component[[coupling.node_index[nid] - first for nid in dirichlet]]
+    floating = ~np.isin(component, grounded)
     if floating.any():
         raise SolverError(
             f"1D component containing node {coupling.node_order[int(np.argmax(floating))]} "
@@ -173,8 +153,7 @@ def solve_flow(system: FlowSystem) -> FlowState:
     grid, params, coupling = system.grid, system.params, system.coupling
     table, n, n_all = coupling.segments, grid.n_cells, system.n_unknowns
     x, linear_iterations = LinearSolver(system.matrix, grid).solve(system.rhs)
-    pinned = [system.node_index[nid] for nid in system.dirichlet]
-    x[pinned] = system.rhs[pinned]  # rounding must not move pinned values
+    system.restore(x)
     residual = scaled_residual(system.matrix, x, system.rhs)
     if not residual <= RESIDUAL_TOL:
         raise SolverError(f"linear solve residual {residual:.3e} above tolerance")
@@ -196,9 +175,7 @@ def solve_flow(system: FlowSystem) -> FlowState:
         f_tv=float(np.sum(exchange[jp > 0.0])) * WATER_DENSITY * MICROGRAM_PER_KG,
         residual=residual,
         sample_jp=dict(zip(table.ids, np.split(jp, coupling.offsets[1:-1]))),
-        boundary_flux={
-            nid: float(inflow[system.node_index[nid]]) for nid in sorted(system.dirichlet)
-        },
+        boundary_flux=dict(sorted(zip(system.dirichlet, inflow[system.pinned].tolist()))),
         filtration_3d=-float(np.sum(wall[:n])),
         filtration_1d=float(np.sum(exchange)),
         linear_iterations=linear_iterations,

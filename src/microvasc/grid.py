@@ -26,6 +26,9 @@ bincounts: per-cell, per-pair (one per distinct (segment, cell) of the
 samples) and per-segment sums of the sample terms, scattered onto those
 positions. This is the same algebra as the sparse products, summed in
 another order.
+
+`CoupledSystem` is the one system type of flow and oxygen, and the one
+place that writes the rows of pinned (Dirichlet) nodes.
 """
 
 from __future__ import annotations
@@ -271,12 +274,11 @@ class SurfaceCoupling:
             + np.bincount(table.b - n_cells, on_b, n_nodes),
         ])
 
-    def coupled_matrix(self, tissue, graph, alpha=None, beta=None, pinned=()) -> sp.csr_matrix:
+    def coupled_matrix(self, tissue, graph, alpha=None, beta=None) -> sp.csr_matrix:
         """The coupled matrix on `pattern`: `tissue`, data on the grid's
         Laplacian pattern, as the cell block; `graph`, a (4, segments)
         array, on the segments' 2x2 blocks; plus, given per-sample alpha and
-        beta, the exchange G^T [diag(alpha) C, diag(beta) Pi]. The rows of
-        the node unknowns `pinned` are then identity rows."""
+        beta, the exchange G^T [diag(alpha) C, diag(beta) Pi]."""
         pattern, grid = self.pattern, self.grid
         stencil_at = pattern.stencil_at(grid.laplacian)
         positions = [stencil_at, pattern.segment_at.ravel()]
@@ -306,13 +308,53 @@ class SurfaceCoupling:
         data = np.bincount(
             np.concatenate(positions), np.concatenate(terms), pattern.indices.size
         )
-        rows = np.asarray(pinned, dtype=np.int64)
-        first, count = pattern.indptr[rows], np.diff(pattern.indptr)[rows]
-        within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
-        data[np.repeat(first, count) + within] = 0.0
-        data[pattern.node_diagonal_at[rows - grid.n_cells]] = 1.0
         n = pattern.indptr.size - 1
         return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
+
+
+@dataclass
+class CoupledSystem:
+    """A linear system on a coupling's (cells, nodes) unknowns. Building it
+    pins the `dirichlet` nodes in place: identity rows in `matrix`, values in
+    `rhs`."""
+
+    coupling: SurfaceCoupling
+    matrix: sp.csr_matrix
+    rhs: np.ndarray
+    dirichlet: dict[int, float]  # node id -> pinned value
+
+    def __post_init__(self):
+        rows, pattern = self.pinned, self.coupling.pattern
+        count = np.diff(pattern.indptr)[rows]
+        within = np.arange(count.sum()) - np.repeat(np.cumsum(count) - count, count)
+        self.matrix.data[np.repeat(pattern.indptr[rows], count) + within] = 0.0
+        self.matrix.data[pattern.node_diagonal_at[rows - self.grid.n_cells]] = 1.0
+        self.rhs[rows] = list(self.dirichlet.values())
+
+    @property
+    def grid(self) -> TissueGrid:
+        return self.coupling.grid
+
+    @property
+    def node_order(self) -> list[int]:
+        return self.coupling.node_order
+
+    @property
+    def node_index(self) -> dict[int, int]:
+        return self.coupling.node_index
+
+    @property
+    def n_unknowns(self) -> int:
+        return self.grid.n_cells + len(self.node_order)
+
+    @property
+    def pinned(self) -> np.ndarray:
+        """Unknown indices of the `dirichlet` nodes, in its order."""
+        return np.array([self.node_index[nid] for nid in self.dirichlet], dtype=np.int64)
+
+    def restore(self, x: np.ndarray):
+        """Write the pinned values back into a solution x, in place."""
+        x[self.pinned] = self.rhs[self.pinned]
 
 
 def _frames(orientation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

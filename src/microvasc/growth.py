@@ -24,7 +24,7 @@ distances and cone cosines come from `np.vecdot`, the dot kernel behind
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -622,16 +622,16 @@ class GrowthEngine:
         )
         return self.flow, self.oxygen
 
-    def _initial_guess(self, operator):
+    def _initial_guess(self, system):
         if self.oxygen is None:
             return None
-        guess = np.zeros(operator.base.shape[0])
+        guess = np.zeros(system.n_unknowns)
         guess[: self.grid.n_cells] = self.oxygen.po2_t
-        for nid, node in operator.net.nodes.items():
+        for nid, node in self.net.nodes.items():
             prev = self.oxygen.po2_v.get(nid, node.boundary_po2)
             if prev is None:
                 prev = self.oxygen_params.venous_po2
-            guess[operator.node_index[nid]] = prev
+            guess[system.node_index[nid]] = prev
         return guess
 
     def po2_gradient(self, position: np.ndarray) -> np.ndarray:
@@ -909,7 +909,7 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
         a_in = seg.node_a in out.nodes
         b_in = seg.node_b in out.nodes
         if a_in and b_in:
-            out.add_segment(replace(seg))
+            out.add_segment(seg.copy())
         elif a_in or b_in:
             inside = seg.node_a if a_in else seg.node_b
             outside = seg.node_b if a_in else seg.node_a

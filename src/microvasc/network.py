@@ -8,7 +8,7 @@ classification (`oxygen.classify_arterial_venous`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,8 @@ class NetworkNode:
                 )
 
     def copy(self) -> "NetworkNode":
-        return replace(self, position=self.position.copy())
+        return NetworkNode(self.id, self.position.copy(), self.kind,
+                           self.boundary_pressure, self.boundary_po2, self.is_root)
 
 
 @dataclass
@@ -50,6 +51,9 @@ class Segment:
             raise TopologyError(f"segment {self.id}: self-loop at node {self.node_a}")
         if self.radius <= 0.0:
             raise ValidationError(f"segment {self.id}: radius must be positive")
+
+    def copy(self) -> "Segment":
+        return Segment(self.id, self.node_a, self.node_b, self.radius)
 
     def other(self, node_id: int) -> int:
         return self.node_b if node_id == self.node_a else self.node_a
@@ -152,7 +156,7 @@ class VascularNetwork:
         for node in self.nodes.values():
             out.add_node(node.copy())
         for seg in self.segments.values():
-            out.add_segment(replace(seg))
+            out.add_segment(seg.copy())
         return out
 
     # -- queries --------------------------------------------------------

@@ -15,7 +15,8 @@ The 1D advective-diffusive flux carries the cross-section factor pi*R^2,
 which makes the 1D volumetric flow identical to the flow solver's and the
 junction balance conservative. The operator is filled on the same
 coupled pattern as the flow's (`SurfaceCoupling.coupled_matrix`), with the
-same node index, face list and face Laplacian.
+same node index, face list and face Laplacian, in the flow's system type,
+a `grid.CoupledSystem`, pinning every boundary node.
 The oxygen boundary data, the PO2 of each arterial and venous
 pressure-boundary node, comes from the run's `OxygenParameters` through
 `classify_arterial_venous`.
@@ -26,12 +27,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from numpy.linalg import norm
 
 from .errors import ConvergenceError, StateError, ValidationError
 from .flow import GRAPH_LAPLACIAN, RESIDUAL_TOL, FlowParameters, FlowState, starling_flux
-from .grid import SurfaceCoupling, TissueGrid
+from .grid import CoupledSystem, SurfaceCoupling, TissueGrid
 from .linsolve import LinearSolver, absolute, scaled_residuals
 from .network import VascularNetwork
 
@@ -119,23 +119,6 @@ class OxygenState:
     linear_iterations: int = 0  # GMRES iterations summed over the Newton steps
 
 
-@dataclass
-class TransportOperator:
-    """Affine part of the transport problem in (po2_t, po2_v).
-
-    `base` holds convection, diffusion, exchange and the Dirichlet rows;
-    `solve_oxygen` adds the Michaelis-Menten sink of the parameters it is
-    given on the cell rows.
-    """
-
-    net: VascularNetwork
-    grid: TissueGrid
-    node_index: dict[int, int]
-    base: sp.csr_matrix
-    rhs: np.ndarray
-    dirichlet: dict[int, float]
-
-
 def assemble_transport_operator(
     net: VascularNetwork,
     grid: TissueGrid,
@@ -143,7 +126,7 @@ def assemble_transport_operator(
     flow: FlowState,
     flow_params: FlowParameters,
     params: OxygenParameters,
-) -> TransportOperator:
+) -> CoupledSystem:
     """Convection-diffusion in both compartments plus the Kedem-Katchalsky
     exchange block G^T [diag(c_t) C, diag(c_v) Pi].
 
@@ -154,17 +137,14 @@ def assemble_transport_operator(
     zero-total-flux boundary condition exactly (the Darcy normal velocity
     vanishes there by the Neumann flow condition).
     """
-    dirichlet = {}
-    for nid in net.boundary_nodes():
-        node = net.nodes[nid]
-        if node.boundary_po2 is None:
-            raise StateError(
-                f"boundary node {nid} has no oxygen value; run "
-                "arterial/venous classification first"
-            )
-        dirichlet[nid] = node.boundary_po2
+    dirichlet = {nid: net.nodes[nid].boundary_po2 for nid in net.boundary_nodes()}
+    unset = [nid for nid, po2 in dirichlet.items() if po2 is None]
+    if unset:
+        raise StateError(
+            f"boundary node {unset[0]} has no oxygen value; run "
+            "arterial/venous classification first"
+        )
     table = coupling.segments
-    n = grid.n_cells + len(coupling.node_order)
 
     # upwinded convection: volumetric flow v out of lo into hi (tissue faces)
     # and q out of node_a into node_b (vessels), carrying po2 of the upwind end
@@ -183,11 +163,8 @@ def assemble_transport_operator(
     c_t = (adv - params.wall_permeability) * coupling.area
     c_v = (adv + params.wall_permeability) * coupling.area
 
-    pinned = {coupling.node_index[nid]: po2 for nid, po2 in dirichlet.items()}
-    base = coupling.coupled_matrix(tissue, graph, c_t, c_v, list(pinned))
-    rhs = np.zeros(n)
-    rhs[list(pinned)] = list(pinned.values())
-    return TransportOperator(net, grid, coupling.node_index, base, rhs, dirichlet)
+    matrix = coupling.coupled_matrix(tissue, graph, c_t, c_v)
+    return CoupledSystem(coupling, matrix, np.zeros(matrix.shape[0]), dirichlet)
 
 
 def _upwind(flux: np.ndarray) -> np.ndarray:
@@ -231,7 +208,7 @@ def _decreases(f_new: float, f_norm: float, t: float, forcing: float) -> bool:
 
 
 def solve_oxygen(
-    operator: TransportOperator,
+    system: CoupledSystem,
     params: OxygenParameters,
     initial_guess: np.ndarray | None = None,
     tol: float = 1.0e-8,
@@ -260,13 +237,12 @@ def solve_oxygen(
         raise ValidationError("tolerance must be positive")
     if max_iter < 1:
         raise ValidationError("at least one Newton iteration is needed")
-    base, b, k = operator.base, operator.rhs, params.po2_half
+    base, b, k = system.matrix, system.rhs, params.po2_half
     x = np.zeros(len(b)) if initial_guess is None else np.array(initial_guess, float)
-    pinned = [operator.node_index[nid] for nid in operator.dirichlet]
-    x[pinned] = b[pinned]  # Dirichlet rows are identity rows
-    m0, cells = params.max_consumption, operator.grid.n_cells
+    system.restore(x)  # Dirichlet rows are identity rows
+    m0, cells = params.max_consumption, system.grid.n_cells
     rate = np.zeros(len(b))
-    rate[:cells] = operator.grid.cell_volume * m0
+    rate[:cells] = system.grid.cell_volume * m0
 
     def merit(x):
         sink = _sink(rate, k, x)
@@ -277,14 +253,14 @@ def solve_oxygen(
     f_norm, (s, d, g) = merit(x)
     phi = norm(scaled_residuals(base, x, b, s, magnitude))
     forcing = 0.0 if linear else FORCING_MAX
-    solver = LinearSolver(base, operator.grid)
+    solver = LinearSolver(base, system.grid)
     history: list[float] = []
     linear_iterations = 0
     for iterations in range(1, max_iter + 1):
         for forcing in (forcing, 0.0):  # the second pass redoes a loose step tight
             x_new, steps = solver.solve(b + g, d[:cells], guess=x, forcing=forcing)
             linear_iterations += steps
-            x_new[pinned] = b[pinned]  # rounding must not move pinned values
+            system.restore(x_new)
             step = x_new - x
             converged = linear or norm(step) <= tol * max(norm(x_new), k)
             f_new, sink = merit(x_new)
@@ -326,7 +302,7 @@ def solve_oxygen(
             f"row-scaled oxygen residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
             history,
         )
-    po2_v = dict(zip(operator.node_index, x[cells:].tolist()))  # unknown order
+    po2_v = dict(zip(system.node_order, x[cells:].tolist()))
     # boundedness: clip rounding-level violations only
     po2_t = np.clip(x[:cells], 0.0, None)
     return OxygenState(po2_t, po2_v, iterations, history[-1], history, linear_iterations)

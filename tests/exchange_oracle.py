@@ -204,14 +204,14 @@ def flow_system(net, grid, coupling, rheology, params):
     return sp.csr_matrix((v, (r, c)), shape=(n, n)), rhs
 
 
-def filtration_from_tissue_side(system, p_t, p_v):
+def filtration_from_tissue_side(net, system, p_t, p_v):
     """Net exchange accumulated cell-by-cell (3D bookkeeping order)."""
     params = system.params
     per_cell = np.zeros(system.grid.n_cells)
-    for sid in sorted(system.net.segments):
-        seg = system.net.segments[sid]
+    for sid in sorted(net.segments):
+        seg = net.segments[sid]
         sc = system.coupling.per_segment[sid]
-        length, _ = system.net.segment_geometry(sid)
+        length, _ = net.segment_geometry(sid)
         w_b = sc.s / length
         pv_wall = (1.0 - w_b) * p_v[seg.node_a] + w_b * p_v[seg.node_b]
         jp = params.wall_conductivity * (
@@ -221,9 +221,8 @@ def filtration_from_tissue_side(system, p_t, p_v):
     return float(np.sum(per_cell))
 
 
-def boundary_fluxes(system, p_v, sample_jp):
+def boundary_fluxes(net, system, p_v, sample_jp):
     """Volumetric inflow at each Dirichlet node, wall-leak share included."""
-    net = system.net
     position = {sid: k for k, sid in enumerate(system.coupling.segments.ids)}
     out = {}
     for nid in sorted(system.dirichlet):

@@ -2,6 +2,9 @@
 assemblies in `exchange_oracle`, and the scatter assembly on the coupled
 pattern against scipy's sparse products."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,8 +24,10 @@ from microvasc import (
     classify_arterial_venous,
     enlarge_domain,
     solve_flow,
+    solve_oxygen,
     starling_flux,
 )
+from microvasc.grid import CoupledSystem
 
 from conftest import (
     UM,
@@ -101,6 +106,18 @@ def assert_same_operator(matrix, rhs, ref_matrix, ref_rhs):
         assert np.array_equal(got, want)
 
 
+def assert_pinned_rows(system):
+    """Each `dirichlet` node's row of the matrix is an identity row and its
+    right-hand side entry is the node's value."""
+    rows = system.pinned
+    identity = sp.csr_matrix(
+        (np.ones(rows.size), (np.arange(rows.size), rows)),
+        shape=(rows.size, system.n_unknowns),
+    )
+    assert abs(system.matrix[rows] - identity).max() == 0.0
+    assert system.rhs[rows].tolist() == list(system.dirichlet.values())
+
+
 def test_flow_system_matches_per_segment_assembly(solved):
     net, grid, flow_params, coupling, system, _ = solved
     ref_matrix, ref_rhs = oracle.flow_system(
@@ -116,7 +133,7 @@ def test_transport_operator_matches_per_segment_assembly(solved):
     ref_base, ref_rhs = oracle.transport_operator(
         net, grid, coupling, flow, flow_params, params
     )
-    assert_same_operator(operator.base, operator.rhs, ref_base, ref_rhs)
+    assert_same_operator(operator.matrix, operator.rhs, ref_base, ref_rhs)
 
 
 def test_sample_flux_is_starling_flux_of_projected_pressure(solved):
@@ -132,14 +149,14 @@ def test_sample_flux_is_starling_flux_of_projected_pressure(solved):
 
 
 def test_filtration_and_boundary_fluxes_match_per_segment_sums(solved):
-    _, _, _, coupling, system, flow = solved
+    net, _, _, coupling, system, flow = solved
     exchange = sum(
         float(np.sum(np.abs(jp))) * coupling.per_segment[sid].sample_area
         for sid, jp in flow.sample_jp.items()
     )
-    ref_3d = oracle.filtration_from_tissue_side(system, flow.p_t, flow.p_v)
+    ref_3d = oracle.filtration_from_tissue_side(net, system, flow.p_t, flow.p_v)
     assert abs(flow.filtration_3d - ref_3d) <= FLUX_RTOL * exchange
-    ref_fluxes = oracle.boundary_fluxes(system, flow.p_v, flow.sample_jp)
+    ref_fluxes = oracle.boundary_fluxes(net, system, flow.p_v, flow.sample_jp)
     assert flow.boundary_flux.keys() == ref_fluxes.keys()
     for nid, ref in ref_fluxes.items():
         assert abs(flow.boundary_flux[nid] - ref) <= FLUX_RTOL * abs(ref)
@@ -185,14 +202,17 @@ def test_scatter_matches_the_sparse_products(case):
         assert np.all(np.abs(product - operator @ y) <= OPERATOR_RTOL * scale)
 
     # pinned rows become identity rows and leave every other row as it was
-    rows = grid.n_cells + np.arange(0, len(coupling.node_order), 3)
-    pinned = coupling.coupled_matrix(zero_tissue, zero_graph, alpha, beta, rows)
-    identity = sp.csr_matrix(
-        (np.ones(rows.size), (np.arange(rows.size), rows)), shape=(rows.size, got.shape[1])
-    )
-    assert abs(pinned[rows] - identity).max() == 0.0
+    dirichlet = {nid: float(k) for k, nid in enumerate(coupling.node_order[::3])}
+    rhs = rng.standard_normal(G.shape[1])
+    system = CoupledSystem(coupling, got.copy(), rhs.copy(), dirichlet)
+    rows = system.pinned
+    assert_pinned_rows(system)
     kept = np.setdiff1d(np.arange(got.shape[0]), rows)
-    assert abs(pinned[kept] - got[kept]).max() == 0.0
+    assert abs(system.matrix[kept] - got[kept]).max() == 0.0
+    assert np.array_equal(system.rhs[kept], rhs[kept])
+    x = rng.standard_normal(G.shape[1])
+    system.restore(x)
+    assert x[rows].tolist() == list(dirichlet.values())
 
     # the cell block is on the pattern the multigrid plan's finest level has
     ones = sp.csr_matrix(
@@ -201,6 +221,50 @@ def test_scatter_matches_the_sparse_products(case):
     finest = grid.multigrid.levels[0]
     assert np.array_equal(ones.indptr, finest.indptr)
     assert np.array_equal(ones.indices, finest.indices)
+
+
+def _perfbench_lattice():
+    """Variant 0 of the benchmark's `lattice` workload: 5,594 segments on
+    its 12^3 grid."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "lattice.py"
+    spec = importlib.util.spec_from_file_location("perfbench_lattice", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    box = enlarge_domain(DomainBox([0.0] * 3, [module.SIDE] * 3), 0.10)
+    return module.make_lattice(0, 13), build_grid(box, (12, 12, 12)), FlowParameters()
+
+
+PINNED_CASES = {"desk": CASES["desk"], "perfbench_lattice_0": _perfbench_lattice}
+
+
+@pytest.fixture(scope="module", params=sorted(PINNED_CASES))
+def both_physics(request):
+    """Per physics: the assembled system, its solved nodal values and the
+    node attribute it pins."""
+    net, grid, flow_params = PINNED_CASES[request.param]()
+    coupling = build_surface_coupling(grid, net)
+    system = assemble_flow_system(net, grid, coupling, RheologyParameters(), flow_params)
+    flow = solve_flow(system)
+    params = OxygenParameters()
+    classify_arterial_venous(net, flow, params)
+    operator = assemble_transport_operator(net, grid, coupling, flow, flow_params, params)
+    oxygen = solve_oxygen(operator, params)
+    return net, {
+        "flow": (system, flow.p_v, "boundary_pressure"),
+        "oxygen": (operator, oxygen.po2_v, "boundary_po2"),
+    }
+
+
+@pytest.mark.parametrize("physics", ["flow", "oxygen"])
+def test_solve_returns_the_pinned_values_exactly(both_physics, physics):
+    net, systems = both_physics
+    system, values, attribute = systems[physics]
+    boundary = net.boundary_nodes()
+    assert boundary and sorted(system.dirichlet) == sorted(boundary)
+    assert all(system.dirichlet[nid] == getattr(net.nodes[nid], attribute) for nid in boundary)
+    assert_pinned_rows(system)
+    for nid, value in system.dirichlet.items():
+        assert values[nid] == value
 
 
 def assert_same_samples(grid, net, n_axial=None, n_angular=8):

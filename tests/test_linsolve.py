@@ -85,7 +85,7 @@ def newton_system(po2):
     rate = np.zeros(operator.rhs.size)
     rate[: grid.n_cells] = grid.cell_volume * params.max_consumption
     _, d, g = _sink(rate, params.po2_half, np.full(operator.rhs.size, po2))
-    return operator.base, d, operator.rhs + g, grid
+    return operator.matrix, d, operator.rhs + g, grid
 
 
 def jacobian_case(po2):
@@ -233,14 +233,15 @@ def test_vcycle_coarsens_odd_axes_down_to_the_direct_size():
 def tissue_block(physics, cells):
     """Tissue block of the desk ladder's flow system or, with convection
     and the wall exchange, of its oxygen transport operator."""
-    system = flow_system(make_desk_network(), CUBE, cells)
+    net = make_desk_network()
+    system = flow_system(net, CUBE, cells)
     matrix = system.matrix
     if physics == "oxygen":
         flow, params = solve_flow(system), OxygenParameters()
-        classify_arterial_venous(system.net, flow, params)
+        classify_arterial_venous(net, flow, params)
         matrix = assemble_transport_operator(
-            system.net, system.grid, system.coupling, flow, FlowParameters(), params
-        ).base
+            net, system.grid, system.coupling, flow, FlowParameters(), params
+        ).matrix
     n = system.grid.n_cells
     return matrix[:n, :n], system.grid
 

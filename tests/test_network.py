@@ -1,3 +1,5 @@
+from dataclasses import MISSING, fields
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -8,6 +10,7 @@ from microvasc import (
     Segment,
     VascularNetwork,
     classify_arterial_venous,
+    clip_to_box,
     enlarge_domain,
     parse_dgf,
     serialize_dgf,
@@ -83,6 +86,42 @@ class TestDataModel:
         dup.new_segment(2, 3, 2 * UM)
         assert net.nodes[0].position[0] == 0.0
         assert len(net.segments) == 3
+
+    @pytest.mark.parametrize("how", ["copy", "clip_to_box"])
+    def test_copies_carry_every_field_and_share_nothing(self, how):
+        net = VascularNetwork()
+        net.new_node([0.0, 0.0, 0.0], kind="boundary", boundary_pressure=8000.0,
+                     boundary_po2=75.0, is_root=True)
+        net.new_node([50 * UM, 0.0, 0.0])
+        net.new_node([80 * UM, 20 * UM, 0.0], kind="boundary", boundary_pressure=4000.0,
+                     boundary_po2=38.0)
+        net.new_node([300 * UM, 0.0, 0.0])  # outside the clip box
+        net.new_segment(0, 1, 6 * UM)
+        net.new_segment(1, 2, 4 * UM)
+        net.new_segment(1, 3, 3 * UM)  # crosses the box face: cut, not copied
+        if how == "copy":
+            dup = net.copy()
+        else:
+            dup = clip_to_box(net, DomainBox([0.0] * 3, [100 * UM] * 3))
+        # every field of the source differs from its default somewhere, so a
+        # copy that drops one fails below
+        for cls, items in ((NetworkNode, net.nodes), (Segment, net.segments)):
+            for f in fields(cls):
+                if f.default is not MISSING:
+                    assert any(getattr(x, f.name) != f.default for x in items.values())
+        for nid in (0, 1, 2):
+            for f in fields(NetworkNode):
+                got, want = getattr(dup.nodes[nid], f.name), getattr(net.nodes[nid], f.name)
+                assert np.array_equal(got, want), f.name
+        for sid in (0, 1):
+            for f in fields(Segment):
+                assert getattr(dup.segments[sid], f.name) == getattr(net.segments[sid], f.name)
+        dup.nodes[0].position[0] = 1.0
+        dup.nodes[1].kind = "boundary"
+        dup.segments[0].radius = 1.0
+        assert net.nodes[0].position[0] == 0.0
+        assert net.nodes[1].kind == "inner"
+        assert net.segments[0].radius == 6 * UM
 
     def test_segment_geometry(self):
         net = VascularNetwork()

@@ -51,7 +51,7 @@ def coupled_solve(net, grid, oxy_params=None, flow_params=None):
 def oxygen_residual(operator, state, params):
     """Row-scaled residual of B x + s(x) - b, the sink written out here."""
     x = np.concatenate(
-        [state.po2_t, [state.po2_v[nid] for nid in sorted(operator.net.nodes)]]
+        [state.po2_t, [state.po2_v[nid] for nid in operator.node_order]]
     )
     cells = operator.grid.n_cells
     sink = np.zeros_like(x)
@@ -59,7 +59,7 @@ def oxygen_residual(operator, state, params):
         operator.grid.cell_volume * params.max_consumption * x[:cells]
         / (np.maximum(x[:cells], 0.0) + params.po2_half)
     )
-    return scaled_residual(operator.base, x, operator.rhs, sink)
+    return scaled_residual(operator.matrix, x, operator.rhs, sink)
 
 
 class TestConsumptionLaw:
@@ -250,7 +250,7 @@ class TestCoupledOxygen:
             make_desk_network(), desk_grid, params, pin_boundary=False
         )
         assert not operator.dirichlet
-        guess = np.full(operator.base.shape[0], 38.0)
+        guess = np.full(operator.n_unknowns, 38.0)
         state = solve_oxygen(operator, params, initial_guess=guess)
         assert state.iterations <= 8
         assert np.max(np.abs(state.po2_t)) <= 1e-12
@@ -270,7 +270,7 @@ class TestCoupledOxygen:
             net, desk_grid, coupling, flow, fp, params
         )
         cold = solve_oxygen(operator, params)
-        guess = np.zeros(operator.base.shape[0])
+        guess = np.zeros(operator.n_unknowns)
         guess[: desk_grid.n_cells] = cold.po2_t
         for nid, idx in operator.node_index.items():
             guess[idx] = cold.po2_v[nid]

@@ -6,6 +6,7 @@ provenance header."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -32,16 +33,18 @@ from .units import pa_to_mmhg
 
 
 def _load_config(args) -> RunConfig:
+    """The config file with the flag overrides applied, validated as a whole."""
     config = RunConfig.from_file(args.config) if args.config else RunConfig()
+    overrides = {}
     if getattr(args, "input", None):
-        config.input_dgf = args.input
+        overrides["input_dgf"] = args.input
     if getattr(args, "output", None):
-        config.output_dir = args.output
+        overrides["output_dir"] = args.output
     if getattr(args, "seed", None) is not None:
-        config.master_seed = args.seed
+        overrides["master_seed"] = args.seed
     if getattr(args, "repetitions", None) is not None:
-        config.repetitions = args.repetitions
-    return config
+        overrides["repetitions"] = args.repetitions
+    return dataclasses.replace(config, **overrides)
 
 
 def _read_network(config: RunConfig):
@@ -118,6 +121,7 @@ def _run_generation(config: RunConfig, seed: int, out_dir: Path | None):
     phase 3 runs. `PO2_roi`, `p_t_roi` and `F_tv` come from the last flow
     and oxygen solve of the run, which is the last phase-2 solve when phase
     2 runs; phase 3 solves nothing, and the final network is not re-solved.
+    `N_it` counts the steps of all three phases, `engine.steps`.
     """
     net = _read_network(config)
     roi, domain, grid = _setup_domain(config)
@@ -152,7 +156,7 @@ def _run_generation(config: RunConfig, seed: int, out_dir: Path | None):
         _, pt_avg = control_volume_averages(engine.flow.p_t, grid, roi, 1)
         stats.p_t_roi = pa_to_mmhg(pt_avg)
         stats.F_tv = engine.flow.f_tv
-    stats.N_it = engine.total_iterations()
+    stats.N_it = len(engine.steps)
     return engine, stats
 
 
@@ -166,12 +170,10 @@ def cmd_generate(args) -> int:
     (out / "final_network.dgf").write_text(serialize_dgf(engine.net))
     if config.export_vtk:
         (out / "final_network.vtk").write_text(network_to_vtk(engine.net))
-    trace_rows = []
-    for phase, trace in engine.traces.items():
-        for step, value in enumerate(trace.po2_roi):
-            trace_rows.append([phase, step, value])
+    # one row per phase-1/2 step, each a solve; phase 3 solves nothing
+    solves = [step for step in engine.steps if step[0] < 3]
     write_csv(out / "po2_roi_trace.csv", ["phase", "step", "po2_roi_mmhg"],
-              trace_rows, prov)
+              solves, prov)
     write_csv(out / "statistics.csv", list(QUANTITIES), [stats.as_row()], prov)
     print(
         f"phases done: N_seg={stats.N_seg} L={stats.L:.4g} m "

@@ -41,6 +41,14 @@ class RunConfig:
     oxygen: OxygenParameters = field(default_factory=OxygenParameters)
     growth: GrowthParameters = field(default_factory=GrowthParameters)
 
+    def __post_init__(self):
+        if self.master_seed < 0:
+            raise ValidationError(f"master_seed must be nonnegative, got {self.master_seed}")
+        if self.repetitions < 1:
+            raise ValidationError(f"repetitions must be at least 1, got {self.repetitions}")
+        if not set(self.phases) <= {1, 2, 3}:
+            raise ValidationError(f"phases must be drawn from 1, 2, 3, got {list(self.phases)}")
+
     def roi_box(self) -> DomainBox:
         return DomainBox(np.array(self.roi_lower), np.array(self.roi_upper))
 

@@ -24,7 +24,7 @@ distances and cone cosines come from `np.vecdot`, the dot kernel behind
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -474,8 +474,9 @@ def build_bifurcation_directions(
     spanned by parent and growth direction, then relax the branch closer to
     the growth direction onto the bisector of itself and d_g.
 
-    Returns (d_b1, d_b2, kept_index) with kept_index in {0, 1} naming the
-    non-relaxed branch.
+    Returns (d_b1, d_b2, kept_index, n_p): kept_index in {0, 1} names the
+    non-relaxed branch, which makes the drawn angle with d_k, and n_p is
+    the unit normal of the rotation plane.
     """
     d_k = np.asarray(d_k, float)
     d_g = np.asarray(d_g, float)
@@ -546,23 +547,14 @@ def control_volume_averages(
 # -- growth engine -------------------------------------------------------
 
 
-@dataclass
-class BifurcationRecord:
-    parent_direction: np.ndarray
-    plane_normal: np.ndarray
-    kept_direction: np.ndarray
-    kept_angle: float
-    angles_clamped: bool
-
-
-@dataclass
-class PhaseTrace:
-    iterations: int = 0
-    po2_roi: list[float] = field(default_factory=list)
-
-
 class GrowthEngine:
-    """Runs the three growth phases on one network with one seeded RNG."""
+    """Runs the three growth phases on one network with one seeded RNG.
+
+    Every step of every phase ends in `_end_step`, which appends
+    (phase, step, po2_roi) to `steps` and then hands the network to the
+    `checkpoint` hook. Phases 1 and 2 solve once per step; phase 3 solves
+    nothing, so its steps carry the last solved `po2_roi` (None if none).
+    """
 
     def __init__(
         self,
@@ -593,8 +585,7 @@ class GrowthEngine:
         self.cv_field = None
         self.po2_roi = None
         self.po2_grad = None  # (n_cells, 3), of the last solved state
-        self.bifurcations: list[BifurcationRecord] = []
-        self.traces = {1: PhaseTrace(), 2: PhaseTrace(), 3: PhaseTrace()}
+        self.steps: list[tuple[int, int, float | None]] = []
 
     # -- solving --------------------------------------------------------
 
@@ -678,27 +669,14 @@ class GrowthEngine:
             r_b1, r_b2 = murray_branch_radii(parent_radius, self.rng, self.params)
             r_b1 = self._child_radius(r_b1, parent_radius, phase)
             r_b2 = self._child_radius(r_b2, parent_radius, phase)
-            phi1, phi2, clamped = bifurcation_angles(parent_radius, r_b1, r_b2)
-            d_b1, d_b2, kept, n_p = build_bifurcation_directions(
+            phi1, phi2, _ = bifurcation_angles(parent_radius, r_b1, r_b2)
+            d_b1, d_b2, _, _ = build_bifurcation_directions(
                 d_k, d_g, phi1, phi2, self.rng
             )
-            for branch, (direction, radius, phi) in enumerate(
-                ((d_b1, r_b1, phi1), (d_b2, r_b2, phi2))
-            ):
+            for direction, radius in ((d_b1, r_b1), (d_b2, r_b2)):
                 length = sample_length(parent_radius, self.rng, self.params)
-                if self._try_attach(tip, direction, length, radius) is None:
-                    continue
-                attached = True
-                if branch == kept:
-                    self.bifurcations.append(
-                        BifurcationRecord(
-                            parent_direction=d_k,
-                            plane_normal=n_p,
-                            kept_direction=direction,
-                            kept_angle=phi,
-                            angles_clamped=clamped,
-                        )
-                    )
+                if self._try_attach(tip, direction, length, radius) is not None:
+                    attached = True
         else:
             # r drew both this length and the decision not to bifurcate
             radius = self._child_radius(parent_radius, parent_radius, phase)
@@ -795,16 +773,13 @@ class GrowthEngine:
     def run_phase1(self):
         """Grow large vessels until the oxygen field stops changing."""
         params = self.params
-        trace = self.traces[1]
         po2_old = 0.0
         large_tips = self._large_tips()
         for j in range(params.max_iter_p1 + 1):
             self.solve_state()
-            trace.po2_roi.append(self.po2_roi)
-            trace.iterations = j + 1
             for tip in large_tips:
                 self._extend_tip(tip, phase=1)
-            self._emit_checkpoint(1, j)
+            self._end_step(1, j)
             rel = abs(self.po2_roi - po2_old) / self.po2_roi if self.po2_roi else 1.0
             po2_old = self.po2_roi
             large_tips = self._large_tips()  # also the next step's tips
@@ -823,24 +798,20 @@ class GrowthEngine:
     def run_phase2(self):
         """Grow the capillary bed, freezing saturated control volumes."""
         params = self.params
-        trace = self.traces[2]
         po2_old = 0.0
         for j in range(params.max_iter_p2 + 1):
             self.solve_state()
-            trace.po2_roi.append(self.po2_roi)
-            trace.iterations = j + 1
-            if self.po2_roi > params.po2_stop:
-                self._emit_checkpoint(2, j)
-                break
-            for tip in self.net.terminal_nodes(self.domain):
-                if self._cv_saturated(self.net.nodes[tip].position):
-                    continue
-                self._extend_tip(tip, phase=2)
-            self._link_all_terminals()
-            self._emit_checkpoint(2, j)
+            oxygenated = self.po2_roi > params.po2_stop  # stop before growing
+            if not oxygenated:
+                for tip in self.net.terminal_nodes(self.domain):
+                    if self._cv_saturated(self.net.nodes[tip].position):
+                        continue
+                    self._extend_tip(tip, phase=2)
+                self._link_all_terminals()
+            self._end_step(2, j)
             change = abs(self.po2_roi - po2_old)
             po2_old = self.po2_roi
-            if change < params.change_p2:
+            if oxygenated or change < params.change_p2:
                 break
         return self.net
 
@@ -855,9 +826,7 @@ class GrowthEngine:
     def run_phase3(self):
         """Prune dead ends in the roi, re-link, and clip to the roi."""
         params = self.params
-        trace = self.traces[3]
         for j in range(params.max_iter_p3 + 1):
-            trace.iterations = j + 1
             for tip in self.net.terminal_nodes(self.domain):
                 if tip not in self.net.nodes:
                     continue  # dropped with the other end of an isolated segment
@@ -866,7 +835,7 @@ class GrowthEngine:
                     self.octants.remove(sid)
                     self.net.remove_segment(sid)
             self._link_all_terminals()
-            self._emit_checkpoint(3, j)
+            self._end_step(3, j)
             if self.interior_terminal_count() < params.p3_terminal_stop:
                 break
         self.net = clip_to_box(self.net, self.roi)
@@ -879,10 +848,8 @@ class GrowthEngine:
             if self.roi.contains(self.net.nodes[tip].position)
         )
 
-    def total_iterations(self) -> int:
-        return sum(t.iterations for t in self.traces.values())
-
-    def _emit_checkpoint(self, phase: int, step: int):
+    def _end_step(self, phase: int, step: int):
+        self.steps.append((phase, step, self.po2_roi))
         if self.checkpoint is not None:
             self.checkpoint(phase, step, self.net, self.po2_roi)
 

@@ -35,6 +35,7 @@ from microvasc import (
     solve_flow,
     vessel_conductance,
 )
+from microvasc import growth
 from microvasc.cli import main
 from microvasc.growth import GrowthEngine
 from microvasc.oxygen import (
@@ -256,14 +257,14 @@ def test_criterion_08_collision_oracle_equivalence():
 
 
 class InstrumentedEngine(GrowthEngine):
-    """Records phase-2 radii and phase-3 terminal counts for the invariants."""
+    """Records phase-2 radii for the invariants; its checkpoint hook records
+    the phase-3 terminal counts and the network before clipping."""
 
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
+    def __init__(self, *args):
+        super().__init__(*args, checkpoint=self._record_phase3)
         self.phase2_radii = []
         self.phase3_terminals = []
         self.pre_clip_net = None
-        self._phase = None
 
     def _child_radius(self, raw_radius, parent_radius, phase):
         out = super()._child_radius(raw_radius, parent_radius, phase)
@@ -271,21 +272,10 @@ class InstrumentedEngine(GrowthEngine):
             self.phase2_radii.append((out, parent_radius))
         return out
 
-    def run_phase3(self):
-        original = self.checkpoint
-
-        def hook(phase, step, snapshot, po2_roi):
-            if phase == 3:
-                self.phase3_terminals.append(self.interior_terminal_count())
-                self.pre_clip_net = snapshot.copy()
-            if original:
-                original(phase, step, snapshot, po2_roi)
-
-        self.checkpoint = hook
-        try:
-            return super().run_phase3()
-        finally:
-            self.checkpoint = original
+    def _record_phase3(self, phase, step, snapshot, po2_roi):
+        if phase == 3:
+            self.phase3_terminals.append(self.interior_terminal_count())
+            self.pre_clip_net = snapshot.copy()
 
 
 def _collision_violations(net):
@@ -320,11 +310,22 @@ def _angle(u, v):
     return math.atan2(float(np.linalg.norm(np.cross(u, v))), float(u @ v))
 
 
-def _grown_engine(seed, cells):
+def _grown_engine(seed, cells, monkeypatch):
+    """The grown engine and every bifurcation it drew, as
+    ((d_k, phi1, phi2), (d_b1, d_b2, kept_index, n_p)), attached or not."""
     roi = DomainBox([0.0, 0.0, 0.0], [0.5e-3, 0.5e-3, 0.5e-3])
     domain = enlarge_domain(roi, 0.10)
     grid = build_grid(domain, (cells, cells, cells))
     params = GrowthParameters(max_iter_p1=8, max_iter_p2=8)
+    bifurcations = []
+    draw = growth.build_bifurcation_directions
+
+    def recorded(d_k, d_g, phi1, phi2, rng):
+        out = draw(d_k, d_g, phi1, phi2, rng)
+        bifurcations.append(((d_k, phi1, phi2), out))
+        return out
+
+    monkeypatch.setattr(growth, "build_bifurcation_directions", recorded)
     engine = InstrumentedEngine(
         make_starter_network(), domain, roi, grid, RheologyParameters(),
         FlowParameters(), OxygenParameters(), params,
@@ -333,19 +334,20 @@ def _grown_engine(seed, cells):
     engine.run_phase1()
     engine.run_phase2()
     engine.run_phase3()
-    return engine
+    return engine, bifurcations
 
 
-def _assert_growth_invariants(engine):
+def _assert_growth_invariants(engine, bifurcations):
     # (a) no collision violations anywhere in the fully grown network
     assert engine.pre_clip_net is not None
     assert _collision_violations(engine.pre_clip_net) == 0
 
-    # (b) every recorded kept branch realizes its minimum-work angle
-    assert engine.bifurcations
-    for rec in engine.bifurcations:
-        angle = _angle(rec.kept_direction, rec.parent_direction)
-        assert abs(angle - rec.kept_angle) <= 1e-9
+    # (b) every bifurcation drawn realizes its minimum-work angle on the
+    # kept branch
+    assert bifurcations
+    for (d_k, phi1, phi2), (d_b1, d_b2, kept, _) in bifurcations:
+        angle = _angle((d_b1, d_b2)[kept], d_k)
+        assert abs(angle - (phi1, phi2)[kept]) <= 1e-9
 
     # (c) capillary-phase radii stay in [2 um, parent radius]
     assert engine.phase2_radii
@@ -353,19 +355,21 @@ def _assert_growth_invariants(engine):
         assert 2.0 * UM - 1e-18 <= radius <= parent + 1e-18
 
     # (d) dead-end removal terminates
-    assert engine.phase3_terminals[-1] < 10 or engine.traces[3].iterations >= 15
+    phase3_steps = [step for step in engine.steps if step[0] == 3]
+    assert len(engine.phase3_terminals) == len(phase3_steps)
+    assert engine.phase3_terminals[-1] < 10 or len(phase3_steps) >= 15
 
 
-def test_criterion_09_growth_invariants():
+def test_criterion_09_growth_invariants(monkeypatch):
     start = time.perf_counter()
-    _assert_growth_invariants(_grown_engine(42, 20))
+    _assert_growth_invariants(*_grown_engine(42, 20, monkeypatch))
     assert time.perf_counter() - start < 600.0
 
 
 @pytest.mark.parametrize("seed", range(10))
-def test_growth_invariants_hold_over_seeds(seed):
+def test_growth_invariants_hold_over_seeds(seed, monkeypatch):
     """Criterion 9's invariants on the starter tree, seeds 0-9, 12^3 grid."""
-    _assert_growth_invariants(_grown_engine(seed, 12))
+    _assert_growth_invariants(*_grown_engine(seed, 12, monkeypatch))
 
 
 def test_criterion_10_distribution_fidelity():

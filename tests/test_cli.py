@@ -51,6 +51,14 @@ class TestConfig:
         assert config.master_seed == 7
         assert config.digest() != RunConfig().digest()
 
+    @pytest.mark.parametrize(
+        "data",
+        [{"master_seed": -1}, {"repetitions": 0}, {"phases": [4]}, {"phases": [1, 0]}],
+    )
+    def test_bad_run_settings_rejected(self, data):
+        with pytest.raises(ValidationError, match=next(iter(data))):
+            RunConfig.from_dict(data)
+
     def test_provenance_lines(self):
         lines = RunConfig(master_seed=3).provenance("0.1.0")
         assert any("seed 3" in line for line in lines)
@@ -104,6 +112,25 @@ class TestCommands:
         assert report["error"] == "ValidationError"
         assert "gama" in report["message"]
 
+    @pytest.mark.parametrize(
+        "command, overrides, flags, field",
+        [
+            ("generate", {}, ["--seed", "-1"], "master_seed"),
+            ("stats", {}, ["--repetitions", "0"], "repetitions"),
+            ("generate", {"phases": [4]}, [], "phases"),
+        ],
+    )
+    def test_bad_run_settings_are_reported(
+        self, tmp_path, capsys, command, overrides, flags, field
+    ):
+        """Checked after the flags override the file, before any output."""
+        config, out = write_inputs(tmp_path, **overrides)
+        assert main([command, "--config", str(config), *flags]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "ValidationError"
+        assert field in report["message"]
+        assert not out.exists()
+
     def test_flag_overrides_config(self, tmp_path, capsys):
         config, _ = write_inputs(tmp_path)
         other = make_single_vessel(
@@ -155,10 +182,14 @@ class TestCommands:
 
         monkeypatch.setattr(GrowthEngine, "solve_state", counted)
         engine, stats = _run_generation(config, 11, None)
-        # every solve belongs to phase 1 or 2: the final network is not re-solved
-        phase_solves = [len(engine.traces[phase].po2_roi) for phase in (1, 2, 3)]
-        assert phase_solves[2] == 0 and len(solves) == sum(phase_solves)
-        assert stats.PO2_roi == engine.traces[2].po2_roi[-1]
+        # one solve per phase-1/2 step: the final network is not re-solved
+        solved = [po2_roi for phase, _, po2_roi in engine.steps if phase < 3]
+        carried = [po2_roi for phase, _, po2_roi in engine.steps if phase == 3]
+        assert len(solves) == len(solved)
+        assert stats.PO2_roi == solved[-1]
+        # phase 3 solves nothing: its steps carry the last solved PO2_roi
+        assert carried and set(carried) == {solved[-1]}
+        assert stats.N_it == len(engine.steps)
         roi, _, grid = _setup_domain(config)
         _, pt_avg = control_volume_averages(engine.flow.p_t, grid, roi, 1)
         assert stats.p_t_roi == pa_to_mmhg(pt_avg)

@@ -883,16 +883,21 @@ class TestPhaseLoops:
             GrowthParameters(max_iter_p1=0, max_iter_p2=0, max_iter_p3=0,
                              po2_stop=po2_stop, p3_terminal_stop=0),
             np.random.default_rng(0),
-            checkpoint=lambda phase, step, net, po2_roi: steps.append((phase, step)),
+            checkpoint=lambda phase, step, net, po2_roi: steps.append(
+                (phase, step, po2_roi)
+            ),
         )
         engine.run_phase1()
         n_seg = len(engine.net.segments)
         engine.run_phase2()
         assert (len(engine.net.segments) == n_seg) == (po2_stop == 0.0)
         engine.run_phase3()
-        assert steps == [(1, 0), (2, 0), (3, 0)]
-        assert [engine.traces[p].iterations for p in (1, 2, 3)] == [1, 1, 1]
-        assert [len(engine.traces[p].po2_roi) for p in (1, 2, 3)] == [1, 1, 0]
+        # the hook saw every step record as it was made
+        assert steps == engine.steps
+        assert [step[:2] for step in steps] == [(1, 0), (2, 0), (3, 0)]
+        # phase 3 solves nothing: its step carries phase 2's solved PO2_roi
+        assert engine.po2_roi is not None
+        assert steps[2][2] == steps[1][2] == engine.po2_roi
 
 
 class TestClipToBox:

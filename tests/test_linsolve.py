@@ -346,7 +346,7 @@ def test_one_plan_and_laplacian_serve_every_solve_on_a_grid(monkeypatch):
         np.random.default_rng(0),
     )
     engine.run_phase1()
-    assert len(engine.traces[1].po2_roi) == 2  # two states, grown in between
+    assert [step[:2] for step in engine.steps] == [(1, 0), (1, 1)]  # grown in between
     assert len(vcycles) == 4  # flow and oxygen per state
     assert len(plans) == 1 and len(laplacians) == 1
     assert all(vcycle.plan is grid.multigrid is plans[0] for vcycle in vcycles)

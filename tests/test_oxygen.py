@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import exchange_oracle as oracle
 from microvasc import (
     FlowParameters,
     OxygenParameters,
@@ -48,6 +51,16 @@ def coupled_solve(net, grid, oxy_params=None, flow_params=None):
     return solve_oxygen(operator, oxy_params), flow
 
 
+def solved_desk_state(grid):
+    """The desk ladder's flow, operator and solved oxygen, and the oxygen
+    state as one vector in the operator's unknown order."""
+    net, params = make_desk_network(), OxygenParameters()
+    operator, flow = desk_operator(net, grid, params)
+    state = solve_oxygen(operator, params)
+    x = np.concatenate([state.po2_t, [state.po2_v[nid] for nid in operator.node_order]])
+    return net, flow, operator, state, x
+
+
 def oxygen_residual(operator, state, params):
     """Row-scaled residual of B x + s(x) - b, the sink written out here."""
     x = np.concatenate(
@@ -83,6 +96,40 @@ class TestConsumptionLaw:
         with pytest.raises(ValidationError):
             michaelis_menten(-1.0, OxygenParameters())
 
+    def test_solver_sink_is_the_law(self, desk_grid):
+        """The sink the Newton solver runs, `_sink` on the cell rate
+        `solve_oxygen` gives it, is the cell volume times `michaelis_menten`
+        and its derivative for PO2 >= 0, to rounding, and continues linearly
+        below 0 with the slope at 0. PO2 values: a solved desk state's cells,
+        then 0 to 200 mmHg and -50 to 0 mmHg."""
+        params = OxygenParameters()
+        m0, k = params.max_consumption, params.po2_half
+        state = solved_desk_state(desk_grid)[3]
+        po2 = np.concatenate([
+            state.po2_t, [0.0], np.geomspace(1e-6, 200.0, 99), -np.geomspace(1e-6, 50.0, 100)
+        ])
+        volume = desk_grid.cell_volume
+        s, d, g = oxygen_module._sink(np.full(po2.size, volume * m0), k, po2)
+        on = po2 >= 0.0
+        law = volume * np.array([michaelis_menten(p, params) for p in po2[on]])
+        slope = volume * m0 * k / (po2[on] + k) ** 2
+        np.testing.assert_allclose(s[on], law, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(d[on], slope, rtol=1e-14, atol=0.0)
+        # the slope is the law's derivative: central differences with steps
+        # of 1e-4 (p + k) are exact to 1e-8 and to the law's rounding
+        far = po2[on] >= 1e-3
+        h = 1e-4 * (po2[on][far] + k)
+        diff = volume * np.array([
+            michaelis_menten(p + step, params) - michaelis_menten(p - step, params)
+            for p, step in zip(po2[on][far], h)
+        ]) / (2.0 * h)
+        np.testing.assert_allclose(diff, slope[far], rtol=1e-6)
+        # below 0: the tangent at 0, and no Newton correction term
+        at_zero = volume * m0 / k
+        np.testing.assert_allclose(d[~on], at_zero, rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(s[~on], at_zero * po2[~on], rtol=1e-14, atol=0.0)
+        assert not g[~on].any()
+
 
 class TestWallFlux:
     def test_diffusive_part_sign(self):
@@ -101,6 +148,35 @@ class TestWallFlux:
         assert flux == pytest.approx(
             (1.0 - fp.reflection) * jp * 0.5 * (70.0 + 30.0), rel=1e-12
         )
+
+    def test_operator_exchange_is_the_law_per_sample(self, desk_grid):
+        """The exchange block of the assembled operator, applied to a solved
+        desk state, is G^T (area * `kedem_katchalsky_flux`) evaluated at
+        each wall sample, to rounding, on every row it does not pin."""
+        net, flow, operator, state, x = solved_desk_state(desk_grid)
+        flow_params, params = FlowParameters(), OxygenParameters()
+        # the same operator with both terms of the wall flux switched off
+        closed = assemble_transport_operator(
+            net, desk_grid, operator.coupling, flow,
+            dataclasses.replace(flow_params, reflection=1.0),
+            dataclasses.replace(params, wall_permeability=0.0),
+        )
+        exchange = operator.matrix @ x - closed.matrix @ x
+        coupling = operator.coupling
+        flux = [
+            kedem_katchalsky_flux(
+                oracle.project_1d_to_surface(net, flow.p_v, sid, s), flow.p_t[cell],
+                oracle.project_1d_to_surface(net, state.po2_v, sid, s), state.po2_t[cell],
+                flow_params, params,
+            )
+            for sid in coupling.segments.ids
+            for cell, s in zip(coupling.per_segment[sid].cells, coupling.per_segment[sid].s)
+        ]
+        want = coupling.jump_transpose(coupling.area * np.array(flux))
+        free = np.setdiff1d(np.arange(x.size), operator.pinned)
+        scale = abs(operator.matrix) @ np.abs(x)
+        assert np.all(np.abs(exchange - want)[free] <= 1e-12 * scale[free])
+        assert np.abs(want[free]).max() > 1e-6 * scale[free].max()  # not vacuous
 
     def test_zero_gradient_zero_filtration(self):
         fp = FlowParameters(wall_conductivity=0.0)

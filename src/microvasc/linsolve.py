@@ -13,9 +13,10 @@ The V-cycle aggregates 2x2x2 cells per coarse cell (ceil(n/2) coarse cells
 on an odd axis), takes Galerkin coarse operators P^T A P, smooths with
 damped Jacobi, over-corrects the coarse-grid correction as in Notay, "An
 aggregation-based algebraic multigrid method", ETNA 37 (2010), and solves
-the first level small enough exactly, by an LU in nested-dissection order
-(George, SIAM J. Numer. Anal. 10, 1973). See Briggs, Henson & McCormick,
-"A Multigrid Tutorial", 2nd ed. (SIAM, 2000).
+the first level of at most COARSEST_CELLS cells exactly, by an LU in
+nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973): 216 cells
+on a 12^3 grid, 125 on 20^3 and 175 on 40x40x50. See Briggs, Henson &
+McCormick, "A Multigrid Tutorial", 2nd ed. (SIAM, 2000).
 
 What is fixed by the grid is built once per grid, as its `MultigridPlan`
 (`TissueGrid.multigrid`): the aggregation maps, every level's sparsity,
@@ -67,7 +68,7 @@ TARGET = 1.0e-14
 JACOBI_WEIGHT = 0.7
 SWEEPS = 2  # pre- and post-smoothing sweeps per level
 OVER_CORRECTION = 1.9
-COARSEST_CELLS = 1500
+COARSEST_CELLS = 500  # every Newton step refactors the coarsest level
 
 
 def scaled_residuals(matrix, x, rhs, nonlinear=0.0, magnitude=None) -> np.ndarray:

@@ -230,8 +230,9 @@ def solve_oxygen(
     is linear). The Armijo test stays on the unscaled ||F||, relaxed by
     (1 - eta). Two safeguards keep the loose steps honest: a loose step
     that fails that test at t = 1 is redone from the same x with eta = 0
-    rather than backtracked along, and a loose step that meets the update
-    test but not the row-scaled gate is followed by one with eta = 0.
+    rather than backtracked along, and a step that meets the update test
+    but not the row-scaled gate is followed by one with eta = 0, as long as
+    the last one still halved the row-scaled 2-norm of F.
     """
     if tol <= 0.0:
         raise ValidationError("tolerance must be positive")
@@ -280,10 +281,14 @@ def solve_oxygen(
         x, f_norm, (s, d, g) = x_new, f_new, sink
         rows = scaled_residuals(base, x, b, s, magnitude)
         residual = float(np.max(rows))
-        if converged and (forcing == 0.0 or residual <= RESIDUAL_TOL):
-            break
         phi_new = norm(rows)
-        if converged:  # a loose step met the update test short of the gate
+        # a converged step short of the gate is followed by a tight one; a
+        # tight one that no longer halves phi has stalled and fails the gate
+        if converged and (
+            residual <= RESIDUAL_TOL or (forcing == 0.0 and phi_new > 0.5 * phi)
+        ):
+            break
+        if converged:
             forcing = 0.0
         else:
             floor = FORCING_GAMMA * forcing**2

@@ -230,6 +230,22 @@ def test_vcycle_coarsens_odd_axes_down_to_the_direct_size():
     assert vcycle.bottom[0].shape == (7 * 6 * 6, 7 * 6 * 6)
 
 
+@pytest.mark.parametrize(
+    "cells, sizes",
+    [
+        ((12, 12, 12), [1728, 216]),
+        ((20, 20, 20), [8000, 1000, 125]),
+        ((40, 40, 50), [80000, 10000, 1300, 175]),
+    ],
+)
+def test_plan_level_sizes(cells, sizes):
+    # the grids the benchmark and the paper run on: coarsening stops at the
+    # first level of at most COARSEST_CELLS, which is factored exactly
+    levels = build_grid(CUBE, cells).multigrid.levels
+    assert [level.indptr.size - 1 for level in levels] == sizes
+    assert sizes[-1] <= linsolve.COARSEST_CELLS < sizes[-2]
+
+
 def tissue_block(physics, cells):
     """Tissue block of the desk ladder's flow system or, with convection
     and the wall exchange, of its oxygen transport operator."""

@@ -6,8 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 from microvasc import (
     DomainBox,
+    FlowParameters,
+    GrowthEngine,
+    GrowthParameters,
+    OxygenParameters,
+    RheologyParameters,
     RunStatistics,
     VascularNetwork,
+    enlarge_domain,
     histogram,
     network_characteristics,
     running_means,
@@ -16,7 +22,21 @@ from microvasc.errors import ValidationError
 from microvasc.export import cell_field_to_vtk, network_to_vtk, write_csv
 from microvasc.grid import build_grid
 
-from conftest import UM, make_y_junction
+from conftest import UM, make_desk_network, make_starter_network, make_y_junction
+
+
+def grown_starter_network():
+    """The starter tree after two steps each of phases 1 and 2, 12^3 grid."""
+    roi = DomainBox([0.0] * 3, [0.5e-3] * 3)
+    domain = enlarge_domain(roi, 0.10)
+    engine = GrowthEngine(
+        make_starter_network(), domain, roi, build_grid(domain, (12, 12, 12)),
+        RheologyParameters(), FlowParameters(), OxygenParameters(),
+        GrowthParameters(max_iter_p1=2, max_iter_p2=2), np.random.default_rng(0),
+    )
+    engine.run_phase1()
+    engine.run_phase2()
+    return engine.net
 
 
 class TestCharacteristics:
@@ -42,6 +62,17 @@ class TestCharacteristics:
     def test_empty_network(self):
         length, area, volume, n = network_characteristics(VascularNetwork())
         assert (length, area, volume, n) == (0.0, 0.0, 0.0, 0)
+
+    @pytest.mark.parametrize(
+        "make", [make_desk_network, make_starter_network, grown_starter_network]
+    )
+    def test_area_bounded_by_length_and_volume(self, make):
+        # A = 2 pi sum(r l), L = sum(l), V = pi sum(r^2 l): Cauchy-Schwarz
+        # gives A^2 <= 4 pi L V, with equality when all radii are equal
+        net = make()
+        length, area, volume, n = network_characteristics(net)
+        assert n > 0
+        assert area**2 <= 4.0 * math.pi * length * volume * (1.0 + 1e-12)
 
 
 class TestHistogram:

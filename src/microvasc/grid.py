@@ -151,7 +151,7 @@ class TissueGrid:
     @cached_property
     def multigrid(self) -> MultigridPlan:
         """The V-cycle's aggregation, level patterns, Galerkin maps and
-        coarsest ordering for this grid, shared by every solve on it."""
+        coarsest band storage for this grid, shared by every solve on it."""
         return MultigridPlan(self.cells_per_axis, self.laplacian)
 
 

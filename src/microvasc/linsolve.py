@@ -13,15 +13,17 @@ The V-cycle aggregates 2x2x2 cells per coarse cell (ceil(n/2) coarse cells
 on an odd axis), takes Galerkin coarse operators P^T A P, smooths with
 damped Jacobi, over-corrects the coarse-grid correction as in Notay, "An
 aggregation-based algebraic multigrid method", ETNA 37 (2010), and solves
-the first level of at most COARSEST_CELLS cells exactly, by an LU in
-nested-dissection order (George, SIAM J. Numer. Anal. 10, 1973): 216 cells
-on a 12^3 grid, 125 on 20^3 and 175 on 40x40x50. See Briggs, Henson &
-McCormick, "A Multigrid Tutorial", 2nd ed. (SIAM, 2000).
+the first level of at most COARSEST_CELLS cells (6^3 on a 12^3 grid,
+5x5x7 on 40x40x50) exactly, by LAPACK's band LU with partial pivoting
+(Anderson et al., "LAPACK Users' Guide", SIAM, 1999): numbered with its
+longest axis outermost, its half-bandwidth is the product of its two
+shorter axes. See Briggs, Henson & McCormick, "A Multigrid Tutorial",
+2nd ed. (SIAM, 2000).
 
 What is fixed by the grid is built once per grid, as its `MultigridPlan`
 (`TissueGrid.multigrid`): the aggregation maps, every level's sparsity,
-the index map sending each fine nonzero to its coarse one, and the
-dissection order of the coarsest level. Every tissue block is on the
+the index map sending each fine nonzero to its coarse one, and the band
+order and band storage of the coarsest level. Every tissue block is on the
 grid's face stencil plus the diagonal, so with P one 1 per row a coarse
 level's data is bincount(map, fine data): exact Galerkin, only summed in
 another order. A block off that sparsity raises SolverError.
@@ -55,6 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import SolverError
 
@@ -109,22 +112,16 @@ def _aggregate(shape):
     return (i + coarse[0] * (j + coarse[1] * k)).ravel(), coarse
 
 
-def _dissection(shape):
-    """Nested-dissection order of a box of cells in linear order
-    i + nx*(j + ny*k): the middle plane across the longest axis goes last,
-    after the two halves on either side, each ordered the same way (George,
-    SIAM J. Numer. Anal. 10, 1973)."""
-
-    def order(block):  # cell indices, axes [z, y, x]
-        axis = int(np.argmax(block.shape))
-        if block.shape[axis] < 3:
-            return block.ravel()
-        mid = block.shape[axis] // 2
-        lower, plane, upper = np.split(block, [mid, mid + 1], axis=axis)
-        return np.concatenate([order(lower), order(upper), plane.ravel()])
-
-    nx, ny, nz = shape
-    return order(np.arange(nx * ny * nz).reshape(nz, ny, nx))
+def _band_order(shape):
+    """Place of each cell of a box, given in linear order i + nx*(j + ny*k),
+    when the longest axis is numbered outermost (z on a tie, so a cube keeps
+    its linear order), and the half-bandwidth of the face stencil in that
+    order: the product of the two shorter axes."""
+    cells = np.arange(int(np.prod(shape))).reshape(shape[::-1])  # axes z, y, x
+    order = np.moveaxis(cells, int(np.argmax(shape[::-1])), 0).ravel()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank, order.size // max(shape)
 
 
 def csr_pattern(rows, cols, n):
@@ -145,9 +142,10 @@ class Level:
 
     `aggregate` is the next level's cell of each cell and `galerkin` the
     next level's nonzero of each nonzero, so P^T A P has the data
-    bincount(galerkin, A.data). For the coarsest level the "next" one is
-    the same operator in dissection order, as a CSC pattern: `aggregate`
-    is then each cell's place in that order.
+    bincount(galerkin, A.data). On the coarsest level `aggregate` is each
+    cell's place in band order and `galerkin` the place of each nonzero
+    (i, j), in that order, in LAPACK band storage ab[2 kl + i - j, j]
+    (3 kl + 1 rows), as a flat index into the C-ordered transpose of ab.
     """
 
     indptr: np.ndarray
@@ -167,8 +165,8 @@ class Level:
 
 class MultigridPlan:
     """What a V-cycle needs of a grid and does not depend on the values:
-    the aggregation, every level's pattern and Galerkin map, and the
-    nested-dissection order of the coarsest level.
+    the aggregation, every level's pattern and Galerkin map, and the band
+    order, storage and half-bandwidth `bandwidth` of the coarsest level.
 
     Built from the shape and the sparsity of the grid's tissue operators
     (the face stencil plus the diagonal), once per grid: see
@@ -179,22 +177,21 @@ class MultigridPlan:
         indptr, indices = pattern.indptr, pattern.indices
         n = int(np.prod(shape))
         self.levels = []  # the smoothed levels, then the coarsest
-        coarsest = False
-        while not coarsest:
-            coarsest = n <= COARSEST_CELLS
+        while True:
             rows = np.repeat(np.arange(n), np.diff(indptr))
-            if coarsest:  # P permutes to dissection order; coarse pattern is CSC
-                aggregate = np.empty(n, np.intp)
-                aggregate[_dissection(shape)] = np.arange(n)
-                *coarse, galerkin = csr_pattern(aggregate[indices], aggregate[rows], n)
-            else:
-                aggregate, shape = _aggregate(shape)
-                n = int(np.prod(shape))
-                *coarse, galerkin = csr_pattern(aggregate[rows], aggregate[indices], n)
             diagonal = np.flatnonzero(indices == rows)
+            if n <= COARSEST_CELLS:
+                break
+            aggregate, shape = _aggregate(shape)
+            n = int(np.prod(shape))
+            *coarse, galerkin = csr_pattern(aggregate[rows], aggregate[indices], n)
             self.levels.append(Level(indptr, indices, diagonal, aggregate, galerkin))
             indptr, indices = coarse
-        self.dissection = (indptr, indices)  # CSC of the coarsest, reordered
+        rank, kl = _band_order(shape)
+        i, j = rank[rows], rank[indices]
+        band = j * (3 * kl + 1) + 2 * kl + i - j
+        self.levels.append(Level(indptr, indices, diagonal, rank, band))
+        self.bandwidth = kl
 
     def data(self, matrix) -> np.ndarray:
         """A copy of the data of `matrix`, a tissue block, on the finest
@@ -259,17 +256,19 @@ class VCycle:
         return x
 
     def _solve_coarsest(self, r):
-        """The coarsest level solved exactly in dissection order, factored
-        (with that order kept) on first use."""
-        level = self.plan.levels[-1]
+        """The coarsest level solved exactly in band order by LAPACK's band
+        LU with partial pivoting, factored on first use."""
+        level, kl = self.plan.levels[-1], self.plan.bandwidth
         rank = level.aggregate
         if self.coarsest is None:
-            indptr, indices = self.plan.dissection
-            ordered = sp.csc_matrix(
-                (level.restrict(self.bottom[0].data), indices, indptr), shape=(rank.size,) * 2
-            )
-            self.coarsest = spla.splu(ordered, permc_spec="NATURAL")
-        return self.coarsest.solve(np.bincount(rank, r))[rank]
+            band = np.zeros((rank.size, 3 * kl + 1))
+            band.ravel()[level.galerkin] = self.bottom[0].data
+            lu, pivots, info = dgbtrf(band.T, kl, kl, overwrite_ab=True)
+            if info > 0:
+                raise SolverError(f"coarsest multigrid level is singular (U[{info}, {info}] = 0)")
+            self.coarsest = lu, pivots
+        lu, pivots = self.coarsest
+        return dgbtrs(lu, kl, kl, np.bincount(rank, r), pivots)[0][rank]
 
 
 class LinearSolver:
@@ -297,7 +296,10 @@ class LinearSolver:
         # the node block is a graph Laplacian plus the wall terms, nearly
         # symmetric: a minimum-degree order on its symmetric part fills in
         # about half what COLAMD's does on a lattice of capillaries
-        self.nodes = spla.splu(matrix[cells:, cells:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        try:
+            self.nodes = spla.splu(matrix[cells:, cells:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"node block: {exc}") from exc
         self.shifted = False
 
     def solve(self, rhs, cell_diagonal=None, guess=None, forcing=0.0) -> tuple[np.ndarray, int]:
@@ -323,15 +325,13 @@ class LinearSolver:
         starts = [self._precondition(rhs)]
         if guess is not None:
             starts.append(np.asarray(guess, float))
-        x = min(
-            (self._settle(start, rhs) for start in starts),
-            key=lambda start: self._residual(start, rhs)[2],
+        settled = [self._settle(start, rhs) for start in starts]
+        x, (r, weight, measure) = min(
+            ((x, self._residual(x, rhs)) for x in settled), key=lambda pair: pair[1][2]
         )
+        target = max(TARGET, forcing * measure)
         previous, iterations = np.inf, 0
         for cycle in range(MAX_CYCLES + 1):
-            r, weight, measure = self._residual(x, rhs)
-            if cycle == 0:
-                target = max(TARGET, forcing * measure)
             if measure <= target or measure > 0.5 * previous or cycle == MAX_CYCLES:
                 return x, iterations
             previous = measure
@@ -339,6 +339,7 @@ class LinearSolver:
                 self.matrix, self._precondition, weight * r, weight, target
             )
             x, iterations = self._settle(x + correction, rhs), iterations + steps
+            r, weight, measure = self._residual(x, rhs)
 
     def _precondition(self, r):
         x_v = self.nodes.solve(r[self.cells :])

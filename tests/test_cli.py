@@ -1,6 +1,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from microvasc import GrowthEngine, RunConfig, network_characteristics, serialize_dgf
@@ -9,7 +10,7 @@ from microvasc.errors import ValidationError
 from microvasc.growth import control_volume_averages
 from microvasc.units import pa_to_mmhg
 
-from conftest import make_single_vessel, make_starter_network
+from conftest import UM, make_desk_network, make_single_vessel, make_starter_network
 
 
 def write_inputs(tmp_path, net=None, **overrides):
@@ -111,6 +112,19 @@ class TestCommands:
         report = json.loads(capsys.readouterr().err)
         assert report["error"] == "ValidationError"
         assert "gama" in report["message"]
+
+    def test_singular_system_is_reported(self, tmp_path, capsys):
+        # a floating segment, with no Dirichlet node and no wall exchange,
+        # leaves the oxygen node block singular
+        net = make_desk_network()
+        a = net.new_node(np.array([0.5e-3, 0.5e-3, 0.2e-3])).id
+        b = net.new_node(np.array([0.6e-3, 0.5e-3, 0.2e-3])).id
+        net.new_segment(a, b, 5 * UM)
+        config, _ = write_inputs(tmp_path, net=net, oxygen={"wall_permeability": 0})
+        assert main(["solve", "--config", str(config)]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "SolverError"
+        assert "singular" in report["message"]
 
     @pytest.mark.parametrize(
         "command, overrides, flags, field",

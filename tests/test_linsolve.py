@@ -8,9 +8,9 @@ one rebuilt from scratch. A solve given a forcing term stops once it has
 reduced the row-scaled residual by that factor, in fewer iterations.
 
 The grid's multigrid plan is checked against scipy's Galerkin product
-P^T A P, also kept here only, and its dissection-ordered coarsest solve
-against scipy's default-ordered `splu`. One plan serves every solve on a
-grid, and the coarsest level is factored only when a V-cycle reaches it.
+P^T A P, also kept here only, and its banded coarsest solve against a
+dense solve. One plan serves every solve on a grid, and the coarsest level
+is factored only when a V-cycle reaches it.
 """
 
 import numpy as np
@@ -42,7 +42,6 @@ from microvasc.linsolve import (
     LinearSolver,
     VCycle,
     _aggregate,
-    _dissection,
     scaled_residual,
     scaled_residuals,
 )
@@ -181,6 +180,28 @@ def test_zero_forcing_is_the_default(case):
     assert default_iterations == forced_iterations
 
 
+@pytest.mark.parametrize("guess", [False, True])
+def test_one_residual_per_start_and_per_cycle(monkeypatch, guess):
+    matrix, rhs, grid = CASES["oxygen_at_38"]()
+    solver = LinearSolver(matrix, grid)
+    calls = {"residual": 0, "cycle": 0}
+    residual, cycle = LinearSolver._residual, linsolve._gmres_cycle
+
+    def counted_residual(*args):
+        calls["residual"] += 1
+        return residual(*args)
+
+    def counted_cycle(*args):
+        calls["cycle"] += 1
+        return cycle(*args)
+
+    monkeypatch.setattr(LinearSolver, "_residual", counted_residual)
+    monkeypatch.setattr(linsolve, "_gmres_cycle", counted_cycle)
+    solver.solve(rhs, guess=np.full(rhs.size, 38.0) if guess else None)
+    assert calls["cycle"] >= 1
+    assert calls["residual"] == 1 + guess + calls["cycle"]
+
+
 def test_zero_right_hand_side_gives_zero_from_any_guess():
     matrix, rhs, grid = CASES["oxygen_at_38"]()
     guess = np.full(rhs.size, 38.0)
@@ -285,36 +306,61 @@ def test_galerkin_levels_match_the_triple_product(physics, cells):
     assert len(levels) > 1
 
 
-@pytest.mark.parametrize("shape", [(13, 12, 11), (7, 5, 9), (3, 1, 5), (1, 1, 1)])
-def test_dissection_order_is_a_permutation(shape):
-    order = _dissection(shape)
-    assert np.array_equal(np.sort(order), np.arange(np.prod(shape)))
+@pytest.mark.parametrize(
+    "cells, coarsest, bandwidth",
+    [
+        ((12, 12, 12), (6, 6, 6), 36),
+        ((40, 40, 50), (5, 5, 7), 25),
+        ((64, 64, 4), (16, 16, 1), 16),  # flat: a long axis goes outermost, not z
+        ((7, 5, 9), (7, 5, 9), 35),
+    ],
+)
+def test_coarsest_band_is_the_two_shorter_axes(cells, coarsest, bandwidth):
+    plan = build_grid(CUBE, cells).multigrid
+    bottom = plan.levels[-1]
+    n = int(np.prod(coarsest))
+    assert bottom.indptr.size - 1 == n and plan.bandwidth == bandwidth
+    assert np.array_equal(np.sort(bottom.aggregate), np.arange(n))
+    # every nonzero (i, j) lands in column j of the band, |i - j| <= kl away
+    column, row = np.divmod(bottom.galerkin, 3 * bandwidth + 1)
+    rows = np.repeat(np.arange(n), np.diff(bottom.indptr))
+    assert np.array_equal(column, bottom.aggregate[bottom.indices])
+    assert np.array_equal(row - 2 * bandwidth + column, bottom.aggregate[rows])
+    assert row.min() >= bandwidth and row.max() <= 3 * bandwidth
 
 
 # the coarsest level itself (desk_odd_axes_small) or below one or two
 # smoothed levels, symmetric and not
 @pytest.mark.parametrize("case", ["desk_odd_axes_small", "desk_odd_axes", "lattice", "oxygen_at_38"])
-def test_dissection_ordered_coarsest_matches_default_splu(case):
+def test_banded_coarsest_matches_dense_solve(case):
     matrix, _, grid = CASES[case]()
     n = grid.n_cells
     vcycle = VCycle(matrix[:n, :n], grid)
     bottom = vcycle.bottom[0]
     r = np.random.default_rng(3).standard_normal(bottom.shape[0])
-    want = spla.splu(bottom.tocsc()).solve(r)
     got = vcycle(r, depth=len(vcycle.levels))
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    assert scaled_residual(bottom, got, r) <= 1e-14
+    want = np.linalg.solve(bottom.toarray(), r)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_singular_coarsest_level_raises():
+    grid = build_grid(CUBE, (7, 5, 9))  # the finest level is the coarsest
+    vcycle = VCycle(grid.laplacian * 0.0, grid)  # the pattern, all zeros
+    with pytest.raises(SolverError, match="singular"):
+        vcycle(np.ones(grid.n_cells))
 
 
 def test_coarsest_factored_on_first_use_and_once_after_each_shift(monkeypatch):
     tissue, grid = tissue_block("flow", (12, 12, 12))
     factored = []
-    splu = linsolve.spla.splu
+    dgbtrf = linsolve.dgbtrf
 
-    def counted(*args, **kwargs):
-        factored.append(args[0].shape)
-        return splu(*args, **kwargs)
+    def counted(band, *args, **kwargs):
+        factored.append((band.shape[1],) * 2)  # the order of the banded matrix
+        return dgbtrf(band, *args, **kwargs)
 
-    monkeypatch.setattr(linsolve.spla, "splu", counted)
+    monkeypatch.setattr(linsolve, "dgbtrf", counted)
     vcycle = VCycle(tissue, grid)
     r = np.ones(grid.n_cells)
     assert factored == []

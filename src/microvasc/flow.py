@@ -129,13 +129,16 @@ def assemble_flow_system(
 
 def _check_solvability(coupling, dirichlet, params):
     """The network needs a Dirichlet node, or a constant pressure shift
-    solves the homogeneous system; with L_p = 0 every connected 1D
-    component needs one."""
+    solves the homogeneous system; every node needs a segment; with L_p = 0
+    every connected 1D component needs a Dirichlet node."""
     if not dirichlet:
         raise SolverError("no pressure-boundary node; system is singular")
+    table, first, nodes = coupling.segments, coupling.grid.n_cells, len(coupling.node_order)
+    isolated = np.bincount(np.concatenate([table.a, table.b]) - first, minlength=nodes) == 0
+    if isolated.any():
+        raise SolverError(f"node {coupling.node_order[int(np.argmax(isolated))]} has no segment")
     if params.wall_conductivity > 0.0:
         return
-    table, first, nodes = coupling.segments, coupling.grid.n_cells, len(coupling.node_order)
     graph = sp.csr_matrix(
         (np.ones(len(table.ids)), (table.a - first, table.b - first)), shape=(nodes, nodes)
     )

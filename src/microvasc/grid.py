@@ -62,27 +62,21 @@ class TissueGrid:
         self.cell_volume = float(np.prod(self.spacing))
         self.n_cells = counts[0] * counts[1] * counts[2]
 
-    def ijk_to_linear(self, i: int, j: int, k: int) -> int:
-        nx, ny, _ = self.cells_per_axis
-        return i + nx * (j + ny * k)
-
-    def linear_to_ijk(self, idx: int) -> tuple[int, int, int]:
-        nx, ny, _ = self.cells_per_axis
-        return idx % nx, (idx // nx) % ny, idx // (nx * ny)
-
-    def cell_center(self, idx: int) -> np.ndarray:
-        ijk = np.array(self.linear_to_ijk(idx), dtype=float)
-        return self.box.lower + (ijk + 0.5) * self.spacing
-
     def locate_all(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells containing the points (..., 3), clamped to the nearest cell
-        when outside. Returns (linear indices, clamped mask)."""
-        rel = (np.asarray(points, float) - self.box.lower) / self.spacing
-        raw = np.floor(rel).astype(np.int64)
-        clipped = np.clip(raw, 0, np.array(self.cells_per_axis) - 1)
+        when outside. Returns (linear indices, clamped mask).
+
+        A point is clamped when it lies outside the closed box; one on the
+        upper face belongs to the last cell. The test is on the point, not
+        on its cell coordinate, which extent / spacing may round past n.
+        """
+        points = np.asarray(points, float)
+        rel = (points - self.box.lower) / self.spacing
+        ijk = np.clip(np.floor(rel).astype(np.int64), 0, np.array(self.cells_per_axis) - 1)
         nx, ny, _ = self.cells_per_axis
-        cells = clipped[..., 0] + nx * (clipped[..., 1] + ny * clipped[..., 2])
-        return cells, np.any(raw != clipped, axis=-1)
+        cells = ijk[..., 0] + nx * (ijk[..., 1] + ny * ijk[..., 2])
+        outside = (points < self.box.lower) | (points > self.box.upper)
+        return cells, np.any(outside, axis=-1)
 
     def locate(self, point: np.ndarray) -> tuple[int, bool]:
         """Cell containing `point`; clamps to the nearest cell when outside.
@@ -91,15 +85,6 @@ class TissueGrid:
         """
         cell, clamped = self.locate_all(point)
         return int(cell), bool(clamped)
-
-    def cell_centers(self) -> np.ndarray:
-        """(n_cells, 3) array of cell centers in linear-index order."""
-        nx, ny, nz = self.cells_per_axis
-        xs = self.box.lower[0] + (np.arange(nx) + 0.5) * self.spacing[0]
-        ys = self.box.lower[1] + (np.arange(ny) + 0.5) * self.spacing[1]
-        zs = self.box.lower[2] + (np.arange(nz) + 0.5) * self.spacing[2]
-        K, J, I = np.meshgrid(zs, ys, xs, indexing="ij")
-        return np.column_stack([I.ravel(), J.ravel(), K.ravel()])
 
     def faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Interior faces as flat read-only arrays (lo cell, hi cell, face
@@ -174,17 +159,10 @@ def build_grid(box: DomainBox, cells_per_axis) -> TissueGrid:
 
 @dataclass
 class SegmentCoupling:
-    """Surface samples of one cylindrical segment (views into the flat arrays)."""
+    """Wall samples of one segment: a view into the flat cell array."""
 
     cells: np.ndarray  # (n_samples,) linear cell indices, ring-major order
-    s: np.ndarray  # (n_samples,) arc lengths of the sample rings
     sample_area: float  # m^2, identical for every sample of this segment
-    n_axial: int
-    n_angular: int
-
-    @property
-    def total_area(self) -> float:
-        return self.sample_area * len(self.cells)
 
 
 @dataclass
@@ -240,7 +218,6 @@ class SurfaceCoupling:
     these arrays and `pattern`.
     """
 
-    per_segment: dict[int, SegmentCoupling]
     clamped_samples: int  # samples that fell outside the grid
     grid: TissueGrid
     segments: SegmentTable
@@ -252,8 +229,15 @@ class SurfaceCoupling:
     area: np.ndarray  # m^2 per sample
     pattern: CoupledPattern
 
-    def total_area(self) -> float:
-        return sum(sc.total_area for sc in self.per_segment.values())
+    @cached_property
+    def per_segment(self) -> dict[int, SegmentCoupling]:
+        """Each segment's cells and sample area by segment id, derived on
+        first read. No solver reads it; it is kept for the benchmark."""
+        bounds = zip(self.segments.ids, self.offsets[:-1], self.offsets[1:])
+        return {
+            sid: SegmentCoupling(self.cells[lo:hi], float(self.area[lo]))
+            for sid, lo, hi in bounds
+        }
 
     def jump(self, x: np.ndarray) -> np.ndarray:
         """G x, evaluated as Pi x_v - C x_t: the wall value of the nodal
@@ -422,14 +406,7 @@ def build_surface_coupling(
     offsets = np.concatenate([[0], np.cumsum(per_sample)])
     sample_seg = np.repeat(np.arange(len(ids)), per_sample)
     seg_area = 2.0 * math.pi * radius * length / per_sample
-    per_segment = {
-        sid: SegmentCoupling(
-            cells[lo:hi], s[lo:hi], float(seg_area[k]), int(na[k]), n_angular
-        )
-        for k, (sid, lo, hi) in enumerate(zip(ids, offsets[:-1], offsets[1:]))
-    }
     return SurfaceCoupling(
-        per_segment=per_segment,
         clamped_samples=int(np.count_nonzero(clamped)),
         grid=grid,
         segments=SegmentTable(ids, a, b, length, radius),

@@ -520,7 +520,7 @@ def _axis_overlaps(grid_lo, spacing, n_cells, roi_lo, roi_hi, n_cv):
 
 
 def control_volume_averages(
-    po2_t: np.ndarray, grid: TissueGrid, roi: DomainBox, n_per_axis: int = 4
+    po2_t: np.ndarray, grid: TissueGrid, roi: DomainBox, n_per_axis: int
 ):
     """Volume-weighted average oxygen per control volume and over the roi.
 

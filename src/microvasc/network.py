@@ -55,9 +55,6 @@ class Segment:
     def copy(self) -> "Segment":
         return Segment(self.id, self.node_a, self.node_b, self.radius)
 
-    def other(self, node_id: int) -> int:
-        return self.node_b if node_id == self.node_a else self.node_a
-
 
 @dataclass
 class DomainBox:
@@ -73,14 +70,6 @@ class DomainBox:
     @property
     def extent(self) -> np.ndarray:
         return self.upper - self.lower
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(self.extent))
-
-    @property
-    def center(self) -> np.ndarray:
-        return 0.5 * (self.lower + self.upper)
 
     def contains(self, x: np.ndarray) -> bool:
         return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
@@ -148,9 +137,6 @@ class VascularNetwork:
                 del self.adjacency[nid]
                 del self.nodes[nid]
 
-    def degree(self, node_id: int) -> int:
-        return len(self.adjacency[node_id])
-
     def copy(self) -> "VascularNetwork":
         out = VascularNetwork()
         for node in self.nodes.values():
@@ -170,16 +156,8 @@ class VascularNetwork:
             raise ValidationError(f"segment {seg_id}: coincident endpoints")
         return length, delta / length
 
-    def segment_endpoints(self, seg_id: int) -> tuple[np.ndarray, np.ndarray]:
-        seg = self.segments[seg_id]
-        return self.nodes[seg.node_a].position, self.nodes[seg.node_b].position
-
     def boundary_nodes(self) -> list[int]:
         return [n.id for n in self.nodes.values() if n.kind == "boundary"]
-
-    def bounding_box(self, pad: float = 0.0) -> DomainBox:
-        pts = np.array([n.position for n in self.nodes.values()])
-        return DomainBox(pts.min(axis=0) - pad, pts.max(axis=0) + pad)
 
     def terminal_nodes(self, region: DomainBox) -> list[int]:
         """Degree-1 nodes strictly inside `region`, excluding designated

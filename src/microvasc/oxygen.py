@@ -114,7 +114,6 @@ class OxygenState:
     po2_t: np.ndarray  # per-cell, mmHg
     po2_v: dict[int, float]  # per-node, mmHg
     iterations: int  # Newton steps
-    update_norm: float
     history: list[float] = field(default_factory=list)
     linear_iterations: int = 0  # GMRES iterations summed over the Newton steps
 
@@ -310,4 +309,4 @@ def solve_oxygen(
     po2_v = dict(zip(system.node_order, x[cells:].tolist()))
     # boundedness: clip rounding-level violations only
     po2_t = np.clip(x[:cells], 0.0, None)
-    return OxygenState(po2_t, po2_v, iterations, history[-1], history, linear_iterations)
+    return OxygenState(po2_t, po2_v, iterations, history, linear_iterations)

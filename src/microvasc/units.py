@@ -15,9 +15,5 @@ WATER_DENSITY = 1000.0  # kg/m^3, used to convert volumetric flux to mass flux
 MICROGRAM_PER_KG = 1.0e9
 
 
-def mmhg_to_pa(p: float) -> float:
-    return p * PA_PER_MMHG
-
-
 def pa_to_mmhg(p: float) -> float:
     return p / PA_PER_MMHG

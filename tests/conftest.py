@@ -149,6 +149,25 @@ def make_jittered_lattice(seed, n_per_axis, side=0.5e-3, jitter=0.15,
     return net
 
 
+def endpoints(net, sid):
+    """Positions of segment sid's node_a and node_b."""
+    seg = net.segments[sid]
+    return net.nodes[seg.node_a].position, net.nodes[seg.node_b].position
+
+
+def cell_ijk(grid, cells):
+    """(i, j, k) of linear cell indices i + nx*(j + ny*k)."""
+    nx, ny, _ = grid.cells_per_axis
+    cells = np.asarray(cells)
+    return cells % nx, (cells // nx) % ny, cells // (nx * ny)
+
+
+def cell_midpoints(grid):
+    """(n_cells, 3) cell centers in linear-index order."""
+    ijk = np.stack(cell_ijk(grid, np.arange(grid.n_cells)), axis=-1)
+    return grid.box.lower + (ijk + 0.5) * grid.spacing
+
+
 @pytest.fixture
 def unit_cube():
     return DomainBox([0.0, 0.0, 0.0], [1.0e-3, 1.0e-3, 1.0e-3])

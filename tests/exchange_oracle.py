@@ -10,6 +10,7 @@ assembles. The tests compare the operator-based library against them.
 """
 
 import math
+from bisect import bisect_left
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,14 +23,15 @@ from microvasc.rheology import segment_viscosity, vessel_conductance
 
 
 def locate(grid, point):
-    """Cell containing `point`, clamped to the nearest cell when outside."""
-    rel = (np.asarray(point, float) - grid.box.lower) / grid.spacing
-    raw = np.floor(rel).astype(int)
+    """Cell containing `point`, clamped to the nearest cell when outside
+    the closed box."""
+    point = np.asarray(point, float)
+    rel = (point - grid.box.lower) / grid.spacing
     counts = np.array(grid.cells_per_axis)
-    clipped = np.clip(raw, 0, counts - 1)
-    clamped = bool(np.any(raw != clipped))
-    i, j, k = clipped
-    return grid.ijk_to_linear(int(i), int(j), int(k)), clamped
+    i, j, k = (int(c) for c in np.clip(np.floor(rel).astype(int), 0, counts - 1))
+    clamped = bool(np.any(point < grid.box.lower) or np.any(point > grid.box.upper))
+    nx, ny, _ = grid.cells_per_axis
+    return i + nx * (j + ny * k), clamped
 
 
 def _frame(orientation):
@@ -43,7 +45,8 @@ def _frame(orientation):
 
 
 def surface_samples(grid, net, n_axial=None, n_angular=8):
-    """{segment id: (cells, s, sample area, n_axial)} and the clamped count."""
+    """{segment id: (cells, w_b = s/l, sample area, n_axial)} and the
+    clamped count."""
     h_min = float(np.min(grid.spacing))
     out = {}
     clamped_samples = 0
@@ -72,8 +75,16 @@ def surface_samples(grid, net, n_axial=None, n_angular=8):
                 s_arr[idx] = s
                 idx += 1
         area = 2.0 * math.pi * seg.radius * length / (na * n_angular)
-        out[sid] = (cells, s_arr, area, na)
+        out[sid] = (cells, s_arr / length, area, na)
     return out, clamped_samples
+
+
+def wall_samples(coupling, sid):
+    """Cells, weights w_b = s/l and sample area of segment sid's wall
+    samples, read from the coupling's flat arrays."""
+    k = bisect_left(coupling.segments.ids, sid)
+    lo, hi = coupling.offsets[k], coupling.offsets[k + 1]
+    return coupling.cells[lo:hi], coupling.weight[lo:hi], float(coupling.area[lo])
 
 
 def project_1d_to_surface(net, nodal_field, seg_id, s):
@@ -149,12 +160,9 @@ def flow_system(net, grid, coupling, rheology, params):
     if lp > 0.0:
         for sid in sorted(net.segments):
             seg = net.segments[sid]
-            sc = coupling.per_segment[sid]
-            length, _ = net.segment_geometry(sid)
-            la = lp * sc.sample_area
-            w_b = sc.s / length
+            cells, w_b, area = wall_samples(coupling, sid)
+            la = lp * area
             w_a = 1.0 - w_b
-            cells = sc.cells
             ia, ib = node_index[seg.node_a], node_index[seg.node_b]
             m = len(cells)
             # tissue rows: +la*p_t - la*(w_a p_a + w_b p_b) = -la*osm
@@ -210,14 +218,12 @@ def filtration_from_tissue_side(net, system, p_t, p_v):
     per_cell = np.zeros(system.grid.n_cells)
     for sid in sorted(net.segments):
         seg = net.segments[sid]
-        sc = system.coupling.per_segment[sid]
-        length, _ = net.segment_geometry(sid)
-        w_b = sc.s / length
+        cells, w_b, area = wall_samples(system.coupling, sid)
         pv_wall = (1.0 - w_b) * p_v[seg.node_a] + w_b * p_v[seg.node_b]
         jp = params.wall_conductivity * (
-            (pv_wall - p_t[sc.cells]) - params.reflection * params.oncotic_jump
+            (pv_wall - p_t[cells]) - params.reflection * params.oncotic_jump
         )
-        np.add.at(per_cell, sc.cells, jp * sc.sample_area)
+        np.add.at(per_cell, cells, jp * area)
     return float(np.sum(per_cell))
 
 
@@ -230,12 +236,11 @@ def boundary_fluxes(net, system, p_v, sample_jp):
         for sid in net.adjacency[nid]:
             seg = net.segments[sid]
             g = system.conductance[position[sid]]
-            flux += g * (p_v[nid] - p_v[seg.other(nid)])
-            sc = system.coupling.per_segment[sid]
-            length, _ = net.segment_geometry(sid)
-            w_b = sc.s / length
+            other = seg.node_b if nid == seg.node_a else seg.node_a
+            flux += g * (p_v[nid] - p_v[other])
+            _, w_b, area = wall_samples(system.coupling, sid)
             w = w_b if seg.node_b == nid else (1.0 - w_b)
-            flux += float(np.sum(w * sample_jp[sid]) * sc.sample_area)
+            flux += float(np.sum(w * sample_jp[sid]) * area)
         out[nid] = flux
     return out
 
@@ -339,15 +344,12 @@ def _exchange_entries(
     lpo2 = params.wall_permeability
     for sid in sorted(net.segments):
         seg = net.segments[sid]
-        sc = coupling.per_segment[sid]
-        length, _ = net.segment_geometry(sid)
-        w_b = sc.s / length
+        cells, w_b, area = wall_samples(coupling, sid)
         w_a = 1.0 - w_b
         jp = flow.sample_jp[sid]
         adv = 0.5 * (1.0 - sigma) * jp
-        cv = (adv + lpo2) * sc.sample_area  # coefficient on po2_v_wall
-        ct = (adv - lpo2) * sc.sample_area  # coefficient on po2_t
-        cells = sc.cells
+        cv = (adv + lpo2) * area  # coefficient on po2_v_wall
+        ct = (adv - lpo2) * area  # coefficient on po2_t
         ia, ib = node_index[seg.node_a], node_index[seg.node_b]
         m = len(cells)
         # tissue rows: -J*area moved left

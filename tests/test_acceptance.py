@@ -48,6 +48,7 @@ from microvasc.stats import network_characteristics, tissue_averages
 
 from conftest import (
     UM,
+    endpoints,
     make_desk_network,
     make_single_vessel,
     make_starter_network,
@@ -139,10 +140,8 @@ def test_criterion_03_mass_balance(desk_grid):
     # same transmural exchange accumulated on the tissue side and on the
     # vessel side; compare against the total exchange magnitude (the signed
     # net is ~0 in a sealed box)
-    exchange_scale = sum(
-        float(np.sum(np.abs(jp))) * coupling.per_segment[sid].sample_area
-        for sid, jp in state.sample_jp.items()
-    )
+    jp = np.concatenate(list(state.sample_jp.values()))  # segments in id order
+    exchange_scale = float(np.sum(np.abs(jp) * coupling.area))
     assert exchange_scale > 0.0
     assert abs(state.filtration_3d - state.filtration_1d) <= 1e-12 * exchange_scale
     assert time.perf_counter() - start < 30.0
@@ -152,15 +151,18 @@ def test_criterion_04_surface_measure(desk_grid):
     start = time.perf_counter()
     net = parse_dgf(serialize_dgf(make_desk_network()))
     coupling = build_surface_coupling(desk_grid, net)
-    for sid, seg in net.segments.items():
+    areas = np.diff(coupling.offsets) * coupling.area[coupling.offsets[:-1]]
+    for sid, area in zip(coupling.segments.ids, areas):
+        seg = net.segments[sid]
         length, _ = net.segment_geometry(sid)
         exact = 2.0 * math.pi * seg.radius * length
-        assert abs(coupling.per_segment[sid].total_area - exact) <= 1e-12 * exact
+        assert abs(area - exact) <= 1e-12 * exact
     if PAPER_DGF:
         ref = parse_dgf(Path(PAPER_DGF).read_text())
-        dom = ref.bounding_box(pad=50 * UM)
+        points = np.array([node.position for node in ref.nodes.values()])
+        dom = DomainBox(points.min(axis=0) - 50 * UM, points.max(axis=0) + 50 * UM)
         ref_grid = build_grid(dom, (40, 40, 50))
-        total = build_surface_coupling(ref_grid, ref).total_area()
+        total = float(np.sum(build_surface_coupling(ref_grid, ref).area))
         assert abs(total - 1.17e-5) <= 0.005 * 1.17e-5
     assert time.perf_counter() - start < 30.0
 
@@ -240,8 +242,8 @@ def test_criterion_08_collision_oracle_equivalence():
         net.new_segment(a.id, b.id, rng.uniform(2e-6, 8e-6))
     octants = OctantIndex.build(domain, net)
     sids = sorted(net.segments)
-    q0 = np.array([net.segment_endpoints(s)[0] for s in sids])
-    q1 = np.array([net.segment_endpoints(s)[1] for s in sids])
+    q0 = np.array([endpoints(net, s)[0] for s in sids])
+    q1 = np.array([endpoints(net, s)[1] for s in sids])
     radii = np.array([net.segments[s].radius for s in sids])
     mismatches = 0
     for _ in range(1000):
@@ -281,16 +283,16 @@ class InstrumentedEngine(GrowthEngine):
 def _collision_violations(net):
     """Brute-force pairwise scan; segments sharing a node are exempt."""
     sids = sorted(net.segments)
-    endpoints = {s: net.segment_endpoints(s) for s in sids}
+    ends = {s: endpoints(net, s) for s in sids}
     violations = 0
     for i, sa in enumerate(sids):
         a = net.segments[sa]
-        pa0, pa1 = endpoints[sa]
+        pa0, pa1 = ends[sa]
         rest = sids[i + 1 :]
         if not rest:
             continue
-        q0 = np.array([endpoints[s][0] for s in rest])
-        q1 = np.array([endpoints[s][1] for s in rest])
+        q0 = np.array([ends[s][0] for s in rest])
+        q1 = np.array([ends[s][1] for s in rest])
         radii = np.array([net.segments[s].radius for s in rest])
         shared = np.array(
             [

@@ -126,6 +126,19 @@ class TestCommands:
         assert report["error"] == "SolverError"
         assert "singular" in report["message"]
 
+    @pytest.mark.parametrize("pressure", [None, 5000.0])
+    def test_vertex_without_segment_is_reported(self, tmp_path, capsys, pressure):
+        net = make_single_vessel(
+            start=(0.1e-3, 0.5e-3, 0.5e-3), end=(0.9e-3, 0.5e-3, 0.5e-3)
+        )
+        kind = "inner" if pressure is None else "boundary"
+        net.new_node(np.array([0.5e-3, 0.2e-3, 0.5e-3]), kind=kind, boundary_pressure=pressure)
+        config, _ = write_inputs(tmp_path, net=net)
+        assert main(["solve", "--config", str(config)]) == 1
+        report = json.loads(capsys.readouterr().err)
+        assert report["error"] == "SolverError"
+        assert "node 2 has no segment" in report["message"]
+
     @pytest.mark.parametrize(
         "command, overrides, flags, field",
         [

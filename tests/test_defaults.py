@@ -9,7 +9,7 @@ from microvasc import (
     RheologyParameters,
     RunConfig,
 )
-from microvasc.units import PA_PER_MMHG, mmhg_to_pa, pa_to_mmhg
+from microvasc.units import PA_PER_MMHG, pa_to_mmhg
 
 
 def test_flow_defaults():
@@ -66,5 +66,5 @@ def test_roi_defaults():
 
 def test_pressure_unit_conversion():
     assert PA_PER_MMHG == 133.322
-    assert mmhg_to_pa(1.0) == 133.322
-    assert pa_to_mmhg(mmhg_to_pa(37.5)) == 37.5
+    assert pa_to_mmhg(133.322) == 1.0
+    assert pa_to_mmhg(37.5 * PA_PER_MMHG) == 37.5

@@ -138,22 +138,21 @@ def test_transport_operator_matches_per_segment_assembly(solved):
 
 def test_sample_flux_is_starling_flux_of_projected_pressure(solved):
     net, _, flow_params, coupling, _, flow = solved
-    for sid, sc in coupling.per_segment.items():
+    for sid, length in zip(coupling.segments.ids, coupling.segments.length):
+        cells, w_b, _ = oracle.wall_samples(coupling, sid)
         want = np.array([
             starling_flux(
                 oracle.project_1d_to_surface(net, flow.p_v, sid, s), flow.p_t[cell], flow_params
             )
-            for cell, s in zip(sc.cells, sc.s)
+            for cell, s in zip(cells, w_b * length)
         ])
         assert relative_difference(flow.sample_jp[sid], want) <= FLUX_RTOL
 
 
 def test_filtration_and_boundary_fluxes_match_per_segment_sums(solved):
     net, _, _, coupling, system, flow = solved
-    exchange = sum(
-        float(np.sum(np.abs(jp))) * coupling.per_segment[sid].sample_area
-        for sid, jp in flow.sample_jp.items()
-    )
+    jp = np.concatenate(list(flow.sample_jp.values()))  # segments in id order
+    exchange = float(np.sum(np.abs(jp) * coupling.area))
     ref_3d = oracle.filtration_from_tissue_side(net, system, flow.p_t, flow.p_v)
     assert abs(flow.filtration_3d - ref_3d) <= FLUX_RTOL * exchange
     ref_fluxes = oracle.boundary_fluxes(net, system, flow.p_v, flow.sample_jp)
@@ -168,8 +167,7 @@ def sample_operators(coupling):
     table, n = coupling.segments, coupling.grid.n_cells
     m, nodes = coupling.cells.size, len(coupling.node_order)
     segment = np.repeat(np.arange(len(table.ids)), np.diff(coupling.offsets))
-    s = np.concatenate([coupling.per_segment[sid].s for sid in table.ids])
-    w_b = s / table.length[segment]
+    w_b = coupling.weight
     ends = np.concatenate([table.a[segment], table.b[segment]]) - n
     C = sp.csr_matrix((np.ones(m), (np.arange(m), coupling.cells)), shape=(m, n))
     Pi = sp.csr_matrix(
@@ -271,13 +269,14 @@ def assert_same_samples(grid, net, n_axial=None, n_angular=8):
     ref, ref_clamped = oracle.surface_samples(grid, net, n_axial, n_angular)
     coupling = build_surface_coupling(grid, net, n_axial, n_angular)
     assert coupling.clamped_samples == ref_clamped
-    assert list(coupling.per_segment) == list(ref)
-    for sid, (cells, s, area, na) in ref.items():
-        sc = coupling.per_segment[sid]
-        assert np.array_equal(sc.cells, cells)
-        assert np.array_equal(sc.s, s)
-        assert sc.sample_area == area and sc.n_axial == na
-        assert np.shares_memory(sc.cells, coupling.cells)
+    assert coupling.segments.ids == list(ref)
+    bounds = zip(coupling.offsets[:-1], coupling.offsets[1:])
+    for (lo, hi), (cells, w_b, area, na) in zip(bounds, ref.values()):
+        assert hi - lo == na * n_angular
+        assert np.array_equal(coupling.cells[lo:hi], cells)
+        assert np.array_equal(coupling.weight[lo:hi], w_b)
+        assert np.all(coupling.area[lo:hi] == area)
+    assert coupling.offsets[-1] == coupling.cells.size
 
 
 @pytest.mark.parametrize("case", ["desk", "lattice", "y_junction"])

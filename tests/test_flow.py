@@ -157,6 +157,20 @@ class TestCoupledFlow:
         with pytest.raises(SolverError, match="no pressure-boundary node"):
             assemble_flow_system(net, grid, coupling, RheologyParameters(), FlowParameters())
 
+    @pytest.mark.parametrize("wall_conductivity", [0.0, 1.0e-12])
+    @pytest.mark.parametrize("pressure", [None, 5000.0])
+    def test_node_without_segment_rejected(self, wall_conductivity, pressure):
+        # an isolated inner node leaves its row empty; an isolated pressure
+        # node solves but has no vessel to classify its oxygen value from
+        net = make_single_vessel()
+        kind = "inner" if pressure is None else "boundary"
+        net.new_node(np.array([20 * UM, 10 * UM, 0.0]), kind=kind, boundary_pressure=pressure)
+        grid = small_grid()
+        coupling = build_surface_coupling(grid, net)
+        params = FlowParameters(wall_conductivity=wall_conductivity)
+        with pytest.raises(SolverError, match="node 2 has no segment"):
+            assemble_flow_system(net, grid, coupling, RheologyParameters(), params)
+
     def test_desk_conservation(self, desk_grid):
         net = make_desk_network()
         state = solve(net, grid=desk_grid, params=FlowParameters())

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from microvasc import DomainBox, build_grid, build_surface_coupling
 from microvasc.errors import ValidationError
 
-from conftest import UM, make_single_vessel
+from conftest import UM, cell_midpoints, cell_ijk, make_single_vessel, make_y_junction
 from exchange_oracle import project_1d_to_surface
 
 
@@ -29,31 +29,41 @@ class TestTissueGrid:
              (1.50e-3 - 8.8e-7) / 50],
         )
 
-    def test_index_round_trip(self, desk_grid):
-        for idx in (0, 1, 19, 20, 399, 400, 7999):
-            i, j, k = desk_grid.linear_to_ijk(idx)
-            assert desk_grid.ijk_to_linear(i, j, k) == idx
-
     def test_cell_center_inverse_of_locate(self, desk_grid):
         rng = np.random.default_rng(7)
+        centers = cell_midpoints(desk_grid)
         for idx in rng.integers(0, desk_grid.n_cells, 50):
-            cell, clamped = desk_grid.locate(desk_grid.cell_center(int(idx)))
+            cell, clamped = desk_grid.locate(centers[idx])
             assert cell == idx and not clamped
 
     def test_locate_clamps_outside_points(self, desk_grid):
         cell, clamped = desk_grid.locate([-1.0, 0.5e-3, 0.5e-3])
         assert clamped
-        i, _, _ = desk_grid.linear_to_ijk(cell)
+        i, _, _ = cell_ijk(desk_grid, cell)
         assert i == 0
+
+    @pytest.mark.parametrize(
+        "upper, counts",
+        [([1.0, 1.0, 1.0], (2, 2, 2)), ([0.7, 0.3, 0.1], (3, 7, 10))],
+    )
+    def test_closed_box_faces_are_inside(self, upper, counts):
+        # 1/2 divides the unit box exactly; 0.7/3, 0.3/7 and 0.1/10 do not
+        box = DomainBox([0.0, 0.0, 0.0], upper)
+        grid = build_grid(box, counts)
+        for axis in range(3):
+            for face, index, outward in ((box.upper, counts[axis] - 1, np.inf),
+                                         (box.lower, 0, -np.inf)):
+                point = 0.5 * (box.lower + box.upper)
+                point[axis] = face[axis]
+                cell, clamped = grid.locate(point)
+                assert cell_ijk(grid, cell)[axis] == index and not clamped
+                point[axis] = np.nextafter(face[axis], outward)
+                cell, clamped = grid.locate(point)
+                assert cell_ijk(grid, cell)[axis] == index and clamped
 
     def test_too_few_cells_rejected(self, unit_cube):
         with pytest.raises(ValidationError):
             build_grid(unit_cube, (1, 20, 20))
-
-    def test_cell_centers_match_indexing(self, desk_grid):
-        centers = desk_grid.cell_centers()
-        for idx in (0, 137, 4242):
-            assert np.allclose(centers[idx], desk_grid.cell_center(idx))
 
 
 class TestSurfaceCoupling:
@@ -64,26 +74,25 @@ class TestSurfaceCoupling:
             end=(0.8e-3, 0.5e-3, 0.5e-3),
         )
         coupling = build_surface_coupling(desk_grid, net)
-        sc = coupling.per_segment[0]
         length = 0.6e-3
-        assert sc.total_area == pytest.approx(
+        assert coupling.area[0] * coupling.cells.size == pytest.approx(
             2.0 * math.pi * 5 * UM * length, rel=1e-12
         )
 
     def test_equal_sample_weights(self, desk_grid):
         net = make_single_vessel(start=(0.2e-3, 0.5e-3, 0.5e-3),
                                  end=(0.8e-3, 0.5e-3, 0.5e-3))
-        sc = build_surface_coupling(desk_grid, net).per_segment[0]
-        assert len(sc.cells) == sc.n_axial * sc.n_angular
+        coupling = build_surface_coupling(desk_grid, net)
+        assert coupling.cells.size % 8 == 0  # whole rings of n_angular = 8
         # equal-area lattice: one shared scalar weight
-        assert sc.sample_area > 0.0
+        assert coupling.area[0] > 0.0 and np.all(coupling.area == coupling.area[0])
 
     def test_axial_resolution_tracks_cell_size(self, desk_grid):
         net = make_single_vessel(start=(0.2e-3, 0.5e-3, 0.5e-3),
                                  end=(0.8e-3, 0.5e-3, 0.5e-3))
-        sc = build_surface_coupling(desk_grid, net).per_segment[0]
+        rings = build_surface_coupling(desk_grid, net).cells.size // 8
         # 0.6 mm vessel across 50 um cells: at least 2 rings per cell
-        assert sc.n_axial >= 2 * math.ceil(0.6e-3 / 0.05e-3)
+        assert rings >= 2 * math.ceil(0.6e-3 / 0.05e-3)
 
     def test_thin_vessel_samples_single_cell_column(self, desk_grid):
         net = make_single_vessel(
@@ -91,11 +100,22 @@ class TestSurfaceCoupling:
             start=(0.2e-3, 0.525e-3, 0.525e-3),
             end=(0.8e-3, 0.525e-3, 0.525e-3),
         )
-        sc = build_surface_coupling(desk_grid, net).per_segment[0]
-        js = {desk_grid.linear_to_ijk(c)[1] for c in sc.cells}
-        ks = {desk_grid.linear_to_ijk(c)[2] for c in sc.cells}
+        _, js, ks = cell_ijk(desk_grid, build_surface_coupling(desk_grid, net).cells)
         # radius far below cell size: all samples stay in one y/z cell row
-        assert js == {10} and ks == {10}
+        assert set(js) == {10} and set(ks) == {10}
+
+    def test_per_segment_is_derived_on_first_read(self, desk_grid):
+        net = make_y_junction()
+        coupling = build_surface_coupling(desk_grid, net)
+        assert "per_segment" not in vars(coupling)
+        per_segment = coupling.per_segment
+        assert list(per_segment) == coupling.segments.ids
+        bounds = zip(coupling.offsets[:-1], coupling.offsets[1:])
+        for sc, (lo, hi) in zip(per_segment.values(), bounds):
+            assert np.shares_memory(sc.cells, coupling.cells)
+            assert np.array_equal(sc.cells, coupling.cells[lo:hi])
+            assert np.all(coupling.area[lo:hi] == sc.sample_area)
+        assert coupling.per_segment is per_segment
 
     def test_off_grid_samples_counted_and_clamped(self, unit_cube):
         grid = build_grid(unit_cube, (10, 10, 10))
@@ -126,7 +146,7 @@ class TestSurfaceCoupling:
             start=(0.2e-3, 0.5e-3, 0.5e-3),
             end=(0.2e-3 + length, 0.5e-3, 0.5e-3),
         )
-        total = build_surface_coupling(grid, net, n_angular=n_ang).total_area()
+        total = float(np.sum(build_surface_coupling(grid, net, n_angular=n_ang).area))
         assert total == pytest.approx(2.0 * math.pi * radius * length, rel=1e-12)
 
 

@@ -32,7 +32,14 @@ from microvasc import (
 from microvasc.errors import ValidationError
 from microvasc.growth import cell_gradient, control_volume_averages, segment_distances
 
-from conftest import UM, make_jittered_lattice, make_starter_network
+from conftest import (
+    UM,
+    cell_midpoints,
+    cell_ijk,
+    endpoints,
+    make_jittered_lattice,
+    make_starter_network,
+)
 
 point = st.floats(-1e-3, 1e-3, allow_nan=False)
 point3 = st.tuples(point, point, point)
@@ -166,7 +173,7 @@ class TestCollision:
         for sid, seg in net.segments.items():
             if seg.node_a in attached or seg.node_b in attached:
                 continue
-            q0, q1 = net.segment_endpoints(sid)
+            q0, q1 = endpoints(net, sid)
             if segment_distance(p0, p1, q0, q1) < radius + seg.radius:
                 return True
         return False
@@ -225,14 +232,14 @@ class TestCollision:
         )
         assert created is not None
         assert created.id in net.segments
-        assert net.degree(b.id) == 2
+        assert len(net.adjacency[b.id]) == 2
 
     def test_removed_segment_not_counted(self):
         domain = DomainBox([0.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3])
         net = self.build_random_net(10, seed=5)
         octants = OctantIndex.build(domain, net)
         sid = next(iter(net.segments))
-        p0, p1 = (x.copy() for x in net.segment_endpoints(sid))
+        p0, p1 = (x.copy() for x in endpoints(net, sid))
         radius = net.segments[sid].radius
         # a query along the segment's own axis hits it while it is indexed
         assert collides(net, octants, p0, p1, radius, set())
@@ -403,7 +410,7 @@ def reference_keys(index, p0, p1, pad: float):
 def reference_build(domain, net):
     """`OctantIndex.build` as a loop of one `insert` per segment."""
     lengths = [
-        float(np.linalg.norm(np.subtract(*net.segment_endpoints(sid))))
+        float(np.linalg.norm(np.subtract(*endpoints(net, sid))))
         for sid in net.segments
     ]
     radii = [seg.radius for seg in net.segments.values()]
@@ -412,7 +419,7 @@ def reference_build(domain, net):
             else float(np.max(domain.extent)))
     index = OctantIndex(domain, edge)
     for sid in net.segments:
-        p0, p1 = net.segment_endpoints(sid)
+        p0, p1 = endpoints(net, sid)
         index.insert(sid, p0, p1, net.segments[sid].radius)
     return index
 
@@ -495,7 +502,7 @@ class TestBucketIndex:
         # query's axis in the first: only the query radius bridges the face
         p0 = np.array([0.102e-3, 0.40e-3, 0.5e-3])
         p1 = np.array([0.102e-3, 0.50e-3, 0.5e-3])
-        gap = segment_distance(p0, p1, *net.segment_endpoints(0))
+        gap = segment_distance(p0, p1, *endpoints(net, 0))
         assert collides(net, octants, p0, p1, gap * (1 + 1e-7) - 2 * UM, set())
         assert not collides(net, octants, p0, p1, gap * (1 - 1e-7) - 2 * UM, set())
 
@@ -812,7 +819,7 @@ class TestControlVolumes:
         from microvasc import build_grid
 
         grid = build_grid(box, (10, 10, 10))
-        field = grid.cell_centers()[:, 0].copy()
+        field = cell_midpoints(grid)[:, 0].copy()
         roi = DomainBox([0.1e-3, 0.1e-3, 0.1e-3], [0.9e-3, 0.9e-3, 0.9e-3])
         cv, mean = control_volume_averages(field, grid, roi, 2)
         assert cv[0, 0, 0] < cv[1, 0, 0]
@@ -832,7 +839,7 @@ def stencil_gradient(po2_t, grid, position):
     """Oracle: the per-tip central-difference stencil `po2_gradient` ran
     before the gradient became one field per solved state."""
     cell, _ = grid.locate(position)
-    i, j, k = grid.linear_to_ijk(cell)
+    i, j, k = (int(c) for c in cell_ijk(grid, cell))
     nx, ny, nz = grid.cells_per_axis
     p = po2_t.reshape((nz, ny, nx))
     grad = np.zeros(3)
@@ -861,8 +868,7 @@ class TestGradientField:
         )
         engine.po2_grad = cell_gradient(po2_t, grid)
         assert engine.po2_grad.shape == (grid.n_cells, 3)
-        for cell in range(grid.n_cells):
-            center = grid.cell_center(cell)
+        for center in cell_midpoints(grid):
             assert np.array_equal(
                 engine.po2_gradient(center), stencil_gradient(po2_t, grid, center)
             )

@@ -38,7 +38,7 @@ def test_each_root_is_a_stub_pointing_inward(paper):
         assert seg.radius == 15 * UM
         assert np.linalg.norm(end.position - root.position) == pytest.approx(60 * UM)
         assert roi.strictly_contains(end.position)
-        assert net.degree(end.id) == 1
+        assert len(net.adjacency[end.id]) == 1
 
 
 def test_dgf_round_trip(paper):

@@ -95,8 +95,10 @@ def cmd_solve(args) -> int:
             out / "nodes.csv",
             ["node", "x", "y", "z", "p_v_pa", "po2_v_mmhg"],
             [
-                [nid, *net.nodes[nid].position.tolist(), flow.p_v[nid], oxy.po2_v[nid]]
-                for nid in sorted(net.nodes)
+                [nid, *net.nodes[nid].position.tolist(), p, po2]
+                for nid, p, po2 in zip(
+                    flow.node_order, flow.p_nodes.tolist(), oxy.po2_nodes.tolist()
+                )
             ],
             prov,
         )

@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -13,8 +14,9 @@ import numpy as np
 
 from .errors import ValidationError
 from .flow import FlowParameters
+from .grid import TissueGrid
 from .growth import GrowthParameters
-from .network import DomainBox
+from .network import DomainBox, enlarge_domain
 from .oxygen import OxygenParameters
 from .rheology import RheologyParameters
 
@@ -48,6 +50,14 @@ class RunConfig:
             raise ValidationError(f"repetitions must be at least 1, got {self.repetitions}")
         if not set(self.phases) <= {1, 2, 3}:
             raise ValidationError(f"phases must be drawn from 1, 2, 3, got {list(self.phases)}")
+        # the roi, domain and grid are built when a command runs; a value
+        # they reject is reported now, by the fields that hold it
+        with _reported_as("roi_lower, roi_upper"):
+            roi = self.roi_box()
+        with _reported_as("domain_enlargement"):
+            domain = enlarge_domain(roi, self.domain_enlargement)
+        with _reported_as("grid_cells"):
+            TissueGrid(domain, self.grid_cells)
 
     def roi_box(self) -> DomainBox:
         return DomainBox(np.array(self.roi_lower), np.array(self.roi_upper))
@@ -84,8 +94,10 @@ class RunConfig:
             ("growth", GrowthParameters),
         ):
             if name in kwargs:
-                _check_keys(typ, kwargs[name], f"config section {name!r}")
-                kwargs[name] = typ(**kwargs[name])
+                where = f"config section {name!r}"
+                _check_keys(typ, kwargs[name], where)
+                with _reported_as(where):
+                    kwargs[name] = typ(**kwargs[name])
         for key in ("grid_cells", "roi_lower", "roi_upper", "phases"):
             if key in kwargs:
                 kwargs[key] = tuple(kwargs[key])
@@ -99,3 +111,12 @@ def _check_keys(typ, data, where: str):
     unknown = set(data) - {f.name for f in dataclasses.fields(typ)}
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+@contextmanager
+def _reported_as(where: str):
+    """Prefix a validation error raised inside with where it comes from."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None

@@ -16,7 +16,8 @@ and the exchange, in a `grid.CoupledSystem` pinning pressure-boundary nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -71,16 +72,41 @@ def starling_flux(p_v_wall: float, p_t_wall: float, params: FlowParameters) -> f
 
 @dataclass
 class FlowState:
-    p_t: np.ndarray  # per-cell pressure, Pa
-    p_v: dict[int, float]  # per-node pressure, Pa
-    u_v: dict[int, float]  # per-segment velocity along node_a -> node_b, m/s
+    """A solved pressure field, in the order of the coupling it was solved
+    on: `p_nodes` by `node_order`, `velocity` by `segment_ids`, `jp` per
+    wall sample, those of `segment_ids[k]` at `offsets[k]:offsets[k + 1]`.
+    `p_v` and `sample_jp` key them by node and segment id for the benchmark,
+    derived on first read unless given, as `dataclasses.replace` gives them.
+    """
+
+    p_t: np.ndarray  # per cell, Pa
+    p_nodes: np.ndarray  # Pa
+    velocity: np.ndarray  # along node_a -> node_b, m/s
+    jp: np.ndarray  # Starling flux, m/s
+    node_order: list[int]
+    segment_ids: list[int]
+    offsets: np.ndarray
     f_tv: float  # one-directional filtration into tissue, ug/s
     residual: float
-    sample_jp: dict[int, np.ndarray] = field(default_factory=dict)
     boundary_flux: dict[int, float] = field(default_factory=dict)  # m^3/s, inflow > 0
     filtration_3d: float = 0.0  # net volumetric exchange, 3D-side sum, m^3/s
     filtration_1d: float = 0.0  # net volumetric exchange, 1D-side sum, m^3/s
     linear_iterations: int = 0  # GMRES iterations of the solve
+    p_v: InitVar[dict[int, float]]
+
+    def __post_init__(self, p_v):
+        # when not given, the InitVar's default is the view's descriptor
+        if not isinstance(p_v, cached_property):
+            vars(self)["p_v"] = p_v
+
+    @cached_property
+    def p_v(self) -> dict[int, float]:
+        return dict(zip(self.node_order, self.p_nodes.tolist()))
+
+    @cached_property
+    def sample_jp(self) -> dict[int, np.ndarray]:
+        bounds = self.offsets.tolist()
+        return {sid: self.jp[lo:hi] for sid, lo, hi in zip(self.segment_ids, bounds, bounds[1:])}
 
 
 @dataclass
@@ -173,14 +199,16 @@ def solve_flow(system: FlowSystem) -> FlowState:
     inflow = np.bincount(table.a, q, n_all) - np.bincount(table.b, q, n_all) + wall
     return FlowState(
         p_t=p_t,
-        p_v=dict(zip(system.node_order, x[n:].tolist())),
-        u_v=dict(zip(table.ids, (q / (np.pi * table.radius**2)).tolist())),
+        p_nodes=x[n:],
+        velocity=q / (np.pi * table.radius**2),
+        jp=jp,
+        node_order=coupling.node_order,
+        segment_ids=table.ids,
+        offsets=coupling.offsets,
         f_tv=float(np.sum(exchange[jp > 0.0])) * WATER_DENSITY * MICROGRAM_PER_KG,
         residual=residual,
-        sample_jp=dict(zip(table.ids, np.split(jp, coupling.offsets[1:-1]))),
         boundary_flux=dict(sorted(zip(system.dirichlet, inflow[system.pinned].tolist()))),
         filtration_3d=-float(np.sum(wall[:n])),
         filtration_1d=float(np.sum(exchange)),
         linear_iterations=linear_iterations,
     )
-

@@ -54,6 +54,8 @@ class TissueGrid:
 
     def __init__(self, box: DomainBox, cells_per_axis):
         counts = tuple(int(c) for c in cells_per_axis)
+        if counts != tuple(cells_per_axis):
+            raise ValidationError(f"cell counts must be integers, got {list(cells_per_axis)}")
         if len(counts) != 3 or any(c < 2 for c in counts):
             raise ValidationError("need at least 2 cells per axis")
         self.box = box

@@ -72,6 +72,13 @@ class GrowthParameters:
             raise ValidationError("bifurcation threshold must lie in (0, 1)")
         if not 2.0 <= self.gamma <= 4.0:
             raise ValidationError("Murray exponent must lie in [2, 4]")
+        if not isinstance(self.cv_per_axis, (int, np.integer)) or self.cv_per_axis < 1:
+            raise ValidationError("cv_per_axis must be an integer of at least 1")
+        for name in ("sigma_r", "link_sigma", "small_radius_mode_sigma"):
+            if getattr(self, name) < 0.0:
+                raise ValidationError(f"{name} must be nonnegative")
+        if self.radius_sigma_divisor <= 0.0:
+            raise ValidationError("radius_sigma_divisor must be positive")
 
 
 # -- geometry primitives -------------------------------------------------
@@ -547,6 +554,14 @@ def control_volume_averages(
 # -- growth engine -------------------------------------------------------
 
 
+def node_values(order, values: np.ndarray, ids) -> np.ndarray:
+    """`values`, given per node in the sorted node `order`, at the node
+    `ids`; NaN at an id that `order` lacks."""
+    order = np.asarray(order)
+    at = np.searchsorted(order, ids).clip(max=order.size - 1)
+    return np.where(order[at] == ids, values[at], np.nan)
+
+
 class GrowthEngine:
     """Runs the three growth phases on one network with one seeded RNG.
 
@@ -614,16 +629,15 @@ class GrowthEngine:
         return self.flow, self.oxygen
 
     def _initial_guess(self, system):
+        """The last solved PO2 on the new system's unknowns; a node new since
+        then starts at its boundary PO2, else at the venous PO2."""
         if self.oxygen is None:
             return None
-        guess = np.zeros(system.n_unknowns)
-        guess[: self.grid.n_cells] = self.oxygen.po2_t
-        for nid, node in self.net.nodes.items():
-            prev = self.oxygen.po2_v.get(nid, node.boundary_po2)
-            if prev is None:
-                prev = self.oxygen_params.venous_po2
-            guess[system.node_index[nid]] = prev
-        return guess
+        nodes = node_values(self.oxygen.node_order, self.oxygen.po2_nodes, system.node_order)
+        for row in np.flatnonzero(np.isnan(nodes)).tolist():
+            po2 = self.net.nodes[system.node_order[row]].boundary_po2
+            nodes[row] = self.oxygen_params.venous_po2 if po2 is None else po2
+        return np.concatenate([self.oxygen.po2_t, nodes])
 
     def po2_gradient(self, position: np.ndarray) -> np.ndarray:
         """PO2 gradient of the last solved state at `position`'s cell."""
@@ -695,45 +709,39 @@ class GrowthEngine:
     # -- linking ----------------------------------------------------------
 
     def _node_table(self):
-        """Sorted node ids and their positions, for the link search."""
+        """Sorted node ids, their positions and their pressures in the last
+        solved flow (NaN for a node it lacks), for the link search."""
         ids = np.array(sorted(self.net.nodes), dtype=np.int64)
         positions = np.array([self.net.nodes[nid].position for nid in ids.tolist()])
-        return ids, positions
+        if self.flow is None:
+            return ids, positions, np.full(ids.size, np.nan)
+        return ids, positions, node_values(self.flow.node_order, self.flow.p_nodes, ids)
 
     def _link_candidates(self, tip: int, d_x: float, table):
         """Nodes inside the tip's cone and within d_x of it, best first.
 
         Returns [(node id, distance, score)] sorted by (-score, id), where
         the score is the normalized pressure difference minus the
-        normalized distance. One vectorized pass over the node table
-        decides: `np.vecdot` runs the dot kernel of `np.linalg.norm` and
-        1-D `@` row by row, so distances and cone cosines are those of a
-        scalar scan over every node, bit for bit.
+        normalized distance; a node or tip without a pressure scores a
+        difference of 0. Distances and cone cosines are a scalar scan's, bit
+        for bit (see the module docstring).
         """
         seg, d_tip = self._tip_segment(tip)
-        ids, positions = table
+        ids, positions, pressure = table
         delta = positions - self.net.nodes[tip].position
         dist = np.sqrt(np.vecdot(delta, delta))
         near = np.flatnonzero((dist > 0.0) & (dist <= d_x))
         cone = np.vecdot(delta[near] / dist[near, None], d_tip)
         keep = near[cone >= math.cos(self.params.cone_angle / 2.0)]
-        p_x = self.flow.p_v.get(tip) if self.flow else None
-        candidates = []
-        for nid, span in zip(ids[keep].tolist(), dist[keep].tolist()):
-            if nid in (seg.node_a, seg.node_b):
-                continue
-            dp = 0.0
-            if p_x is not None and nid in self.flow.p_v:
-                dp = abs(self.flow.p_v[nid] - p_x)
-            candidates.append((nid, span, dp))
-        if not candidates:
+        keep = keep[(ids[keep] != seg.node_a) & (ids[keep] != seg.node_b)]
+        if not keep.size:
             return []
-        dp_max = max(c[2] for c in candidates)
-        scored = [
-            (nid, dist, (dp / dp_max if dp_max > 0 else 0.0) - dist / d_x)
-            for nid, dist, dp in candidates
-        ]
-        return sorted(scored, key=lambda c: (-c[2], c[0]))
+        dp = np.nan_to_num(np.abs(pressure[keep] - pressure[np.searchsorted(ids, tip)]))
+        dp_max = dp.max()
+        score = (dp / dp_max if dp_max > 0 else 0.0) - dist[keep] / d_x
+        best = np.lexsort((ids[keep], -score))
+        return list(zip(ids[keep][best].tolist(), dist[keep][best].tolist(),
+                        score[best].tolist()))
 
     def _link_terminal(self, tip: int, table):
         """Connect one terminal node to a nearby node inside the cone.

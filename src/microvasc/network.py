@@ -64,6 +64,8 @@ class DomainBox:
     def __post_init__(self):
         self.lower = np.asarray(self.lower, dtype=float)
         self.upper = np.asarray(self.upper, dtype=float)
+        if self.lower.shape != (3,) or self.upper.shape != (3,):
+            raise ValidationError("domain box bounds must be 3-vectors")
         if not np.all(self.lower < self.upper):
             raise ValidationError("domain box requires lower < upper componentwise")
 

@@ -24,7 +24,8 @@ pressure-boundary node, comes from the run's `OxygenParameters` through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
 
 import numpy as np
 from numpy.linalg import norm
@@ -89,33 +90,42 @@ def classify_arterial_venous(
     ties go to artery. The label's boundary PO2, `params.venous_po2` or
     `params.arterial_po2`, is written onto the node.
     """
-    if flow is None or flow.u_v is None:
+    if flow is None:
         raise StateError("classification requires a converged flow state")
-    speeds = {sid: abs(flow.u_v[sid]) for sid in net.segments}
-    if not speeds:
+    speed = np.abs(flow.velocity)
+    if not speed.size:
         return {}
-    avg = sum(speeds.values()) / len(speeds)
+    ends = [nid for nid in net.boundary_nodes() if net.adjacency[nid]]
+    terminal = np.searchsorted(flow.segment_ids, [net.adjacency[nid][0] for nid in ends])
     labels: dict[int, str] = {}
-    for nid in net.boundary_nodes():
-        incident = net.adjacency[nid]
-        if not incident:
-            continue
-        v = speeds[incident[0]]
-        label = "vein" if v < avg else "artery"
-        labels[nid] = label
-        net.nodes[nid].boundary_po2 = (
-            params.venous_po2 if label == "vein" else params.arterial_po2
-        )
+    for nid, vein in zip(ends, (speed[terminal] < np.mean(speed)).tolist()):
+        labels[nid] = "vein" if vein else "artery"
+        net.nodes[nid].boundary_po2 = params.venous_po2 if vein else params.arterial_po2
     return labels
 
 
 @dataclass
 class OxygenState:
-    po2_t: np.ndarray  # per-cell, mmHg
-    po2_v: dict[int, float]  # per-node, mmHg
+    """A solved PO2 field: `po2_nodes` by `node_order`, the order of the
+    coupling it was solved on. `po2_v` keys it by node id for the benchmark,
+    derived on first read unless given, as `dataclasses.replace` gives it."""
+
+    po2_t: np.ndarray  # per cell, mmHg
+    po2_nodes: np.ndarray  # mmHg
+    node_order: list[int]
     iterations: int  # Newton steps
     history: list[float] = field(default_factory=list)
     linear_iterations: int = 0  # GMRES iterations summed over the Newton steps
+    po2_v: InitVar[dict[int, float]]
+
+    def __post_init__(self, po2_v):
+        # when not given, the InitVar's default is the view's descriptor
+        if not isinstance(po2_v, cached_property):
+            vars(self)["po2_v"] = po2_v
+
+    @cached_property
+    def po2_v(self) -> dict[int, float]:
+        return dict(zip(self.node_order, self.po2_nodes.tolist()))
 
 
 def assemble_transport_operator(
@@ -154,11 +164,10 @@ def assemble_transport_operator(
         grid.stencil[1].ravel(), _upwind(v).ravel(), laplacian.nnz
     )
     cross = np.pi * table.radius**2
-    q = np.array([flow.u_v[sid] for sid in table.ids]) * cross
+    q = flow.velocity * cross
     graph = np.outer(GRAPH_LAPLACIAN, params.diffusion_vessel * cross / table.length) + _upwind(q)
 
-    jp = np.concatenate([flow.sample_jp[sid] for sid in table.ids])
-    adv = 0.5 * (1.0 - flow_params.reflection) * jp
+    adv = 0.5 * (1.0 - flow_params.reflection) * flow.jp
     c_t = (adv - params.wall_permeability) * coupling.area
     c_v = (adv + params.wall_permeability) * coupling.area
 
@@ -306,7 +315,8 @@ def solve_oxygen(
             f"row-scaled oxygen residual {residual:.3e} above {RESIDUAL_TOL:.0e}",
             history,
         )
-    po2_v = dict(zip(system.node_order, x[cells:].tolist()))
     # boundedness: clip rounding-level violations only
     po2_t = np.clip(x[:cells], 0.0, None)
-    return OxygenState(po2_t, po2_v, iterations, history, linear_iterations)
+    return OxygenState(
+        po2_t, x[cells:], system.node_order, iterations, history, linear_iterations
+    )

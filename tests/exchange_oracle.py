@@ -310,11 +310,11 @@ def _tissue_transport_entries(grid, flow, flow_params, params, rows, cols, vals)
 def _vessel_transport_entries(
     net, flow, params, node_index, dirichlet, rows, cols, vals
 ):
-    for sid in sorted(net.segments):
+    for sid, u in zip(flow.segment_ids, flow.velocity.tolist()):
         seg = net.segments[sid]
         length, _ = net.segment_geometry(sid)
         area = math.pi * seg.radius**2
-        q = flow.u_v[sid] * area  # volumetric flow node_a -> node_b
+        q = u * area  # volumetric flow node_a -> node_b
         d = params.diffusion_vessel * area / length
         ia, ib = node_index[seg.node_a], node_index[seg.node_b]
         up = ia if q > 0.0 else ib

@@ -94,7 +94,7 @@ def test_criterion_01_poiseuille_oracle():
     # flux equals conductance * dp to 1e-12 relative
     mu = segment_viscosity(5 * UM, RheologyParameters())
     g = vessel_conductance(5 * UM, 100 * UM, mu)
-    flux = abs(state.u_v[0]) * math.pi * (5 * UM) ** 2
+    flux = abs(state.velocity[state.segment_ids.index(0)]) * math.pi * (5 * UM) ** 2
     assert abs(flux - g * 4000.0) <= 1e-12 * g * 4000.0
     assert time.perf_counter() - start < 1.0
 

@@ -54,7 +54,14 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "data",
-        [{"master_seed": -1}, {"repetitions": 0}, {"phases": [4]}, {"phases": [1, 0]}],
+        [
+            {"master_seed": -1}, {"repetitions": 0}, {"phases": [4]}, {"phases": [1, 0]},
+            {"roi_lower": [0, 0]}, {"grid_cells": [6.7, 6, 6]}, {"domain_enlargement": -0.1},
+            {"growth": {"cv_per_axis": 0}}, {"growth": {"cv_per_axis": 2.5}},
+            {"growth": {"sigma_r": -0.3}},
+            {"growth": {"link_sigma": -1e-5}}, {"growth": {"small_radius_mode_sigma": -1e-7}},
+            {"growth": {"radius_sigma_divisor": 0}},
+        ],
     )
     def test_bad_run_settings_rejected(self, data):
         with pytest.raises(ValidationError, match=next(iter(data))):
@@ -145,6 +152,15 @@ class TestCommands:
             ("generate", {}, ["--seed", "-1"], "master_seed"),
             ("stats", {}, ["--repetitions", "0"], "repetitions"),
             ("generate", {"phases": [4]}, [], "phases"),
+            ("solve", {"roi_lower": [0, 0]}, [], "roi_lower"),
+            ("solve", {"grid_cells": [6.7, 6, 6]}, [], "grid_cells"),
+            ("generate", {"domain_enlargement": -0.1}, [], "domain_enlargement"),
+            ("generate", {"growth": {"cv_per_axis": 0}}, [], "cv_per_axis"),
+            ("generate", {"growth": {"sigma_r": -0.3}}, [], "sigma_r"),
+            ("generate", {"growth": {"link_sigma": -1e-5}}, [], "link_sigma"),
+            ("generate", {"growth": {"small_radius_mode_sigma": -1e-7}}, [],
+             "small_radius_mode_sigma"),
+            ("generate", {"growth": {"radius_sigma_divisor": 0}}, [], "radius_sigma_divisor"),
         ],
     )
     def test_bad_run_settings_are_reported(

@@ -15,11 +15,13 @@ from microvasc import (
     OxygenParameters,
     RheologyParameters,
     VascularNetwork,
+    assemble_flow_system,
     bifurcation_angles,
     bifurcation_decision,
     bifurcation_probability,
     build_bifurcation_directions,
     build_grid,
+    build_surface_coupling,
     check_and_insert,
     clip_to_box,
     collides,
@@ -574,7 +576,8 @@ def all_node_link_candidates(engine, tip, d_x):
     seg, d_tip = engine._tip_segment(tip)
     x = engine.net.nodes[tip].position
     cos_half = math.cos(engine.params.cone_angle / 2.0)
-    p_x = engine.flow.p_v.get(tip) if engine.flow else None
+    p_v = dict(zip(engine.flow.node_order, engine.flow.p_nodes.tolist())) if engine.flow else {}
+    p_x = p_v.get(tip)
     candidates = []
     for nid in sorted(engine.net.nodes):
         if nid == tip or nid in (seg.node_a, seg.node_b):
@@ -586,8 +589,8 @@ def all_node_link_candidates(engine, tip, d_x):
         if (delta / dist) @ d_tip < cos_half:
             continue
         dp = 0.0
-        if p_x is not None and nid in engine.flow.p_v:
-            dp = abs(engine.flow.p_v[nid] - p_x)
+        if p_x is not None and nid in p_v:
+            dp = abs(p_v[nid] - p_x)
         candidates.append((nid, dist, dp))
     if not candidates:
         return []
@@ -614,10 +617,14 @@ class TestLinking:
         )
         rng = np.random.default_rng(1)
         # pressures on most nodes; the rest score with dp = 0
-        engine.flow = SimpleNamespace(p_v={
+        pressures = {
             nid: float(rng.uniform(4000.0, 8000.0))
             for nid in net.nodes if rng.uniform() < 0.9
-        })
+        }
+        order = sorted(pressures)
+        engine.flow = SimpleNamespace(
+            node_order=order, p_nodes=np.array([pressures[nid] for nid in order])
+        )
         table = engine._node_table()
         tips = net.terminal_nodes(domain)
         assert len(tips) >= 40
@@ -904,6 +911,42 @@ class TestPhaseLoops:
         # phase 3 solves nothing: its step carries phase 2's solved PO2_roi
         assert engine.po2_roi is not None
         assert steps[2][2] == steps[1][2] == engine.po2_roi
+
+
+def dict_walk_initial_guess(engine, system):
+    """Oracle: the walk over the network's nodes that `_initial_guess` made
+    while oxygen states were keyed by node id."""
+    guess = np.zeros(system.n_unknowns)
+    guess[: engine.grid.n_cells] = engine.oxygen.po2_t
+    for nid, node in engine.net.nodes.items():
+        prev = engine.oxygen.po2_v.get(nid, node.boundary_po2)
+        if prev is None:
+            prev = engine.oxygen_params.venous_po2
+        guess[system.node_index[nid]] = prev
+    return guess
+
+
+class TestWarmStart:
+    def test_guess_equals_the_dict_walk_after_a_growth_step(self):
+        roi = DomainBox([0.0, 0.0, 0.0], [0.5e-3, 0.5e-3, 0.5e-3])
+        domain = enlarge_domain(roi, 0.10)
+        engine = GrowthEngine(
+            make_starter_network(), domain, roi, build_grid(domain, (8, 8, 8)),
+            RheologyParameters(), FlowParameters(), OxygenParameters(),
+            GrowthParameters(max_iter_p1=0), np.random.default_rng(0),
+        )
+        engine.run_phase1()  # one solve, then the large tips grow
+        new = sorted(set(engine.net.nodes) - set(engine.oxygen.node_order))
+        assert len(new) >= 2
+        # one new node with a boundary PO2 of its own, the others without
+        engine.net.nodes[new[0]].boundary_po2 = 50.0
+        coupling = build_surface_coupling(engine.grid, engine.net)
+        system = assemble_flow_system(
+            engine.net, engine.grid, coupling, engine.rheology, engine.flow_params
+        )
+        guess = engine._initial_guess(system)
+        assert np.array_equal(guess, dict_walk_initial_guess(engine, system))
+        assert guess[coupling.node_index[new[0]]] == 50.0
 
 
 class TestClipToBox:

@@ -212,7 +212,8 @@ class TestClassification:
         net.new_segment(2, 3, 5 * UM)
 
         class Flow:
-            u_v = {0: 3.0e-3, 1: 1.0e-3}
+            segment_ids = [0, 1]
+            velocity = np.array([3.0e-3, 1.0e-3])
 
         labels = classify_arterial_venous(net, Flow())
         assert labels[0] == "artery" and labels[1] == "artery"
@@ -224,7 +225,8 @@ class TestClassification:
         net = make_single_vessel()
 
         class Flow:
-            u_v = {0: 2.0e-3}
+            segment_ids = [0]
+            velocity = np.array([2.0e-3])
 
         labels = classify_arterial_venous(net, Flow())
         assert set(labels.values()) == {"artery"}

@@ -1,4 +1,6 @@
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +192,32 @@ class TestWallFlux:
 
 
 class TestCoupledOxygen:
+    def test_keyed_views_are_derived_on_first_read(self, desk_grid):
+        net, params = make_desk_network(), OxygenParameters()
+        operator, flow = desk_operator(net, desk_grid, params)
+        state = solve_oxygen(operator, params)
+        views = {"p_v": flow, "sample_jp": flow, "po2_v": state}
+        assert all(name not in vars(owner) for name, owner in views.items())
+        nodes = operator.node_order
+        assert flow.node_order == state.node_order == nodes
+        assert list(flow.p_v) == list(state.po2_v) == nodes
+        assert np.array_equal(list(flow.p_v.values()), flow.p_nodes)
+        assert np.array_equal(list(state.po2_v.values()), state.po2_nodes)
+        assert list(flow.sample_jp) == flow.segment_ids == sorted(net.segments)
+        bounds = zip(flow.offsets[:-1], flow.offsets[1:])
+        for jp, (lo, hi) in zip(flow.sample_jp.values(), bounds):
+            assert np.shares_memory(jp, flow.jp)
+            assert np.array_equal(jp, flow.jp[lo:hi])
+        assert all(getattr(owner, name) is vars(owner)[name] for name, owner in views.items())
+        # a map given to the constructor, as dataclasses.replace gives one, is kept
+        assert dataclasses.replace(flow, p_v={}).p_v == {}
+        assert dataclasses.replace(state, po2_v={}).po2_v == {}
+        # the states keep the coupling's index arrays, not the coupling
+        coupling = weakref.ref(operator.coupling)
+        del operator
+        gc.collect()
+        assert coupling() is None
+
     def test_zero_consumption_single_iteration(self, desk_grid):
         net = make_desk_network()
         params = OxygenParameters(max_consumption=0.0)

@@ -105,12 +105,46 @@ class RunConfig:
 
 
 def _check_keys(typ, data, where: str):
-    """Reject a section that is not a JSON object or names unknown fields."""
+    """Reject a section that is not a JSON object, names unknown fields or
+    gives a field a value of another JSON type than its default's."""
     if not isinstance(data, dict):
         raise ValidationError(f"{where} must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - {f.name for f in dataclasses.fields(typ)}
+    fields = {f.name: f for f in dataclasses.fields(typ)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
+    for name, value in data.items():
+        f = fields[name]
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        if not (dataclasses.is_dataclass(default) or _same_json_type(value, default)):
+            raise ValidationError(
+                f"{where}: {name} must be {_json_type_name(default)}, got {json.dumps(value)}"
+            )
+
+
+def _same_json_type(value, default) -> bool:
+    """Whether a JSON value has the type of a field's default: true or
+    false, an integer, a number (an integer or not), a string or null, or
+    an array of the type of the default's first entry."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            _same_json_type(v, default[0]) for v in value
+        )
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, int):
+        return isinstance(value, int)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return value is None or isinstance(value, str)  # the paths
+
+
+def _json_type_name(default) -> str:
+    if isinstance(default, tuple):
+        return "an array of " + ("integers" if isinstance(default[0], int) else "numbers")
+    return {bool: "true or false", int: "an integer", float: "a number"}.get(
+        type(default), "a string"
+    )
 
 
 @contextmanager

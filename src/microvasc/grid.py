@@ -137,8 +137,9 @@ class TissueGrid:
 
     @cached_property
     def multigrid(self) -> MultigridPlan:
-        """The V-cycle's aggregation, level patterns, Galerkin maps and
-        coarsest band storage for this grid, shared by every solve on it."""
+        """The V-cycle's aggregation, level patterns, Galerkin maps,
+        red-black orders and coarsest band storage for this grid, shared by
+        every solve on it."""
         return MultigridPlan(self.cells_per_axis, self.laplacian)
 
 

@@ -72,8 +72,12 @@ class GrowthParameters:
             raise ValidationError("bifurcation threshold must lie in (0, 1)")
         if not 2.0 <= self.gamma <= 4.0:
             raise ValidationError("Murray exponent must lie in [2, 4]")
-        if not isinstance(self.cv_per_axis, (int, np.integer)) or self.cv_per_axis < 1:
-            raise ValidationError("cv_per_axis must be an integer of at least 1")
+        for name, least in (
+            ("cv_per_axis", 1), ("max_iter_p1", 0), ("max_iter_p2", 0), ("max_iter_p3", 0)
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise ValidationError(f"{name} must be an integer of at least {least}")
         for name in ("sigma_r", "link_sigma", "small_radius_mode_sigma"):
             if getattr(self, name) < 0.0:
                 raise ValidationError(f"{name} must be nonnegative")

@@ -10,8 +10,11 @@ holds the pinned Dirichlet rows), then one multigrid V-cycle on the tissue
 block applied to r_t - A_tv x_v.
 
 The V-cycle aggregates 2x2x2 cells per coarse cell (ceil(n/2) coarse cells
-on an odd axis), takes Galerkin coarse operators P^T A P, smooths with
-damped Jacobi, over-corrects the coarse-grid correction as in Notay, "An
+on an odd axis), takes Galerkin coarse operators P^T A P, smooths each
+level with one symmetric red-black Gauss-Seidel sweep (red then black
+before the coarse correction, black then red after it; Trottenberg,
+Oosterlee & Schueller, "Multigrid", Academic Press, 2001, section 4.1),
+over-corrects the coarse-grid correction as in Notay, "An
 aggregation-based algebraic multigrid method", ETNA 37 (2010), and solves
 the first level of at most COARSEST_CELLS cells (6^3 on a 12^3 grid,
 5x5x7 on 40x40x50) exactly, by LAPACK's band LU with partial pivoting
@@ -22,25 +25,33 @@ shorter axes. See Briggs, Henson & McCormick, "A Multigrid Tutorial",
 
 What is fixed by the grid is built once per grid, as its `MultigridPlan`
 (`TissueGrid.multigrid`): the aggregation maps, every level's sparsity,
-the index map sending each fine nonzero to its coarse one, and the band
-order and band storage of the coarsest level. Every tissue block is on the
-grid's face stencil plus the diagonal, so with P one 1 per row a coarse
-level's data is bincount(map, fine data): exact Galerkin, only summed in
-another order. A block off that sparsity raises SolverError.
+the index map sending each fine nonzero to its coarse one, the red-black
+order of every smoothed level, and the band order and band storage of the
+coarsest level. Every tissue block is on the grid's face stencil plus the
+diagonal, so with P one 1 per row a coarse level's data is
+bincount(map, fine data): exact Galerkin, only summed in another order. A
+block off that sparsity raises SolverError. Aggregating a face stencil
+2x2x2 gives a face stencil again, so the parity of i + j + k colours every
+level: no off-diagonal entry joins two cells of one colour (the plan
+raises SolverError if one does), and in red-black order a level is
+[[D_r, A_rb], [A_br, D_b]] with D_r and D_b diagonal. Each sweep over one
+colour is then a half-size product and a division.
 
-Built once per solver: the node-block LU, the off-diagonal blocks and the
-values of every level. A solve with a cell diagonal d adds it in place: d
-on the finest level and bincount(aggregate, d) on each coarser one, exact
-because P^T (A + D) P = P^T A P + diag(P^T D P) when P has one 1 per row;
-then only the Jacobi weights are redone, and the coarsest level is
-refactored when a V-cycle next reaches it.
+Built once per solver: the node-block LU, the off-diagonal blocks, A_rb
+and A_br of every smoothed level, gathered from its values in one pass,
+and the values of the coarsest level. A solve with a cell diagonal d adds
+it in place: d on the finest level and bincount(aggregate, d) on each
+coarser one, exact because P^T (A + D) P = P^T A P + diag(P^T D P) when P
+has one 1 per row; only the per-colour diagonals change, and the coarsest
+level is refactored when a V-cycle next reaches it.
 
 GMRES stops on the row-scaled residual the callers gate on
 (`scaled_residual`): each cycle runs on the system whose rows are divided
 by |A||x| + |b| of the cycle's starting iterate, so the Krylov residual's
 2-norm bounds that measure, and the cycle ends once it reaches the solve's
-target. A solve given a guess starts from whichever of the guess and
-M^-1 b has the smaller row-scaled residual.
+target. A solve starts from its guess when given one, as a Newton step is
+a correction to its iterate, and from M^-1 b otherwise; a right-hand side
+of exact zeros returns exact zeros.
 
 The target is TARGET, far below the callers' gates, unless the solve is
 given a forcing term eta > 0: then it is max(TARGET, eta * the measure of
@@ -68,8 +79,6 @@ MAX_CYCLES = 10
 # only to 5e-12 on an oxygen Jacobian, at 1e-14 to 3e-13, for two or three
 # more iterations.
 TARGET = 1.0e-14
-JACOBI_WEIGHT = 0.7
-SWEEPS = 2  # pre- and post-smoothing sweeps per level
 OVER_CORRECTION = 1.9
 COARSEST_CELLS = 500  # every Newton step refactors the coarsest level
 
@@ -119,9 +128,7 @@ def _band_order(shape):
     order: the product of the two shorter axes."""
     cells = np.arange(int(np.prod(shape))).reshape(shape[::-1])  # axes z, y, x
     order = np.moveaxis(cells, int(np.argmax(shape[::-1])), 0).ravel()
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return rank, order.size // max(shape)
+    return _inverse(order), order.size // max(shape)
 
 
 def csr_pattern(rows, cols, n):
@@ -163,25 +170,105 @@ class Level:
         return np.bincount(self.galerkin, data)
 
 
+@dataclass(frozen=True)
+class RedBlack:
+    """A smoothed level in the order its V-cycle works in: the red cells,
+    those with i + j + k even, then the black ones. Every off-diagonal
+    entry joins two cells of different colour, so in that order the
+    operator is [[D_r, A_rb], [A_br, D_b]] with D_r and D_b diagonal.
+
+    `order` is the level's cell at each place and `red` the number of red
+    places; `diagonal` is the position in the level's data of each place's
+    diagonal entry. `indptr` and `indices` are the off-diagonal part in
+    red-black order as one CSR pattern, the rows of A_rb then those of
+    A_br, each column numbered within its colour, and `gather` the
+    position in the level's data of each of its entries. `aggregate` is
+    the next level's place, in the order its cycle works in, of each red
+    cell; every coarse cell has one, its cell with even i, j and k.
+    """
+
+    order: np.ndarray
+    red: int
+    diagonal: np.ndarray
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+    aggregate: np.ndarray
+
+    def blocks(self, data) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+        """A_rb and A_br of the level with this data, by one gather."""
+        values, red, black = data[self.gather], self.red, self.order.size - self.red
+        split = self.indptr[red]
+        return (
+            sp.csr_matrix(
+                (values[:split], self.indices[:split], self.indptr[: red + 1]),
+                shape=(red, black),
+            ),
+            sp.csr_matrix(
+                (values[split:], self.indices[split:], self.indptr[red:] - split),
+                shape=(black, red),
+            ),
+        )
+
+
+def _inverse(order):
+    """The place of each item in a permutation `order` of 0..n-1."""
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    return place
+
+
+def _red_black(shape, indptr, indices, diagonal):
+    """Red-black order of a level of this shape and (canonical CSR)
+    pattern: its cells by the parity of i + j + k, then the off-diagonal
+    pattern in that order (see `RedBlack`), with no aggregation yet;
+    SolverError when an off-diagonal entry joins two cells of one colour."""
+    colour = np.indices(shape[::-1]).sum(axis=0).ravel() % 2  # axes z, y, x
+    red_cells = np.flatnonzero(colour == 0)
+    order = np.concatenate([red_cells, np.flatnonzero(colour)])
+    red, place, n = red_cells.size, _inverse(order), order.size
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    off = np.flatnonzero(indices != rows)
+    if np.any(colour[rows[off]] == colour[indices[off]]):
+        raise SolverError("an off-diagonal entry joins two cells of one colour")
+    # the rows move, each keeping its entries in their order: its columns
+    # are all of the other colour, whose places rise with the cells
+    counts = np.bincount(rows[off], minlength=n)
+    first = np.cumsum(counts) - counts  # of each row's entries in `off`
+    counts = counts[order]
+    block_indptr = np.zeros(n + 1, indptr.dtype)
+    np.cumsum(counts, out=block_indptr[1:])
+    gather = off[np.repeat(first[order] - block_indptr[:-1], counts) + np.arange(off.size)]
+    block_indices = place[indices[gather]].astype(indices.dtype)
+    block_indices[: block_indptr[red]] -= red  # A_rb's columns are black
+    return order, red, diagonal[order], block_indptr, block_indices, gather
+
+
 class MultigridPlan:
     """What a V-cycle needs of a grid and does not depend on the values:
-    the aggregation, every level's pattern and Galerkin map, and the band
-    order, storage and half-bandwidth `bandwidth` of the coarsest level.
+    the aggregation, every level's pattern and Galerkin map, the red-black
+    order of every smoothed level (`red_black`), the order the finest
+    level's cycle works in (`order`, the cell at each place, and `place`,
+    its inverse), and the band order, storage and half-bandwidth
+    `bandwidth` of the coarsest level.
 
     Built from the shape and the sparsity of the grid's tissue operators
     (the face stencil plus the diagonal), once per grid: see
-    `TissueGrid.multigrid`.
+    `TissueGrid.multigrid`. 2x2x2 aggregation of a face stencil is a face
+    stencil again, so every level is two-coloured by parity.
     """
 
     def __init__(self, shape, pattern):
         indptr, indices = pattern.indptr, pattern.indices
         n = int(np.prod(shape))
         self.levels = []  # the smoothed levels, then the coarsest
+        colourings = []
         while True:
             rows = np.repeat(np.arange(n), np.diff(indptr))
             diagonal = np.flatnonzero(indices == rows)
             if n <= COARSEST_CELLS:
                 break
+            colourings.append(_red_black(shape, indptr, indices, diagonal))
             aggregate, shape = _aggregate(shape)
             n = int(np.prod(shape))
             *coarse, galerkin = csr_pattern(aggregate[rows], aggregate[indices], n)
@@ -192,6 +279,13 @@ class MultigridPlan:
         band = j * (3 * kl + 1) + 2 * kl + i - j
         self.levels.append(Level(indptr, indices, diagonal, rank, band))
         self.bandwidth = kl
+        # every level's place of each of its cells in its cycle's order
+        places = [_inverse(order) for order, *_ in colourings] + [rank]
+        self.red_black = [
+            RedBlack(order, red, *pattern, place[level.aggregate[order[:red]]])
+            for level, (order, red, *pattern), place in zip(self.levels, colourings, places[1:])
+        ]
+        self.place, self.order = places[0], _inverse(places[0])
 
     def data(self, matrix) -> np.ndarray:
         """A copy of the data of `matrix`, a tissue block, on the finest
@@ -212,63 +306,75 @@ class MultigridPlan:
 class VCycle:
     """Aggregation V-cycle for the tissue block of `grid`'s cells: the
     grid's `MultigridPlan` filled with the block's values, and a cell
-    diagonal set by `shift`. The coarsest level is factored when a cycle
-    first reaches it after construction or a shift."""
+    diagonal set by `shift`. Each smoothed level is kept in red-black
+    order, as its off-diagonal blocks A_rb and A_br and its diagonal; the
+    cycle permutes only on entry and exit. The coarsest level is factored
+    when a cycle first reaches it after construction or a shift."""
 
     def __init__(self, matrix, grid):
         self.plan = plan = grid.multigrid
-        data = plan.data(matrix)  # `shift` writes its diagonal
-        self.levels = []  # (matrix, diagonal as built, coarse cell of each cell)
-        for level in plan.levels[:-1]:
-            self.levels.append((level.matrix(data), data[level.diagonal], level.aggregate))
+        data = plan.data(matrix)
+        self.levels = []  # (A_rb, A_br, red-black diagonal as built)
+        for level, colouring in zip(plan.levels, plan.red_black):
+            self.levels.append((*colouring.blocks(data), data[colouring.diagonal]))
             data = level.restrict(data)
-        bottom = plan.levels[-1]
+        bottom = plan.levels[-1]  # `shift` writes its diagonal
         self.bottom = (bottom.matrix(data), data[bottom.diagonal])
         self.shift(np.zeros(plan.levels[0].diagonal.size))
 
     def shift(self, d):
         """Make this, in place, the V-cycle of the tissue block plus diag(d):
         d on the finest level and diag(P^T D P) = bincount(aggregate, d) on
-        each coarser one; refreshes the Jacobi weights and drops the
+        each coarser one; touches only the diagonals, and drops the
         coarsest LU."""
-        self.weights = []
-        for (matrix, diagonal, aggregate), level in zip(self.levels, self.plan.levels):
-            shifted = diagonal + d
-            matrix.data[level.diagonal] = shifted
-            self.weights.append(JACOBI_WEIGHT / shifted)
-            d = np.bincount(aggregate, d)
+        self.diagonals = []  # of each smoothed level, in red-black order
+        for (*_, diagonal), level, colouring in zip(
+            self.levels, self.plan.levels, self.plan.red_black
+        ):
+            self.diagonals.append(diagonal + d[colouring.order])
+            d = np.bincount(level.aggregate, d)
         matrix, diagonal = self.bottom
         matrix.data[self.plan.levels[-1].diagonal] = diagonal + d
         self.coarsest = None
 
-    def __call__(self, r, depth=0):
+    def __call__(self, r):
+        return self._cycle(r[self.plan.order])[self.plan.place]
+
+    def _cycle(self, r, depth=0):
+        """The V-cycle from zero on level `depth`, r and the answer in the
+        order that level's cycle works in. One symmetric red-black
+        Gauss-Seidel sweep smooths: red then black before the coarse
+        correction, black then red after it."""
         if depth == len(self.levels):
             return self._solve_coarsest(r)
-        matrix, _, aggregate = self.levels[depth]
-        weight = self.weights[depth]
-        x = weight * r
-        for _ in range(SWEEPS - 1):
-            x += weight * (r - matrix @ x)
-        coarse = np.bincount(aggregate, r - matrix @ x)
-        x += OVER_CORRECTION * self(coarse, depth + 1)[aggregate]
-        for _ in range(SWEEPS):
-            x += weight * (r - matrix @ x)
-        return x
+        red_black, black_red, _ = self.levels[depth]
+        diagonal, colouring = self.diagonals[depth], self.plan.red_black[depth]
+        red, aggregate = colouring.red, colouring.aggregate
+        # from x = 0 the red update takes no product, and the black one
+        # leaves the black residual zero; the red one is -A_rb x_b
+        x_red = r[:red] / diagonal[:red]
+        x_black = (r[red:] - black_red @ x_red) / diagonal[red:]
+        coarse = np.bincount(aggregate, red_black @ x_black)
+        # the black update overwrites black: only red takes the correction
+        x_red -= OVER_CORRECTION * self._cycle(coarse, depth + 1)[aggregate]
+        x_black = (r[red:] - black_red @ x_red) / diagonal[red:]
+        x_red = (r[:red] - red_black @ x_black) / diagonal[:red]
+        return np.concatenate([x_red, x_black])
 
     def _solve_coarsest(self, r):
-        """The coarsest level solved exactly in band order by LAPACK's band
-        LU with partial pivoting, factored on first use."""
+        """The coarsest level solved exactly by LAPACK's band LU with
+        partial pivoting, factored on first use; r and the answer in band
+        order."""
         level, kl = self.plan.levels[-1], self.plan.bandwidth
-        rank = level.aggregate
         if self.coarsest is None:
-            band = np.zeros((rank.size, 3 * kl + 1))
+            band = np.zeros((level.aggregate.size, 3 * kl + 1))
             band.ravel()[level.galerkin] = self.bottom[0].data
             lu, pivots, info = dgbtrf(band.T, kl, kl, overwrite_ab=True)
             if info > 0:
                 raise SolverError(f"coarsest multigrid level is singular (U[{info}, {info}] = 0)")
             self.coarsest = lu, pivots
         lu, pivots = self.coarsest
-        return dgbtrs(lu, kl, kl, np.bincount(rank, r), pivots)[0][rank]
+        return dgbtrs(lu, kl, kl, r, pivots)[0]
 
 
 class LinearSolver:
@@ -306,14 +412,17 @@ class LinearSolver:
         """Solve (A + diag(cell_diagonal, 0)) x = rhs; returns x and the
         number of GMRES iterations taken.
 
-        GMRES starts from M^-1 rhs or, if it has the smaller row-scaled
-        residual, from `guess`; both with their node part settled. Cycles
-        end once the 2-norm of the row-scaled residuals is at most
-        max(TARGET, forcing * that of the start), when a cycle fails to
-        halve it (rounding has the last word), or after MAX_CYCLES. The
-        last iterate is returned either way: whether it is good enough is
-        the caller's gate on `scaled_residual`.
+        GMRES starts from `guess` when one is given and from M^-1 rhs
+        otherwise, with its node part settled; a right-hand side of exact
+        zeros gives exact zeros. Cycles end once the 2-norm of the
+        row-scaled residuals is at most max(TARGET, forcing * that of the
+        start), when a cycle fails to halve it (rounding has the last
+        word), or after MAX_CYCLES. The last iterate is returned either
+        way: whether it is good enough is the caller's gate on
+        `scaled_residual`.
         """
+        if not np.any(rhs):
+            return np.zeros(rhs.size), 0
         if cell_diagonal is None and self.shifted:
             cell_diagonal = np.zeros(self.cells)  # back to A itself
         if cell_diagonal is not None:
@@ -322,13 +431,9 @@ class LinearSolver:
             self.magnitude.data[self.cell_diagonal_at] = np.abs(diagonal)
             self.vcycle.shift(cell_diagonal)
             self.shifted = bool(np.any(cell_diagonal))
-        starts = [self._precondition(rhs)]
-        if guess is not None:
-            starts.append(np.asarray(guess, float))
-        settled = [self._settle(start, rhs) for start in starts]
-        x, (r, weight, measure) = min(
-            ((x, self._residual(x, rhs)) for x in settled), key=lambda pair: pair[1][2]
-        )
+        start = self._precondition(rhs) if guess is None else np.asarray(guess, float)
+        x = self._settle(start, rhs)
+        r, weight, measure = self._residual(x, rhs)
         target = max(TARGET, forcing * measure)
         previous, iterations = np.inf, 0
         for cycle in range(MAX_CYCLES + 1):

@@ -4,7 +4,7 @@ One `linsolve.LinearSolver`, the multigrid-preconditioned GMRES the flow
 solve uses too, is built per `solve_oxygen` from the affine operator, on
 the multigrid plan its grid keeps for every solve; each Newton step adds
 only its sink derivative on the cell diagonal, starts GMRES from the
-Newton iterate when that is the better start, and stops it at the
+Newton iterate (a cold solve's first step from M^-1 b), and stops it at the
 Eisenstat-Walker forcing term (Eisenstat & Walker, SIAM J. Sci. Comput.
 17, 1996; Knoll & Keyes, J. Comput. Phys. 193, 2004), so the early steps
 are solved loosely and the last ones tightly.
@@ -233,7 +233,8 @@ def solve_oxygen(
 
     The linear solver is built once from B: the sink acts on cell rows
     only, so each step changes nothing but the cell diagonal, and GMRES
-    may start from the iterate x, whose residual for the step is F(x).
+    starts from the iterate x, whose residual for the step is F(x); only
+    the first step of a cold solve (no `initial_guess`) starts from M^-1 b.
     GMRES stops at the Eisenstat-Walker forcing term (0 when the problem
     is linear). The Armijo test stays on the unscaled ||F||, relaxed by
     (1 - eta). Two safeguards keep the loose steps honest: a loose step
@@ -266,8 +267,11 @@ def solve_oxygen(
     history: list[float] = []
     linear_iterations = 0
     for iterations in range(1, max_iter + 1):
+        # a cold solve's first step starts GMRES from M^-1 b, every other
+        # step from the Newton iterate: the step is a correction to it
+        guess = None if initial_guess is None and iterations == 1 else x
         for forcing in (forcing, 0.0):  # the second pass redoes a loose step tight
-            x_new, steps = solver.solve(b + g, d[:cells], guess=x, forcing=forcing)
+            x_new, steps = solver.solve(b + g, d[:cells], guess=guess, forcing=forcing)
             linear_iterations += steps
             system.restore(x_new)
             step = x_new - x

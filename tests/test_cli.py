@@ -61,6 +61,11 @@ class TestConfig:
             {"growth": {"sigma_r": -0.3}},
             {"growth": {"link_sigma": -1e-5}}, {"growth": {"small_radius_mode_sigma": -1e-7}},
             {"growth": {"radius_sigma_divisor": 0}},
+            # values of the wrong JSON type
+            {"grid_cells": 6}, {"phases": 1}, {"grid_cells": ["a", 6, 6]},
+            {"roi_lower": "abc"}, {"master_seed": "x"}, {"repetitions": "2"},
+            {"export_vtk": "no"}, {"growth": {"max_iter_p1": -1}},
+            {"growth": {"max_iter_p2": 2.5}},
         ],
     )
     def test_bad_run_settings_rejected(self, data):
@@ -161,6 +166,15 @@ class TestCommands:
             ("generate", {"growth": {"small_radius_mode_sigma": -1e-7}}, [],
              "small_radius_mode_sigma"),
             ("generate", {"growth": {"radius_sigma_divisor": 0}}, [], "radius_sigma_divisor"),
+            ("solve", {"grid_cells": 6}, [], "grid_cells"),
+            ("generate", {"phases": 1}, [], "phases"),
+            ("solve", {"grid_cells": ["a", 6, 6]}, [], "grid_cells"),
+            ("solve", {"roi_lower": "abc"}, [], "roi_lower"),
+            ("generate", {"master_seed": "x"}, [], "master_seed"),
+            ("stats", {"repetitions": "2"}, [], "repetitions"),
+            ("solve", {"export_vtk": "no"}, [], "export_vtk"),
+            ("generate", {"growth": {"max_iter_p1": -1}}, [], "max_iter_p1"),
+            ("generate", {"growth": {"max_iter_p2": 2.5}}, [], "max_iter_p2"),
         ],
     )
     def test_bad_run_settings_are_reported(

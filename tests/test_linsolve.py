@@ -8,9 +8,11 @@ one rebuilt from scratch. A solve given a forcing term stops once it has
 reduced the row-scaled residual by that factor, in fewer iterations.
 
 The grid's multigrid plan is checked against scipy's Galerkin product
-P^T A P, also kept here only, and its banded coarsest solve against a
-dense solve. One plan serves every solve on a grid, and the coarsest level
-is factored only when a V-cycle reaches it.
+P^T A P, also kept here only, its red-black colouring against the parity
+of every level's cells, its banded coarsest solve against a dense solve,
+and one V-cycle against a dense one written out here. One plan serves
+every solve on a grid, and the coarsest level is factored only when a
+V-cycle reaches it.
 """
 
 import numpy as np
@@ -38,8 +40,10 @@ from microvasc import linsolve
 from microvasc.errors import SolverError
 from microvasc.grid import edge_laplacian
 from microvasc.linsolve import (
+    OVER_CORRECTION,
     RESTART,
     LinearSolver,
+    MultigridPlan,
     VCycle,
     _aggregate,
     scaled_residual,
@@ -199,7 +203,26 @@ def test_one_residual_per_start_and_per_cycle(monkeypatch, guess):
     monkeypatch.setattr(linsolve, "_gmres_cycle", counted_cycle)
     solver.solve(rhs, guess=np.full(rhs.size, 38.0) if guess else None)
     assert calls["cycle"] >= 1
-    assert calls["residual"] == 1 + guess + calls["cycle"]
+    assert calls["residual"] == 1 + calls["cycle"]  # one start, guess or not
+
+
+@pytest.mark.parametrize("guess", [False, True])
+def test_start_from_the_guess_evaluates_no_preconditioned_start(monkeypatch, guess):
+    matrix, rhs, grid = CASES["oxygen_at_38"]()
+    solver = LinearSolver(matrix, grid)
+    applied = []
+    precondition = LinearSolver._precondition
+
+    def recorded(self, r):
+        applied.append(r.copy())
+        return precondition(self, r)
+
+    monkeypatch.setattr(LinearSolver, "_precondition", recorded)
+    x, iterations = solver.solve(rhs, guess=np.full(rhs.size, 38.0) if guess else None)
+    assert iterations > 0 and scaled_residual(matrix, x, rhs) <= AGREEMENT
+    # GMRES applies M to its basis vectors only; M^-1 b is the one start
+    starts = [r for r in applied if np.array_equal(r, rhs)]
+    assert len(starts) == (not guess)
 
 
 def test_zero_right_hand_side_gives_zero_from_any_guess():
@@ -208,6 +231,21 @@ def test_zero_right_hand_side_gives_zero_from_any_guess():
     x, iterations = LinearSolver(matrix, grid).solve(np.zeros(rhs.size), guess=guess)
     assert iterations == 0
     assert not np.any(x)
+
+
+def level_matrices(vcycle):
+    """Every level's operator, with the cycle's diagonal shift, in plan
+    order: each smoothed level put together from its red-black blocks and
+    diagonal (NaN where neither fills an entry), then the coarsest."""
+    matrices = []
+    for level, colouring, (red_black, black_red, _), diagonal in zip(
+        vcycle.plan.levels, vcycle.plan.red_black, vcycle.levels, vcycle.diagonals
+    ):
+        data = np.full(level.indices.size, np.nan)
+        data[colouring.gather] = np.concatenate([red_black.data, black_red.data])
+        data[colouring.diagonal] = diagonal
+        matrices.append(level.matrix(data))
+    return matrices + [vcycle.bottom[0]]
 
 
 @pytest.mark.parametrize("cells", [(20, 20, 20), (15, 13, 11)])
@@ -219,8 +257,7 @@ def test_diagonal_update_matches_rebuilt_hierarchy(cells):
     shifted = VCycle(tissue, system.grid)
     shifted.shift(d)
     rebuilt = VCycle(tissue + sp.diags(d), system.grid)
-    levels = [level[0] for level in shifted.levels + [shifted.bottom]]
-    fresh = [level[0] for level in rebuilt.levels + [rebuilt.bottom]]
+    levels, fresh = level_matrices(shifted), level_matrices(rebuilt)
     assert len(levels) == len(fresh) > 1
     for a, b in zip(levels, fresh):
         assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
@@ -247,7 +284,7 @@ def test_vcycle_coarsens_odd_axes_down_to_the_direct_size():
     matrix = edge_laplacian(lo, hi, area / h, grid.n_cells) + sp.identity(grid.n_cells) * 1e-6
     vcycle = VCycle(matrix.tocsr(), grid)
     # smoothed levels above COARSEST_CELLS, then one level factored on use
-    assert [level[0].shape[0] for level in vcycle.levels] == [25 * 23 * 21, 13 * 12 * 11]
+    assert [level.size for level in vcycle.diagonals] == [25 * 23 * 21, 13 * 12 * 11]
     assert vcycle.bottom[0].shape == (7 * 6 * 6, 7 * 6 * 6)
 
 
@@ -290,7 +327,7 @@ def test_galerkin_levels_match_the_triple_product(physics, cells):
     if physics == "oxygen":  # convection: nonsymmetric far above the tolerance
         assert abs(tissue - tissue.T).max() > 1e-12 * abs(tissue).max()
     vcycle = VCycle(tissue, grid)
-    levels = [level[0] for level in vcycle.levels + [vcycle.bottom]]
+    levels = level_matrices(vcycle)
     oracle, shape = tissue.tocsr(), grid.cells_per_axis
     for level in levels:
         want = oracle.sorted_indices()
@@ -304,6 +341,83 @@ def test_galerkin_levels_match_the_triple_product(physics, cells):
         )
         oracle = (prolong.T @ oracle @ prolong).tocsr()
     assert len(levels) > 1
+
+
+def parity(shape):
+    """i + j + k mod 2 of every cell of a box, in linear order."""
+    cells = np.arange(int(np.prod(shape)))
+    i, j, k = cells % shape[0], cells // shape[0] % shape[1], cells // (shape[0] * shape[1])
+    return (i + j + k) % 2
+
+
+@pytest.mark.parametrize(
+    "cells", [(12, 12, 12), (20, 20, 20), (15, 13, 11), (25, 23, 21), (64, 64, 4), (40, 40, 50)]
+)
+def test_every_smoothed_level_is_two_coloured(cells):
+    plan, shape = build_grid(CUBE, cells).multigrid, cells
+    assert len(plan.red_black) == len(plan.levels) - 1 >= 1
+    for level, colouring in zip(plan.levels, plan.red_black):
+        colour, n = parity(shape), level.indptr.size - 1
+        rows = np.repeat(np.arange(n), np.diff(level.indptr))
+        off = level.indices != rows
+        assert np.all(colour[rows[off]] != colour[level.indices[off]])
+        # red (even) cells first, then black, each in linear order
+        assert np.array_equal(colouring.order, np.argsort(colour, kind="stable"))
+        assert colouring.red == np.count_nonzero(colour == 0)
+        # the gather and the diagonal cover the level's data once each
+        covered = np.concatenate([colouring.gather, colouring.diagonal])
+        assert np.array_equal(np.sort(covered), np.arange(level.indices.size))
+        _, shape = _aggregate(shape)
+
+
+def test_same_colour_entry_is_rejected():
+    grid = build_grid(CUBE, (8, 8, 8))  # 512 cells: one smoothed level
+    extra = sp.csr_matrix(([1.0, 1.0], ([0, 2], [2, 0])), shape=grid.laplacian.shape)
+    pattern = (grid.laplacian + extra).tocsr()  # cells 0 and 2 are both red
+    pattern.sort_indices()
+    with pytest.raises(SolverError, match="one colour"):
+        MultigridPlan(grid.cells_per_axis, pattern)
+
+
+def dense_vcycle(a, shape, r):
+    """One V-cycle from zero, written out densely: a symmetric red-black
+    Gauss-Seidel sweep (red, black; coarse correction; black, red) on every
+    level above COARSEST_CELLS cells, the correction from the Galerkin
+    level P^T A P scaled by OVER_CORRECTION, and the first level of at most
+    COARSEST_CELLS cells solved exactly."""
+    if a.shape[0] <= linsolve.COARSEST_CELLS:
+        return np.linalg.solve(a, r)
+    colour, diagonal, x = parity(shape), np.diag(a), np.zeros(r.size)
+
+    def sweep(c):
+        x[colour == c] += ((r - a @ x) / diagonal)[colour == c]
+
+    sweep(0)
+    sweep(1)
+    aggregate, coarse = _aggregate(shape)
+    prolong = np.zeros((r.size, int(np.prod(coarse))))
+    prolong[np.arange(r.size), aggregate] = 1.0
+    x += OVER_CORRECTION * prolong @ dense_vcycle(
+        prolong.T @ a @ prolong, coarse, prolong.T @ (r - a @ x)
+    )
+    sweep(1)
+    sweep(0)
+    return x
+
+
+# a lowered limit gives 12^3 two smoothed levels, 1728 and 216 cells
+@pytest.mark.parametrize("physics", ["flow", "oxygen"])
+@pytest.mark.parametrize("cells, limit", [((12, 12, 12), 500), ((12, 12, 12), 30), ((15, 13, 11), 50)])
+def test_vcycle_matches_a_dense_one(monkeypatch, physics, cells, limit):
+    monkeypatch.setattr(linsolve, "COARSEST_CELLS", limit)
+    tissue, grid = tissue_block(physics, cells)
+    vcycle = VCycle(tissue, grid)
+    d = np.random.default_rng(5).uniform(0.0, 1.0, grid.n_cells) * tissue.diagonal()
+    vcycle.shift(d)  # as a Newton step shifts it
+    r = np.random.default_rng(6).standard_normal(grid.n_cells)
+    want = dense_vcycle((tissue + sp.diags(d)).toarray(), grid.cells_per_axis, r)
+    assert len(vcycle.levels) == 1 + (limit < 500)
+    assert np.max(np.abs(vcycle(r) - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(
@@ -336,9 +450,9 @@ def test_banded_coarsest_matches_dense_solve(case):
     matrix, _, grid = CASES[case]()
     n = grid.n_cells
     vcycle = VCycle(matrix[:n, :n], grid)
-    bottom = vcycle.bottom[0]
+    bottom, rank = vcycle.bottom[0], vcycle.plan.levels[-1].aggregate
     r = np.random.default_rng(3).standard_normal(bottom.shape[0])
-    got = vcycle(r, depth=len(vcycle.levels))
+    got = vcycle._solve_coarsest(r[np.argsort(rank)])[rank]  # in band order
     assert scaled_residual(bottom, got, r) <= 1e-14
     want = np.linalg.solve(bottom.toarray(), r)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

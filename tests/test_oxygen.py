@@ -289,11 +289,23 @@ class TestCoupledOxygen:
         params = OxygenParameters()
         operator, _ = desk_operator(make_desk_network(), desk_grid, params)
         state = solve_oxygen(operator, params)
-        assert state.iterations == 5
+        assert state.iterations == 6
         # GMRES iterations over all Newton steps; each step reuses one
-        # solver, starts from the Newton iterate where that is better and
-        # stops at its Eisenstat-Walker forcing term
+        # solver, starts from the Newton iterate (the cold first step from
+        # M^-1 b) and stops at its Eisenstat-Walker forcing term
         assert 0 < state.linear_iterations <= 35
+
+    def test_newton_steps_start_at_the_iterate_on_the_paper_grid(self, unit_cube):
+        # at 40x40x50 a step that may restart from M^-1 b discards its
+        # iterate: the forcing term stayed at 0.5 through steps 3-5, and the
+        # solve took 8 Newton steps and 81 GMRES iterations
+        params = OxygenParameters()
+        grid = build_grid(unit_cube, (40, 40, 50))
+        operator, _ = desk_operator(make_desk_network(), grid, params)
+        state = solve_oxygen(operator, params)
+        assert state.iterations <= 6
+        assert state.linear_iterations <= 55
+        assert oxygen_residual(operator, state, params) <= RESIDUAL_TOL
 
     def test_perturbed_newton_solution_fails_residual_gate(self, desk_grid, monkeypatch):
         params = OxygenParameters()
@@ -316,12 +328,15 @@ class TestCoupledOxygen:
         operator, _ = desk_operator(make_desk_network(), desk_grid, params)
         solve = oxygen_module.LinearSolver.solve
         forcings = []
+        start = np.zeros(operator.n_unknowns)  # the cold start, which the
+        operator.restore(start)  # first step solves from without a guess
 
         def reversed_once(self, rhs, cell_diagonal=None, guess=None, forcing=0.0):
             x, iterations = solve(self, rhs, cell_diagonal, guess, forcing)
             forcings.append(forcing)
             if len(forcings) == 1:
-                x = 2.0 * guess - x  # the step turned round: ||F|| grows along it
+                assert guess is None
+                x = 2.0 * start - x  # the step turned round: ||F|| grows along it
             return x, iterations
 
         monkeypatch.setattr(oxygen_module.LinearSolver, "solve", reversed_once)
@@ -335,12 +350,12 @@ class TestCoupledOxygen:
     ):
         params = OxygenParameters()
         operator, _ = desk_operator(make_desk_network(), desk_grid, params)
-        # a tol between the updates of the default solve's second and third
-        # steps is met by the loose third step, whose row-scaled residual
+        # a tol between the updates of the default solve's fourth and fifth
+        # steps is met by the loose fifth step, whose row-scaled residual
         # is still above the gate
         updates = solve_oxygen(operator, params).history
-        assert updates[1] > updates[2]
-        tol = float(np.sqrt(updates[1] * updates[2]))
+        assert updates[3] > updates[4]
+        tol = float(np.sqrt(updates[3] * updates[4]))
         solve = oxygen_module.LinearSolver.solve
         forcings = []
 

@@ -91,21 +91,18 @@ def cmd_solve(args) -> int:
         )
         (out / "network.vtk").write_text(network_to_vtk(net))
     if config.export_csv:
+        position = np.array([net.nodes[nid].position for nid in flow.node_order])
         write_csv(
             out / "nodes.csv",
             ["node", "x", "y", "z", "p_v_pa", "po2_v_mmhg"],
-            [
-                [nid, *net.nodes[nid].position.tolist(), p, po2]
-                for nid, p, po2 in zip(
-                    flow.node_order, flow.p_nodes.tolist(), oxy.po2_nodes.tolist()
-                )
-            ],
+            [flow.node_order, *position.reshape(-1, 3).T.tolist(),
+             flow.p_nodes.tolist(), oxy.po2_nodes.tolist()],
             prov,
         )
         write_csv(
             out / "cells.csv",
             ["cell", "p_t_pa", "po2_t_mmhg"],
-            zip(range(grid.n_cells), flow.p_t.tolist(), oxy.po2_t.tolist()),
+            [range(grid.n_cells), flow.p_t.tolist(), oxy.po2_t.tolist()],
             prov,
         )
     print(f"PO2_roi  = {po2_roi:.4f} mmHg")
@@ -175,8 +172,8 @@ def cmd_generate(args) -> int:
     # one row per phase-1/2 step, each a solve; phase 3 solves nothing
     solves = [step for step in engine.steps if step[0] < 3]
     write_csv(out / "po2_roi_trace.csv", ["phase", "step", "po2_roi_mmhg"],
-              solves, prov)
-    write_csv(out / "statistics.csv", list(QUANTITIES), [stats.as_row()], prov)
+              [[step[i] for step in solves] for i in range(3)], prov)
+    write_csv(out / "statistics.csv", list(QUANTITIES), [[v] for v in stats.as_row()], prov)
     print(
         f"phases done: N_seg={stats.N_seg} L={stats.L:.4g} m "
         f"PO2_roi={stats.PO2_roi:.3f} mmHg N_it={stats.N_it}"
@@ -195,15 +192,12 @@ def cmd_stats(args) -> int:
         samples.append(stats)
         print(f"run {n}: " + " ".join(f"{v:.5g}" for v in stats.as_row()))
     means = running_means(samples)
-    rows = [
-        [i + 1] + [means[q][i] for q in QUANTITIES]
-        for i in range(len(samples))
-    ]
-    write_csv(out / "running_means.csv", ["i", *QUANTITIES], rows, prov)
+    write_csv(out / "running_means.csv", ["i", *QUANTITIES],
+              [range(1, len(samples) + 1), *(means[q] for q in QUANTITIES)], prov)
     write_csv(
         out / "samples.csv",
         list(QUANTITIES),
-        [s.as_row() for s in samples],
+        [[getattr(s, q) for s in samples] for q in QUANTITIES],
         prov,
     )
     return 0
@@ -233,7 +227,7 @@ def cmd_characteristics(args) -> int:
         write_csv(
             out / "characteristics.csv",
             ["L_m", "A_m2", "V_m3", "N_seg"],
-            [[length, area, volume, n_seg]],
+            [[length], [area], [volume], [n_seg]],
             config.provenance(__version__),
         )
     return 0

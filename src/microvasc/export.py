@@ -1,8 +1,12 @@
-"""Legacy-ASCII VTK and CSV writers for networks and cell fields."""
+"""Legacy-ASCII VTK and CSV writers for networks and cell fields.
+
+Each writer formats whole columns with one `%` template over a tuple of
+Python numbers. VTK numbers are written `%.12g`, CSV fields as `str` (the
+shortest round-trip repr of a float).
+"""
 
 from __future__ import annotations
 
-import io
 from itertools import chain
 
 import numpy as np
@@ -15,31 +19,27 @@ def network_to_vtk(net: VascularNetwork) -> str:
     """VTK polydata: points, lines, and radius as point data."""
     order = sorted(net.nodes)
     index = {nid: i for i, nid in enumerate(order)}
+    segments = [net.segments[sid] for sid in sorted(net.segments)]
+    ends = np.fromiter(
+        chain.from_iterable((index[s.node_a], index[s.node_b]) for s in segments),
+        int, 2 * len(segments)).reshape(-1, 2)
+    radius = np.array([s.radius for s in segments], float)
     # point radius: max incident segment radius (nodes have no radius of
     # their own; this renders tube scaling sensibly)
-    radii = []
-    for nid in order:
-        incident = net.adjacency[nid]
-        radii.append(
-            max((net.segments[s].radius for s in incident), default=0.0)
-        )
-    buf = io.StringIO()
-    buf.write("# vtk DataFile Version 3.0\n")
-    buf.write("vascular network\nASCII\nDATASET POLYDATA\n")
-    buf.write(f"POINTS {len(order)} double\n")
-    for nid in order:
-        x, y, z = net.nodes[nid].position
-        buf.write(f"{x:.12g} {y:.12g} {z:.12g}\n")
-    n_seg = len(net.segments)
-    buf.write(f"LINES {n_seg} {3 * n_seg}\n")
-    for sid in sorted(net.segments):
-        seg = net.segments[sid]
-        buf.write(f"2 {index[seg.node_a]} {index[seg.node_b]}\n")
-    buf.write(f"POINT_DATA {len(order)}\n")
-    buf.write("SCALARS radius double 1\nLOOKUP_TABLE default\n")
-    for r in radii:
-        buf.write(f"{r:.12g}\n")
-    return buf.getvalue()
+    point_radius = np.zeros(len(order))
+    np.maximum.at(point_radius, ends[:, 0], radius)
+    np.maximum.at(point_radius, ends[:, 1], radius)
+    positions = np.array([net.nodes[nid].position for nid in order]).reshape(-1, 3)
+    n, n_seg = len(order), len(segments)
+    return (
+        "# vtk DataFile Version 3.0\nvascular network\nASCII\nDATASET POLYDATA\n"
+        f"POINTS {n} double\n"
+        + ("%.12g %.12g %.12g\n" * n) % tuple(positions.ravel().tolist())
+        + f"LINES {n_seg} {3 * n_seg}\n"
+        + ("2 %d %d\n" * n_seg) % tuple(ends.ravel().tolist())
+        + f"POINT_DATA {n}\nSCALARS radius double 1\nLOOKUP_TABLE default\n"
+        + ("%.12g\n" * n) % tuple(point_radius.tolist())
+    )
 
 
 def cell_field_to_vtk(grid: TissueGrid, fields: dict[str, np.ndarray]) -> str:
@@ -47,27 +47,33 @@ def cell_field_to_vtk(grid: TissueGrid, fields: dict[str, np.ndarray]) -> str:
     nx, ny, nz = grid.cells_per_axis
     dx, dy, dz = grid.spacing
     ox, oy, oz = grid.box.lower + 0.5 * grid.spacing
-    buf = io.StringIO()
-    buf.write("# vtk DataFile Version 3.0\n")
-    buf.write("tissue fields\nASCII\nDATASET STRUCTURED_POINTS\n")
-    buf.write(f"DIMENSIONS {nx} {ny} {nz}\n")
-    buf.write(f"ORIGIN {ox:.12g} {oy:.12g} {oz:.12g}\n")
-    buf.write(f"SPACING {dx:.12g} {dy:.12g} {dz:.12g}\n")
-    buf.write(f"POINT_DATA {grid.n_cells}\n")
+    parts = [
+        "# vtk DataFile Version 3.0\ntissue fields\nASCII\nDATASET STRUCTURED_POINTS\n"
+        f"DIMENSIONS {nx} {ny} {nz}\n"
+        f"ORIGIN {ox:.12g} {oy:.12g} {oz:.12g}\n"
+        f"SPACING {dx:.12g} {dy:.12g} {dz:.12g}\n"
+        f"POINT_DATA {grid.n_cells}\n"
+    ]
     for name, values in fields.items():
-        buf.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-        buf.writelines(map("{:.12g}\n".format, np.asarray(values).ravel().tolist()))
-    return buf.getvalue()
+        values = np.asarray(values).ravel().tolist()
+        parts.append(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+        parts.append(("%.12g\n" * len(values)) % tuple(values))
+    return "".join(parts)
 
 
-def write_csv(path, header: list[str], rows, preamble: list[str] | None = None):
-    """CSV with optional '#'-prefixed provenance preamble lines.
+def write_csv(path, header: list[str], columns, preamble: list[str] | None = None):
+    """CSV of equal-length `columns`, one per `header` name, after optional
+    '#'-prefixed provenance preamble lines (each ending in LF).
 
     Fields are numbers and plain names, written as csv.writer writes them:
     str of each (the shortest round-trip repr of a float), CRLF line ends.
-    Rows of Python numbers (`tolist()`) format fastest; they are streamed,
-    so an iterator of rows is never held whole.
+    Columns of Python numbers (`tolist()`) format fastest. The writer holds
+    one tuple of every field and the text of the whole file, then writes it
+    in one call.
     """
+    n_rows = len(columns[0]) if columns else 0
+    row = ",".join(["%s"] * len(header)) + "\r\n"
+    text = (row * n_rows) % tuple(chain.from_iterable(zip(*columns, strict=True)))
     with open(path, "w", newline="") as fh:
         fh.writelines(f"# {line}\n" for line in preamble or [])
-        fh.writelines(",".join(map(str, row)) + "\r\n" for row in chain([header], rows))
+        fh.write(",".join(map(str, header)) + "\r\n" + text)

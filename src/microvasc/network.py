@@ -8,7 +8,10 @@ classification (`oxygen.classify_arterial_venous`).
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -29,9 +32,9 @@ class NetworkNode:
         if self.position.shape != (3,):
             raise ValidationError(f"node {self.id}: position must be a 3-vector")
         if self.kind == "boundary" and self.boundary_pressure is not None:
-            if self.boundary_pressure <= 0.0:
+            if not 0.0 < self.boundary_pressure < math.inf:
                 raise ValidationError(
-                    f"node {self.id}: boundary pressure must be positive"
+                    f"node {self.id}: boundary pressure must be positive and finite"
                 )
 
     def copy(self) -> "NetworkNode":
@@ -49,8 +52,8 @@ class Segment:
     def __post_init__(self):
         if self.node_a == self.node_b:
             raise TopologyError(f"segment {self.id}: self-loop at node {self.node_a}")
-        if self.radius <= 0.0:
-            raise ValidationError(f"segment {self.id}: radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValidationError(f"segment {self.id}: radius must be positive and finite")
 
     def copy(self) -> "Segment":
         return Segment(self.id, self.node_a, self.node_b, self.radius)
@@ -188,10 +191,185 @@ class VascularNetwork:
 
 # -- DGF ingestion / serialization ---------------------------------------
 
+# first characters of a number: no keyword or comment starts with one
+_NUMBER_START = frozenset("0123456789+-.")
+
 
 def _is_comment(line: str) -> bool:
     s = line.strip()
     return s.startswith("%") or (s.startswith("#") and s != "#")
+
+
+class _FirstFailure:
+    """The earliest offending line found by checks that run over whole blocks.
+
+    A file read line by line stops at its first offending line, and on that
+    line at its first failed check. Checks run in the order a line is
+    checked in, and a failure replaces the recorded one only on an earlier
+    line, so the failure left at the end is the one the file reports.
+    """
+
+    def __init__(self):
+        self.line = math.inf
+        self.error = None
+
+    def lines_before(self, linenos: list[int]) -> int:
+        """How many of `linenos` (ascending) precede the failure."""
+        return bisect.bisect_left(linenos, self.line)
+
+    def record(self, bad: np.ndarray, linenos: list[int], error) -> int:
+        """Note the first True of `bad` (indexed like `linenos`) as the
+        failure, `error(k)` at its index k, if it is on an earlier line;
+        return how many lines precede the failure."""
+        hits = np.flatnonzero(bad)
+        if hits.size and linenos[hits[0]] < self.line:
+            k = int(hits[0])
+            self.line, self.error = linenos[k], error(k)
+        return self.lines_before(linenos)
+
+
+def _unconvertible(lines: list[str], converters) -> np.ndarray:
+    """Which lines have a field its converter rejects, one converter per
+    field (error path only)."""
+
+    def rejected(line):
+        try:
+            for convert, text in zip(converters, line.split()):
+                convert(text)
+        except ValueError:
+            return True
+        return False
+
+    return np.fromiter(map(rejected, lines), bool, len(lines))
+
+
+def _node_indices(texts: tuple) -> np.ndarray:
+    """Node index strings as integers, Python ints where int64 overflows."""
+    try:
+        return np.array(texts, np.int64)
+    except OverflowError:
+        return np.array([int(t) for t in texts], object)
+
+
+def _segment_numbers(lines: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """End node indices (n, 2) and radii of n simplex lines of three fields."""
+    fields = " ".join(lines).split()
+    ends = _node_indices(fields[0::3] + fields[1::3]).reshape(2, len(lines)).T
+    return ends, np.array(fields[2::3], float)
+
+
+def _field_counts(lines: list[str]) -> np.ndarray:
+    # one count per line, with no list of fields kept per line: held lists
+    # would each be a container for the garbage collector to trace
+    return np.fromiter(map(len, map(str.split, lines)), np.intp, len(lines))
+
+
+def _vertex_block(lines, linenos, first):
+    """Positions (n, 3) and boundary pressures (NaN where none) of the n
+    vertex lines before the first failure."""
+    lines = lines[:first.lines_before(linenos)]
+    counts = _field_counts(lines)
+    n = first.record((counts != 3) & (counts != 4), linenos, lambda k: ParseError(
+        f"vertex line needs 3 coordinates (+ optional pressure), got "
+        f"{counts[k]} fields", linenos[k]))
+    try:
+        values = np.array(" ".join(lines[:n]).split(), float)
+    except ValueError:
+        n = first.record(_unconvertible(lines[:n], [float] * 4), linenos, lambda k: ParseError(
+            f"non-numeric vertex entry: {lines[k]!r}", linenos[k]))
+        values = np.array(" ".join(lines[:n]).split(), float)
+    counts = counts[:n]
+    line_of = np.repeat(np.arange(n), counts)
+    first.record(np.bincount(line_of[~np.isfinite(values)], minlength=n) > 0, linenos,
+                 lambda k: ParseError(f"non-finite vertex entry: {lines[k]!r}", linenos[k]))
+    starts = np.cumsum(counts) - counts
+    pressure = np.where(counts == 4, values[starts + counts - 1], np.nan)
+    first.record(pressure <= 0.0, linenos,
+                 lambda k: ParseError("boundary pressure must be positive", linenos[k]))
+    return values[starts[:, None] + np.arange(3)], pressure
+
+
+def _segment_block(lines, linenos, known, first):
+    """End node indices (n, 2) and radii of the n simplex lines before the
+    first failure; `known` counts the vertices read before each line."""
+    lines = lines[:first.lines_before(linenos)]
+    counts = _field_counts(lines)
+    n = first.record(counts != 3, linenos, lambda k: ParseError(
+        f"segment line needs node, node, radius; got {counts[k]} fields", linenos[k]))
+    try:
+        ends, radius = _segment_numbers(lines[:n])
+    except ValueError:
+        n = first.record(_unconvertible(lines[:n], (int, int, float)), linenos,
+                         lambda k: ParseError(f"non-numeric segment entry: {lines[k]!r}",
+                                              linenos[k]))
+        ends, radius = _segment_numbers(lines[:n])
+    first.record(~np.isfinite(radius), linenos, lambda k: ParseError(
+        f"non-finite segment entry: {lines[k]!r}", linenos[k]))
+    a, b = ends.T
+    first.record(a == b, linenos, lambda k: TopologyError(
+        f"line {linenos[k]}: self-loop at node {a[k]}"))
+    first.record(radius <= 0.0, linenos, lambda k: ValidationError(
+        f"line {linenos[k]}: non-positive radius {float(radius[k])}"))
+    known = np.asarray(known[:n])
+    unknown_a, unknown_b = (a < 0) | (a >= known), (b < 0) | (b >= known)
+    first.record(unknown_a | unknown_b, linenos, lambda k: TopologyError(
+        f"line {linenos[k]}: segment references unknown node "
+        f"{a[k] if unknown_a[k] else b[k]}"))
+    return ends, radius
+
+
+def _dgf_columns(text: str):
+    """Positions, boundary pressures (NaN where none), end node indices and
+    radii of a DGF text, every check passed; the error of the first
+    offending line otherwise.
+
+    One pass sorts the lines into blocks; each block's numbers are then
+    converted and checked as whole arrays. The lines are released on
+    return, before the network's objects are built.
+    """
+    vertices, vertex_linenos = [], []
+    segments, segment_linenos, known = [], [], []
+    first = _FirstFailure()
+    block = None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line[:1] not in _NUMBER_START:
+            if not line or _is_comment(line):
+                continue
+            upper = line.upper()
+            if upper == "DGF":
+                continue
+            if upper.startswith("VERTEX"):
+                block = "vertex"
+                continue
+            if upper.startswith("SIMPLEX") or upper.startswith("CUBE"):
+                block = "simplex"
+                continue
+            if upper.startswith("PARAMETERS"):
+                continue
+            if line == "#":
+                block = None
+                continue
+            if upper.startswith("BOUNDARYDOMAIN") or upper.startswith("GRIDPARAMETER"):
+                block = "ignored"
+                continue
+        if block == "vertex":
+            vertices.append(line)
+            vertex_linenos.append(lineno)
+        elif block == "simplex":
+            segments.append(line)
+            segment_linenos.append(lineno)
+            known.append(len(vertices))
+        elif block is None:
+            first.line = lineno
+            first.error = ParseError(f"data outside any block: {line!r}", lineno)
+            break
+
+    positions, pressure = _vertex_block(vertices, vertex_linenos, first)
+    ends, radius = _segment_block(segments, segment_linenos, known, first)
+    if first.error is not None:
+        raise first.error
+    return positions, pressure, ends, radius
 
 
 def parse_dgf(text: str) -> VascularNetwork:
@@ -200,106 +378,55 @@ def parse_dgf(text: str) -> VascularNetwork:
     Vertex lines hold three coordinates in meters and an optional boundary
     pressure in Pa. Simplex lines hold two zero-based node indices and a
     radius in meters. A bare '#' terminates a block; lines starting with
-    '#text' or '%' are comments.
+    '#text' or '%' are comments. Every number must be finite. A malformed
+    file raises the error of its first offending line, as a line-by-line
+    reader would.
     """
+    positions, pressure, ends, radius = _dgf_columns(text)
+    # the checks passed are add_node's and add_segment's: fill the tables at once
     net = VascularNetwork()
-    block = None
-    n_vertices = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or _is_comment(line):
-            continue
-        upper = line.upper()
-        if upper == "DGF":
-            continue
-        if upper.startswith("VERTEX"):
-            block = "vertex"
-            continue
-        if upper.startswith("SIMPLEX") or upper.startswith("CUBE"):
-            block = "simplex"
-            continue
-        if upper.startswith("PARAMETERS"):
-            continue
-        if line == "#":
-            block = None
-            continue
-        if upper.startswith("BOUNDARYDOMAIN") or upper.startswith("GRIDPARAMETER"):
-            block = "ignored"
-            continue
-        if block == "ignored":
-            continue
-        if block is None:
-            raise ParseError(f"data outside any block: {line!r}", lineno)
-
-        fields = line.split()
-        if block == "vertex":
-            if len(fields) not in (3, 4):
-                raise ParseError(
-                    f"vertex line needs 3 coordinates (+ optional pressure), got "
-                    f"{len(fields)} fields",
-                    lineno,
-                )
-            try:
-                values = [float(f) for f in fields]
-            except ValueError:
-                raise ParseError(f"non-numeric vertex entry: {line!r}", lineno)
-            pos = np.array(values[:3])
-            if len(values) == 4:
-                if values[3] <= 0.0:
-                    raise ParseError("boundary pressure must be positive", lineno)
-                net.add_node(
-                    NetworkNode(n_vertices, pos, "boundary", values[3])
-                )
-            else:
-                net.add_node(NetworkNode(n_vertices, pos))
-            n_vertices += 1
-        elif block == "simplex":
-            if len(fields) != 3:
-                raise ParseError(
-                    f"segment line needs node, node, radius; got {len(fields)} fields",
-                    lineno,
-                )
-            try:
-                a, b = int(fields[0]), int(fields[1])
-                radius = float(fields[2])
-            except ValueError:
-                raise ParseError(f"non-numeric segment entry: {line!r}", lineno)
-            if a == b:
-                raise TopologyError(f"line {lineno}: self-loop at node {a}")
-            if radius <= 0.0:
-                raise ValidationError(f"line {lineno}: non-positive radius {radius}")
-            if a not in net.nodes or b not in net.nodes:
-                raise TopologyError(
-                    f"line {lineno}: segment references unknown node "
-                    f"{a if a not in net.nodes else b}"
-                )
-            net.new_segment(a, b, radius)
+    net.nodes = {
+        nid: NetworkNode(nid, position) if math.isnan(p)
+        else NetworkNode(nid, position, "boundary", p)
+        for nid, position, p in zip(range(len(positions)), positions, pressure.tolist())
+    }
+    net.segments = {
+        sid: Segment(sid, a, b, r)
+        for sid, a, b, r in zip(range(len(radius)), *ends.T.tolist(), radius.tolist())
+    }
+    # each node's segments in ascending id order, as add_segment appends them
+    incident = (np.argsort(ends.ravel(), kind="stable") // 2).tolist()
+    bounds = np.cumsum(np.bincount(ends.ravel(), minlength=len(positions))).tolist()
+    net.adjacency = {nid: incident[lo:hi] for nid, lo, hi in zip(net.nodes, [0] + bounds, bounds)}
+    net._next_node_id, net._next_segment_id = len(net.nodes), len(net.segments)
     return net
 
 
 def serialize_dgf(net: VascularNetwork) -> str:
     """Write the network back out in the same dialect parse_dgf reads.
 
-    Node ids are renumbered densely in ascending id order; positions are
-    written with 17 significant digits so a round-trip is lossless.
+    Node ids are renumbered densely in ascending id order. Every number is
+    written `%.17g`, 17 significant digits, so a round-trip is lossless;
+    lines end in LF.
     """
     order = sorted(net.nodes)
+    nodes = [net.nodes[nid] for nid in order]
+    pressure = [node.boundary_pressure if node.kind == "boundary" else None
+                for node in nodes]
+    has_pressure = [p is not None for p in pressure]
+    # one row per node: three coordinates, then the pressure where there is one
+    table = np.empty((len(nodes), 4))
+    table[:, :3] = np.array([node.position for node in nodes]).reshape(-1, 3)
+    table[has_pressure, 3] = [p for p in pressure if p is not None]
+    written = np.ones(table.shape, bool)
+    written[:, 3] = has_pressure
+    templates = ("%.17g %.17g %.17g\n", "%.17g %.17g %.17g %.17g\n")
+    vertex_text = "".join([templates[h] for h in has_pressure]) % tuple(
+        table[written].tolist())
+
     index = {nid: i for i, nid in enumerate(order)}
-    lines = ["DGF", "VERTEX", "parameters 1"]
-    for nid in order:
-        node = net.nodes[nid]
-        coords = " ".join(f"{c:.17g}" for c in node.position)
-        if node.kind == "boundary" and node.boundary_pressure is not None:
-            lines.append(f"{coords} {node.boundary_pressure:.17g}")
-        else:
-            lines.append(coords)
-    lines.append("#")
-    lines.append("SIMPLEX")
-    lines.append("parameters 1")
-    for sid in sorted(net.segments):
-        seg = net.segments[sid]
-        lines.append(
-            f"{index[seg.node_a]} {index[seg.node_b]} {seg.radius:.17g}"
-        )
-    lines.append("#")
-    return "\n".join(lines) + "\n"
+    segments = [net.segments[sid] for sid in sorted(net.segments)]
+    segment_text = ("%d %d %.17g\n" * len(segments)) % tuple(chain.from_iterable(
+        (index[s.node_a], index[s.node_b], s.radius) for s in segments))
+    return ("DGF\nVERTEX\nparameters 1\n" + vertex_text
+            + "#\nSIMPLEX\nparameters 1\n" + segment_text + "#\n")

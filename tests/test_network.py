@@ -47,10 +47,14 @@ class TestDataModel:
             Segment(0, 3, 3, 5 * UM)
 
     def test_nonpositive_radius_rejected(self):
-        with pytest.raises(ValidationError):
-            Segment(0, 0, 1, 0.0)
-        with pytest.raises(ValidationError):
-            Segment(0, 0, 1, -1 * UM)
+        for radius in (0.0, -1 * UM, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                Segment(0, 0, 1, radius)
+
+    def test_nonpositive_boundary_pressure_rejected(self):
+        for pressure in (0.0, -8000.0, float("nan"), float("inf")):
+            with pytest.raises(ValidationError):
+                NetworkNode(0, np.zeros(3), "boundary", pressure)
 
     def test_duplicate_ids_rejected(self):
         net = make_single_vessel()
@@ -252,10 +256,11 @@ class TestDgf:
         assert len(net.nodes) == 3
 
     def test_parse_malformed_vertex(self):
-        bad = SIMPLE_DGF.replace("1e-4 0 0\n", "1e-4 0\n")
-        with pytest.raises(ParseError) as err:
-            parse_dgf(bad)
-        assert err.value.line is not None
+        for vertex in ("1e-4 0", "nan 0 0", "1 inf 0", "1 0 0 nan", "1 0 0 inf", "1 0 0 -1"):
+            bad = SIMPLE_DGF.replace("1e-4 0 0\n", vertex + "\n")
+            with pytest.raises(ParseError) as err:
+                parse_dgf(bad)
+            assert err.value.line == 5, vertex
 
     def test_parse_dangling_segment(self):
         bad = SIMPLE_DGF.replace("1 2 4e-6", "1 9 4e-6")
@@ -266,6 +271,10 @@ class TestDgf:
         bad = SIMPLE_DGF.replace("0 1 5e-6", "0 1 -5e-6")
         with pytest.raises(ValidationError):
             parse_dgf(bad)
+        for radius in ("nan", "inf", "-inf"):
+            with pytest.raises(ParseError) as err:
+                parse_dgf(SIMPLE_DGF.replace("0 1 5e-6", "0 1 " + radius))
+            assert err.value.line == 10, radius
 
     def test_round_trip_identity(self):
         net = parse_dgf(SIMPLE_DGF)

@@ -154,7 +154,7 @@ class TestExports:
 
     def test_write_csv_with_preamble(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_csv(path, ["a", "b"], [[1, 2], [3, 4]], ["prov line"])
+        write_csv(path, ["a", "b"], [[1, 3], [2, 4]], ["prov line"])
         content = path.read_text().splitlines()
         assert content[0] == "# prov line"
         assert content[1] == "a,b"

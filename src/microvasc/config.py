@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -124,8 +125,9 @@ def _check_keys(typ, data, where: str):
 
 def _same_json_type(value, default) -> bool:
     """Whether a JSON value has the type of a field's default: true or
-    false, an integer, a number (an integer or not), a string or null, or
-    an array of the type of the default's first entry."""
+    false, an integer, a finite number (an integer or not; Python's json
+    reads NaN, Infinity and 1e400, which is inf), a string or null, or an
+    array of the type of the default's first entry."""
     if isinstance(default, tuple):
         return isinstance(value, (list, tuple)) and all(
             _same_json_type(v, default[0]) for v in value
@@ -135,14 +137,15 @@ def _same_json_type(value, default) -> bool:
     if isinstance(default, int):
         return isinstance(value, int)
     if isinstance(default, float):
-        return isinstance(value, (int, float))
+        # false for NaN, +-inf and integers past the largest float
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
     return value is None or isinstance(value, str)  # the paths
 
 
 def _json_type_name(default) -> str:
     if isinstance(default, tuple):
-        return "an array of " + ("integers" if isinstance(default[0], int) else "numbers")
-    return {bool: "true or false", int: "an integer", float: "a number"}.get(
+        return "an array of " + ("integers" if isinstance(default[0], int) else "finite numbers")
+    return {bool: "true or false", int: "an integer", float: "a finite number"}.get(
         type(default), "a string"
     )
 

@@ -12,7 +12,8 @@ The Dirac surface measure concentrated on the vessel walls is discretised
 by equal-area point sampling of each cylinder's lateral surface on an
 (arc length, angle) lattice; each sample carries area 2*pi*R*l/(n_ax*n_ang)
 and is charged to the finite volume cell containing it, so per-segment
-area sums are exact by construction.
+area sums are exact by construction. Sample points are built and located
+as (3, n) arrays, one contiguous row per axis.
 
 On the samples, C maps cell values to samples (one 1 per sample), Pi
 interpolates nodal values with weights w_a = 1 - s/l and w_b = s/l, and
@@ -63,22 +64,18 @@ class TissueGrid:
         self.spacing = box.extent / np.array(counts, dtype=float)
         self.cell_volume = float(np.prod(self.spacing))
         self.n_cells = counts[0] * counts[1] * counts[2]
+        self._last_cell = np.array(counts)[:, None] - 1
 
     def locate_all(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells containing the points (..., 3), clamped to the nearest cell
-        when outside. Returns (linear indices, clamped mask).
+        when outside. Returns (linear indices, clamped mask) of shape (...).
 
-        A point is clamped when it lies outside the closed box; one on the
-        upper face belongs to the last cell. The test is on the point, not
-        on its cell coordinate, which extent / spacing may round past n.
+        The points go to `locate_columns` as one (3, n) array.
         """
         points = np.asarray(points, float)
-        rel = (points - self.box.lower) / self.spacing
-        ijk = np.clip(np.floor(rel).astype(np.int64), 0, np.array(self.cells_per_axis) - 1)
-        nx, ny, _ = self.cells_per_axis
-        cells = ijk[..., 0] + nx * (ijk[..., 1] + ny * ijk[..., 2])
-        outside = (points < self.box.lower) | (points > self.box.upper)
-        return cells, np.any(outside, axis=-1)
+        cells, clamped = self.locate_columns(points.reshape(-1, 3).T)
+        shape = points.shape[:-1]
+        return cells.reshape(shape), clamped.reshape(shape)
 
     def locate(self, point: np.ndarray) -> tuple[int, bool]:
         """Cell containing `point`; clamps to the nearest cell when outside.
@@ -87,6 +84,29 @@ class TissueGrid:
         """
         cell, clamped = self.locate_all(point)
         return int(cell), bool(clamped)
+
+    def locate_columns(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cells containing the n points whose x, y and z are the rows of
+        `coords` (3, n), clamped to the nearest cell when outside. Returns
+        (linear indices, clamped mask), each (n,).
+
+        Each pass runs over one axis's contiguous row with that axis's
+        lower corner, spacing and count. A point is clamped when it lies
+        outside the closed box; one on the upper face belongs to the last
+        cell. The test is on the point, not on its cell coordinate, which
+        extent / spacing may round past n.
+        """
+        lower, upper = self.box.lower[:, None], self.box.upper[:, None]
+        rel = np.subtract(coords, lower)
+        rel /= self.spacing[:, None]
+        np.floor(rel, out=rel)
+        ijk = rel.astype(np.int64)
+        np.maximum(ijk, 0, out=ijk)
+        np.minimum(ijk, self._last_cell, out=ijk)
+        outside = coords < lower
+        outside |= coords > upper
+        nx, ny, _ = self.cells_per_axis
+        return ijk[0] + nx * (ijk[1] + ny * ijk[2]), outside[0] | outside[1] | outside[2]
 
     def faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Interior faces as flat read-only arrays (lo cell, hi cell, face
@@ -362,7 +382,8 @@ def build_surface_coupling(
 
     n_axial defaults per segment to max(4, 2*ceil(l/h)) with h the minimum
     cell spacing, so each cell crossed by a vessel receives samples. Each
-    sample point is (x0 + s*o) + offset, located by one batched floor/clip.
+    sample point is (x0 + s*o) + offset, summed axis by axis into (3, n)
+    coordinate rows that `TissueGrid.locate_columns` locates.
     """
     if n_angular < 2 or (n_axial is not None and n_axial < 2):
         raise ValidationError("need at least two samples per direction")
@@ -390,20 +411,20 @@ def build_surface_coupling(
     else:
         na = np.full(len(ids), n_axial, dtype=np.int64)
 
-    # rings: one per (segment, axial index), centred at x0 + s*o
+    # rings: one per (segment, axial index), centred at x0 + s*o; centres,
+    # ring offsets and sample points are (3, ...) arrays, one row per axis
     ring_seg = np.repeat(np.arange(len(ids)), na)
     first_ring = np.cumsum(na) - na
     ring_s = (np.arange(ring_seg.size) - first_ring[ring_seg] + 0.5) * (length / na)[ring_seg]
-    centers = x0[ring_seg] + ring_s[:, None] * orientation[ring_seg]
+    centers = x0.T[:, ring_seg] + ring_s * orientation.T[:, ring_seg]
     thetas = (np.arange(n_angular) + 0.5) * (2.0 * math.pi / n_angular)
     e1, e2 = _frames(orientation)
     ring_offsets = (
-        radius[:, None, None] * np.cos(thetas)[None, :, None] * e1[:, None, :]
-        + radius[:, None, None] * np.sin(thetas)[None, :, None] * e2[:, None, :]
-    )  # (segments, n_angular, 3)
-    cells, clamped = grid.locate_all(centers[:, None, :] + ring_offsets[ring_seg])
-    cells = cells.ravel()
-    s = np.repeat(ring_s, n_angular)
+        (radius[:, None] * np.cos(thetas)) * e1.T[:, :, None]
+        + (radius[:, None] * np.sin(thetas)) * e2.T[:, :, None]
+    )  # (3, segments, n_angular)
+    points = centers[:, :, None] + np.repeat(ring_offsets, na, axis=1)
+    cells, clamped = grid.locate_columns(points.reshape(3, -1))
 
     per_sample = na * n_angular
     offsets = np.concatenate([[0], np.cumsum(per_sample)])
@@ -417,8 +438,8 @@ def build_surface_coupling(
         node_index=node_index,
         offsets=offsets,
         cells=cells,
-        weight=s / length[sample_seg],
-        area=seg_area[sample_seg],
+        weight=np.repeat(ring_s / length[ring_seg], n_angular),  # w_b = s/l
+        area=np.repeat(seg_area, per_sample),
         pattern=_coupled_pattern(grid, len(node_order), a, b, sample_seg, cells),
     )
 

@@ -4,7 +4,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
 from microvasc import (
     DomainBox,
@@ -166,6 +166,17 @@ def cell_midpoints(grid):
     """(n_cells, 3) cell centers in linear-index order."""
     ijk = np.stack(cell_ijk(grid, np.arange(grid.n_cells)), axis=-1)
     return grid.box.lower + (ijk + 0.5) * grid.spacing
+
+
+@st.composite
+def dyadic_grids(draw):
+    """A grid whose every face is an exact float: on each axis its own
+    power-of-two spacing, 2 to 5 cells and a lower corner a whole number of
+    spacings off the origin, so no two axes share a spacing."""
+    spacing = np.ldexp(1.0, draw(st.permutations([-13, -14, -15])))
+    counts = tuple(draw(st.integers(2, 5)) for _ in range(3))
+    lower = np.array([draw(st.integers(-8, 8)) for _ in range(3)]) * spacing
+    return build_grid(DomainBox(lower, lower + np.array(counts) * spacing), counts)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -66,6 +67,12 @@ class TestConfig:
             {"roi_lower": "abc"}, {"master_seed": "x"}, {"repetitions": "2"},
             {"export_vtk": "no"}, {"growth": {"max_iter_p1": -1}},
             {"growth": {"max_iter_p2": 2.5}},
+            # numbers that are not finite floats: json reads NaN, Infinity
+            # and 1e400 (inf); an integer past the largest float overflows
+            {"roi_upper": [1e400, 1.0e-3, 1.0e-3]}, {"roi_lower": [-math.inf, 0.0, 0.0]},
+            {"domain_enlargement": 1e400}, {"domain_enlargement": 10**400},
+            {"oxygen": {"max_consumption": math.nan}}, {"flow": {"wall_conductivity": math.nan}},
+            {"growth": {"lambda_g": math.nan}}, {"rheology": {"hematocrit": math.inf}},
         ],
     )
     def test_bad_run_settings_rejected(self, data):
@@ -175,6 +182,14 @@ class TestCommands:
             ("solve", {"export_vtk": "no"}, [], "export_vtk"),
             ("generate", {"growth": {"max_iter_p1": -1}}, [], "max_iter_p1"),
             ("generate", {"growth": {"max_iter_p2": 2.5}}, [], "max_iter_p2"),
+            ("solve", {"roi_upper": [1e400, 1.0e-3, 1.0e-3]}, [], "roi_upper"),
+            ("solve", {"roi_lower": [-math.inf, 0.0, 0.0]}, [], "roi_lower"),
+            ("solve", {"domain_enlargement": 1e400}, [], "domain_enlargement"),
+            ("solve", {"domain_enlargement": 10**400}, [], "domain_enlargement"),
+            ("solve", {"oxygen": {"max_consumption": math.nan}}, [], "max_consumption"),
+            ("solve", {"flow": {"wall_conductivity": math.nan}}, [], "wall_conductivity"),
+            ("generate", {"growth": {"lambda_g": math.nan}}, [], "lambda_g"),
+            ("solve", {"rheology": {"hematocrit": math.inf}}, [], "hematocrit"),
         ],
     )
     def test_bad_run_settings_are_reported(

@@ -31,6 +31,7 @@ from microvasc.grid import CoupledSystem
 
 from conftest import (
     UM,
+    dyadic_grids,
     make_desk_network,
     make_jittered_lattice,
     make_single_vessel,
@@ -285,33 +286,32 @@ def test_batched_sampling_matches_per_sample_locate(case):
     assert_same_samples(grid, net)
 
 
-H = 2.0**-14  # a cell edge that is a power of two: faces sit at exact multiples
-
-
 @st.composite
-def vessels(draw, counts):
+def vessels(draw, grid):
     """(start, end, radius): either an axis-aligned vessel starting on a
     cell face, whose rings fall on faces when n_axial divides it evenly, or
     an arbitrary one that may leave the domain."""
-    extent = np.array(counts) * H
-    radius = draw(st.floats(0.5 * UM, 0.6 * H))
+    lower, spacing, extent = grid.box.lower, grid.spacing, grid.box.extent
+    radius = draw(st.floats(0.5 * UM, 0.6 * float(spacing.min())))
     if draw(st.booleans()):
-        start = np.array([draw(st.integers(0, c)) * H for c in counts])
-        direction = np.zeros(3)
-        direction[draw(st.integers(0, 2))] = draw(st.sampled_from([-1.0, 1.0]))
-        return start, start + direction * draw(st.integers(1, 8)) * H, radius
-    point = st.tuples(*[st.floats(-0.5 * e, 1.5 * e) for e in extent])
+        start = lower + [draw(st.integers(0, c)) for c in grid.cells_per_axis] * spacing
+        axis = draw(st.integers(0, 2))
+        step = np.zeros(3)
+        step[axis] = draw(st.sampled_from([-1.0, 1.0])) * spacing[axis]
+        return start, start + step * draw(st.integers(1, 8)), radius
+    point = st.tuples(*[
+        st.floats(float(lo - 0.5 * e), float(lo + 1.5 * e)) for lo, e in zip(lower, extent)
+    ])
     return np.array(draw(point)), np.array(draw(point)), radius
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_batched_sampling_matches_per_sample_locate_property(data):
-    counts = tuple(data.draw(st.integers(2, 5)) for _ in range(3))
-    grid = build_grid(DomainBox([0.0] * 3, np.array(counts) * H), counts)
+    grid = data.draw(dyadic_grids())
     net = VascularNetwork()
-    for start, end, radius in data.draw(st.lists(vessels(counts), min_size=1, max_size=4)):
-        assume(np.linalg.norm(end - start) > 1e-3 * H)
+    for start, end, radius in data.draw(st.lists(vessels(grid), min_size=1, max_size=4)):
+        assume(np.linalg.norm(end - start) > 1e-3 * grid.spacing.min())
         a, b = net.new_node(start), net.new_node(end)
         net.new_segment(a.id, b.id, radius)
     n_axial = data.draw(st.one_of(st.none(), st.integers(2, 8)))

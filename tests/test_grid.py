@@ -7,8 +7,15 @@ from hypothesis import given, settings, strategies as st
 from microvasc import DomainBox, build_grid, build_surface_coupling
 from microvasc.errors import ValidationError
 
-from conftest import UM, cell_midpoints, cell_ijk, make_single_vessel, make_y_junction
-from exchange_oracle import project_1d_to_surface
+from conftest import (
+    UM,
+    cell_midpoints,
+    cell_ijk,
+    dyadic_grids,
+    make_single_vessel,
+    make_y_junction,
+)
+from exchange_oracle import locate as oracle_locate, project_1d_to_surface
 
 
 class TestTissueGrid:
@@ -60,6 +67,44 @@ class TestTissueGrid:
                 point[axis] = np.nextafter(face[axis], outward)
                 cell, clamped = grid.locate(point)
                 assert cell_ijk(grid, cell)[axis] == index and clamped
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_locate_matches_the_per_point_oracle(self, data):
+        """Every shape of input goes through one kernel: cells and clamped
+        flags equal the scalar oracle's bit for bit, and `locate` is the
+        matching row of `locate_all`."""
+        grid = data.draw(dyadic_grids())
+        lower, spacing, extent = grid.box.lower, grid.spacing, grid.box.extent
+
+        def coordinate(axis):
+            """A face of the grid or one beyond it, a face's neighbouring
+            float on either side, or any value in and around the box."""
+            face = st.integers(-2, grid.cells_per_axis[axis] + 2).map(
+                lambda i: float(lower[axis] + i * spacing[axis])
+            )
+            beside = st.tuples(face, st.sampled_from([-np.inf, np.inf])).map(
+                lambda pair: float(np.nextafter(*pair))
+            )
+            lo, e = float(lower[axis]), float(extent[axis])
+            return st.one_of(face, beside, st.floats(lo - 2.0 * e, lo + 3.0 * e))
+
+        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        points = np.array([
+            [[data.draw(coordinate(axis)) for axis in range(3)] for _ in range(k)]
+            for _ in range(n)
+        ])
+        cells, clamped = grid.locate_all(points)
+        assert cells.shape == clamped.shape == (n, k)
+        flat_cells, flat_clamped = grid.locate_all(points.reshape(-1, 3))
+        assert np.array_equal(flat_cells, cells.ravel())
+        assert np.array_equal(flat_clamped, clamped.ravel())
+        for point, cell, flag in zip(points.reshape(-1, 3), flat_cells, flat_clamped):
+            assert oracle_locate(grid, point) == (cell, flag)
+            one_cell, one_flag = grid.locate_all(point)
+            assert one_cell.shape == one_flag.shape == ()
+            assert (one_cell, one_flag) == (cell, flag)
+            assert grid.locate(point) == (cell, flag)
 
     def test_too_few_cells_rejected(self, unit_cube):
         with pytest.raises(ValidationError):

@@ -91,11 +91,10 @@ def cmd_solve(args) -> int:
         )
         (out / "network.vtk").write_text(network_to_vtk(net))
     if config.export_csv:
-        position = np.array([net.nodes[nid].position for nid in flow.node_order])
         write_csv(
             out / "nodes.csv",
             ["node", "x", "y", "z", "p_v_pa", "po2_v_mmhg"],
-            [flow.node_order, *position.reshape(-1, 3).T.tolist(),
+            [flow.node_order, *net.table().position.T.tolist(),
              flow.p_nodes.tolist(), oxy.po2_nodes.tolist()],
             prov,
         )

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .flow import FlowParameters
 from .grid import TissueGrid
 from .growth import GrowthParameters
@@ -45,6 +45,7 @@ class RunConfig:
     growth: GrowthParameters = field(default_factory=GrowthParameters)
 
     def __post_init__(self):
+        require_finite(self)
         if self.master_seed < 0:
             raise ValidationError(f"master_seed must be nonnegative, got {self.master_seed}")
         if self.repetitions < 1:

@@ -1,5 +1,8 @@
 """Exception hierarchy shared across the toolkit."""
 
+import dataclasses
+import math
+
 
 class MicrovascError(Exception):
     """Base class for all toolkit errors."""
@@ -37,3 +40,11 @@ class ConvergenceError(MicrovascError):
     def __init__(self, message: str, history=None):
         self.history = list(history) if history is not None else []
         super().__init__(message)
+
+
+def require_finite(params):
+    """Reject a NaN or infinite float field of the dataclass `params`."""
+    for f in dataclasses.fields(params):
+        value = getattr(params, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{f.name} must be finite, got {value}")

@@ -17,26 +17,18 @@ from .network import VascularNetwork
 
 def network_to_vtk(net: VascularNetwork) -> str:
     """VTK polydata: points, lines, and radius as point data."""
-    order = sorted(net.nodes)
-    index = {nid: i for i, nid in enumerate(order)}
-    segments = [net.segments[sid] for sid in sorted(net.segments)]
-    ends = np.fromiter(
-        chain.from_iterable((index[s.node_a], index[s.node_b]) for s in segments),
-        int, 2 * len(segments)).reshape(-1, 2)
-    radius = np.array([s.radius for s in segments], float)
+    table = net.table()
     # point radius: max incident segment radius (nodes have no radius of
     # their own; this renders tube scaling sensibly)
-    point_radius = np.zeros(len(order))
-    np.maximum.at(point_radius, ends[:, 0], radius)
-    np.maximum.at(point_radius, ends[:, 1], radius)
-    positions = np.array([net.nodes[nid].position for nid in order]).reshape(-1, 3)
-    n, n_seg = len(order), len(segments)
+    point_radius = np.zeros(table.node_ids.size)
+    np.maximum.at(point_radius, table.ends, table.radius[:, None])
+    n, n_seg = table.node_ids.size, table.segment_ids.size
     return (
         "# vtk DataFile Version 3.0\nvascular network\nASCII\nDATASET POLYDATA\n"
         f"POINTS {n} double\n"
-        + ("%.12g %.12g %.12g\n" * n) % tuple(positions.ravel().tolist())
+        + ("%.12g %.12g %.12g\n" * n) % tuple(table.position.ravel().tolist())
         + f"LINES {n_seg} {3 * n_seg}\n"
-        + ("2 %d %d\n" * n_seg) % tuple(ends.ravel().tolist())
+        + ("2 %d %d\n" * n_seg) % tuple(table.ends.ravel().tolist())
         + f"POINT_DATA {n}\nSCALARS radius double 1\nLOOKUP_TABLE default\n"
         + ("%.12g\n" * n) % tuple(point_radius.tolist())
     )

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .errors import SolverError, ValidationError
+from .errors import SolverError, ValidationError, require_finite
 from .grid import CoupledSystem, SurfaceCoupling, TissueGrid
 from .linsolve import LinearSolver, scaled_residual
 from .network import VascularNetwork
@@ -46,6 +46,7 @@ class FlowParameters:
     oncotic_tissue: float = 666.0  # Pa
 
     def __post_init__(self):
+        require_finite(self)
         if self.tissue_permeability <= 0 or self.interstitial_viscosity <= 0:
             raise ValidationError("permeability and viscosity must be positive")
         if self.wall_conductivity < 0:

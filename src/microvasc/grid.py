@@ -190,8 +190,8 @@ class SegmentCoupling:
 
 @dataclass
 class SegmentTable:
-    """Segments in ascending id order, with their end nodes as unknown
-    indices of the coupled system (n_cells + position in node order)."""
+    """Segments in `VascularNetwork.table()` order, with their end nodes as
+    unknown indices of the coupled system (n_cells + place in node order)."""
 
     ids: list[int]
     a: np.ndarray  # node_a unknown index
@@ -232,7 +232,7 @@ class CoupledPattern:
 class SurfaceCoupling:
     """The exchange operator on the wall samples of every segment.
 
-    Samples are stored flat, segment by segment in ascending id order;
+    Samples are stored flat, segment by segment:
     `offsets[k]:offsets[k + 1]` are the samples of segment `segments.ids[k]`.
     Each sample has its cell, its interpolation weight w_b = s/l of the
     segment's node_b (w_a = 1 - w_b) and its area. G = [-C, Pi] maps the
@@ -387,16 +387,12 @@ def build_surface_coupling(
     """
     if n_angular < 2 or (n_axial is not None and n_axial < 2):
         raise ValidationError("need at least two samples per direction")
-    node_order = sorted(net.nodes)
+    table = net.table()
+    node_order, ids, radius = table.node_ids.tolist(), table.segment_ids.tolist(), table.radius
     node_index = {nid: grid.n_cells + i for i, nid in enumerate(node_order)}
-    ids = sorted(net.segments)
-    segs = [net.segments[sid] for sid in ids]
-    a = np.array([node_index[seg.node_a] for seg in segs], dtype=np.int64)
-    b = np.array([node_index[seg.node_b] for seg in segs], dtype=np.int64)
-    radius = np.array([seg.radius for seg in segs])
-    position = np.array([net.nodes[nid].position for nid in node_order]).reshape(-1, 3)
-    x0 = position[a - grid.n_cells]
-    delta = position[b - grid.n_cells] - x0
+    a, b = table.ends.T + grid.n_cells
+    x0, x1 = table.position[table.ends.T]
+    delta = x1 - x0
     # vecdot rounds as np.linalg.norm of each row does; einsum and
     # norm(axis=1) do not, and would move samples
     length = np.sqrt(np.vecdot(delta, delta))

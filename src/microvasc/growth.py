@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 from .flow import FlowParameters, assemble_flow_system, solve_flow
 from .grid import TissueGrid, build_surface_coupling
 from .network import DomainBox, Segment, VascularNetwork
@@ -68,6 +68,7 @@ class GrowthParameters:
     change_p2: float = 1.0e-3  # absolute, mmHg
 
     def __post_init__(self):
+        require_finite(self)
         if not 0.0 < self.p_th < 1.0:
             raise ValidationError("bifurcation threshold must lie in (0, 1)")
         if not 2.0 <= self.gamma <= 4.0:
@@ -187,8 +188,9 @@ class OctantIndex:
 
     `build` indexes the whole network in one array pass: every segment's
     (bucket, slot) pairs at once (`_bucket_pairs`), sorted by bucket. It
-    gives the index that inserting the segments one by one gives, down to
-    the order of the bucket dict and of each bucket's slots. `insert` and
+    gives the index that inserting the segments one by one in
+    `VascularNetwork.table()` order gives, down to the order of the bucket
+    dict and of each bucket's slots. `insert` and
     `candidates` key one box at a time with plain float arithmetic
     (`_keys`), elementwise the same as the array pass.
 
@@ -299,22 +301,20 @@ class OctantIndex:
 
     @classmethod
     def build(cls, domain: DomainBox, net: VascularNetwork) -> "OctantIndex":
-        nodes = net.nodes
-        segments = list(net.segments.values())
-        n = len(segments)
-        p0 = np.array([nodes[seg.node_a].position for seg in segments]).reshape(n, 3)
-        p1 = np.array([nodes[seg.node_b].position for seg in segments]).reshape(n, 3)
-        radius = np.fromiter((seg.radius for seg in segments), float, n)
+        table = net.table()
+        p0, p1 = table.position[table.ends.T]
+        radius = table.radius
+        n = radius.size
         d = p0 - p1
         # no segments: one bucket holding everything added later
         edge = (float(np.median(np.sqrt(np.vecdot(d, d)))) + 2.0 * float(radius.max()) if n
                 else float(np.max(domain.extent)))
         index = cls(domain, edge)
         index.size = n
-        index.ids = np.fromiter(net.segments, np.int64, n)
+        index.ids = table.segment_ids
         index.p0, index.p1, index.radius = p0, p1, radius
         index.alive = np.ones(n, dtype=bool)
-        index.slot_of = dict(zip(net.segments, range(n)))
+        index.slot_of = dict(zip(index.ids.tolist(), range(n)))
         keys, slots = index._bucket_pairs(p0, p1, radius)
         order = np.argsort(keys, kind="stable")  # slots stay ascending in a bucket
         keys, slots = keys[order], slots[order]
@@ -713,13 +713,13 @@ class GrowthEngine:
     # -- linking ----------------------------------------------------------
 
     def _node_table(self):
-        """Sorted node ids, their positions and their pressures in the last
-        solved flow (NaN for a node it lacks), for the link search."""
-        ids = np.array(sorted(self.net.nodes), dtype=np.int64)
-        positions = np.array([self.net.nodes[nid].position for nid in ids.tolist()])
+        """Node ids, their positions and their pressures in the last solved
+        flow (NaN for a node it lacks), for the link search."""
+        table = self.net.table()
+        ids = table.node_ids
         if self.flow is None:
-            return ids, positions, np.full(ids.size, np.nan)
-        return ids, positions, node_values(self.flow.node_order, self.flow.p_nodes, ids)
+            return ids, table.position, np.full(ids.size, np.nan)
+        return ids, table.position, node_values(self.flow.node_order, self.flow.p_nodes, ids)
 
     def _link_candidates(self, tip: int, d_x: float, table):
         """Nodes inside the tip's cone and within d_x of it, best first.
@@ -876,14 +876,13 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
     cut node.
     """
     out = VascularNetwork()
-    ids = sorted(net.nodes)
-    positions = np.array([net.nodes[nid].position for nid in ids]).reshape(-1, 3)
-    contained = np.all((positions >= box.lower) & (positions <= box.upper), axis=1)
-    in_box = dict(zip(ids, contained.tolist()))  # by original node id
-    for nid in ids:
-        if in_box[nid]:
+    table = net.table()
+    contained = np.all((table.position >= box.lower) & (table.position <= box.upper), axis=1)
+    in_box = dict(zip(table.node_ids.tolist(), contained.tolist()))  # by original node id
+    for nid, inside in in_box.items():
+        if inside:
             out.add_node(net.nodes[nid].copy())
-    for sid in sorted(net.segments):
+    for sid in table.segment_ids.tolist():
         seg = net.segments[sid]
         a_in = seg.node_a in out.nodes
         b_in = seg.node_b in out.nodes

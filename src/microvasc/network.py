@@ -4,6 +4,9 @@ The network is a collection of straight cylindrical segments joining nodes.
 Nodes carrying a pressure value are Dirichlet boundary nodes of the 1D flow
 problem; their oxygen boundary value is assigned later by arterial/venous
 classification (`oxygen.classify_arterial_venous`).
+
+Code that reads the network as arrays reads `VascularNetwork.table()`, the
+one place that numbers nodes and segments.
 """
 
 from __future__ import annotations
@@ -69,6 +72,8 @@ class DomainBox:
         self.upper = np.asarray(self.upper, dtype=float)
         if self.lower.shape != (3,) or self.upper.shape != (3,):
             raise ValidationError("domain box bounds must be 3-vectors")
+        if not (np.all(np.isfinite(self.lower)) and np.all(np.isfinite(self.upper))):
+            raise ValidationError("domain box bounds must be finite")
         if not np.all(self.lower < self.upper):
             raise ValidationError("domain box requires lower < upper componentwise")
 
@@ -89,6 +94,18 @@ def enlarge_domain(roi: DomainBox, factor: float = 0.10) -> DomainBox:
         raise ValidationError("enlargement factor must be nonnegative")
     pad = factor * roi.extent
     return DomainBox(roi.lower - pad, roi.upper + pad)
+
+
+@dataclass(frozen=True)
+class NetworkTable:
+    """A network as columns, nodes and segments each in ascending id order."""
+
+    node_ids: np.ndarray  # (n,) int64
+    position: np.ndarray  # (n, 3) m
+    pressure: np.ndarray  # (n,) Pa; NaN unless a boundary node with a pressure
+    segment_ids: np.ndarray  # (m,) int64
+    ends: np.ndarray  # (m, 2) places of node_a and node_b in node_ids
+    radius: np.ndarray  # (m,) m
 
 
 class VascularNetwork:
@@ -151,6 +168,24 @@ class VascularNetwork:
         return out
 
     # -- queries --------------------------------------------------------
+
+    def table(self) -> NetworkTable:
+        """The network's columns, gathered from the node and segment objects."""
+        node_ids = np.array(sorted(self.nodes), np.int64)
+        nodes = [self.nodes[nid] for nid in node_ids.tolist()]
+        segment_ids = np.array(sorted(self.segments), np.int64)
+        segments = [self.segments[sid] for sid in segment_ids.tolist()]
+        ends = np.array([[s.node_a for s in segments], [s.node_b for s in segments]], np.int64)
+        return NetworkTable(
+            node_ids=node_ids,
+            position=np.array([node.position for node in nodes]).reshape(-1, 3),
+            # None, for a node written without a pressure, becomes NaN
+            pressure=np.array([node.boundary_pressure if node.kind == "boundary" else None
+                               for node in nodes], float),
+            segment_ids=segment_ids,
+            ends=np.searchsorted(node_ids, ends).T,
+            radius=np.array([s.radius for s in segments], float),
+        )
 
     def segment_geometry(self, seg_id: int) -> tuple[float, np.ndarray]:
         """Length and unit orientation (node_a -> node_b) of a segment."""
@@ -405,28 +440,20 @@ def parse_dgf(text: str) -> VascularNetwork:
 def serialize_dgf(net: VascularNetwork) -> str:
     """Write the network back out in the same dialect parse_dgf reads.
 
-    Node ids are renumbered densely in ascending id order. Every number is
-    written `%.17g`, 17 significant digits, so a round-trip is lossless;
-    lines end in LF.
+    Nodes and segments are written as `table()` numbers them, so node
+    indices are dense. Every number is written `%.17g`, 17 significant
+    digits, so a round-trip is lossless; lines end in LF.
     """
-    order = sorted(net.nodes)
-    nodes = [net.nodes[nid] for nid in order]
-    pressure = [node.boundary_pressure if node.kind == "boundary" else None
-                for node in nodes]
-    has_pressure = [p is not None for p in pressure]
+    table = net.table()
+    has_pressure = ~np.isnan(table.pressure)
     # one row per node: three coordinates, then the pressure where there is one
-    table = np.empty((len(nodes), 4))
-    table[:, :3] = np.array([node.position for node in nodes]).reshape(-1, 3)
-    table[has_pressure, 3] = [p for p in pressure if p is not None]
-    written = np.ones(table.shape, bool)
+    vertices = np.column_stack([table.position, table.pressure])
+    written = np.ones(vertices.shape, bool)
     written[:, 3] = has_pressure
     templates = ("%.17g %.17g %.17g\n", "%.17g %.17g %.17g %.17g\n")
-    vertex_text = "".join([templates[h] for h in has_pressure]) % tuple(
-        table[written].tolist())
-
-    index = {nid: i for i, nid in enumerate(order)}
-    segments = [net.segments[sid] for sid in sorted(net.segments)]
-    segment_text = ("%d %d %.17g\n" * len(segments)) % tuple(chain.from_iterable(
-        (index[s.node_a], index[s.node_b], s.radius) for s in segments))
+    vertex_text = "".join([templates[h] for h in has_pressure.tolist()]) % tuple(
+        vertices[written].tolist())
+    segment_text = ("%d %d %.17g\n" * table.radius.size) % tuple(chain.from_iterable(
+        zip(*table.ends.T.tolist(), table.radius.tolist())))
     return ("DGF\nVERTEX\nparameters 1\n" + vertex_text
             + "#\nSIMPLEX\nparameters 1\n" + segment_text + "#\n")

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 from numpy.linalg import norm
 
-from .errors import ConvergenceError, StateError, ValidationError
+from .errors import ConvergenceError, StateError, ValidationError, require_finite
 from .flow import GRAPH_LAPLACIAN, RESIDUAL_TOL, FlowParameters, FlowState, starling_flux
 from .grid import CoupledSystem, SurfaceCoupling, TissueGrid
 from .linsolve import LinearSolver, absolute, scaled_residuals
@@ -48,6 +48,7 @@ class OxygenParameters:
     venous_po2: float = 38.0  # mmHg
 
     def __post_init__(self):
+        require_finite(self)
         for name in ("diffusion_vessel", "diffusion_tissue", "po2_half",
                      "arterial_po2", "venous_po2"):
             if getattr(self, name) <= 0.0:

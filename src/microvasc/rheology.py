@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, require_finite
 
 
 @dataclass
@@ -19,6 +19,7 @@ class RheologyParameters:
     hematocrit: float = 0.45  # discharge hematocrit, dimensionless
 
     def __post_init__(self):
+        require_finite(self)
         if self.plasma_viscosity <= 0.0:
             raise ValidationError("plasma viscosity must be positive")
         if not 0.0 <= self.hematocrit < 1.0:

@@ -32,14 +32,17 @@ class RunStatistics:
 
 def network_characteristics(net: VascularNetwork):
     """Total length, lateral area, volume, and segment count."""
-    total_l = total_a = total_v = 0.0
-    for sid in net.segments:
-        seg = net.segments[sid]
-        length, _ = net.segment_geometry(sid)
-        total_l += length
-        total_a += 2.0 * math.pi * seg.radius * length
-        total_v += math.pi * seg.radius**2 * length
-    return total_l, total_a, total_v, len(net.segments)
+    table = net.table()
+    delta = table.position[table.ends[:, 1]] - table.position[table.ends[:, 0]]
+    length = np.sqrt(np.vecdot(delta, delta))  # np.linalg.norm's rounding, row by row
+    if np.any(length == 0.0):
+        raise ValidationError(
+            f"segment {table.segment_ids[np.argmin(length)]}: coincident endpoints")
+    r = table.radius
+    terms = np.stack([length, 2.0 * math.pi * r * length, math.pi * r**2 * length])
+    # summed one segment after the other, as a loop adds; np.sum adds pairwise
+    totals = np.cumsum(terms, axis=1)[:, -1] if r.size else np.zeros(3)
+    return (*totals.tolist(), r.size)
 
 
 def histogram(values, bin_width: float):

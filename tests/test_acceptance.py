@@ -229,6 +229,7 @@ def _batch_segment_distance(p0, p1, q0, q1):
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+@pytest.mark.blas_threads
 def test_criterion_08_collision_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.default_rng(2024)
@@ -394,6 +395,7 @@ def test_criterion_10_distribution_fidelity():
     assert p_value > 0.01
 
 
+@pytest.mark.blas_threads
 def test_criterion_11_determinism(tmp_path):
     import json
 

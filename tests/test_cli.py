@@ -5,7 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from microvasc import GrowthEngine, RunConfig, network_characteristics, serialize_dgf
+from microvasc import (
+    DomainBox,
+    FlowParameters,
+    GrowthEngine,
+    GrowthParameters,
+    OxygenParameters,
+    RheologyParameters,
+    RunConfig,
+    network_characteristics,
+    serialize_dgf,
+)
 from microvasc.cli import _run_generation, _setup_domain, main
 from microvasc.errors import ValidationError
 from microvasc.growth import control_volume_averages
@@ -78,6 +88,22 @@ class TestConfig:
     def test_bad_run_settings_rejected(self, data):
         with pytest.raises(ValidationError, match=next(iter(data))):
             RunConfig.from_dict(data)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: RunConfig(domain_enlargement=math.inf),
+            lambda: GrowthParameters(lambda_g=math.nan),
+            lambda: GrowthParameters(po2_stop=math.nan),
+            lambda: OxygenParameters(max_consumption=math.nan),
+            lambda: FlowParameters(tissue_permeability=math.inf),
+            lambda: RheologyParameters(plasma_viscosity=math.nan),
+            lambda: DomainBox([0.0, 0.0, 0.0], [1.0, 1.0, math.inf]),
+        ],
+    )
+    def test_non_finite_values_built_in_python_rejected(self, build):
+        with pytest.raises(ValidationError, match="finite"):
+            build()
 
     def test_provenance_lines(self):
         lines = RunConfig(master_seed=3).provenance("0.1.0")

@@ -38,6 +38,8 @@ from conftest import (
     make_y_junction,
 )
 
+pytestmark = pytest.mark.blas_threads
+
 OPERATOR_RTOL = 1e-14
 FLUX_RTOL = 1e-12
 CUBE = DomainBox([0.0, 0.0, 0.0], [1.0e-3, 1.0e-3, 1.0e-3])

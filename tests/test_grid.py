@@ -17,6 +17,7 @@ from conftest import (
 )
 from exchange_oracle import locate as oracle_locate, project_1d_to_surface
 
+pytestmark = pytest.mark.blas_threads
 
 class TestTissueGrid:
     def test_spacing_and_volume(self, unit_cube):

@@ -159,6 +159,7 @@ class TestSegmentDistance:
         assert d_ab <= pairwise + 1e-12
 
 
+@pytest.mark.blas_threads
 class TestCollision:
     def build_random_net(self, n_segments, seed=0, lo=0.0, hi=1e-3):
         rng = np.random.default_rng(seed)
@@ -321,6 +322,7 @@ def stored_segment(draw, a0, a1):
     return q0, q0.copy()
 
 
+@pytest.mark.blas_threads
 class TestBatchedDistance:
     @given(data=st.data(), a0=vec3, a1=vec3, zero_length=st.booleans())
     @settings(max_examples=300, deadline=None)
@@ -359,6 +361,7 @@ def seeded_batches(seed, queries):
         yield a0, a1, b0, b1
 
 
+@pytest.mark.blas_threads
 class TestRowIndependence:
     """A row's distance alone equals the same row inside any batch, bit for
     bit, so `collides` deciding on one batched pass is a scan of
@@ -475,6 +478,7 @@ def indexed_lattice():
     return net, OctantIndex.build(domain, net)
 
 
+@pytest.mark.blas_threads
 class TestBucketIndex:
     @given(
         start=st.tuples(*[st.floats(0.0, 0.5e-3)] * 3),
@@ -605,6 +609,7 @@ def all_node_link_candidates(engine, tip, d_x):
     ]
 
 
+@pytest.mark.blas_threads
 class TestLinking:
     def test_prefiltered_candidates_match_all_node_scan(self):
         net = make_jittered_lattice(3, 8, twig_fraction=0.2)
@@ -671,6 +676,7 @@ signed = st.one_of(magnitude, magnitude.map(lambda x: -x))
 row3 = st.tuples(signed, signed, signed)
 
 
+@pytest.mark.blas_threads
 class TestVecdotPremise:
     """The link pass and the surface coupling take norms and dots of rows
     with np.vecdot, trusting it to round as np.linalg.norm of one row and
@@ -881,6 +887,7 @@ class TestGradientField:
             )
 
 
+@pytest.mark.blas_threads
 class TestPhaseLoops:
     # Only the step budget can end phases 1 and 3 after one step: phase 1
     # keeps large tips and p3_terminal_stop = 0 never fires. po2_stop = 0
@@ -926,6 +933,7 @@ def dict_walk_initial_guess(engine, system):
     return guess
 
 
+@pytest.mark.blas_threads
 class TestWarmStart:
     def test_guess_equals_the_dict_walk_after_a_growth_step(self):
         roi = DomainBox([0.0, 0.0, 0.0], [0.5e-3, 0.5e-3, 0.5e-3])

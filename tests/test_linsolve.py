@@ -131,6 +131,7 @@ def assert_agrees(matrix, rhs, x, iterations):
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
+@pytest.mark.blas_threads
 def test_agrees_with_direct_solve(case):
     matrix, rhs, grid = CASES[case]()
     assert_agrees(matrix, rhs, *LinearSolver(matrix, grid).solve(rhs))
@@ -163,6 +164,7 @@ def scaled_norm(matrix, x, rhs):
 
 
 @pytest.mark.parametrize("case", ["desk_20", "lattice"])
+@pytest.mark.blas_threads
 def test_forcing_stops_at_the_relative_target(case):
     matrix, rhs, grid = CASES[case]()
     solver = LinearSolver(matrix, grid)
@@ -207,6 +209,7 @@ def test_one_residual_per_start_and_per_cycle(monkeypatch, guess):
 
 
 @pytest.mark.parametrize("guess", [False, True])
+@pytest.mark.blas_threads
 def test_start_from_the_guess_evaluates_no_preconditioned_start(monkeypatch, guess):
     matrix, rhs, grid = CASES["oxygen_at_38"]()
     solver = LinearSolver(matrix, grid)
@@ -249,6 +252,7 @@ def level_matrices(vcycle):
 
 
 @pytest.mark.parametrize("cells", [(20, 20, 20), (15, 13, 11)])
+@pytest.mark.blas_threads
 def test_diagonal_update_matches_rebuilt_hierarchy(cells):
     system = flow_system(make_desk_network(), CUBE, cells)
     n = system.grid.n_cells
@@ -296,6 +300,7 @@ def test_vcycle_coarsens_odd_axes_down_to_the_direct_size():
         ((40, 40, 50), [80000, 10000, 1300, 175]),
     ],
 )
+@pytest.mark.blas_threads
 def test_plan_level_sizes(cells, sizes):
     # the grids the benchmark and the paper run on: coarsening stops at the
     # first level of at most COARSEST_CELLS, which is factored exactly
@@ -322,6 +327,7 @@ def tissue_block(physics, cells):
 
 @pytest.mark.parametrize("physics", ["flow", "oxygen"])
 @pytest.mark.parametrize("cells", [(20, 20, 20), (15, 13, 11), (25, 23, 21)])
+@pytest.mark.blas_threads
 def test_galerkin_levels_match_the_triple_product(physics, cells):
     tissue, grid = tissue_block(physics, cells)
     if physics == "oxygen":  # convection: nonsymmetric far above the tolerance
@@ -353,6 +359,7 @@ def parity(shape):
 @pytest.mark.parametrize(
     "cells", [(12, 12, 12), (20, 20, 20), (15, 13, 11), (25, 23, 21), (64, 64, 4), (40, 40, 50)]
 )
+@pytest.mark.blas_threads
 def test_every_smoothed_level_is_two_coloured(cells):
     plan, shape = build_grid(CUBE, cells).multigrid, cells
     assert len(plan.red_black) == len(plan.levels) - 1 >= 1
@@ -370,6 +377,7 @@ def test_every_smoothed_level_is_two_coloured(cells):
         _, shape = _aggregate(shape)
 
 
+@pytest.mark.blas_threads
 def test_same_colour_entry_is_rejected():
     grid = build_grid(CUBE, (8, 8, 8))  # 512 cells: one smoothed level
     extra = sp.csr_matrix(([1.0, 1.0], ([0, 2], [2, 0])), shape=grid.laplacian.shape)
@@ -408,6 +416,7 @@ def dense_vcycle(a, shape, r):
 # a lowered limit gives 12^3 two smoothed levels, 1728 and 216 cells
 @pytest.mark.parametrize("physics", ["flow", "oxygen"])
 @pytest.mark.parametrize("cells, limit", [((12, 12, 12), 500), ((12, 12, 12), 30), ((15, 13, 11), 50)])
+@pytest.mark.blas_threads
 def test_vcycle_matches_a_dense_one(monkeypatch, physics, cells, limit):
     monkeypatch.setattr(linsolve, "COARSEST_CELLS", limit)
     tissue, grid = tissue_block(physics, cells)
@@ -429,6 +438,7 @@ def test_vcycle_matches_a_dense_one(monkeypatch, physics, cells, limit):
         ((7, 5, 9), (7, 5, 9), 35),
     ],
 )
+@pytest.mark.blas_threads
 def test_coarsest_band_is_the_two_shorter_axes(cells, coarsest, bandwidth):
     plan = build_grid(CUBE, cells).multigrid
     bottom = plan.levels[-1]
@@ -446,6 +456,7 @@ def test_coarsest_band_is_the_two_shorter_axes(cells, coarsest, bandwidth):
 # the coarsest level itself (desk_odd_axes_small) or below one or two
 # smoothed levels, symmetric and not
 @pytest.mark.parametrize("case", ["desk_odd_axes_small", "desk_odd_axes", "lattice", "oxygen_at_38"])
+@pytest.mark.blas_threads
 def test_banded_coarsest_matches_dense_solve(case):
     matrix, _, grid = CASES[case]()
     n = grid.n_cells

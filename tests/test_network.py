@@ -1,8 +1,9 @@
+import math
 from dataclasses import MISSING, fields
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from microvasc import (
     DomainBox,
@@ -315,3 +316,59 @@ class TestDgf:
             assert np.array_equal(again.nodes[nid].position, net.nodes[nid].position)
         for sid in net.segments:
             assert again.segments[sid].radius == net.segments[sid].radius
+
+
+@st.composite
+def shuffled_networks(draw):
+    """A network whose node and segment ids are inserted out of order and
+    with gaps, some segments then removed with `remove_segment`; boundary
+    nodes with and without a pressure, and inner nodes holding one."""
+    net = VascularNetwork()
+    node_ids = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=12))
+    for nid in node_ids:
+        position = draw(st.tuples(*[st.floats(-1e-3, 1e-3)] * 3))
+        kind = draw(st.sampled_from(("inner", "boundary")))
+        pressure = draw(st.one_of(st.none(), st.floats(1.0, 1e4)))
+        net.add_node(NetworkNode(nid, np.array(position), kind, pressure))
+    if len(node_ids) >= 2:
+        ends = draw(st.lists(
+            st.tuples(st.sampled_from(node_ids), st.sampled_from(node_ids)).filter(
+                lambda e: e[0] != e[1]),
+            max_size=16,
+        ))
+        ids = draw(st.lists(st.integers(0, 10**6), unique=True,
+                            min_size=len(ends), max_size=len(ends)))
+        for sid, (a, b) in zip(ids, ends):
+            net.add_segment(Segment(sid, a, b, draw(st.floats(1e-7, 1e-4))))
+    if net.segments:
+        for sid in draw(st.lists(st.sampled_from(sorted(net.segments)), unique=True)):
+            net.remove_segment(sid)
+    return net
+
+
+def written_pressures(text: str) -> list[float]:
+    """Each vertex line's pressure in a `serialize_dgf` text, NaN where none."""
+    lines = text.split("#\n")[0].splitlines()[3:]
+    return [float(f[3]) if len(f) == 4 else math.nan for f in map(str.split, lines)]
+
+
+class TestTable:
+    @pytest.mark.blas_threads
+    @given(net=shuffled_networks())
+    @example(net=VascularNetwork())
+    def test_columns_match_the_dict_graph(self, net):
+        table = net.table()
+        n, m = len(net.nodes), len(net.segments)
+        assert table.node_ids.dtype == table.segment_ids.dtype == np.int64
+        assert table.node_ids.tolist() == sorted(net.nodes)
+        assert table.segment_ids.tolist() == sorted(net.segments)
+        assert table.position.shape == (n, 3) and table.ends.shape == (m, 2)
+        for nid, position in zip(table.node_ids.tolist(), table.position):
+            assert position.tobytes() == net.nodes[nid].position.tobytes()
+        pairs = table.node_ids[table.ends].tolist()
+        for sid, pair, radius in zip(table.segment_ids.tolist(), pairs, table.radius):
+            seg = net.segments[sid]
+            assert pair == [seg.node_a, seg.node_b]
+            assert radius.tobytes() == np.float64(seg.radius).tobytes()
+        assert np.array_equal(table.pressure, written_pressures(serialize_dgf(net)),
+                              equal_nan=True)

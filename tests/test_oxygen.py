@@ -191,6 +191,7 @@ class TestWallFlux:
         assert kedem_katchalsky_flux(5000.0, 5000.0, 40.0, 40.0, fp, op) == 0.0
 
 
+@pytest.mark.blas_threads
 class TestCoupledOxygen:
     def test_keyed_views_are_derived_on_first_read(self, desk_grid):
         net, params = make_desk_network(), OxygenParameters()

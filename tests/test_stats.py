@@ -39,6 +39,18 @@ def grown_starter_network():
     return engine.net
 
 
+def characteristics_oracle(net):
+    """`network_characteristics` as the per-segment loop it was written as."""
+    total_l = total_a = total_v = 0.0
+    for sid in net.segments:
+        seg = net.segments[sid]
+        length, _ = net.segment_geometry(sid)
+        total_l += length
+        total_a += 2.0 * math.pi * seg.radius * length
+        total_v += math.pi * seg.radius**2 * length
+    return total_l, total_a, total_v, len(net.segments)
+
+
 class TestCharacteristics:
     def test_single_segment_closed_form(self):
         net = VascularNetwork()
@@ -62,6 +74,20 @@ class TestCharacteristics:
     def test_empty_network(self):
         length, area, volume, n = network_characteristics(VascularNetwork())
         assert (length, area, volume, n) == (0.0, 0.0, 0.0, 0)
+
+    @pytest.mark.blas_threads
+    @pytest.mark.parametrize(
+        "make", [make_desk_network, make_starter_network, grown_starter_network]
+    )
+    def test_equals_the_per_segment_loop(self, make):
+        net = make()
+        assert network_characteristics(net) == characteristics_oracle(net)
+
+    def test_zero_length_segment_rejected(self):
+        net = make_y_junction()
+        net.new_segment(1, net.new_node(net.nodes[1].position.copy()).id, 2 * UM)
+        with pytest.raises(ValidationError, match="segment 3: coincident endpoints"):
+            network_characteristics(net)
 
     @pytest.mark.parametrize(
         "make", [make_desk_network, make_starter_network, grown_starter_network]

@@ -3,8 +3,9 @@ graph Poiseuille flow with Starling wall leakage.
 
 Both compartments are assembled into one sparse linear system over
 (tissue cells, network nodes) and solved monolithically by
-`linsolve.LinearSolver`, multigrid-preconditioned GMRES, behind the
-row-scaled residual gate. The wall exchange is the surface coupling's jump
+`linsolve.LinearSolver`, GMRES preconditioned on the tissue by a
+cosine-transform solve (a multigrid V-cycle when the walls couple
+strongly), behind the row-scaled residual gate. The wall exchange is the surface coupling's jump
 operator G = [-C, Pi] weighted by the sample areas: the block
 G^T diag(L_p a) G with right-hand side G^T (L_p a sigma dpi). Both sides
 of the exchange come from the same per-sample terms, so total filtration

@@ -4,9 +4,10 @@ A `TissueGrid` builds what depends on it alone once, on first use, and
 keeps it for every solve on it (flow, oxygen, each Newton step, each
 growth state): its interior faces, the face Laplacian with unit
 coefficient, whose sparsity every tissue block shares, where each face's
-entries sit in that Laplacian, and the linear solver's `MultigridPlan`.
-They are kept on the instance, not in the module, so a new grid starts
-afresh.
+entries sit in that Laplacian, the Laplacian's eigenvalues in the cosine
+basis, for the linear solver's cosine solve, and, only when a tissue block
+takes the V-cycle, the solver's `MultigridPlan`. They are kept on the
+instance, not in the module, so a new grid starts afresh.
 
 The Dirac surface measure concentrated on the vessel walls is discretised
 by equal-area point sampling of each cylinder's lateral surface on an
@@ -49,8 +50,8 @@ from .network import DomainBox, VascularNetwork
 class TissueGrid:
     """Cell-centered uniform grid tiling a box; linear index i + nx*(j + ny*k).
 
-    `faces()`, `laplacian`, `stencil` and `multigrid` are built on first use
-    and kept.
+    `faces()`, `laplacian`, `stencil`, `eigenvalues` and `multigrid` are
+    built on first use and kept.
     """
 
     def __init__(self, box: DomainBox, cells_per_axis):
@@ -156,6 +157,12 @@ class TissueGrid:
         return _read_only(diagonal), _read_only(faces)
 
     @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Eigenvalues of `laplacian` in the orthonormal DCT-II basis, as a
+        read-only (nz, ny, nx) array: see `cosine_eigenvalues`."""
+        return _read_only(cosine_eigenvalues(self.cells_per_axis, self.spacing))
+
+    @cached_property
     def multigrid(self) -> MultigridPlan:
         """The V-cycle's aggregation, level patterns, Galerkin maps,
         red-black orders and coarsest band storage for this grid, shared by
@@ -166,6 +173,21 @@ class TissueGrid:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def cosine_eigenvalues(cells_per_axis, spacing) -> np.ndarray:
+    """Eigenvalues of the face Laplacian with unit coefficient and
+    zero-flux outer faces on a grid of these cell counts and spacings:
+    lambda_ijk = w_x (2 - 2 cos(pi i / n_x)) + w_y (...) + w_z (...), with
+    w = area/h of each axis's faces. The orthonormal DCT-II diagonalises
+    it; entry [k, j, i] belongs to the cosine mode (i, j, k)."""
+    dx, dy, dz = spacing
+    weights = (dy * dz / dx, dx * dz / dy, dx * dy / dz)
+    x, y, z = (
+        w * (2.0 - 2.0 * np.cos(np.pi * np.arange(n) / n))
+        for w, n in zip(weights, cells_per_axis)
+    )
+    return z[:, None, None] + y[None, :, None] + x[None, None, :]
 
 
 def edge_laplacian(lo, hi, weight, n: int) -> sp.csr_matrix:

@@ -6,8 +6,26 @@ matrix A and solves A + diag(d, 0) for any cell diagonal d, as every
 Newton step of the oxygen solve needs: only the cell sink diagonal changes
 from step to step. Each solve is restarted GMRES, right-preconditioned
 block lower-triangularly: an exact LU of the node block (small, and it
-holds the pinned Dirichlet rows), then one multigrid V-cycle on the tissue
-block applied to r_t - A_tv x_v.
+holds the pinned Dirichlet rows), then a solve of the tissue block applied
+to r_t - A_tv x_v, the cosine solve or the V-cycle.
+
+The tissue is a homogeneous porous medium on a uniform grid with zero-flux
+outer faces, so a tissue block is c L plus a small diagonal from the wall
+exchange and the sink, L the grid's face Laplacian with unit coefficient.
+The orthonormal DCT-II diagonalises L (Strang, "The discrete cosine
+transform", SIAM Rev. 41, 1999; Swarztrauber, SIAM Rev. 19, 1977), whose
+eigenvalues in that basis the grid keeps (`TissueGrid.eigenvalues`).
+`CosineSolve` applies (c L + eps I)^-1 with `scipy.fft.dctn` and `idctn`:
+c is the least-squares fit of the block's face entries to L's (for flow,
+the mobility), eps the block's mean row sum plus the mean of the cell
+diagonal, the Rayleigh quotient of the constant vector; eps <= 0 at a solve
+raises SolverError. `tissue_preconditioner` chooses from the matrix alone:
+the cosine solve when c > 0 and no entry of |A - c L| exceeds c times the
+weakest face coupling min(area/h), so that no cell's exchange outweighs one
+face; the V-cycle otherwise, the path that converges for strongly coupled
+walls or a pinned cell, and only then is the grid's multigrid plan built.
+scipy.fft is imported when a cosine solve is first built: it pulls in
+scipy.special, tens of ms that a command solving nothing need not pay.
 
 The V-cycle aggregates 2x2x2 cells per coarse cell (ceil(n/2) coarse cells
 on an odd axis), takes Galerkin coarse operators P^T A P, smooths each
@@ -244,6 +262,21 @@ def _red_black(shape, indptr, indices, diagonal):
     return order, red, diagonal[order], block_indptr, block_indices, gather
 
 
+def tissue_data(matrix, grid) -> np.ndarray:
+    """A copy of the data of `matrix`, a tissue block, on the pattern of
+    the grid's Laplacian, the finest level of its multigrid plan;
+    SolverError when its sparsity is not the face stencil plus diagonal."""
+    matrix = sp.csr_matrix(matrix, copy=True)
+    matrix.sum_duplicates()  # sorted indices, as the Laplacian's
+    pattern = grid.laplacian
+    if not (
+        np.array_equal(matrix.indptr, pattern.indptr)
+        and np.array_equal(matrix.indices, pattern.indices)
+    ):
+        raise SolverError("tissue block is not on the grid's face stencil plus diagonal")
+    return matrix.data
+
+
 class MultigridPlan:
     """What a V-cycle needs of a grid and does not depend on the values:
     the aggregation, every level's pattern and Galerkin map, the red-black
@@ -287,21 +320,6 @@ class MultigridPlan:
         ]
         self.place, self.order = places[0], _inverse(places[0])
 
-    def data(self, matrix) -> np.ndarray:
-        """A copy of the data of `matrix`, a tissue block, on the finest
-        level's pattern; SolverError when its sparsity is not the grid's."""
-        matrix = sp.csr_matrix(matrix, copy=True)
-        matrix.sum_duplicates()  # sorted indices, as the plan's
-        fine = self.levels[0]
-        if not (
-            np.array_equal(matrix.indptr, fine.indptr)
-            and np.array_equal(matrix.indices, fine.indices)
-        ):
-            raise SolverError(
-                "tissue block is not on the grid's face stencil plus diagonal"
-            )
-        return matrix.data
-
 
 class VCycle:
     """Aggregation V-cycle for the tissue block of `grid`'s cells: the
@@ -312,8 +330,8 @@ class VCycle:
     when a cycle first reaches it after construction or a shift."""
 
     def __init__(self, matrix, grid):
+        data = tissue_data(matrix, grid)
         self.plan = plan = grid.multigrid
-        data = plan.data(matrix)
         self.levels = []  # (A_rb, A_br, red-black diagonal as built)
         for level, colouring in zip(plan.levels, plan.red_black):
             self.levels.append((*colouring.blocks(data), data[colouring.diagonal]))
@@ -377,13 +395,74 @@ class VCycle:
         return dgbtrs(lu, kl, kl, r, pivots)[0]
 
 
+class CosineSolve:
+    """(c L + eps I)^-1 for the tissue block of `grid`'s cells, L the
+    grid's face Laplacian with unit coefficient, by the orthonormal
+    DCT-II, which diagonalises L (Strang, SIAM Rev. 41, 1999): the grid
+    keeps L's eigenvalues in that basis (`TissueGrid.eigenvalues`).
+
+    c is the least-squares fit of the block's face entries to L's, eps
+    the block's mean row sum plus the mean of the cell diagonal set by
+    `shift`: the Rayleigh quotient of the constant vector, L's null
+    space. `mismatch` is the largest entry of |A - c L| over the pattern
+    in units of c times the weakest face coupling, the measure
+    `tissue_preconditioner` selects on.
+    """
+
+    def __init__(self, matrix, grid):
+        # deferred: scipy.fft pulls in scipy.special, tens of ms of
+        # start-up that a command which solves nothing should not pay
+        from scipy import fft
+
+        self.fft, self.grid = fft, grid
+        data, laplacian = tissue_data(matrix, grid), grid.laplacian.data
+        faces = grid.stencil[1][1:3].ravel()  # the (lo, hi) and (hi, lo) entries
+        block, unit = data[faces], laplacian[faces]
+        self.coefficient = c = block @ unit / (unit @ unit)
+        _, _, area, h = grid.faces()
+        weakest = c * np.min(area / h)
+        self.mismatch = np.max(np.abs(data - c * laplacian)) / weakest if c > 0.0 else np.inf
+        self.row_sum = np.sum(data) / grid.n_cells
+        self.shift(np.zeros(grid.n_cells))
+
+    def shift(self, d):
+        """Make this the solve of the tissue block plus diag(d): eps moves
+        by the mean of d."""
+        self.epsilon = self.row_sum + np.mean(d)
+        self.denominator = None
+
+    def __call__(self, r):
+        if self.denominator is None:
+            if not self.epsilon > 0.0:
+                raise SolverError(
+                    f"tissue block is singular: its constant mode has eps = {self.epsilon:.3e}"
+                )
+            self.denominator = self.coefficient * self.grid.eigenvalues + self.epsilon
+        fft = self.fft
+        x = fft.dctn(r.reshape(self.denominator.shape), type=2, norm="ortho")
+        x /= self.denominator
+        return fft.idctn(x, type=2, norm="ortho", overwrite_x=True).ravel()
+
+
+def tissue_preconditioner(matrix, grid):
+    """The cosine solve of `matrix`, a tissue block, when it is close to a
+    constant-coefficient c L, that is c > 0 and no entry of A - c L
+    outweighs c times the weakest face coupling; the V-cycle otherwise,
+    which is the path that converges for strongly coupled walls."""
+    cosine = CosineSolve(matrix, grid)
+    if cosine.mismatch <= 1.0:
+        return cosine
+    return VCycle(matrix, grid)
+
+
 class LinearSolver:
     """Solver for (A + diag(d, 0)) x = b, A a coupled system over the cells
     of `grid` followed by the network nodes, and d a diagonal on the cell
     rows given per solve.
 
     The preconditioner M is x_v = A_vv^-1 r_v exactly, then
-    x_t = V-cycle(r_t - A_tv x_v); neither the node block nor the
+    x_t = T(r_t - A_tv x_v), T the `tissue_preconditioner` of the tissue
+    block: its cosine solve or its V-cycle. Neither the node block nor the
     off-diagonal blocks see d.
     """
 
@@ -391,7 +470,7 @@ class LinearSolver:
         self.matrix = matrix = sp.csr_matrix(matrix, copy=True)  # `solve` writes its diagonal
         matrix.sum_duplicates()
         self.cells = cells = grid.n_cells
-        self.vcycle = VCycle(matrix[:cells, :cells], grid)
+        self.tissue = tissue_preconditioner(matrix[:cells, :cells], grid)
         self.magnitude = absolute(matrix)
         end = matrix.indptr[cells]
         rows = np.repeat(np.arange(cells), np.diff(matrix.indptr[: cells + 1]))
@@ -429,7 +508,7 @@ class LinearSolver:
             diagonal = self.cell_diagonal + cell_diagonal
             self.matrix.data[self.cell_diagonal_at] = diagonal
             self.magnitude.data[self.cell_diagonal_at] = np.abs(diagonal)
-            self.vcycle.shift(cell_diagonal)
+            self.tissue.shift(cell_diagonal)
             self.shifted = bool(np.any(cell_diagonal))
         start = self._precondition(rhs) if guess is None else np.asarray(guess, float)
         x = self._settle(start, rhs)
@@ -448,7 +527,7 @@ class LinearSolver:
 
     def _precondition(self, r):
         x_v = self.nodes.solve(r[self.cells :])
-        x_t = self.vcycle(r[: self.cells] - self.tissue_nodes @ x_v)
+        x_t = self.tissue(r[: self.cells] - self.tissue_nodes @ x_v)
         return np.concatenate([x_t, x_v])
 
     def _settle(self, x, rhs):

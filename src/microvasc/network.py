@@ -34,6 +34,9 @@ class NetworkNode:
         self.position = np.asarray(self.position, dtype=float)
         if self.position.shape != (3,):
             raise ValidationError(f"node {self.id}: position must be a 3-vector")
+        x, y, z = self.position.tolist()  # scalar tests: a parse builds one node per vertex
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+            raise ValidationError(f"node {self.id}: position must be finite")
         if self.kind == "boundary" and self.boundary_pressure is not None:
             if not 0.0 < self.boundary_pressure < math.inf:
                 raise ValidationError(

@@ -1,11 +1,11 @@
 """Coupled stationary oxygen transport with Kedem-Katchalsky wall flux and
 Michaelis-Menten tissue consumption, solved by an inexact Newton method.
-One `linsolve.LinearSolver`, the multigrid-preconditioned GMRES the flow
-solve uses too, is built per `solve_oxygen` from the affine operator, on
-the multigrid plan its grid keeps for every solve; each Newton step adds
-only its sink derivative on the cell diagonal, starts GMRES from the
-Newton iterate (a cold solve's first step from M^-1 b), and stops it at the
-Eisenstat-Walker forcing term (Eisenstat & Walker, SIAM J. Sci. Comput.
+One `linsolve.LinearSolver`, the preconditioned GMRES the flow solve uses
+too, is built per `solve_oxygen` from the affine operator, on the cosine
+eigenvalues (or the multigrid plan) its grid keeps for every solve; each
+Newton step adds only its sink derivative on the cell diagonal, starts
+GMRES from the Newton iterate (a cold solve's first step from M^-1 b), and
+stops it at the Eisenstat-Walker forcing term (Eisenstat & Walker, SIAM J. Sci. Comput.
 17, 1996; Knoll & Keyes, J. Comput. Phys. 193, 2004), so the early steps
 are solved loosely and the last ones tightly.
 

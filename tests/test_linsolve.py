@@ -1,4 +1,4 @@
-"""The multigrid-preconditioned GMRES of `linsolve` against a direct solve.
+"""The preconditioned GMRES of `linsolve` against a direct solve.
 
 The oracle is scipy's `spsolve`, kept here only. Every case must agree
 with it to 1e-12 (max-norm, relative), pass the row-scaled residual at
@@ -10,10 +10,24 @@ reduced the row-scaled residual by that factor, in fewer iterations.
 The grid's multigrid plan is checked against scipy's Galerkin product
 P^T A P, also kept here only, its red-black colouring against the parity
 of every level's cells, its banded coarsest solve against a dense solve,
-and one V-cycle against a dense one written out here. One plan serves
-every solve on a grid, and the coarsest level is factored only when a
-V-cycle reaches it.
+and one V-cycle against a dense one written out here. The coarsest level
+is factored only when a V-cycle reaches it.
+
+The cosine solve is checked against `spsolve` on c L + eps I over
+anisotropic grids, the grid's eigenvalue table against a dense
+eigensolve, and its eps against the shift it is given. The selection
+takes the cosine solve on the default desk, lattice and starter blocks
+and the V-cycle for strongly coupled walls or a pinned cell; over a sweep
+of wall conductivity it takes no more GMRES iterations than the V-cycle
+alone, and on the desk ladder its counts stay flat from 10^3 to 40^3.
+Growth states share one Laplacian and one eigenvalue table per grid and
+build no plan, and importing the package loads no scipy.fft.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,20 +48,24 @@ from microvasc import (
     classify_arterial_venous,
     enlarge_domain,
     solve_flow,
+    solve_oxygen,
 )
 from microvasc import grid as grid_module
 from microvasc import linsolve
 from microvasc.errors import SolverError
+from microvasc.flow import RESIDUAL_TOL
 from microvasc.grid import edge_laplacian
 from microvasc.linsolve import (
     OVER_CORRECTION,
     RESTART,
+    CosineSolve,
     LinearSolver,
     MultigridPlan,
     VCycle,
     _aggregate,
     scaled_residual,
     scaled_residuals,
+    tissue_preconditioner,
 )
 from microvasc.oxygen import _sink
 
@@ -502,28 +520,35 @@ def test_coarsest_factored_on_first_use_and_once_after_each_shift(monkeypatch):
     assert len(factored) == 3
 
 
-def test_one_plan_and_laplacian_serve_every_solve_on_a_grid(monkeypatch):
-    """Flow and oxygen, over two growth states, share the grid's plan."""
-    plans, laplacians, vcycles = [], [], []
+def test_one_laplacian_and_eigenvalue_table_serve_every_solve_on_a_grid(monkeypatch):
+    """Flow and oxygen, over two growth states, take the cosine solve on
+    the grid's one Laplacian and eigenvalue table, and build no plan."""
+    plans, laplacians, tables, solves = [], [], [], []
 
     class CountedPlan(grid_module.MultigridPlan):
         def __init__(self, *args):
             plans.append(self)
             super().__init__(*args)
 
-    def counted_laplacian(*args):
-        laplacians.append(args)
-        return edge_laplacian(*args)
+    def counted(log, build):
+        def wrapped(*args):
+            log.append(args)
+            return build(*args)
 
-    init = VCycle.__init__
+        return wrapped
+
+    init = CosineSolve.__init__
 
     def recorded(self, *args):
-        vcycles.append(self)
+        solves.append(self)
         init(self, *args)
 
     monkeypatch.setattr(grid_module, "MultigridPlan", CountedPlan)
-    monkeypatch.setattr(grid_module, "edge_laplacian", counted_laplacian)
-    monkeypatch.setattr(VCycle, "__init__", recorded)
+    monkeypatch.setattr(grid_module, "edge_laplacian", counted(laplacians, edge_laplacian))
+    monkeypatch.setattr(
+        grid_module, "cosine_eigenvalues", counted(tables, grid_module.cosine_eigenvalues)
+    )
+    monkeypatch.setattr(CosineSolve, "__init__", recorded)
     roi = DomainBox([0.0] * 3, [0.5e-3] * 3)
     domain = enlarge_domain(roi, 0.10)
     grid = build_grid(domain, (12, 12, 12))
@@ -534,9 +559,9 @@ def test_one_plan_and_laplacian_serve_every_solve_on_a_grid(monkeypatch):
     )
     engine.run_phase1()
     assert [step[:2] for step in engine.steps] == [(1, 0), (1, 1)]  # grown in between
-    assert len(vcycles) == 4  # flow and oxygen per state
-    assert len(plans) == 1 and len(laplacians) == 1
-    assert all(vcycle.plan is grid.multigrid is plans[0] for vcycle in vcycles)
+    assert len(solves) == 4  # flow and oxygen per state
+    assert all(solve.mismatch <= 1.0 for solve in solves)
+    assert len(laplacians) == 1 and len(tables) == 1 and plans == []
 
 
 def test_tissue_block_off_the_grid_pattern_is_rejected():
@@ -544,7 +569,169 @@ def test_tissue_block_off_the_grid_pattern_is_rejected():
     n = grid.n_cells
     coupled = matrix.tolil()
     coupled[0, n - 1] = -1e-30  # no face joins these cells
-    with pytest.raises(SolverError):
-        VCycle(coupled.tocsr()[:n, :n], grid)
-    with pytest.raises(SolverError):
+    for build in (VCycle, CosineSolve):
+        with pytest.raises(SolverError, match="face stencil"):
+            build(coupled.tocsr()[:n, :n], grid)
+    with pytest.raises(SolverError, match="face stencil"):
         LinearSolver(coupled.tocsr(), grid)
+
+
+# unequal extents make the three axes' face weights area/h differ
+ANISOTROPIC = [
+    (DomainBox([0.0] * 3, [0.3e-3, 0.8e-3, 1.7e-3]), (3, 4, 5)),
+    (CUBE, (7, 2, 9)),
+]
+
+
+def constant_coefficient(grid, c, epsilon):
+    """c L + eps I on the grid's Laplacian pattern."""
+    return (c * grid.laplacian + epsilon * sp.identity(grid.n_cells)).tocsr()
+
+
+@pytest.mark.parametrize("box, cells", ANISOTROPIC)
+def test_eigenvalue_table_is_the_spectrum_of_the_laplacian(box, cells):
+    grid = build_grid(box, cells)
+    assert grid.eigenvalues.shape == cells[::-1]
+    want = np.linalg.eigvalsh(grid.laplacian.toarray())
+    got = np.sort(grid.eigenvalues.ravel())
+    assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("box, cells", ANISOTROPIC)
+def test_cosine_solve_matches_direct_solve(box, cells):
+    grid = build_grid(box, cells)
+    c, epsilon = 2.7e-3, 1.0e-9
+    matrix = constant_coefficient(grid, c, epsilon)
+    cosine = CosineSolve(matrix, grid)
+    assert cosine.coefficient == pytest.approx(c, rel=1e-14)
+    assert cosine.epsilon == pytest.approx(epsilon, rel=1e-6)  # a sum of terms of c
+    _, _, area, h = grid.faces()  # A - c L is eps I
+    assert cosine.mismatch == pytest.approx(epsilon / (c * np.min(area / h)), rel=1e-6)
+    r = np.random.default_rng(4).standard_normal(grid.n_cells)
+    exact = spla.spsolve(matrix.tocsc(), r)
+    assert np.max(np.abs(cosine(r) - exact)) <= AGREEMENT * np.max(np.abs(exact))
+
+
+def test_shift_moves_epsilon_by_the_mean_of_the_diagonal():
+    box, cells = ANISOTROPIC[0]
+    grid = build_grid(box, cells)
+    c, epsilon = 2.7e-3, 1.0e-6
+    cosine = CosineSolve(constant_coefficient(grid, c, epsilon), grid)
+    d = np.random.default_rng(9).uniform(0.0, 2.0e-6, grid.n_cells)
+    before = cosine.epsilon
+    cosine.shift(d)
+    assert cosine.epsilon == pytest.approx(before + np.mean(d), rel=1e-15)
+    r = np.random.default_rng(10).standard_normal(grid.n_cells)
+    exact = spla.spsolve(constant_coefficient(grid, c, epsilon + np.mean(d)).tocsc(), r)
+    assert np.max(np.abs(cosine(r) - exact)) <= 1e-9 * np.max(np.abs(exact))
+    cosine.shift(np.zeros(grid.n_cells))  # back to the block itself
+    assert cosine.epsilon == before
+
+
+@pytest.mark.parametrize("shift", [0.0, -1.0e-6])
+def test_nonpositive_epsilon_is_singular(shift):
+    box, cells = ANISOTROPIC[1]
+    grid = build_grid(box, cells)
+    cosine = CosineSolve(constant_coefficient(grid, 2.7e-3, 0.0), grid)
+    cosine.shift(np.full(grid.n_cells, shift))
+    with pytest.raises(SolverError, match="singular"):
+        cosine(np.ones(grid.n_cells))
+
+
+def coupled_blocks(net, box, cells, params=None):
+    """Tissue blocks of a network's flow system and oxygen transport
+    operator, by physics, and their grid."""
+    params = params or FlowParameters()
+    system = flow_system(net, box, cells, params)
+    flow, oxygen = solve_flow(system), OxygenParameters()
+    classify_arterial_venous(net, flow, oxygen)
+    operator = assemble_transport_operator(
+        net, system.grid, system.coupling, flow, params, oxygen
+    )
+    n = system.grid.n_cells
+    return {"flow": system.matrix[:n, :n], "oxygen": operator.matrix[:n, :n]}, system.grid
+
+
+STARTER_BOX = enlarge_domain(DomainBox([0.0] * 3, [0.5e-3] * 3), 0.10)
+
+
+@pytest.mark.parametrize(
+    "net_fn, box, cells",
+    [
+        (make_desk_network, CUBE, (20, 20, 20)),
+        (lambda: make_jittered_lattice(0, 9), LATTICE_BOX, (12, 12, 12)),
+        (make_starter_network, STARTER_BOX, (12, 12, 12)),
+    ],
+)
+def test_default_tissue_blocks_take_the_cosine_solve(net_fn, box, cells):
+    blocks, grid = coupled_blocks(net_fn(), box, cells)
+    for block in blocks.values():
+        chosen = tissue_preconditioner(block, grid)
+        assert isinstance(chosen, CosineSolve) and chosen.mismatch <= 1.0
+    assert "multigrid" not in vars(grid)  # no plan on the cosine path
+
+
+@pytest.mark.parametrize("wall_conductivity", [1.0e-10, 0.0])  # x100, and a pinned cell
+def test_strongly_coupled_or_pinned_tissue_takes_the_vcycle(wall_conductivity):
+    params = FlowParameters(wall_conductivity=wall_conductivity)
+    blocks, grid = coupled_blocks(make_desk_network(), CUBE, (20, 20, 20), params)
+    assert CosineSolve(blocks["flow"], grid).mismatch > 1.0
+    assert isinstance(tissue_preconditioner(blocks["flow"], grid), VCycle)
+    assert "multigrid" in vars(grid)
+
+
+def desk_iterations(cells, params=FlowParameters()):
+    """GMRES iterations of the desk ladder's flow solve and of its cold
+    oxygen solve, each of which passes its residual gate."""
+    net, oxygen = make_desk_network(), OxygenParameters()
+    system = flow_system(net, CUBE, cells, params)
+    flow = solve_flow(system)  # raises above RESIDUAL_TOL
+    classify_arterial_venous(net, flow, oxygen)
+    operator = assemble_transport_operator(
+        net, system.grid, system.coupling, flow, params, oxygen
+    )
+    state = solve_oxygen(operator, oxygen)  # raises above RESIDUAL_TOL
+    assert flow.residual <= RESIDUAL_TOL
+    return flow.linear_iterations, state.linear_iterations
+
+
+# wall conductivity x1, x10 (mismatch 0.51: cosine), x100 and x1e4 (V-cycle)
+@pytest.mark.parametrize(
+    "factor, cosine", [(1.0, True), (10.0, True), (100.0, False), (1.0e4, False)]
+)
+@pytest.mark.blas_threads
+def test_wall_coupling_sweep_takes_no_more_iterations_than_the_vcycle(
+    monkeypatch, factor, cosine
+):
+    params = FlowParameters(wall_conductivity=factor * FlowParameters().wall_conductivity)
+    blocks, grid = coupled_blocks(make_desk_network(), CUBE, (20, 20, 20), params)
+    assert isinstance(tissue_preconditioner(blocks["flow"], grid), CosineSolve) == cosine
+    selected = desk_iterations((20, 20, 20), params)
+    monkeypatch.setattr(linsolve, "tissue_preconditioner", VCycle)
+    vcycle = desk_iterations((20, 20, 20), params)
+    assert selected[0] <= vcycle[0] and selected[1] <= vcycle[1]
+
+
+# with the V-cycle, flow took 16, 20 and 24 iterations and cold oxygen
+# 25, 30 and 39: its count grows with the grid
+@pytest.mark.parametrize("n", [10, 20, 40])
+@pytest.mark.blas_threads
+def test_iterations_stay_flat_over_the_desk_ladder(n):
+    flow, oxygen = desk_iterations((n, n, n))
+    assert flow <= 10 and oxygen <= 16
+
+
+def test_start_up_imports_no_transform():
+    # scipy.fft pulls in scipy.special, tens of ms of interpreter start-up:
+    # the cosine solve imports it when it is first built, not the package
+    source = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, microvasc.cli, microvasc.growth\n"
+        "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))"
+    )
+    path = os.pathsep.join([str(source), os.environ.get("PYTHONPATH", "")])
+    env = {**os.environ, "PYTHONPATH": path}
+    loaded = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert loaded.stdout.strip() == "[]"

@@ -57,6 +57,17 @@ class TestDataModel:
             with pytest.raises(ValidationError):
                 NetworkNode(0, np.zeros(3), "boundary", pressure)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1, 2])
+    def test_non_finite_position_rejected(self, value, axis):
+        # such a node would serialize to a vertex line parse_dgf rejects
+        position = np.zeros(3)
+        position[axis] = value
+        with pytest.raises(ValidationError, match="finite"):
+            NetworkNode(0, position)
+        with pytest.raises(ValidationError, match="finite"):
+            VascularNetwork().new_node(position)
+
     def test_duplicate_ids_rejected(self):
         net = make_single_vessel()
         with pytest.raises(TopologyError):

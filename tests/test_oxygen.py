@@ -290,11 +290,12 @@ class TestCoupledOxygen:
         params = OxygenParameters()
         operator, _ = desk_operator(make_desk_network(), desk_grid, params)
         state = solve_oxygen(operator, params)
-        assert state.iterations == 6
-        # GMRES iterations over all Newton steps; each step reuses one
-        # solver, starts from the Newton iterate (the cold first step from
-        # M^-1 b) and stops at its Eisenstat-Walker forcing term
-        assert 0 < state.linear_iterations <= 35
+        assert state.iterations == 5
+        # GMRES iterations over all Newton steps, 12 when measured; each
+        # step reuses one solver, starts from the Newton iterate (the cold
+        # first step from M^-1 b) and stops at its Eisenstat-Walker forcing
+        # term
+        assert 0 < state.linear_iterations <= 14
 
     def test_newton_steps_start_at_the_iterate_on_the_paper_grid(self, unit_cube):
         # at 40x40x50 a step that may restart from M^-1 b discards its
@@ -351,12 +352,12 @@ class TestCoupledOxygen:
     ):
         params = OxygenParameters()
         operator, _ = desk_operator(make_desk_network(), desk_grid, params)
-        # a tol between the updates of the default solve's fourth and fifth
-        # steps is met by the loose fifth step, whose row-scaled residual
+        # a tol between the updates of the default solve's second and third
+        # steps is met by the loose third step, whose row-scaled residual
         # is still above the gate
         updates = solve_oxygen(operator, params).history
-        assert updates[3] > updates[4]
-        tol = float(np.sqrt(updates[3] * updates[4]))
+        assert updates[1] > updates[2]
+        tol = float(np.sqrt(updates[1] * updates[2]))
         solve = oxygen_module.LinearSolver.solve
         forcings = []
 

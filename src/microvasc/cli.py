@@ -67,9 +67,9 @@ def _solve_states(net, grid, config):
     coupling = build_surface_coupling(grid, net)
     system = assemble_flow_system(net, grid, coupling, config.rheology, config.flow)
     flow = solve_flow(system)
-    classify_arterial_venous(net, flow, config.oxygen)
+    boundary_po2 = classify_arterial_venous(net, flow, config.oxygen)
     operator = assemble_transport_operator(
-        net, grid, coupling, flow, config.flow, config.oxygen
+        net, grid, coupling, flow, config.flow, config.oxygen, boundary_po2
     )
     oxy = solve_oxygen(operator, config.oxygen)
     return coupling, flow, oxy

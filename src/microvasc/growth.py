@@ -363,7 +363,7 @@ def check_and_insert(
     """Collision-check a new vessel from an existing node; insert if clear.
 
     Returns the created Segment, or None if the candidate was rejected.
-    The new endpoint inherits the tip's boundary data.
+    The new endpoint inherits the tip's kind and boundary pressure.
     """
     p0 = net.nodes[tip_node].position
     if collides(net, octants, p0, new_position, radius, {tip_node}):
@@ -373,7 +373,6 @@ def check_and_insert(
         new_position,
         kind=old.kind,
         boundary_pressure=old.boundary_pressure,
-        boundary_po2=old.boundary_po2,
     )
     seg = net.new_segment(tip_node, node.id, radius)
     octants.insert(seg.id, p0, new_position, radius)
@@ -573,6 +572,7 @@ class GrowthEngine:
     (phase, step, po2_roi) to `steps` and then hands the network to the
     `checkpoint` hook. Phases 1 and 2 solve once per step; phase 3 solves
     nothing, so its steps carry the last solved `po2_roi` (None if none).
+    Every solve pins the oxygen boundary to the first solve's `boundary_po2`.
     """
 
     def __init__(
@@ -604,6 +604,7 @@ class GrowthEngine:
         self.cv_field = None
         self.po2_roi = None
         self.po2_grad = None  # (n_cells, 3), of the last solved state
+        self.boundary_po2 = None  # mmHg by node id, classified at the first solve
         self.steps: list[tuple[int, int, float | None]] = []
 
     # -- solving --------------------------------------------------------
@@ -615,14 +616,11 @@ class GrowthEngine:
             self.net, self.grid, coupling, self.rheology, self.flow_params
         )
         self.flow = solve_flow(system)
-        if any(
-            self.net.nodes[nid].boundary_po2 is None
-            for nid in self.net.boundary_nodes()
-        ):
-            classify_arterial_venous(self.net, self.flow, self.oxygen_params)
+        if self.boundary_po2 is None:
+            self.boundary_po2 = classify_arterial_venous(self.net, self.flow, self.oxygen_params)
         operator = assemble_transport_operator(
             self.net, self.grid, coupling, self.flow, self.flow_params,
-            self.oxygen_params,
+            self.oxygen_params, self.boundary_po2,
         )
         guess = self._initial_guess(operator)
         self.oxygen = solve_oxygen(operator, self.oxygen_params, guess)
@@ -634,13 +632,11 @@ class GrowthEngine:
 
     def _initial_guess(self, system):
         """The last solved PO2 on the new system's unknowns; a node new since
-        then starts at its boundary PO2, else at the venous PO2."""
+        then starts at the venous PO2 (`solve_oxygen` pins boundary rows)."""
         if self.oxygen is None:
             return None
         nodes = node_values(self.oxygen.node_order, self.oxygen.po2_nodes, system.node_order)
-        for row in np.flatnonzero(np.isnan(nodes)).tolist():
-            po2 = self.net.nodes[system.node_order[row]].boundary_po2
-            nodes[row] = self.oxygen_params.venous_po2 if po2 is None else po2
+        nodes[np.isnan(nodes)] = self.oxygen_params.venous_po2
         return np.concatenate([self.oxygen.po2_t, nodes])
 
     def po2_gradient(self, position: np.ndarray) -> np.ndarray:
@@ -707,7 +703,6 @@ class GrowthEngine:
         node = self.net.nodes[tip]
         node.kind = "inner"
         node.boundary_pressure = None
-        node.boundary_po2 = None
         node.is_root = False
 
     # -- linking ----------------------------------------------------------
@@ -871,9 +866,9 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
 
     Segments with both endpoints inside are kept; segments crossing the
     boundary are truncated at the face, the cut point becoming a boundary
-    node carrying the nearer endpoint's data. A segment whose inside end
-    lies on the face and which leaves the box outward is dropped with no
-    cut node.
+    node carrying the nearer endpoint's boundary pressure. A segment whose
+    inside end lies on the face and which leaves the box outward is dropped
+    with no cut node.
     """
     out = VascularNetwork()
     table = net.table()
@@ -908,7 +903,6 @@ def clip_to_box(net: VascularNetwork, box: DomainBox) -> VascularNetwork:
                 cut,
                 kind="boundary" if donor.boundary_pressure is not None else "inner",
                 boundary_pressure=donor.boundary_pressure,
-                boundary_po2=donor.boundary_po2,
             )
             out.add_segment(Segment(sid, inside, cut_node.id, seg.radius))
     return out

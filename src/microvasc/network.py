@@ -2,8 +2,8 @@
 
 The network is a collection of straight cylindrical segments joining nodes.
 Nodes carrying a pressure value are Dirichlet boundary nodes of the 1D flow
-problem; their oxygen boundary value is assigned later by arterial/venous
-classification (`oxygen.classify_arterial_venous`).
+problem. Their oxygen boundary values are not stored here: they are a map
+passed to the oxygen assembly (`oxygen.classify_arterial_venous`).
 
 Code that reads the network as arrays reads `VascularNetwork.table()`, the
 one place that numbers nodes and segments.
@@ -27,7 +27,6 @@ class NetworkNode:
     position: np.ndarray  # shape (3,), meters
     kind: str = "inner"  # "boundary" or "inner"
     boundary_pressure: float | None = None  # Pa, present iff kind == "boundary"
-    boundary_po2: float | None = None  # mmHg, assigned by classification
     is_root: bool = False  # designated inflow/outflow, never a growth tip
 
     def __post_init__(self):
@@ -45,7 +44,7 @@ class NetworkNode:
 
     def copy(self) -> "NetworkNode":
         return NetworkNode(self.id, self.position.copy(), self.kind,
-                           self.boundary_pressure, self.boundary_po2, self.is_root)
+                           self.boundary_pressure, self.is_root)
 
 
 @dataclass

@@ -17,9 +17,9 @@ junction balance conservative. The operator is filled on the same
 coupled pattern as the flow's (`SurfaceCoupling.coupled_matrix`), with the
 same node index, face list and face Laplacian, in the flow's system type,
 a `grid.CoupledSystem`, pinning every boundary node.
-The oxygen boundary data, the PO2 of each arterial and venous
-pressure-boundary node, comes from the run's `OxygenParameters` through
-`classify_arterial_venous`.
+The oxygen boundary data, the PO2 of each boundary node by node id, is an
+input of the assembly, made by `classify_arterial_venous` from a flow state
+and the run's `OxygenParameters`.
 """
 
 from __future__ import annotations
@@ -83,13 +83,13 @@ def kedem_katchalsky_flux(
 
 def classify_arterial_venous(
     net: VascularNetwork, flow, params: OxygenParameters = OxygenParameters()
-) -> dict[int, str]:
-    """Label every boundary node artery/vein from the segment velocities.
+) -> dict[int, float]:
+    """The boundary PO2 in mmHg of every boundary node with a segment, by
+    node id, from an artery/vein label read off the segment velocities.
 
     A boundary node whose terminal segment moves blood slower than the
-    network-wide mean velocity magnitude is a vein (low-velocity side);
-    ties go to artery. The label's boundary PO2, `params.venous_po2` or
-    `params.arterial_po2`, is written onto the node.
+    network-wide mean velocity magnitude is a vein (low-velocity side),
+    `params.venous_po2`; ties go to artery, `params.arterial_po2`.
     """
     if flow is None:
         raise StateError("classification requires a converged flow state")
@@ -98,11 +98,8 @@ def classify_arterial_venous(
         return {}
     ends = [nid for nid in net.boundary_nodes() if net.adjacency[nid]]
     terminal = np.searchsorted(flow.segment_ids, [net.adjacency[nid][0] for nid in ends])
-    labels: dict[int, str] = {}
-    for nid, vein in zip(ends, (speed[terminal] < np.mean(speed)).tolist()):
-        labels[nid] = "vein" if vein else "artery"
-        net.nodes[nid].boundary_po2 = params.venous_po2 if vein else params.arterial_po2
-    return labels
+    veins = (speed[terminal] < np.mean(speed)).tolist()
+    return {nid: params.venous_po2 if v else params.arterial_po2 for nid, v in zip(ends, veins)}
 
 
 @dataclass
@@ -136,9 +133,13 @@ def assemble_transport_operator(
     flow: FlowState,
     flow_params: FlowParameters,
     params: OxygenParameters,
+    boundary_po2: dict[int, float] | None = None,
 ) -> CoupledSystem:
     """Convection-diffusion in both compartments plus the Kedem-Katchalsky
     exchange block G^T [diag(c_t) C, diag(c_v) Pi].
+
+    Every boundary node is pinned to its `boundary_po2` value, by default
+    the classification of `flow`; one the map lacks raises `StateError`.
 
     Per sample the wall flux is linear in the partial pressures:
     J = (1-sigma)*J_p*(po2_v + po2_t)/2 + L*(po2_v - po2_t), so
@@ -147,13 +148,12 @@ def assemble_transport_operator(
     zero-total-flux boundary condition exactly (the Darcy normal velocity
     vanishes there by the Neumann flow condition).
     """
-    dirichlet = {nid: net.nodes[nid].boundary_po2 for nid in net.boundary_nodes()}
-    unset = [nid for nid, po2 in dirichlet.items() if po2 is None]
-    if unset:
-        raise StateError(
-            f"boundary node {unset[0]} has no oxygen value; run "
-            "arterial/venous classification first"
-        )
+    if boundary_po2 is None:
+        boundary_po2 = classify_arterial_venous(net, flow, params)
+    try:
+        dirichlet = {nid: boundary_po2[nid] for nid in net.boundary_nodes()}
+    except KeyError as missing:
+        raise StateError(f"boundary node {missing.args[0]} has no boundary PO2") from None
     table = coupling.segments
 
     # upwinded convection: volumetric flow v out of lo into hi (tissue faces)
@@ -235,7 +235,8 @@ def solve_oxygen(
     The linear solver is built once from B: the sink acts on cell rows
     only, so each step changes nothing but the cell diagonal, and GMRES
     starts from the iterate x, whose residual for the step is F(x); only
-    the first step of a cold solve (no `initial_guess`) starts from M^-1 b.
+    the first step of a cold solve (no `initial_guess`, else a finite
+    vector of `system.n_unknowns`) starts from M^-1 b.
     GMRES stops at the Eisenstat-Walker forcing term (0 when the problem
     is linear). The Armijo test stays on the unscaled ||F||, relaxed by
     (1 - eta). Two safeguards keep the loose steps honest: a loose step
@@ -250,6 +251,8 @@ def solve_oxygen(
         raise ValidationError("at least one Newton iteration is needed")
     base, b, k = system.matrix, system.rhs, params.po2_half
     x = np.zeros(len(b)) if initial_guess is None else np.array(initial_guess, float)
+    if x.shape != b.shape or not np.all(np.isfinite(x)):
+        raise ValidationError(f"initial guess must be {len(b)} finite values")
     system.restore(x)  # Dirichlet rows are identity rows
     m0, cells = params.max_consumption, system.grid.n_cells
     rate = np.zeros(len(b))

@@ -248,14 +248,15 @@ def boundary_fluxes(net, system, p_v, sample_jp):
 # -- oxygen -------------------------------------------------------------------
 
 
-def transport_operator(net, grid, coupling, flow, flow_params, params):
-    """(base, rhs) of the affine oxygen transport problem."""
+def transport_operator(net, grid, coupling, flow, flow_params, params, boundary_po2):
+    """(base, rhs) of the affine oxygen transport problem, every boundary
+    node pinned to its `boundary_po2` value."""
     node_order = sorted(net.nodes)
     node_index = {nid: grid.n_cells + i for i, nid in enumerate(node_order)}
     n = grid.n_cells + len(node_order)
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    dirichlet = {nid: net.nodes[nid].boundary_po2 for nid in net.boundary_nodes()}
+    dirichlet = {nid: boundary_po2[nid] for nid in net.boundary_nodes()}
 
     _tissue_transport_entries(grid, flow, flow_params, params, rows, cols, vals)
     _vessel_transport_entries(

@@ -66,7 +66,6 @@ def coupled_setup(net, grid, flow_params=None, oxy_params=None):
         net, grid, coupling, RheologyParameters(), flow_params
     )
     flow = solve_flow(system)
-    classify_arterial_venous(net, flow)
     operator = assemble_transport_operator(
         net, grid, coupling, flow, flow_params, oxy_params
     )
@@ -260,14 +259,28 @@ def test_criterion_08_collision_oracle_equivalence():
 
 
 class InstrumentedEngine(GrowthEngine):
-    """Records phase-2 radii for the invariants; its checkpoint hook records
-    the phase-3 terminal counts and the network before clipping."""
+    """Records phase-2 radii, the first state's artery/vein classification
+    and each solved state's boundary PO2 for the invariants; its checkpoint
+    hook records the phase-3 terminal counts and the network before
+    clipping."""
 
     def __init__(self, *args):
         super().__init__(*args, checkpoint=self._record_phase3)
         self.phase2_radii = []
         self.phase3_terminals = []
         self.pre_clip_net = None
+        self.first_classification = None
+        self.pinned_po2 = []
+
+    def solve_state(self):
+        out = super().solve_state()
+        if self.first_classification is None:
+            self.first_classification = classify_arterial_venous(
+                self.net, self.flow, self.oxygen_params
+            )
+        po2 = dict(zip(self.oxygen.node_order, self.oxygen.po2_nodes.tolist()))
+        self.pinned_po2.append({nid: po2[nid] for nid in self.net.boundary_nodes()})
+        return out
 
     def _child_radius(self, raw_radius, parent_radius, phase):
         out = super()._child_radius(raw_radius, parent_radius, phase)
@@ -361,6 +374,13 @@ def _assert_growth_invariants(engine, bifurcations):
     phase3_steps = [step for step in engine.steps if step[0] == 3]
     assert len(engine.phase3_terminals) == len(phase3_steps)
     assert engine.phase3_terminals[-1] < 10 or len(phase3_steps) >= 15
+
+    # (e) the oxygen boundary is frozen: `boundary_po2` is the first solved
+    # state's classification, and every solved state pins its values
+    assert engine.boundary_po2 == engine.first_classification
+    assert engine.pinned_po2[0] == engine.boundary_po2
+    for pinned in engine.pinned_po2:
+        assert pinned == {nid: engine.boundary_po2[nid] for nid in pinned}
 
 
 def test_criterion_09_growth_invariants(monkeypatch):

@@ -79,7 +79,6 @@ def solved(request):
     coupling = build_surface_coupling(grid, net)
     system = assemble_flow_system(net, grid, coupling, RheologyParameters(), flow_params)
     flow = solve_flow(system)
-    classify_arterial_venous(net, flow)
     return net, grid, flow_params, coupling, system, flow
 
 
@@ -132,9 +131,12 @@ def test_flow_system_matches_per_segment_assembly(solved):
 def test_transport_operator_matches_per_segment_assembly(solved):
     net, grid, flow_params, coupling, _, flow = solved
     params = OxygenParameters()
-    operator = assemble_transport_operator(net, grid, coupling, flow, flow_params, params)
+    boundary_po2 = classify_arterial_venous(net, flow, params)
+    operator = assemble_transport_operator(
+        net, grid, coupling, flow, flow_params, params, boundary_po2
+    )
     ref_base, ref_rhs = oracle.transport_operator(
-        net, grid, coupling, flow, flow_params, params
+        net, grid, coupling, flow, flow_params, params, boundary_po2
     )
     assert_same_operator(operator.matrix, operator.rhs, ref_base, ref_rhs)
 
@@ -241,28 +243,31 @@ PINNED_CASES = {"desk": CASES["desk"], "perfbench_lattice_0": _perfbench_lattice
 @pytest.fixture(scope="module", params=sorted(PINNED_CASES))
 def both_physics(request):
     """Per physics: the assembled system, its solved nodal values and the
-    node attribute it pins."""
+    value it pins at each boundary node."""
     net, grid, flow_params = PINNED_CASES[request.param]()
     coupling = build_surface_coupling(grid, net)
     system = assemble_flow_system(net, grid, coupling, RheologyParameters(), flow_params)
     flow = solve_flow(system)
     params = OxygenParameters()
-    classify_arterial_venous(net, flow, params)
-    operator = assemble_transport_operator(net, grid, coupling, flow, flow_params, params)
+    boundary_po2 = classify_arterial_venous(net, flow, params)
+    operator = assemble_transport_operator(
+        net, grid, coupling, flow, flow_params, params, boundary_po2
+    )
     oxygen = solve_oxygen(operator, params)
+    pressure = {nid: net.nodes[nid].boundary_pressure for nid in net.boundary_nodes()}
     return net, {
-        "flow": (system, flow.p_v, "boundary_pressure"),
-        "oxygen": (operator, oxygen.po2_v, "boundary_po2"),
+        "flow": (system, flow.p_v, pressure),
+        "oxygen": (operator, oxygen.po2_v, boundary_po2),
     }
 
 
 @pytest.mark.parametrize("physics", ["flow", "oxygen"])
 def test_solve_returns_the_pinned_values_exactly(both_physics, physics):
     net, systems = both_physics
-    system, values, attribute = systems[physics]
+    system, values, pinned = systems[physics]
     boundary = net.boundary_nodes()
     assert boundary and sorted(system.dirichlet) == sorted(boundary)
-    assert all(system.dirichlet[nid] == getattr(net.nodes[nid], attribute) for nid in boundary)
+    assert all(system.dirichlet[nid] == pinned[nid] for nid in boundary)
     assert_pinned_rows(system)
     for nid, value in system.dirichlet.items():
         assert values[nid] == value

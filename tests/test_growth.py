@@ -921,15 +921,15 @@ class TestPhaseLoops:
 
 
 def dict_walk_initial_guess(engine, system):
-    """Oracle: the walk over the network's nodes that `_initial_guess` made
-    while oxygen states were keyed by node id."""
+    """Oracle: a walk over the network's nodes by id, as `_initial_guess`
+    made while oxygen states were keyed by node id; a node the last state
+    lacks starts at the venous PO2."""
     guess = np.zeros(system.n_unknowns)
     guess[: engine.grid.n_cells] = engine.oxygen.po2_t
-    for nid, node in engine.net.nodes.items():
-        prev = engine.oxygen.po2_v.get(nid, node.boundary_po2)
-        if prev is None:
-            prev = engine.oxygen_params.venous_po2
-        guess[system.node_index[nid]] = prev
+    for nid in engine.net.nodes:
+        guess[system.node_index[nid]] = engine.oxygen.po2_v.get(
+            nid, engine.oxygen_params.venous_po2
+        )
     return guess
 
 
@@ -946,15 +946,14 @@ class TestWarmStart:
         engine.run_phase1()  # one solve, then the large tips grow
         new = sorted(set(engine.net.nodes) - set(engine.oxygen.node_order))
         assert len(new) >= 2
-        # one new node with a boundary PO2 of its own, the others without
-        engine.net.nodes[new[0]].boundary_po2 = 50.0
         coupling = build_surface_coupling(engine.grid, engine.net)
         system = assemble_flow_system(
             engine.net, engine.grid, coupling, engine.rheology, engine.flow_params
         )
         guess = engine._initial_guess(system)
         assert np.array_equal(guess, dict_walk_initial_guess(engine, system))
-        assert guess[coupling.node_index[new[0]]] == 50.0
+        venous = engine.oxygen_params.venous_po2
+        assert all(guess[coupling.node_index[nid]] == venous for nid in new)
 
 
 class TestClipToBox:

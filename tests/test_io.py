@@ -54,9 +54,8 @@ def assert_same_network(got, want):
     assert list(got.nodes) == list(want.nodes)
     for nid, node in want.nodes.items():
         other = got.nodes[nid]
-        assert (other.id, other.kind, other.boundary_pressure, other.boundary_po2,
-                other.is_root) == (node.id, node.kind, node.boundary_pressure,
-                                   node.boundary_po2, node.is_root)
+        assert (other.id, other.kind, other.boundary_pressure, other.is_root) == (
+            node.id, node.kind, node.boundary_pressure, node.is_root)
         assert other.position.dtype == node.position.dtype
         assert other.position.tobytes() == node.position.tobytes()
     assert [vars(s) for s in got.segments.values()] == [vars(s) for s in want.segments.values()]

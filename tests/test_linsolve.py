@@ -45,7 +45,6 @@ from microvasc import (
     assemble_transport_operator,
     build_grid,
     build_surface_coupling,
-    classify_arterial_venous,
     enlarge_domain,
     solve_flow,
     solve_oxygen,
@@ -98,7 +97,6 @@ def newton_system(po2):
     net, params = make_desk_network(), OxygenParameters()
     system = flow_system(net, CUBE, (20, 20, 20))
     flow = solve_flow(system)
-    classify_arterial_venous(net, flow, params)
     operator = assemble_transport_operator(
         net, system.grid, system.coupling, flow, FlowParameters(), params
     )
@@ -335,7 +333,6 @@ def tissue_block(physics, cells):
     matrix = system.matrix
     if physics == "oxygen":
         flow, params = solve_flow(system), OxygenParameters()
-        classify_arterial_venous(net, flow, params)
         matrix = assemble_transport_operator(
             net, system.grid, system.coupling, flow, FlowParameters(), params
         ).matrix
@@ -644,7 +641,6 @@ def coupled_blocks(net, box, cells, params=None):
     params = params or FlowParameters()
     system = flow_system(net, box, cells, params)
     flow, oxygen = solve_flow(system), OxygenParameters()
-    classify_arterial_venous(net, flow, oxygen)
     operator = assemble_transport_operator(
         net, system.grid, system.coupling, flow, params, oxygen
     )
@@ -686,7 +682,6 @@ def desk_iterations(cells, params=FlowParameters()):
     net, oxygen = make_desk_network(), OxygenParameters()
     system = flow_system(net, CUBE, cells, params)
     flow = solve_flow(system)  # raises above RESIDUAL_TOL
-    classify_arterial_venous(net, flow, oxygen)
     operator = assemble_transport_operator(
         net, system.grid, system.coupling, flow, params, oxygen
     )

@@ -107,10 +107,9 @@ class TestDataModel:
     def test_copies_carry_every_field_and_share_nothing(self, how):
         net = VascularNetwork()
         net.new_node([0.0, 0.0, 0.0], kind="boundary", boundary_pressure=8000.0,
-                     boundary_po2=75.0, is_root=True)
+                     is_root=True)
         net.new_node([50 * UM, 0.0, 0.0])
-        net.new_node([80 * UM, 20 * UM, 0.0], kind="boundary", boundary_pressure=4000.0,
-                     boundary_po2=38.0)
+        net.new_node([80 * UM, 20 * UM, 0.0], kind="boundary", boundary_pressure=4000.0)
         net.new_node([300 * UM, 0.0, 0.0])  # outside the clip box
         net.new_segment(0, 1, 6 * UM)
         net.new_segment(1, 2, 4 * UM)
@@ -231,11 +230,9 @@ class TestClassification:
             segment_ids = [0, 1]
             velocity = np.array([3.0e-3, 1.0e-3])
 
-        labels = classify_arterial_venous(net, Flow())
-        assert labels[0] == "artery" and labels[1] == "artery"
-        assert labels[2] == "vein" and labels[3] == "vein"
-        assert net.nodes[0].boundary_po2 == OxygenParameters().arterial_po2
-        assert net.nodes[2].boundary_po2 == OxygenParameters().venous_po2
+        arterial, venous = OxygenParameters().arterial_po2, OxygenParameters().venous_po2
+        boundary_po2 = classify_arterial_venous(net, Flow())
+        assert boundary_po2 == {0: arterial, 1: arterial, 2: venous, 3: venous}
 
     def test_tie_goes_to_artery(self):
         net = make_single_vessel()
@@ -244,8 +241,8 @@ class TestClassification:
             segment_ids = [0]
             velocity = np.array([2.0e-3])
 
-        labels = classify_arterial_venous(net, Flow())
-        assert set(labels.values()) == {"artery"}
+        boundary_po2 = classify_arterial_venous(net, Flow())
+        assert set(boundary_po2.values()) == {OxygenParameters().arterial_po2}
 
     def test_requires_flow_state(self):
         net = make_single_vessel()

@@ -30,6 +30,17 @@ ARTERIAL_PO2 = OxygenParameters().arterial_po2
 VENOUS_PO2 = OxygenParameters().venous_po2
 
 
+# keyword arguments `solve_oxygen` rejects, for a system of n unknowns
+INVALID_SETTINGS = {
+    "tol": lambda n: {"tol": -1.0},
+    "max_iter": lambda n: {"max_iter": 0},
+    "short_guess": lambda n: {"initial_guess": np.full(n - 1, VENOUS_PO2)},
+    "long_guess": lambda n: {"initial_guess": np.full(n + 1, VENOUS_PO2)},
+    "nan_guess": lambda n: {"initial_guess": np.full(n, np.nan)},
+    "inf_guess": lambda n: {"initial_guess": np.r_[np.inf, np.full(n - 1, VENOUS_PO2)]},
+}
+
+
 def desk_operator(net, grid, oxy_params, flow_params=None, pin_boundary=True):
     flow_params = flow_params or FlowParameters()
     coupling = build_surface_coupling(grid, net)
@@ -37,7 +48,6 @@ def desk_operator(net, grid, oxy_params, flow_params=None, pin_boundary=True):
         net, grid, coupling, RheologyParameters(), flow_params
     )
     flow = solve_flow(system)
-    classify_arterial_venous(net, flow, oxy_params)
     if not pin_boundary:
         for nid in net.boundary_nodes():
             net.nodes[nid].kind = "inner"
@@ -244,12 +254,10 @@ class TestCoupledOxygen:
         params = OxygenParameters(arterial_po2=80.0)
         operator, flow = desk_operator(net, desk_grid, params)
         state = solve_oxygen(operator, params)
-        labels = classify_arterial_venous(net, flow, params)
-        arteries = [nid for nid, label in labels.items() if label == "artery"]
-        assert arteries
-        for nid in arteries:
-            assert net.nodes[nid].boundary_po2 == 80.0
-            assert state.po2_v[nid] == 80.0
+        boundary_po2 = classify_arterial_venous(net, flow, params)
+        assert set(boundary_po2.values()) == {80.0, VENOUS_PO2}
+        for nid, po2 in boundary_po2.items():
+            assert state.po2_v[nid] == po2
         assert state.po2_t.max() <= 80.0 + 1e-9
 
     def test_sink_comes_from_solver_parameters(self, desk_grid):
@@ -404,7 +412,6 @@ class TestCoupledOxygen:
             net, desk_grid, coupling, RheologyParameters(), fp
         )
         flow = solve_flow(system)
-        classify_arterial_venous(net, flow)
         operator = assemble_transport_operator(
             net, desk_grid, coupling, flow, fp, params
         )
@@ -417,36 +424,48 @@ class TestCoupledOxygen:
         assert warm.iterations < cold.iterations
         assert np.allclose(warm.po2_t, cold.po2_t, atol=1e-6)
 
-    def test_missing_boundary_po2_rejected(self, desk_grid):
-        net = make_desk_network()
-        fp = FlowParameters()
+    def test_boundary_po2_is_an_input_of_the_assembly(self, desk_grid):
+        """The assembly pins the `boundary_po2` map it is given, by default
+        the classification of its flow, and rejects a map that lacks a
+        boundary node."""
+        net, fp, params = make_desk_network(), FlowParameters(), OxygenParameters()
         coupling = build_surface_coupling(desk_grid, net)
-        system = assemble_flow_system(
-            net, desk_grid, coupling, RheologyParameters(), fp
+        flow = solve_flow(
+            assemble_flow_system(net, desk_grid, coupling, RheologyParameters(), fp)
         )
-        flow = solve_flow(system)
-        # skip classification: boundary nodes carry no PO2 value
-        with pytest.raises(StateError):
-            assemble_transport_operator(
-                net, desk_grid, coupling, flow, fp, OxygenParameters()
+
+        def assemble(*boundary_po2):
+            return assemble_transport_operator(
+                net, desk_grid, coupling, flow, fp, params, *boundary_po2
             )
 
-    def test_invalid_solver_settings(self, desk_grid):
-        net = make_desk_network()
-        fp = FlowParameters()
-        coupling = build_surface_coupling(desk_grid, net)
-        system = assemble_flow_system(
-            net, desk_grid, coupling, RheologyParameters(), fp
-        )
-        flow = solve_flow(system)
-        classify_arterial_venous(net, flow)
-        operator = assemble_transport_operator(
-            net, desk_grid, coupling, flow, fp, OxygenParameters()
-        )
+        classified = classify_arterial_venous(net, flow, params)
+        default, given = assemble(), assemble(classified)
+        assert default.dirichlet == given.dirichlet == classified
+        assert (default.matrix != given.matrix).nnz == 0
+        assert np.array_equal(default.rhs, given.rhs)
+
+        # every label swapped: pinned exactly, whatever the flow says
+        swapped = {
+            nid: VENOUS_PO2 if po2 == ARTERIAL_PO2 else ARTERIAL_PO2
+            for nid, po2 in classified.items()
+        }
+        operator = assemble(swapped)
+        assert operator.dirichlet == swapped
+        state = solve_oxygen(operator, params)
+        pinned = state.po2_nodes[operator.pinned - desk_grid.n_cells]
+        assert pinned.tolist() == [swapped[nid] for nid in operator.dirichlet]
+
+        missing = sorted(swapped)[1]
+        with pytest.raises(StateError, match=f"boundary node {missing} "):
+            assemble({nid: po2 for nid, po2 in swapped.items() if nid != missing})
+
+    @pytest.mark.parametrize("case", list(INVALID_SETTINGS))
+    def test_invalid_solver_settings(self, desk_grid, case):
+        operator, _ = desk_operator(make_desk_network(), desk_grid, OxygenParameters())
+        settings = INVALID_SETTINGS[case](operator.n_unknowns)
         with pytest.raises(ValidationError):
-            solve_oxygen(operator, OxygenParameters(), tol=-1.0)
-        with pytest.raises(ValidationError):
-            solve_oxygen(operator, OxygenParameters(), max_iter=0)
+            solve_oxygen(operator, OxygenParameters(), **settings)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValidationError):

@@ -118,7 +118,8 @@ def _run_generation(config: RunConfig, seed: int, out_dir: Path | None):
     `N_seg` measure the final network: pruned and clipped to the roi when
     phase 3 runs. `PO2_roi`, `p_t_roi` and `F_tv` come from the last flow
     and oxygen solve of the run, which is the last phase-2 solve when phase
-    2 runs; phase 3 solves nothing, and the final network is not re-solved.
+    2 runs; phase 3 solves nothing, and the final network is not re-solved,
+    so a run of phase 3 alone leaves them nan.
     `N_it` counts the steps of all three phases, `engine.steps`.
     """
     net = _read_network(config)

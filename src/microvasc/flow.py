@@ -183,7 +183,7 @@ def _check_solvability(coupling, dirichlet, params):
 def solve_flow(system: FlowSystem) -> FlowState:
     grid, params, coupling = system.grid, system.params, system.coupling
     table, n, n_all = coupling.segments, grid.n_cells, system.n_unknowns
-    x, linear_iterations = LinearSolver(system.matrix, grid).solve(system.rhs)
+    x, linear_iterations = LinearSolver(system.matrix, grid, coupling.blocks).solve(system.rhs)
     system.restore(x)
     residual = scaled_residual(system.matrix, x, system.rhs)
     if not residual <= RESIDUAL_TOL:

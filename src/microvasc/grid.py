@@ -4,10 +4,11 @@ A `TissueGrid` builds what depends on it alone once, on first use, and
 keeps it for every solve on it (flow, oxygen, each Newton step, each
 growth state): its interior faces, the face Laplacian with unit
 coefficient, whose sparsity every tissue block shares, where each face's
-entries sit in that Laplacian, the Laplacian's eigenvalues in the cosine
-basis, for the linear solver's cosine solve, and, only when a tissue block
-takes the V-cycle, the solver's `MultigridPlan`. They are kept on the
-instance, not in the module, so a new grid starts afresh.
+entries sit in that Laplacian, and, for the linear solver's cosine solve,
+the orthonormal DCT-II matrix of each axis and the Laplacian's eigenvalues
+in that basis; only when a tissue block takes the V-cycle, the solver's
+`MultigridPlan`. They are kept on the instance, not in the module, so a
+new grid starts afresh.
 
 The Dirac surface measure concentrated on the vessel walls is discretised
 by equal-area point sampling of each cylinder's lateral surface on an
@@ -27,7 +28,10 @@ the position of every assembled term in it. An assembly is then a few
 bincounts: per-cell, per-pair (one per distinct (segment, cell) of the
 samples) and per-segment sums of the sample terms, scattered onto those
 positions. This is the same algebra as the sparse products, summed in
-another order.
+another order. From the same pattern the coupling also makes, on first
+use, the linear solver's `BlockPlan` (`SurfaceCoupling.blocks`): where
+the tissue, node and off-diagonal blocks sit in the data, so the flow and
+oxygen solvers of a state gather their blocks without slicing.
 
 `CoupledSystem` is the one system type of flow and oxygen, and the one
 place that writes the rows of pinned (Dirichlet) nodes.
@@ -43,15 +47,15 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .linsolve import MultigridPlan, csr_pattern
+from .linsolve import BlockPlan, MultigridPlan, block_plan, csr_pattern
 from .network import DomainBox, VascularNetwork
 
 
 class TissueGrid:
     """Cell-centered uniform grid tiling a box; linear index i + nx*(j + ny*k).
 
-    `faces()`, `laplacian`, `stencil`, `eigenvalues` and `multigrid` are
-    built on first use and kept.
+    `faces()`, `laplacian`, `stencil`, `cosine_basis`, `eigenvalues` and
+    `multigrid` are built on first use and kept.
     """
 
     def __init__(self, box: DomainBox, cells_per_axis):
@@ -157,6 +161,13 @@ class TissueGrid:
         return _read_only(diagonal), _read_only(faces)
 
     @cached_property
+    def cosine_basis(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The orthonormal DCT-II matrix of the x, y and z axes, read-only:
+        see `cosine_matrix`. Their Kronecker product Q_z (x) Q_y (x) Q_x
+        diagonalises `laplacian`."""
+        return tuple(_read_only(cosine_matrix(n)) for n in self.cells_per_axis)
+
+    @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Eigenvalues of `laplacian` in the orthonormal DCT-II basis, as a
         read-only (nz, ny, nx) array: see `cosine_eigenvalues`."""
@@ -173,6 +184,16 @@ class TissueGrid:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def cosine_matrix(n: int) -> np.ndarray:
+    """The n x n orthonormal DCT-II, Q[k, i] = sqrt(2/n) cos(pi k (2i + 1) /
+    (2n)) with row 0 scaled by 1/sqrt(2) (Strang, SIAM Rev. 41, 1999): row
+    k is the cosine mode k of n cells."""
+    k, i = np.ogrid[:n, :n]
+    basis = math.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * i + 1) / (2 * n))
+    basis[0] /= math.sqrt(2.0)
+    return basis
 
 
 def cosine_eigenvalues(cells_per_axis, spacing) -> np.ndarray:
@@ -273,6 +294,12 @@ class SurfaceCoupling:
     weight: np.ndarray  # w_b = s/l per sample
     area: np.ndarray  # m^2 per sample
     pattern: CoupledPattern
+
+    @cached_property
+    def blocks(self) -> BlockPlan:
+        """Where the linear solver's blocks sit in the data of a matrix on
+        `pattern`, made once and shared by the flow and oxygen solves."""
+        return block_plan(self.pattern, self.grid)
 
     @cached_property
     def per_segment(self) -> dict[int, SegmentCoupling]:

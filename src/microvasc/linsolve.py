@@ -15,17 +15,20 @@ exchange and the sink, L the grid's face Laplacian with unit coefficient.
 The orthonormal DCT-II diagonalises L (Strang, "The discrete cosine
 transform", SIAM Rev. 41, 1999; Swarztrauber, SIAM Rev. 19, 1977), whose
 eigenvalues in that basis the grid keeps (`TissueGrid.eigenvalues`).
-`CosineSolve` applies (c L + eps I)^-1 with `scipy.fft.dctn` and `idctn`:
+The 3D transform is separable, so `CosineSolve` applies (c L + eps I)^-1
+as three dense products with the grid's per-axis basis matrices
+(`TissueGrid.cosine_basis`), a division, and the three transposed
+products: a few BLAS calls, where a pair of FFT-based transforms spent
+most of an application on call overhead at the benchmark's grid sizes.
 c is the least-squares fit of the block's face entries to L's (for flow,
 the mobility), eps the block's mean row sum plus the mean of the cell
-diagonal, the Rayleigh quotient of the constant vector; eps <= 0 at a solve
-raises SolverError. `tissue_preconditioner` chooses from the matrix alone:
-the cosine solve when c > 0 and no entry of |A - c L| exceeds c times the
-weakest face coupling min(area/h), so that no cell's exchange outweighs one
-face; the V-cycle otherwise, the path that converges for strongly coupled
-walls or a pinned cell, and only then is the grid's multigrid plan built.
-scipy.fft is imported when a cosine solve is first built: it pulls in
-scipy.special, tens of ms that a command solving nothing need not pay.
+diagonal, the Rayleigh quotient of the constant vector; eps <= 0 at a
+solve raises SolverError. `tissue_preconditioner` chooses from the matrix
+alone: the cosine solve when c > 0 and no entry of |A - c L| exceeds c
+times the weakest face coupling min(area/h), so that no cell's exchange
+outweighs one face; the V-cycle otherwise, the path that converges for
+strongly coupled walls or a pinned cell, and only then is the grid's
+multigrid plan built.
 
 The V-cycle aggregates 2x2x2 cells per coarse cell (ceil(n/2) coarse cells
 on an odd axis), takes Galerkin coarse operators P^T A P, smooths each
@@ -54,6 +57,15 @@ level: no off-diagonal entry joins two cells of one colour (the plan
 raises SolverError if one does), and in red-black order a level is
 [[D_r, A_rb], [A_br, D_b]] with D_r and D_b diagonal. Each sweep over one
 colour is then a half-size product and a division.
+
+Where each block of a coupled matrix sits in its data depends on the
+pattern alone: `block_plan` takes it from the canonical CSR pattern once,
+as a `BlockPlan` (the tissue block's positions on the grid Laplacian's
+pattern, the cell diagonal's, and the compressed patterns of A_tv, A_vt
+and, as CSC for SuperLU, A_vv, each with its gather positions). A
+`SurfaceCoupling` keeps its plan (`SurfaceCoupling.blocks`), so the flow
+and the oxygen solver of a state gather their blocks through one plan
+and slice nothing.
 
 Built once per solver: the node-block LU, the off-diagonal blocks, A_rb
 and A_br of every smoothed level, gathered from its values in one pass,
@@ -107,9 +119,14 @@ def scaled_residuals(matrix, x, rhs, nonlinear=0.0, magnitude=None) -> np.ndarra
     is |A|, for a caller that measures the same A many times."""
     if magnitude is None:
         magnitude = abs(matrix)
-    residual = np.abs(matrix @ x + nonlinear - rhs)
+    return row_scaled(matrix @ x + nonlinear - rhs, magnitude, x, rhs, nonlinear)
+
+
+def row_scaled(residual, magnitude, x, rhs, nonlinear=0.0) -> np.ndarray:
+    """`scaled_residuals` of a residual Ax + f - b the caller has already
+    formed, `magnitude` being |A|."""
     scale = magnitude @ np.abs(x) + np.abs(nonlinear) + np.abs(rhs)
-    return residual / np.where(scale > 0.0, scale, 1.0)
+    return np.abs(residual) / np.where(scale > 0.0, scale, 1.0)
 
 
 def absolute(matrix: sp.csr_matrix) -> sp.csr_matrix:
@@ -262,19 +279,95 @@ def _red_black(shape, indptr, indices, diagonal):
     return order, red, diagonal[order], block_indptr, block_indices, gather
 
 
-def tissue_data(matrix, grid) -> np.ndarray:
-    """A copy of the data of `matrix`, a tissue block, on the pattern of
-    the grid's Laplacian, the finest level of its multigrid plan;
-    SolverError when its sparsity is not the face stencil plus diagonal."""
-    matrix = sp.csr_matrix(matrix, copy=True)
-    matrix.sum_duplicates()  # sorted indices, as the Laplacian's
-    pattern = grid.laplacian
+@dataclass(frozen=True)
+class Block:
+    """The compressed pattern of one block of a coupled matrix, with the
+    position in the coupled matrix's data of each of its entries."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    gather: np.ndarray
+    shape: tuple[int, int]
+
+    def csr(self, data) -> sp.csr_matrix:
+        return sp.csr_matrix((data[self.gather], self.indices, self.indptr), shape=self.shape)
+
+    def csc(self, data) -> sp.csc_matrix:
+        return sp.csc_matrix((data[self.gather], self.indices, self.indptr), shape=self.shape)
+
+
+@dataclass(frozen=True)
+class BlockPlan:
+    """Where the blocks of a coupled matrix over (cells, nodes) sit in its
+    data, taken from its pattern once: `tissue`, the position of each
+    entry of the grid Laplacian's data, so the tissue block's data on that
+    pattern is data[tissue]; `cell_diagonal`, the position of each cell's
+    diagonal; A_tv and A_vt as CSR blocks and the node block A_vv as a CSC
+    one, the form `splu` factors."""
+
+    tissue: np.ndarray
+    cell_diagonal: np.ndarray
+    tissue_nodes: Block
+    nodes_tissue: Block
+    nodes: Block
+
+
+def block_plan(pattern, grid) -> BlockPlan:
+    """The `BlockPlan` of a coupled matrix over `grid`'s cells, then the
+    network nodes, whose canonical CSR pattern is `pattern` (anything with
+    `indptr` and `indices`: a `grid.CoupledPattern` or a matrix);
+    SolverError when its tissue block is not on the face stencil plus the
+    diagonal."""
+    indptr, indices, cells = pattern.indptr, pattern.indices, grid.n_cells
+    n = indptr.size - 1
+    rows = np.repeat(np.arange(n), np.diff(indptr))
+    node_row, node_col = rows >= cells, indices >= cells
+    tissue = np.flatnonzero(~(node_row | node_col))
+    laplacian = grid.laplacian
     if not (
-        np.array_equal(matrix.indptr, pattern.indptr)
-        and np.array_equal(matrix.indices, pattern.indices)
+        tissue.size == laplacian.nnz
+        and np.array_equal(indices[tissue], laplacian.indices)
+        and np.array_equal(np.searchsorted(tissue, indptr[: cells + 1]), laplacian.indptr)
     ):
         raise SolverError("tissue block is not on the grid's face stencil plus diagonal")
-    return matrix.data
+
+    def block(at, major, minor, shape):
+        """The entries `at` compressed along `major`, the first axis of
+        `shape`: the rows of a CSR block, the columns of the (square) node
+        block's CSC."""
+        compressed = np.zeros(shape[0] + 1, np.int32)
+        np.cumsum(np.bincount(major, minlength=shape[0]), out=compressed[1:])
+        return Block(compressed, minor.astype(np.int32), at, shape)
+
+    nodes = n - cells
+    tissue_nodes = np.flatnonzero(node_col & ~node_row)
+    nodes_tissue = np.flatnonzero(node_row & ~node_col)
+    node_block = np.flatnonzero(node_row & node_col)
+    # by column, each column's rows kept in their ascending order
+    node_block = node_block[np.argsort(indices[node_block], kind="stable")]
+    return BlockPlan(
+        tissue=tissue,
+        cell_diagonal=tissue[grid.stencil[0]],
+        tissue_nodes=block(
+            tissue_nodes, rows[tissue_nodes], indices[tissue_nodes] - cells, (cells, nodes)
+        ),
+        nodes_tissue=block(
+            nodes_tissue, rows[nodes_tissue] - cells, indices[nodes_tissue], (nodes, cells)
+        ),
+        nodes=block(
+            node_block, indices[node_block] - cells, rows[node_block] - cells, (nodes, nodes)
+        ),
+    )
+
+
+def tissue_data(tissue, grid) -> np.ndarray:
+    """The data of a tissue block on the grid Laplacian's pattern: `tissue`
+    itself when it is that data, as a `BlockPlan` gathers it, else gathered
+    from the sparse block by its own block plan."""
+    if not sp.issparse(tissue):
+        return tissue
+    tissue = tissue.tocsr()
+    return tissue.data[block_plan(tissue, grid).tissue]
 
 
 class MultigridPlan:
@@ -322,15 +415,17 @@ class MultigridPlan:
 
 
 class VCycle:
-    """Aggregation V-cycle for the tissue block of `grid`'s cells: the
-    grid's `MultigridPlan` filled with the block's values, and a cell
-    diagonal set by `shift`. Each smoothed level is kept in red-black
-    order, as its off-diagonal blocks A_rb and A_br and its diagonal; the
-    cycle permutes only on entry and exit. The coarsest level is factored
-    when a cycle first reaches it after construction or a shift."""
+    """Aggregation V-cycle for a tissue block of `grid`'s cells, given as
+    its data on the grid Laplacian's pattern or as a sparse block (see
+    `tissue_data`): the grid's `MultigridPlan` filled with the block's
+    values, and a cell diagonal set by `shift`. Each smoothed level is kept
+    in red-black order, as its off-diagonal blocks A_rb and A_br and its
+    diagonal; the cycle permutes only on entry and exit. The coarsest level
+    is factored when a cycle first reaches it after construction or a
+    shift."""
 
-    def __init__(self, matrix, grid):
-        data = tissue_data(matrix, grid)
+    def __init__(self, tissue, grid):
+        data = tissue_data(tissue, grid)
         self.plan = plan = grid.multigrid
         self.levels = []  # (A_rb, A_br, red-black diagonal as built)
         for level, colouring in zip(plan.levels, plan.red_black):
@@ -396,10 +491,12 @@ class VCycle:
 
 
 class CosineSolve:
-    """(c L + eps I)^-1 for the tissue block of `grid`'s cells, L the
-    grid's face Laplacian with unit coefficient, by the orthonormal
-    DCT-II, which diagonalises L (Strang, SIAM Rev. 41, 1999): the grid
-    keeps L's eigenvalues in that basis (`TissueGrid.eigenvalues`).
+    """(c L + eps I)^-1 for a tissue block of `grid`'s cells, given as in
+    `VCycle`, L the grid's face Laplacian with unit coefficient, by the
+    orthonormal DCT-II, which diagonalises L (Strang, SIAM Rev. 41, 1999):
+    the grid keeps that basis, one matrix per axis
+    (`TissueGrid.cosine_basis`), and L's eigenvalues in it
+    (`TissueGrid.eigenvalues`).
 
     c is the least-squares fit of the block's face entries to L's, eps
     the block's mean row sum plus the mean of the cell diagonal set by
@@ -409,13 +506,9 @@ class CosineSolve:
     `tissue_preconditioner` selects on.
     """
 
-    def __init__(self, matrix, grid):
-        # deferred: scipy.fft pulls in scipy.special, tens of ms of
-        # start-up that a command which solves nothing should not pay
-        from scipy import fft
-
-        self.fft, self.grid = fft, grid
-        data, laplacian = tissue_data(matrix, grid), grid.laplacian.data
+    def __init__(self, tissue, grid):
+        self.grid = grid
+        data, laplacian = tissue_data(tissue, grid), grid.laplacian.data
         faces = grid.stencil[1][1:3].ravel()  # the (lo, hi) and (hi, lo) entries
         block, unit = data[faces], laplacian[faces]
         self.coefficient = c = block @ unit / (unit @ unit)
@@ -432,27 +525,35 @@ class CosineSolve:
         self.denominator = None
 
     def __call__(self, r):
+        """Q^T (Q r / denominator), Q the 3D DCT-II applied axis by axis: a
+        product with each axis's basis matrix, and the transposes back."""
         if self.denominator is None:
             if not self.epsilon > 0.0:
                 raise SolverError(
                     f"tissue block is singular: its constant mode has eps = {self.epsilon:.3e}"
                 )
             self.denominator = self.coefficient * self.grid.eigenvalues + self.epsilon
-        fft = self.fft
-        x = fft.dctn(r.reshape(self.denominator.shape), type=2, norm="ortho")
-        x /= self.denominator
-        return fft.idctn(x, type=2, norm="ortho", overwrite_x=True).ravel()
+        qx, qy, qz = self.grid.cosine_basis
+        nz, ny, nx = shape = self.denominator.shape
+        x = r.reshape(nz * ny, nx) @ qx.T
+        x = qy @ x.reshape(shape)
+        x = qz @ x.reshape(nz, ny * nx)
+        x /= self.denominator.reshape(nz, ny * nx)
+        x = (qz.T @ x).reshape(shape)
+        x = qy.T @ x
+        return (x.reshape(nz * ny, nx) @ qx).ravel()
 
 
-def tissue_preconditioner(matrix, grid):
-    """The cosine solve of `matrix`, a tissue block, when it is close to a
-    constant-coefficient c L, that is c > 0 and no entry of A - c L
-    outweighs c times the weakest face coupling; the V-cycle otherwise,
-    which is the path that converges for strongly coupled walls."""
-    cosine = CosineSolve(matrix, grid)
+def tissue_preconditioner(tissue, grid):
+    """The cosine solve of a tissue block, given as in `VCycle`, when it is
+    close to a constant-coefficient c L, that is c > 0 and no entry of
+    A - c L outweighs c times the weakest face coupling; the V-cycle
+    otherwise, which is the path that converges for strongly coupled
+    walls."""
+    cosine = CosineSolve(tissue, grid)
     if cosine.mismatch <= 1.0:
         return cosine
-    return VCycle(matrix, grid)
+    return VCycle(tissue, grid)
 
 
 class LinearSolver:
@@ -464,25 +565,34 @@ class LinearSolver:
     x_t = T(r_t - A_tv x_v), T the `tissue_preconditioner` of the tissue
     block: its cosine solve or its V-cycle. Neither the node block nor the
     off-diagonal blocks see d.
+
+    The blocks are gathered from A's data through `plan`, the `BlockPlan`
+    of A's canonical CSR pattern: a coupled system passes its coupling's
+    (`SurfaceCoupling.blocks`), shared by flow and oxygen; without one it
+    is made from A. A itself is never written: the solver keeps its own
+    copy of the data, on A's index arrays.
     """
 
-    def __init__(self, matrix, grid):
-        self.matrix = matrix = sp.csr_matrix(matrix, copy=True)  # `solve` writes its diagonal
-        matrix.sum_duplicates()
-        self.cells = cells = grid.n_cells
-        self.tissue = tissue_preconditioner(matrix[:cells, :cells], grid)
-        self.magnitude = absolute(matrix)
-        end = matrix.indptr[cells]
-        rows = np.repeat(np.arange(cells), np.diff(matrix.indptr[: cells + 1]))
-        self.cell_diagonal_at = np.flatnonzero(matrix.indices[:end] == rows)
-        self.cell_diagonal = matrix.data[self.cell_diagonal_at]
-        self.tissue_nodes = matrix[:cells, cells:]
-        self.nodes_tissue = matrix[cells:, :cells]
+    def __init__(self, matrix, grid, plan=None):
+        matrix = matrix.tocsr()
+        if plan is None:
+            plan = block_plan(matrix, grid)
+        data, pattern = matrix.data, (matrix.indices, matrix.indptr)
+        # `solve` writes the cell diagonal of these two, which stay on A's
+        # pattern: no sum_duplicates may reorder them under the plan
+        self.matrix = sp.csr_matrix((data.copy(), *pattern), shape=matrix.shape)
+        self.magnitude = sp.csr_matrix((np.abs(data), *pattern), shape=matrix.shape)
+        self.cells = grid.n_cells
+        self.tissue = tissue_preconditioner(data[plan.tissue], grid)
+        self.cell_diagonal_at = plan.cell_diagonal
+        self.cell_diagonal = data[plan.cell_diagonal]
+        self.tissue_nodes = plan.tissue_nodes.csr(data)
+        self.nodes_tissue = plan.nodes_tissue.csr(data)
         # the node block is a graph Laplacian plus the wall terms, nearly
         # symmetric: a minimum-degree order on its symmetric part fills in
         # about half what COLAMD's does on a lattice of capillaries
         try:
-            self.nodes = spla.splu(matrix[cells:, cells:].tocsc(), permc_spec="MMD_AT_PLUS_A")
+            self.nodes = spla.splu(plan.nodes.csc(data), permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"node block: {exc}") from exc
         self.shifted = False

@@ -33,7 +33,7 @@ from numpy.linalg import norm
 from .errors import ConvergenceError, StateError, ValidationError, require_finite
 from .flow import GRAPH_LAPLACIAN, RESIDUAL_TOL, FlowParameters, FlowState, starling_flux
 from .grid import CoupledSystem, SurfaceCoupling, TissueGrid
-from .linsolve import LinearSolver, absolute, scaled_residuals
+from .linsolve import LinearSolver, absolute, row_scaled
 from .network import VascularNetwork
 
 
@@ -259,15 +259,17 @@ def solve_oxygen(
     rate[:cells] = system.grid.cell_volume * m0
 
     def merit(x):
+        """||F(x)||, F(x) itself and the sink terms at x."""
         sink = _sink(rate, k, x)
-        return norm(base @ x + sink[0] - b), sink
+        f = base @ x + sink[0] - b
+        return norm(f), f, sink
 
     linear = m0 == 0.0
     magnitude = absolute(base)
-    f_norm, (s, d, g) = merit(x)
-    phi = norm(scaled_residuals(base, x, b, s, magnitude))
+    f_norm, f, (s, d, g) = merit(x)
+    phi = norm(row_scaled(f, magnitude, x, b, s))
     forcing = 0.0 if linear else FORCING_MAX
-    solver = LinearSolver(base, system.grid)
+    solver = LinearSolver(base, system.grid, system.coupling.blocks)
     history: list[float] = []
     linear_iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -280,7 +282,7 @@ def solve_oxygen(
             system.restore(x_new)
             step = x_new - x
             converged = linear or norm(step) <= tol * max(norm(x_new), k)
-            f_new, sink = merit(x_new)
+            f_new, f, sink = merit(x_new)
             if converged or forcing == 0.0 or _decreases(f_new, f_norm, 1.0, forcing):
                 break
         t, halvings = 1.0, 0
@@ -292,10 +294,10 @@ def solve_oxygen(
                 )
             t *= 0.5
             x_new = x + t * step
-            f_new, sink = merit(x_new)
+            f_new, f, sink = merit(x_new)
         history.append(norm(x_new - x) / max(norm(x_new), k))
         x, f_norm, (s, d, g) = x_new, f_new, sink
-        rows = scaled_residuals(base, x, b, s, magnitude)
+        rows = row_scaled(f, magnitude, x, b, s)  # F(x) as merit formed it
         residual = float(np.max(rows))
         phi_new = norm(rows)
         # a converged step short of the gate is followed by a tight one; a

@@ -21,9 +21,10 @@ class RunStatistics:
     A: float = 0.0  # total lateral surface area, m^2
     V: float = 0.0  # total volume, m^3
     N_seg: int = 0
-    PO2_roi: float = 0.0  # mmHg
-    p_t_roi: float = 0.0  # mmHg
-    F_tv: float = 0.0  # ug/s
+    # the solver quantities stay nan when a run solves nothing (phase 3 alone)
+    PO2_roi: float = math.nan  # mmHg
+    p_t_roi: float = math.nan  # mmHg
+    F_tv: float = math.nan  # ug/s
     N_it: int = 0
 
     def as_row(self) -> list[float]:

@@ -259,6 +259,26 @@ class TestCommands:
         assert (out / "checkpoints").is_dir()
         assert list((out / "checkpoints").glob("phase1_step*.dgf"))
 
+    def test_generate_without_a_solve_writes_nan(self, tmp_path):
+        """Phase 3 alone solves nothing: the solver quantities are written
+        as nan, not as 0.0, which reads as anoxic tissue."""
+        config, out = write_inputs(
+            tmp_path,
+            net=make_starter_network(),
+            roi_lower=[0.0, 0.0, 0.0],
+            roi_upper=[0.5e-3, 0.5e-3, 0.5e-3],
+            grid_cells=[8, 8, 8],
+            phases=[3],
+        )
+        assert main(["generate", "--config", str(config)]) == 0
+        lines = (out / "statistics.csv").read_text().splitlines()
+        header, row = (line.split(",") for line in lines if not line.startswith("#"))
+        written = dict(zip(header, row, strict=True))
+        solved = ("PO2_roi", "p_t_roi", "F_tv")
+        assert [written.pop(q) for q in solved] == ["nan"] * 3
+        assert written.keys() == {"L", "A", "V", "N_seg", "N_it"}
+        assert all(math.isfinite(float(value)) for value in written.values())
+
     def test_generation_statistics_sources(self, tmp_path, monkeypatch):
         """Solver quantities come from the last phase-2 solve; the network
         quantities from the pruned, clipped phase-3 network."""

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from microvasc import DomainBox, build_grid, build_surface_coupling
@@ -106,6 +107,17 @@ class TestTissueGrid:
             assert one_cell.shape == one_flag.shape == ()
             assert (one_cell, one_flag) == (cell, flag)
             assert grid.locate(point) == (cell, flag)
+
+    @pytest.mark.parametrize("cells", [(12, 12, 12), (3, 4, 5), (7, 2, 9)])
+    def test_cosine_basis_is_the_orthonormal_dct(self, unit_cube, cells):
+        grid = build_grid(unit_cube, cells)
+        assert len(grid.cosine_basis) == 3
+        for basis, n in zip(grid.cosine_basis, cells):
+            assert basis.shape == (n, n) and not basis.flags.writeable
+            assert np.max(np.abs(basis @ basis.T - np.eye(n))) <= 1e-15 * n
+            dct = scipy.fft.dct(np.eye(n), norm="ortho", axis=0)
+            assert np.max(np.abs(basis - dct)) <= 1e-15 * n
+        assert grid.cosine_basis is grid.cosine_basis  # built once
 
     def test_too_few_cells_rejected(self, unit_cube):
         with pytest.raises(ValidationError):

@@ -11,19 +11,23 @@ The grid's multigrid plan is checked against scipy's Galerkin product
 P^T A P, also kept here only, its red-black colouring against the parity
 of every level's cells, its banded coarsest solve against a dense solve,
 and one V-cycle against a dense one written out here. The coarsest level
-is factored only when a V-cycle reaches it.
+is factored only when a V-cycle reaches it. The blocks a coupling's
+block plan gathers are bit for bit scipy's slices of the same matrix.
 
 The cosine solve is checked against `spsolve` on c L + eps I over
 anisotropic grids, the grid's eigenvalue table against a dense
-eigensolve, and its eps against the shift it is given. The selection
-takes the cosine solve on the default desk, lattice and starter blocks
-and the V-cycle for strongly coupled walls or a pinned cell; over a sweep
-of wall conductivity it takes no more GMRES iterations than the V-cycle
-alone, and on the desk ladder its counts stay flat from 10^3 to 40^3.
-Growth states share one Laplacian and one eigenvalue table per grid and
-build no plan, and importing the package loads no scipy.fft.
+eigensolve and against its cosine basis applied to the Laplacian, and
+its eps against the shift it is given. The selection takes the cosine
+solve on the default desk, lattice and starter blocks and the V-cycle
+for strongly coupled walls or a pinned cell; over a sweep of wall
+conductivity it takes no more GMRES iterations than the V-cycle alone,
+and on the desk ladder its counts stay flat from 10^3 to 40^3. Growth
+states share one Laplacian and one eigenvalue table per grid, build no
+multigrid plan and one block plan per coupling; neither importing the
+package nor running `solve` or `generate` loads scipy.fft.
 """
 
+import json
 import os
 import subprocess
 import sys
@@ -46,6 +50,7 @@ from microvasc import (
     build_grid,
     build_surface_coupling,
     enlarge_domain,
+    serialize_dgf,
     solve_flow,
     solve_oxygen,
 )
@@ -80,6 +85,7 @@ AGREEMENT = 1e-12
 CUBE = DomainBox([0.0, 0.0, 0.0], [1.0e-3, 1.0e-3, 1.0e-3])
 Y_BOX = DomainBox([-50 * UM, -100 * UM, -50 * UM], [250 * UM, 120 * UM, 50 * UM])
 LATTICE_BOX = enlarge_domain(DomainBox([0.0] * 3, [0.5e-3] * 3), 0.10)
+STARTER_BOX = enlarge_domain(DomainBox([0.0] * 3, [0.5e-3] * 3), 0.10)
 
 
 def flow_system(net, box, cells, params=None):
@@ -519,8 +525,9 @@ def test_coarsest_factored_on_first_use_and_once_after_each_shift(monkeypatch):
 
 def test_one_laplacian_and_eigenvalue_table_serve_every_solve_on_a_grid(monkeypatch):
     """Flow and oxygen, over two growth states, take the cosine solve on
-    the grid's one Laplacian and eigenvalue table, and build no plan."""
-    plans, laplacians, tables, solves = [], [], [], []
+    the grid's one Laplacian and eigenvalue table, and build no multigrid
+    plan; the two solvers of a state share its coupling's one block plan."""
+    plans, laplacians, tables, solves, blocks, unshared = [], [], [], [], [], []
 
     class CountedPlan(grid_module.MultigridPlan):
         def __init__(self, *args):
@@ -546,6 +553,8 @@ def test_one_laplacian_and_eigenvalue_table_serve_every_solve_on_a_grid(monkeypa
         grid_module, "cosine_eigenvalues", counted(tables, grid_module.cosine_eigenvalues)
     )
     monkeypatch.setattr(CosineSolve, "__init__", recorded)
+    monkeypatch.setattr(grid_module, "block_plan", counted(blocks, grid_module.block_plan))
+    monkeypatch.setattr(linsolve, "block_plan", counted(unshared, linsolve.block_plan))
     roi = DomainBox([0.0] * 3, [0.5e-3] * 3)
     domain = enlarge_domain(roi, 0.10)
     grid = build_grid(domain, (12, 12, 12))
@@ -559,6 +568,8 @@ def test_one_laplacian_and_eigenvalue_table_serve_every_solve_on_a_grid(monkeypa
     assert len(solves) == 4  # flow and oxygen per state
     assert all(solve.mismatch <= 1.0 for solve in solves)
     assert len(laplacians) == 1 and len(tables) == 1 and plans == []
+    # one block plan per coupling, each made from the coupling's pattern
+    assert len(blocks) == 2 and blocks[0][0] is not blocks[1][0] and unshared == []
 
 
 def test_tissue_block_off_the_grid_pattern_is_rejected():
@@ -571,6 +582,38 @@ def test_tissue_block_off_the_grid_pattern_is_rejected():
             build(coupled.tocsr()[:n, :n], grid)
     with pytest.raises(SolverError, match="face stencil"):
         LinearSolver(coupled.tocsr(), grid)
+
+
+@pytest.mark.parametrize(
+    "net_fn, box, cells",
+    [
+        (make_desk_network, CUBE, (20, 20, 20)),
+        (make_starter_network, STARTER_BOX, (12, 12, 12)),
+        (lambda: make_jittered_lattice(0, 5), LATTICE_BOX, (8, 8, 8)),
+    ],
+)
+@pytest.mark.blas_threads
+def test_block_plan_gathers_the_scipy_slices(net_fn, box, cells):
+    """The blocks a coupling's plan gathers, of its flow system and of its
+    oxygen operator, are bit for bit scipy's slices of the same matrix."""
+    net = net_fn()
+    system = flow_system(net, box, cells)
+    operator = assemble_transport_operator(
+        net, system.grid, system.coupling, solve_flow(system), FlowParameters(), OxygenParameters()
+    )
+    plan, n = system.coupling.blocks, system.grid.n_cells
+    for matrix in (system.matrix, operator.matrix):
+        data = matrix.data
+        assert np.array_equal(data[plan.tissue], matrix[:n, :n].data)
+        assert np.array_equal(data[plan.cell_diagonal], matrix.diagonal()[:n])
+        for got, want in (
+            (plan.tissue_nodes.csr(data), matrix[:n, n:]),
+            (plan.nodes_tissue.csr(data), matrix[n:, :n]),
+            (plan.nodes.csc(data), matrix[n:, n:].tocsc()),
+        ):
+            assert got.format == want.format and got.shape == want.shape
+            for part in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, part), getattr(want, part))
 
 
 # unequal extents make the three axes' face weights area/h differ
@@ -592,6 +635,16 @@ def test_eigenvalue_table_is_the_spectrum_of_the_laplacian(box, cells):
     want = np.linalg.eigvalsh(grid.laplacian.toarray())
     got = np.sort(grid.eigenvalues.ravel())
     assert np.max(np.abs(got - want)) <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("box, cells", ANISOTROPIC)
+def test_cosine_basis_diagonalises_the_laplacian(box, cells):
+    grid = build_grid(box, cells)
+    qx, qy, qz = grid.cosine_basis
+    modes = np.kron(qz, np.kron(qy, qx)).T  # a column per mode, rows in linear cell order
+    got = modes.T @ grid.laplacian.toarray() @ modes
+    want = np.diag(grid.eigenvalues.ravel())
+    assert np.max(np.abs(got - want)) <= 1e-13 * grid.eigenvalues.max()
 
 
 @pytest.mark.parametrize("box, cells", ANISOTROPIC)
@@ -646,9 +699,6 @@ def coupled_blocks(net, box, cells, params=None):
     )
     n = system.grid.n_cells
     return {"flow": system.matrix[:n, :n], "oxygen": operator.matrix[:n, :n]}, system.grid
-
-
-STARTER_BOX = enlarge_domain(DomainBox([0.0] * 3, [0.5e-3] * 3), 0.10)
 
 
 @pytest.mark.parametrize(
@@ -716,17 +766,40 @@ def test_iterations_stay_flat_over_the_desk_ladder(n):
     assert flow <= 10 and oxygen <= 16
 
 
-def test_start_up_imports_no_transform():
-    # scipy.fft pulls in scipy.special, tens of ms of interpreter start-up:
-    # the cosine solve imports it when it is first built, not the package
+def loaded_transforms(code):
+    """Which of scipy.fft and scipy.special a fresh interpreter has loaded
+    after running `code`: scipy.fft pulls in scipy.special, tens of ms of
+    start-up and about 4 MB, and the cosine solve needs neither."""
     source = Path(__file__).resolve().parent.parent / "src"
-    code = (
-        "import sys, microvasc.cli, microvasc.growth\n"
-        "print(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))"
-    )
+    code += "\nprint(sorted(m for m in ('scipy.fft', 'scipy.special') if m in sys.modules))"
     path = os.pathsep.join([str(source), os.environ.get("PYTHONPATH", "")])
     env = {**os.environ, "PYTHONPATH": path}
     loaded = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert loaded.stdout.strip() == "[]"
+    return loaded.stdout.splitlines()[-1]
+
+
+def test_start_up_imports_no_transform():
+    assert loaded_transforms("import sys, microvasc.cli, microvasc.growth") == "[]"
+
+
+@pytest.mark.parametrize("command", ["solve", "generate"])
+def test_commands_import_no_transform(tmp_path, command):
+    net = make_desk_network() if command == "solve" else make_starter_network()
+    dgf, config = tmp_path / "input.dgf", tmp_path / "config.json"
+    dgf.write_text(serialize_dgf(net))
+    config.write_text(json.dumps({
+        "input_dgf": str(dgf),
+        "output_dir": str(tmp_path / "out"),
+        "grid_cells": [8, 8, 8],
+        "roi_lower": [0.0, 0.0, 0.0],
+        "roi_upper": [1.0e-3 if command == "solve" else 0.5e-3] * 3,
+        "growth": {"max_iter_p1": 1, "max_iter_p2": 1, "max_iter_p3": 1},
+    }))
+    code = (
+        "import sys\nfrom microvasc.cli import main\n"
+        f"assert main([{command!r}, '--config', {str(config)!r}]) == 0"
+    )
+    assert loaded_transforms(code) == "[]"
+    assert (tmp_path / "out").is_dir()  # the command ran

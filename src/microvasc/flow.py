@@ -5,7 +5,9 @@ Both compartments are assembled into one sparse linear system over
 (tissue cells, network nodes) and solved monolithically by
 `linsolve.LinearSolver`, GMRES preconditioned on the tissue by a
 cosine-transform solve (a multigrid V-cycle when the walls couple
-strongly), behind the row-scaled residual gate. The wall exchange is the surface coupling's jump
+strongly), behind the row-scaled residual gate, which reads the products
+the solve formed of its answer (`LinearSolver.products`) rather than
+multiplying it, or building |A|, again. The wall exchange is the surface coupling's jump
 operator G = [-C, Pi] weighted by the sample areas: the block
 G^T diag(L_p a) G with right-hand side G^T (L_p a sigma dpi). Both sides
 of the exchange come from the same per-sample terms, so total filtration
@@ -26,7 +28,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .errors import SolverError, ValidationError, require_finite
 from .grid import CoupledSystem, SurfaceCoupling, TissueGrid
-from .linsolve import LinearSolver, scaled_residual
+from .linsolve import LinearSolver, row_scaled
 from .network import VascularNetwork
 from .rheology import RheologyParameters, segment_viscosity, vessel_conductance
 from .units import MICROGRAM_PER_KG, WATER_DENSITY
@@ -183,9 +185,12 @@ def _check_solvability(coupling, dirichlet, params):
 def solve_flow(system: FlowSystem) -> FlowState:
     grid, params, coupling = system.grid, system.params, system.coupling
     table, n, n_all = coupling.segments, grid.n_cells, system.n_unknowns
-    x, linear_iterations = LinearSolver(system.matrix, grid, coupling.blocks).solve(system.rhs)
+    solver = LinearSolver(system.matrix, grid, coupling.blocks)
+    x, linear_iterations = solver.solve(system.rhs)
     system.restore(x)
-    residual = scaled_residual(system.matrix, x, system.rhs)
+    product, magnitude = solver.products(x)  # the solve's own, unless restore moved x
+    del solver  # its LU and copies would otherwise sit under the per-sample passes below
+    residual = float(np.max(row_scaled(product - system.rhs, magnitude, system.rhs)))
     if not residual <= RESIDUAL_TOL:
         raise SolverError(f"linear solve residual {residual:.3e} above tolerance")
     p_t = x[:n]

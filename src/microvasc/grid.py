@@ -5,10 +5,13 @@ keeps it for every solve on it (flow, oxygen, each Newton step, each
 growth state): its interior faces, the face Laplacian with unit
 coefficient, whose sparsity every tissue block shares, where each face's
 entries sit in that Laplacian, and, for the linear solver's cosine solve,
-the orthonormal DCT-II matrix of each axis and the Laplacian's eigenvalues
-in that basis; only when a tissue block takes the V-cycle, the solver's
-`MultigridPlan`. They are kept on the instance, not in the module, so a
-new grid starts afresh.
+the orthonormal DCT-II matrix of each axis, the Laplacian's eigenvalues
+in that basis and what the fit of a block to it takes from the grid
+alone (`CosineFit`); only when a tissue block takes the V-cycle, the
+solver's `MultigridPlan`. For each region of interest and division it is
+asked for, it also keeps the control volumes' overlaps with its cells
+(`ControlVolumes`). They are kept on the instance, not in the module, so
+a new grid starts afresh.
 
 The Dirac surface measure concentrated on the vessel walls is discretised
 by equal-area point sampling of each cylinder's lateral surface on an
@@ -47,15 +50,16 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
-from .linsolve import BlockPlan, MultigridPlan, block_plan, csr_pattern
+from .linsolve import BlockPlan, CosineFit, MultigridPlan, block_plan, csr_pattern
 from .network import DomainBox, VascularNetwork
 
 
 class TissueGrid:
     """Cell-centered uniform grid tiling a box; linear index i + nx*(j + ny*k).
 
-    `faces()`, `laplacian`, `stencil`, `cosine_basis`, `eigenvalues` and
-    `multigrid` are built on first use and kept.
+    `faces()`, `laplacian`, `stencil`, `cosine_basis`, `eigenvalues`,
+    `cosine_fit` and `multigrid` are built on first use and kept, and so
+    is each `control_volumes(roi, n)`.
     """
 
     def __init__(self, box: DomainBox, cells_per_axis):
@@ -70,6 +74,7 @@ class TissueGrid:
         self.cell_volume = float(np.prod(self.spacing))
         self.n_cells = counts[0] * counts[1] * counts[2]
         self._last_cell = np.array(counts)[:, None] - 1
+        self._control_volumes = {}  # by (roi bounds, n)
 
     def locate_all(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells containing the points (..., 3), clamped to the nearest cell
@@ -174,6 +179,25 @@ class TissueGrid:
         return _read_only(cosine_eigenvalues(self.cells_per_axis, self.spacing))
 
     @cached_property
+    def cosine_fit(self) -> CosineFit:
+        """What `linsolve.CosineSolve` fits every tissue block on this grid
+        with: the positions of the faces' off-diagonal entries in
+        `laplacian.data`, those entries, their squared norm and the weakest
+        face coupling min(area/h)."""
+        faces = self.stencil[1][1:3].ravel()  # the (lo, hi) and (hi, lo) entries
+        unit = _read_only(self.laplacian.data[faces])
+        _, _, area, h = self.faces()
+        return CosineFit(faces, unit, float(unit @ unit), float(np.min(area / h)))
+
+    def control_volumes(self, roi: DomainBox, n: int) -> ControlVolumes:
+        """The n x n x n control volumes tiling `roi` as overlaps with the
+        cells, built once per (roi, n) and kept: see `ControlVolumes`."""
+        key = (roi.lower.tobytes(), roi.upper.tobytes(), n)
+        if key not in self._control_volumes:
+            self._control_volumes[key] = ControlVolumes.build(self, roi, n)
+        return self._control_volumes[key]
+
+    @cached_property
     def multigrid(self) -> MultigridPlan:
         """The V-cycle's aggregation, level patterns, Galerkin maps,
         red-black orders and coarsest band storage for this grid, shared by
@@ -184,6 +208,53 @@ class TissueGrid:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
+
+
+def _axis_overlaps(grid_lo, spacing, n_cells, roi_lo, roi_hi, n_cv):
+    """(n_cells, n_cv) matrix of interval overlap lengths along one axis."""
+    cv_edges = np.linspace(roi_lo, roi_hi, n_cv + 1)
+    cell_lo = grid_lo + spacing * np.arange(n_cells)
+    cell_hi = cell_lo + spacing
+    lo = np.maximum(cell_lo[:, None], cv_edges[None, :-1])
+    hi = np.minimum(cell_hi[:, None], cv_edges[None, 1:])
+    return np.maximum(hi - lo, 0.0)
+
+
+# value[cx, cy, cz] = sum_ijk p[k, j, i] ox[i, cx] oy[j, cy] oz[k, cz]
+_WEIGHTED_SUMS = "kji,ix,jy,kz->xyz"
+
+
+@dataclass(frozen=True)
+class ControlVolumes:
+    """The n x n x n control volumes tiling a box, as what a volume-weighted
+    average over them needs of a grid: the (cells, n) overlap lengths of
+    each axis (x, y, z), the overlap volume of each control volume, indexed
+    [ix, iy, iz], their sum, and the contraction order (`np.einsum_path`)
+    of `sums`."""
+
+    overlaps: tuple[np.ndarray, np.ndarray, np.ndarray]
+    volume: np.ndarray
+    total: float
+    path: list
+
+    @classmethod
+    def build(cls, grid: TissueGrid, roi: DomainBox, n: int) -> ControlVolumes:
+        overlaps = tuple(
+            _read_only(_axis_overlaps(grid.box.lower[a], grid.spacing[a],
+                                      grid.cells_per_axis[a], roi.lower[a], roi.upper[a], n))
+            for a in range(3)
+        )
+        volume = np.einsum("ix,jy,kz->xyz", *overlaps, optimize=True)
+        field = np.empty(grid.cells_per_axis[::-1])
+        path, _ = np.einsum_path(_WEIGHTED_SUMS, field, *overlaps, optimize=True)
+        return cls(overlaps, _read_only(volume), float(np.sum(volume)), path)
+
+    def sums(self, values: np.ndarray) -> np.ndarray:
+        """Overlap-weighted sums of a cell field per control volume, indexed
+        [ix, iy, iz]."""
+        nx, ny, nz = (overlap.shape[0] for overlap in self.overlaps)
+        field = values.reshape((nz, ny, nx))
+        return np.einsum(_WEIGHTED_SUMS, field, *self.overlaps, optimize=self.path)
 
 
 def cosine_matrix(n: int) -> np.ndarray:
@@ -403,10 +474,12 @@ class CoupledSystem:
     def n_unknowns(self) -> int:
         return self.grid.n_cells + len(self.node_order)
 
-    @property
+    @cached_property
     def pinned(self) -> np.ndarray:
-        """Unknown indices of the `dirichlet` nodes, in its order."""
-        return np.array([self.node_index[nid] for nid in self.dirichlet], dtype=np.int64)
+        """Unknown indices of the `dirichlet` nodes, in its order; read-only,
+        taken once per system."""
+        index = self.node_index
+        return _read_only(np.array([index[nid] for nid in self.dirichlet], dtype=np.int64))
 
     def restore(self, x: np.ndarray):
         """Write the pinned values back into a solution x, in place."""

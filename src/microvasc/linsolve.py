@@ -83,6 +83,19 @@ target. A solve starts from its guess when given one, as a Newton step is
 a correction to its iterate, and from M^-1 b otherwise; a right-hand side
 of exact zeros returns exact zeros.
 
+Each iterate a solve settles is multiplied once, (A + D) x and
+|A + D| |x| with the solve's own shifted matrix, and the solver keeps the
+last one with those `Products`. Outside GMRES they are all an iterate
+needs: the caller's gate reads them (`LinearSolver.products`, which takes
+the cell diagonal back out on the cell rows), and a solve whose guess is
+that iterate, for the same node rows, starts from it without settling or
+multiplying it again, the products corrected on the cell rows for its own
+diagonal. A cold start, and every iterate a cycle ends on, is multiplied
+with the shifted matrix itself: the correction adds a rounding a solve's
+accuracy would carry. A vector that is not the kept iterate to the bit,
+such as one a line search moved or a caller wrote into, is multiplied
+afresh.
+
 The target is TARGET, far below the callers' gates, unless the solve is
 given a forcing term eta > 0: then it is max(TARGET, eta * the measure of
 the start), the relative accuracy an inexact Newton step asks for
@@ -113,26 +126,17 @@ OVER_CORRECTION = 1.9
 COARSEST_CELLS = 500  # every Newton step refactors the coarsest level
 
 
-def scaled_residuals(matrix, x, rhs, nonlinear=0.0, magnitude=None) -> np.ndarray:
+def scaled_residuals(matrix, x, rhs, nonlinear=0.0) -> np.ndarray:
     """Row-scaled residuals |(Ax + f - b)_i| / (sum_j |A_ij x_j| + |f_i| +
-    |b_i|), with f an optional nonlinear term such as a sink. `magnitude`
-    is |A|, for a caller that measures the same A many times."""
-    if magnitude is None:
-        magnitude = abs(matrix)
-    return row_scaled(matrix @ x + nonlinear - rhs, magnitude, x, rhs, nonlinear)
+    |b_i|), with f an optional nonlinear term such as a sink."""
+    return row_scaled(matrix @ x + nonlinear - rhs, abs(matrix) @ np.abs(x), rhs, nonlinear)
 
 
-def row_scaled(residual, magnitude, x, rhs, nonlinear=0.0) -> np.ndarray:
+def row_scaled(residual, magnitude, rhs, nonlinear=0.0) -> np.ndarray:
     """`scaled_residuals` of a residual Ax + f - b the caller has already
-    formed, `magnitude` being |A|."""
-    scale = magnitude @ np.abs(x) + np.abs(nonlinear) + np.abs(rhs)
+    formed, `magnitude` being |A||x|, as `LinearSolver.products` gives it."""
+    scale = magnitude + np.abs(nonlinear) + np.abs(rhs)
     return np.abs(residual) / np.where(scale > 0.0, scale, 1.0)
-
-
-def absolute(matrix: sp.csr_matrix) -> sp.csr_matrix:
-    """|A| of a CSR matrix, as abs(matrix) is, but sharing its index arrays."""
-    matrix.sum_duplicates()
-    return sp.csr_matrix((np.abs(matrix.data), matrix.indices, matrix.indptr), shape=matrix.shape)
 
 
 def scaled_residual(matrix, x, rhs, nonlinear=0.0) -> float:
@@ -490,6 +494,20 @@ class VCycle:
         return dgbtrs(lu, kl, kl, r, pivots)[0]
 
 
+@dataclass(frozen=True)
+class CosineFit:
+    """What the cosine solve's fit of a tissue block takes from the grid
+    alone (`TissueGrid.cosine_fit`): `faces`, the position in the grid
+    Laplacian's data of each face's (lo, hi) and (hi, lo) entries; `unit`,
+    those entries of the unit Laplacian; `norm`, unit @ unit; `weakest`,
+    the weakest face coupling min(area/h)."""
+
+    faces: np.ndarray
+    unit: np.ndarray
+    norm: float
+    weakest: float
+
+
 class CosineSolve:
     """(c L + eps I)^-1 for a tissue block of `grid`'s cells, given as in
     `VCycle`, L the grid's face Laplacian with unit coefficient, by the
@@ -503,18 +521,19 @@ class CosineSolve:
     `shift`: the Rayleigh quotient of the constant vector, L's null
     space. `mismatch` is the largest entry of |A - c L| over the pattern
     in units of c times the weakest face coupling, the measure
-    `tissue_preconditioner` selects on.
+    `tissue_preconditioner` selects on. What the fit takes from the grid
+    alone, the grid keeps (`TissueGrid.cosine_fit`).
     """
 
     def __init__(self, tissue, grid):
         self.grid = grid
-        data, laplacian = tissue_data(tissue, grid), grid.laplacian.data
-        faces = grid.stencil[1][1:3].ravel()  # the (lo, hi) and (hi, lo) entries
-        block, unit = data[faces], laplacian[faces]
-        self.coefficient = c = block @ unit / (unit @ unit)
-        _, _, area, h = grid.faces()
-        weakest = c * np.min(area / h)
-        self.mismatch = np.max(np.abs(data - c * laplacian)) / weakest if c > 0.0 else np.inf
+        data, fit = tissue_data(tissue, grid), grid.cosine_fit
+        self.coefficient = c = data[fit.faces] @ fit.unit / fit.norm
+        self.mismatch = (
+            np.max(np.abs(data - c * grid.laplacian.data)) / (c * fit.weakest)
+            if c > 0.0
+            else np.inf
+        )
         self.row_sum = np.sum(data) / grid.n_cells
         self.shift(np.zeros(grid.n_cells))
 
@@ -556,6 +575,29 @@ def tissue_preconditioner(tissue, grid):
     return VCycle(tissue, grid)
 
 
+@dataclass(frozen=True)
+class Products:
+    """An iterate x with (A + D) x and |A + D| |x|, A a solver's matrix and
+    D a cell diagonal; `diagonal` is A's cell diagonal plus D's."""
+
+    x: np.ndarray
+    product: np.ndarray
+    magnitude: np.ndarray
+    diagonal: np.ndarray
+
+    def under(self, diagonal) -> tuple[np.ndarray, np.ndarray]:
+        """The products of x under the cell diagonal `diagonal` (A's plus
+        another D): they differ only on the cell rows, by the change of
+        the diagonal times x there."""
+        if diagonal is self.diagonal:
+            return self.product, self.magnitude
+        cells, x_t = diagonal.size, self.x[: diagonal.size]
+        product, magnitude = self.product.copy(), self.magnitude.copy()
+        product[:cells] += (diagonal - self.diagonal) * x_t
+        magnitude[:cells] += (np.abs(diagonal) - np.abs(self.diagonal)) * np.abs(x_t)
+        return product, magnitude
+
+
 class LinearSolver:
     """Solver for (A + diag(d, 0)) x = b, A a coupled system over the cells
     of `grid` followed by the network nodes, and d a diagonal on the cell
@@ -569,8 +611,18 @@ class LinearSolver:
     The blocks are gathered from A's data through `plan`, the `BlockPlan`
     of A's canonical CSR pattern: a coupled system passes its coupling's
     (`SurfaceCoupling.blocks`), shared by flow and oxygen; without one it
-    is made from A. A itself is never written: the solver keeps its own
-    copy of the data, on A's index arrays.
+    is made from A. A itself is never written: the solver multiplies with
+    its own copy of the data, on A's index arrays, whose cell diagonal a
+    solve shifts.
+
+    Each iterate a solve settles is multiplied once. The solver keeps the
+    last one (a copy, `settled`), the node rows it was settled for and
+    its `Products` under the diagonal of that solve. A later solve whose
+    guess is that iterate, to the bit, for the same node rows neither
+    settles it again nor multiplies it: its residual is the kept products
+    corrected on the cell rows for the new d. `products` serves a
+    caller's gate from them too. Any other vector, such as an iterate a
+    line search moved or a caller wrote into, is multiplied afresh.
     """
 
     def __init__(self, matrix, grid, plan=None):
@@ -586,6 +638,7 @@ class LinearSolver:
         self.tissue = tissue_preconditioner(data[plan.tissue], grid)
         self.cell_diagonal_at = plan.cell_diagonal
         self.cell_diagonal = data[plan.cell_diagonal]
+        self.diagonal = self.cell_diagonal  # in `matrix`: A's, plus the last solve's d
         self.tissue_nodes = plan.tissue_nodes.csr(data)
         self.nodes_tissue = plan.nodes_tissue.csr(data)
         # the node block is a graph Laplacian plus the wall terms, nearly
@@ -596,33 +649,41 @@ class LinearSolver:
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"node block: {exc}") from exc
         self.shifted = False
+        self.settled = None  # the last settled iterate's Products, its x a copy
+        self.settled_nodes = None  # the node rows of the rhs it was settled for
 
     def solve(self, rhs, cell_diagonal=None, guess=None, forcing=0.0) -> tuple[np.ndarray, int]:
         """Solve (A + diag(cell_diagonal, 0)) x = rhs; returns x and the
         number of GMRES iterations taken.
 
         GMRES starts from `guess` when one is given and from M^-1 rhs
-        otherwise, with its node part settled; a right-hand side of exact
-        zeros gives exact zeros. Cycles end once the 2-norm of the
-        row-scaled residuals is at most max(TARGET, forcing * that of the
-        start), when a cycle fails to halve it (rounding has the last
-        word), or after MAX_CYCLES. The last iterate is returned either
-        way: whether it is good enough is the caller's gate on
-        `scaled_residual`.
+        otherwise, with its node part settled (already so when the guess
+        is the last iterate settled for these node rows); a right-hand
+        side of exact zeros gives exact zeros. Cycles end once the 2-norm
+        of the row-scaled residuals is at most max(TARGET, forcing * that
+        of the start), when a cycle fails to halve it (rounding has the
+        last word), or after MAX_CYCLES. The last iterate is returned
+        either way: whether it is good enough is the caller's gate on
+        `scaled_residual`, whose products `products` serves.
         """
         if not np.any(rhs):
             return np.zeros(rhs.size), 0
         if cell_diagonal is None and self.shifted:
             cell_diagonal = np.zeros(self.cells)  # back to A itself
         if cell_diagonal is not None:
-            diagonal = self.cell_diagonal + cell_diagonal
-            self.matrix.data[self.cell_diagonal_at] = diagonal
-            self.magnitude.data[self.cell_diagonal_at] = np.abs(diagonal)
+            self.diagonal = self.cell_diagonal + cell_diagonal
+            self.matrix.data[self.cell_diagonal_at] = self.diagonal
+            self.magnitude.data[self.cell_diagonal_at] = np.abs(self.diagonal)
             self.tissue.shift(cell_diagonal)
             self.shifted = bool(np.any(cell_diagonal))
-        start = self._precondition(rhs) if guess is None else np.asarray(guess, float)
-        x = self._settle(start, rhs)
-        r, weight, measure = self._residual(x, rhs)
+        kept = None if guess is None else self._kept(guess)
+        if kept is not None and np.array_equal(rhs[self.cells :], self.settled_nodes):
+            x = np.array(guess, float)  # settled for these node rows already
+        else:
+            kept = None
+            start = self._precondition(rhs) if guess is None else np.asarray(guess, float)
+            x = self._settle(start, rhs)
+        r, weight, measure = self._residual(x, rhs, kept)
         target = max(TARGET, forcing * measure)
         previous, iterations = np.inf, 0
         for cycle in range(MAX_CYCLES + 1):
@@ -634,6 +695,24 @@ class LinearSolver:
             )
             x, iterations = self._settle(x + correction, rhs), iterations + steps
             r, weight, measure = self._residual(x, rhs)
+
+    def products(self, x) -> tuple[np.ndarray, np.ndarray]:
+        """A x and |A| |x|, A the matrix the solver was built from, as a
+        residual gate on x needs them: the kept products corrected for the
+        cell diagonal when x is the last settled iterate, else formed. The
+        arrays may be the kept ones, which are read-only."""
+        kept = self._kept(x)
+        return (self._multiply(x) if kept is None else kept).under(self.cell_diagonal)
+
+    def _kept(self, x) -> Products | None:
+        """The kept `Products` when x is the last settled iterate, to the
+        bit, else None."""
+        kept = self.settled
+        return kept if kept is not None and np.array_equal(x, kept.x) else None
+
+    def _multiply(self, x) -> Products:
+        """x's products under the current cell diagonal, formed."""
+        return Products(x, self.matrix @ x, self.magnitude @ np.abs(x), self.diagonal)
 
     def _precondition(self, r):
         x_v = self.nodes.solve(r[self.cells :])
@@ -647,11 +726,19 @@ class LinearSolver:
         x_v = self.nodes.solve(rhs[self.cells :] - self.nodes_tissue @ x_t)
         return np.concatenate([x_t, x_v])
 
-    def _residual(self, x, rhs):
+    def _residual(self, x, rhs, kept=None):
         """rhs - A x, the row weights 1 / (|A||x| + |rhs|) and the 2-norm of
-        the row-scaled residuals."""
-        r = rhs - self.matrix @ x
-        scale = self.magnitude @ np.abs(x) + np.abs(rhs)
+        the row-scaled residuals, A with the current cell diagonal, for x
+        settled for `rhs`: from x's `kept` products when given, else from
+        products formed now and kept as the last settled iterate's."""
+        if kept is None:
+            kept = self._multiply(x.copy())
+            for array in (kept.x, kept.product, kept.magnitude):
+                array.flags.writeable = False
+            self.settled, self.settled_nodes = kept, rhs[self.cells :].copy()
+        product, magnitude = kept.under(self.diagonal)
+        r = rhs - product
+        scale = magnitude + np.abs(rhs)
         weight = 1.0 / np.where(scale > 0.0, scale, 1.0)
         return r, weight, np.linalg.norm(weight * r)
 

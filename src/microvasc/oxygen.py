@@ -7,7 +7,12 @@ Newton step adds only its sink derivative on the cell diagonal, starts
 GMRES from the Newton iterate (a cold solve's first step from M^-1 b), and
 stops it at the Eisenstat-Walker forcing term (Eisenstat & Walker, SIAM J. Sci. Comput.
 17, 1996; Knoll & Keyes, J. Comput. Phys. 193, 2004), so the early steps
-are solved loosely and the last ones tightly.
+are solved loosely and the last ones tightly. The merit ||F|| and the
+row-scaled gate read B x and |B||x| from the products the solver keeps
+for the iterate it settled last (`LinearSolver.products`), and the next
+step starts from them. A warm step that takes one GMRES cycle and its
+full step multiplies only the iterate that cycle ends on, two products
+outside the Krylov loop.
 
 Partial pressures stay in mmHg; every transport coefficient multiplying
 them is in SI, so both compartment balances carry units of mmHg*m^3/s.
@@ -33,7 +38,7 @@ from numpy.linalg import norm
 from .errors import ConvergenceError, StateError, ValidationError, require_finite
 from .flow import GRAPH_LAPLACIAN, RESIDUAL_TOL, FlowParameters, FlowState, starling_flux
 from .grid import CoupledSystem, SurfaceCoupling, TissueGrid
-from .linsolve import LinearSolver, absolute, row_scaled
+from .linsolve import LinearSolver, row_scaled
 from .network import VascularNetwork
 
 
@@ -236,7 +241,10 @@ def solve_oxygen(
     only, so each step changes nothing but the cell diagonal, and GMRES
     starts from the iterate x, whose residual for the step is F(x); only
     the first step of a cold solve (no `initial_guess`, else a finite
-    vector of `system.n_unknowns`) starts from M^-1 b.
+    vector of `system.n_unknowns`) starts from M^-1 b. B x and |B||x| are
+    the solver's (`LinearSolver.products`): an accepted full step's
+    iterate is the one it settled and multiplied, and only a point the
+    line search moves to is multiplied again.
     GMRES stops at the Eisenstat-Walker forcing term (0 when the problem
     is linear). The Armijo test stays on the unscaled ||F||, relaxed by
     (1 - eta). Two safeguards keep the loose steps honest: a loose step
@@ -258,18 +266,20 @@ def solve_oxygen(
     rate = np.zeros(len(b))
     rate[:cells] = system.grid.cell_volume * m0
 
+    solver = LinearSolver(base, system.grid, system.coupling.blocks)
+
     def merit(x):
-        """||F(x)||, F(x) itself and the sink terms at x."""
+        """||F(x)||, F(x) itself, the sink terms at x and |B||x|, the
+        products the solver keeps for x when it settled x last."""
         sink = _sink(rate, k, x)
-        f = base @ x + sink[0] - b
-        return norm(f), f, sink
+        product, magnitude = solver.products(x)
+        f = product + sink[0] - b
+        return norm(f), f, sink, magnitude
 
     linear = m0 == 0.0
-    magnitude = absolute(base)
-    f_norm, f, (s, d, g) = merit(x)
-    phi = norm(row_scaled(f, magnitude, x, b, s))
+    f_norm, f, (s, d, g), magnitude = merit(x)
+    phi = norm(row_scaled(f, magnitude, b, s))
     forcing = 0.0 if linear else FORCING_MAX
-    solver = LinearSolver(base, system.grid, system.coupling.blocks)
     history: list[float] = []
     linear_iterations = 0
     for iterations in range(1, max_iter + 1):
@@ -282,7 +292,7 @@ def solve_oxygen(
             system.restore(x_new)
             step = x_new - x
             converged = linear or norm(step) <= tol * max(norm(x_new), k)
-            f_new, f, sink = merit(x_new)
+            f_new, f, sink, magnitude = merit(x_new)
             if converged or forcing == 0.0 or _decreases(f_new, f_norm, 1.0, forcing):
                 break
         t, halvings = 1.0, 0
@@ -294,10 +304,10 @@ def solve_oxygen(
                 )
             t *= 0.5
             x_new = x + t * step
-            f_new, f, sink = merit(x_new)
+            f_new, f, sink, magnitude = merit(x_new)
         history.append(norm(x_new - x) / max(norm(x_new), k))
         x, f_norm, (s, d, g) = x_new, f_new, sink
-        rows = row_scaled(f, magnitude, x, b, s)  # F(x) as merit formed it
+        rows = row_scaled(f, magnitude, b, s)  # F(x) as merit formed it
         residual = float(np.max(rows))
         phi_new = norm(rows)
         # a converged step short of the gate is followed by a tight one; a

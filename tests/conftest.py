@@ -4,6 +4,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import settings, strategies as st
 
 from microvasc import (
@@ -13,6 +14,7 @@ from microvasc import (
     build_grid,
     enlarge_domain,
 )
+from microvasc import linsolve
 
 UM = 1e-6
 
@@ -200,3 +202,27 @@ def starter_setup():
     domain = enlarge_domain(roi, 0.10)
     grid = build_grid(domain, (20, 20, 20))
     return make_starter_network(), roi, domain, grid
+
+
+def outside_krylov(monkeypatch, n):
+    """Two lists, filled from now on: the products of an n x n sparse
+    matrix with a vector taken outside GMRES cycles, and two entries per
+    GMRES cycle, one as it starts and one as it ends."""
+    products, cycles = [], []
+    matmul, cycle = sp.csr_matrix.__matmul__, linsolve._gmres_cycle
+
+    def counted_matmul(self, other):
+        if self.shape == (n, n) and np.ndim(other) == 1 and len(cycles) % 2 == 0:
+            products.append(self)
+        return matmul(self, other)
+
+    def counted_cycle(*args):
+        cycles.append("start")
+        try:
+            return cycle(*args)
+        finally:
+            cycles.append("end")
+
+    monkeypatch.setattr(sp.csr_matrix, "__matmul__", counted_matmul)
+    monkeypatch.setattr(linsolve, "_gmres_cycle", counted_cycle)
+    return products, cycles

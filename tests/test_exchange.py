@@ -209,6 +209,9 @@ def test_scatter_matches_the_sparse_products(case):
     rhs = rng.standard_normal(G.shape[1])
     system = CoupledSystem(coupling, got.copy(), rhs.copy(), dirichlet)
     rows = system.pinned
+    # taken once per system, in the order of `dirichlet`
+    assert system.pinned is rows and not rows.flags.writeable
+    assert rows.tolist() == [coupling.node_index[nid] for nid in dirichlet]
     assert_pinned_rows(system)
     kept = np.setdiff1d(np.arange(got.shape[0]), rows)
     assert abs(system.matrix[kept] - got[kept]).max() == 0.0

@@ -17,7 +17,8 @@ from microvasc import (
 )
 from microvasc import flow as flow_module
 from microvasc.errors import SolverError, ValidationError
-from microvasc.flow import RESIDUAL_TOL, scaled_residual
+from microvasc.flow import RESIDUAL_TOL
+from microvasc.linsolve import scaled_residual
 from microvasc.linsolve import RESTART
 from microvasc.rheology import segment_viscosity, vessel_conductance
 

@@ -79,6 +79,7 @@ from conftest import (
     make_jittered_lattice,
     make_starter_network,
     make_y_junction,
+    outside_krylov,
 )
 
 AGREEMENT = 1e-12
@@ -248,6 +249,70 @@ def test_start_from_the_guess_evaluates_no_preconditioned_start(monkeypatch, gue
     # GMRES applies M to its basis vectors only; M^-1 b is the one start
     starts = [r for r in applied if np.array_equal(r, rhs)]
     assert len(starts) == (not guess)
+
+
+def products_error(matrix, x, products):
+    """Largest difference of (A x, |A||x|) from `products`, row by row in
+    units of that row's |A||x|."""
+    magnitude = abs(matrix) @ np.abs(x)
+    scale = np.where(magnitude > 0.0, magnitude, 1.0)
+    want = (matrix @ x, magnitude)
+    return max(np.max(np.abs(got - w) / scale) for got, w in zip(products, want))
+
+
+@pytest.mark.blas_threads
+def test_a_settled_guess_starts_from_its_kept_products(monkeypatch):
+    """A Newton step's guess is the iterate the last solve settled: the
+    next solve, given that array or an equal one, neither settles nor
+    multiplies it at its start, and its answer still agrees with a direct
+    solve. A guess written into, or one for other node rows, is settled
+    and multiplied afresh."""
+    base, at_38, rhs_38, grid = newton_system(38.0)
+    _, at_0, rhs_0, _ = newton_system(0.0)
+    solver, cells = LinearSolver(base, grid), grid.n_cells
+    settled, _ = solver.solve(rhs_38, at_38[:cells])
+    starts, settle = [], LinearSolver._settle
+
+    def recorded_settle(self, x, rhs):
+        starts.append(x)
+        return settle(self, x, rhs)
+
+    monkeypatch.setattr(LinearSolver, "_settle", recorded_settle)
+    products, cycles = outside_krylov(monkeypatch, rhs_0.size)
+    other_nodes = rhs_38.copy()
+    other_nodes[cells] += 1.0
+    # each from the last settled iterate, for the other of the two systems
+    guesses = {
+        "itself": (lambda last: last, at_0, rhs_0, True),
+        "an equal copy": (lambda last: last.copy(), at_38, rhs_38, True),
+        "written into": (lambda last: last + np.eye(1, last.size)[0], at_0, rhs_0, False),
+        "for other node rows": (lambda last: last, at_38, other_nodes, False),
+    }
+    last = settled
+    for guess_from, d, rhs, kept in guesses.values():
+        guess = guess_from(last)
+        last, iterations = solver.solve(rhs, d[:cells], guess=guess)
+        count = len(cycles) // 2
+        # each settled iterate is multiplied once, (A + D) x and |A + D| |x|
+        assert count >= 1 and len(products) == 2 * len(starts)
+        assert len(starts) == count + (not kept)
+        assert (starts[0] is guess) == (not kept)
+        assert_agrees(base + sp.diags(d), rhs, last, iterations)
+        for log in (starts, products, cycles):
+            log.clear()
+
+
+@pytest.mark.blas_threads
+def test_an_iterate_written_into_is_multiplied_afresh():
+    """`products` serves A x and |A||x| for the iterate a shifted solve
+    settled last, corrected for its cell diagonal, and forms them again
+    for that iterate once a caller has written into it."""
+    base, at_38, rhs_38, grid = newton_system(38.0)
+    solver = LinearSolver(base, grid)
+    x, _ = solver.solve(rhs_38, at_38[: grid.n_cells])
+    assert products_error(base, x, solver.products(x)) <= 1e-14
+    x[0] += 1.0  # a write into the caller's array, as `restore` makes one
+    assert products_error(base, x, solver.products(x)) <= 1e-14
 
 
 def test_zero_right_hand_side_gives_zero_from_any_guess():
@@ -678,6 +743,48 @@ def test_shift_moves_epsilon_by_the_mean_of_the_diagonal():
     assert cosine.epsilon == before
 
 
+def uncached_fit(data, grid):
+    """c, mismatch and row_sum of a tissue block's data on the Laplacian's
+    pattern, with everything the fit takes from the grid formed again."""
+    laplacian = grid.laplacian.data
+    faces = grid.stencil[1][1:3].ravel()
+    block, unit = data[faces], laplacian[faces]
+    c = block @ unit / (unit @ unit)
+    _, _, area, h = grid.faces()
+    weakest = c * np.min(area / h)
+    mismatch = np.max(np.abs(data - c * laplacian)) / weakest if c > 0.0 else np.inf
+    return c, mismatch, np.sum(data) / grid.n_cells
+
+
+def fitted_blocks(case):
+    """Tissue blocks of the ANISOTROPIC grids (c L + eps I and the same
+    with every entry moved by up to 10%) or of a benchmark grid's flow and
+    oxygen systems, and their grid."""
+    if case[0] == "anisotropic":
+        grid = build_grid(*ANISOTROPIC[case[1]])
+        plain = constant_coefficient(grid, 2.7e-3, 1.0e-9)
+        moved = plain.copy()
+        moved.data *= np.random.default_rng(case[1]).uniform(0.9, 1.1, moved.nnz)
+        return [plain, moved], grid
+    net_fn, box, cells = BENCHMARK_GRIDS[case[1]]
+    blocks, grid = coupled_blocks(net_fn(), box, cells)
+    return list(blocks.values()), grid
+
+
+@pytest.mark.parametrize("case", [("anisotropic", 0), ("anisotropic", 1),
+                                  ("benchmark", 0), ("benchmark", 1), ("benchmark", 2)])
+@pytest.mark.blas_threads
+def test_cached_fit_reproduces_the_uncached_formulas(case):
+    """The grid's cosine-fit constants give c, mismatch and row_sum bit
+    for bit: the same operations on the same operands, only kept."""
+    blocks, grid = fitted_blocks(case)
+    for block in blocks:
+        cosine = CosineSolve(block, grid)
+        got = (cosine.coefficient, cosine.mismatch, cosine.row_sum)
+        assert got == uncached_fit(linsolve.tissue_data(block, grid), grid)
+    assert grid.cosine_fit is grid.cosine_fit  # built once per grid
+
+
 @pytest.mark.parametrize("shift", [0.0, -1.0e-6])
 def test_nonpositive_epsilon_is_singular(shift):
     box, cells = ANISOTROPIC[1]
@@ -701,14 +808,15 @@ def coupled_blocks(net, box, cells, params=None):
     return {"flow": system.matrix[:n, :n], "oxygen": operator.matrix[:n, :n]}, system.grid
 
 
-@pytest.mark.parametrize(
-    "net_fn, box, cells",
-    [
-        (make_desk_network, CUBE, (20, 20, 20)),
-        (lambda: make_jittered_lattice(0, 9), LATTICE_BOX, (12, 12, 12)),
-        (make_starter_network, STARTER_BOX, (12, 12, 12)),
-    ],
-)
+# the desk, lattice and starter grids of the benchmark's three workloads
+BENCHMARK_GRIDS = [
+    (make_desk_network, CUBE, (20, 20, 20)),
+    (lambda: make_jittered_lattice(0, 9), LATTICE_BOX, (12, 12, 12)),
+    (make_starter_network, STARTER_BOX, (12, 12, 12)),
+]
+
+
+@pytest.mark.parametrize("net_fn, box, cells", BENCHMARK_GRIDS)
 def test_default_tissue_blocks_take_the_cosine_solve(net_fn, box, cells):
     blocks, grid = coupled_blocks(net_fn(), box, cells)
     for block in blocks.values():
@@ -755,6 +863,35 @@ def test_wall_coupling_sweep_takes_no_more_iterations_than_the_vcycle(
     monkeypatch.setattr(linsolve, "tissue_preconditioner", VCycle)
     vcycle = desk_iterations((20, 20, 20), params)
     assert selected[0] <= vcycle[0] and selected[1] <= vcycle[1]
+
+
+# recorded at x100 before the solver kept its products: flow 22 GMRES
+# iterations on the V-cycle, oxygen 5 Newton steps and 12 on the cosine solve
+@pytest.mark.blas_threads
+def test_vcycle_newton_solve_agrees_with_spsolve():
+    params = FlowParameters(wall_conductivity=100 * FlowParameters().wall_conductivity)
+    oxygen = OxygenParameters()
+    net = make_desk_network()
+    system = flow_system(net, CUBE, (20, 20, 20), params)
+    n = system.grid.n_cells
+    assert isinstance(tissue_preconditioner(system.matrix[:n, :n], system.grid), VCycle)
+    flow = solve_flow(system)
+    pressures = np.concatenate([flow.p_t, flow.p_nodes])
+    exact = spla.spsolve(system.matrix.tocsc(), system.rhs)
+    assert np.max(np.abs(pressures - exact)) <= AGREEMENT * np.max(np.abs(exact))
+    operator = assemble_transport_operator(
+        net, system.grid, system.coupling, flow, params, oxygen
+    )
+    state = solve_oxygen(operator, oxygen)
+    # the root is the fixed point of an exact Newton step from it
+    po2 = np.concatenate([state.po2_t, state.po2_nodes])
+    rate = np.zeros(po2.size)
+    rate[:n] = system.grid.cell_volume * oxygen.max_consumption
+    _, d, g = _sink(rate, oxygen.po2_half, po2)
+    step = spla.spsolve((operator.matrix + sp.diags(d)).tocsc(), operator.rhs + g)
+    assert np.max(np.abs(po2 - step)) <= AGREEMENT * np.max(np.abs(step))
+    assert flow.linear_iterations <= 22
+    assert state.iterations <= 5 and state.linear_iterations <= 12
 
 
 # with the V-cycle, flow took 16, 20 and 24 iterations and cold oxygen

@@ -22,9 +22,10 @@ from microvasc import (
 )
 from microvasc import oxygen as oxygen_module
 from microvasc.errors import ConvergenceError, StateError, ValidationError
-from microvasc.flow import RESIDUAL_TOL, scaled_residual
+from microvasc.flow import RESIDUAL_TOL
+from microvasc.linsolve import scaled_residual
 
-from conftest import make_desk_network
+from conftest import make_desk_network, outside_krylov
 
 ARTERIAL_PO2 = OxygenParameters().arterial_po2
 VENOUS_PO2 = OxygenParameters().venous_po2
@@ -332,6 +333,88 @@ class TestCoupledOxygen:
         with pytest.raises(ConvergenceError, match="row-scaled") as failure:
             solve_oxygen(operator, params)
         assert failure.value.history
+
+    def test_warm_step_multiplies_its_iterate_once(self, desk_grid, monkeypatch):
+        """A warm Newton step that takes one GMRES cycle and its full step
+        takes two full-size products outside the Krylov loop: (A + D) x
+        and |A + D| |x| of the iterate the cycle ends on, which the gate,
+        the merit and the next step's start all read. Before the solver
+        kept them a step took six: two residuals of two products each, the
+        merit and the row-scaled gate."""
+        params = OxygenParameters()
+        operator, _ = desk_operator(make_desk_network(), desk_grid, params)
+        products, cycles = outside_krylov(monkeypatch, operator.n_unknowns)
+        solves, merits = [], []  # per linear solve: warm, counts at its start
+        solve, served = oxygen_module.LinearSolver.solve, oxygen_module.LinearSolver.products
+
+        def recorded(self, rhs, cell_diagonal=None, guess=None, forcing=0.0):
+            solves.append((guess is not None, len(products), len(cycles), len(merits)))
+            return solve(self, rhs, cell_diagonal, guess, forcing)
+
+        def merit(self, x):
+            merits.append(x)
+            return served(self, x)
+
+        monkeypatch.setattr(oxygen_module.LinearSolver, "solve", recorded)
+        monkeypatch.setattr(oxygen_module.LinearSolver, "products", merit)
+        state = solve_oxygen(operator, params)
+        assert len(solves) == state.iterations  # no step redone tight
+        ends = solves[1:] + [(None, len(products), len(cycles), len(merits))]
+        steps = []  # per step: warm, its products, cycle log entries, merits
+        for start, stop in zip(solves, ends):
+            steps.append((start[0], *(end - at for end, at in zip(stop[1:], start[1:]))))
+        # the first step's start is settled and multiplied, as is a cold one's;
+        # a cycle logs its start and its end
+        full = [count for _, count, logged, merits in steps[1:] if logged == 2 and merits == 1]
+        assert len(full) >= 2 and all(warm for warm, *_ in steps[1:])
+        assert max(full) <= 2
+
+    def test_changed_iterate_is_never_served_kept_products(self, desk_grid, monkeypatch):
+        """An iterate written into after its solve, and the x + t dx of a
+        step that backtracks, are multiplied afresh: every A x and |A||x|
+        the merit reads is that of its own x, to rounding."""
+        params = OxygenParameters()
+        operator, _ = desk_operator(make_desk_network(), desk_grid, params)
+        base = operator.matrix
+        solve, served = oxygen_module.LinearSolver.solve, oxygen_module.LinearSolver.products
+        restore = operator.restore
+        forcings, restores, merits = [], [], []  # merits: (x is the kept iterate, error)
+
+        def overshooting(self, rhs, cell_diagonal=None, guess=None, forcing=0.0):
+            # the first warm step is turned round and its tight redo
+            # overshoots three times: neither decreases ||F|| at t = 1
+            x, iterations = solve(self, rhs, cell_diagonal, guess, forcing)
+            forcings.append(forcing)
+            if guess is not None and len(forcings) <= 3:
+                x = guess - (x - guess) if len(forcings) == 2 else guess + 3.0 * (x - guess)
+            return x, iterations
+
+        def moving(x):
+            restore(x)
+            restores.append(len(merits))
+            if len(restores) == 2:  # the first solve's answer, written into
+                x[0] += 1.0
+
+        def checked(self, x):
+            kept = self.settled is not None and np.array_equal(x, self.settled.x)
+            product, magnitude = served(self, x)
+            want, scale = base @ x, abs(base) @ np.abs(x)
+            scale_or_1 = np.where(scale > 0.0, scale, 1.0)
+            error = max(np.max(np.abs(got - w) / scale_or_1)
+                        for got, w in ((product, want), (magnitude, scale)))
+            merits.append((kept, error))
+            return product, magnitude
+
+        monkeypatch.setattr(oxygen_module.LinearSolver, "solve", overshooting)
+        monkeypatch.setattr(oxygen_module.LinearSolver, "products", checked)
+        monkeypatch.setattr(operator, "restore", moving)
+        state = solve_oxygen(operator, params)
+        assert forcings[1] > 0.0 and forcings[2] == 0.0  # loose, redone tight
+        assert merits[restores[1]][0] is False  # the written iterate
+        # more merits than the first and one per solve: the redo backtracked
+        assert len(merits) > 1 + len(forcings)
+        assert max(error for _, error in merits) <= 1e-14
+        assert oxygen_residual(operator, state, params) <= RESIDUAL_TOL
 
     def test_non_descent_loose_step_is_redone_tight(self, desk_grid, monkeypatch):
         params = OxygenParameters()

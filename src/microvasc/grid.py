@@ -74,26 +74,25 @@ class TissueGrid:
         self.cell_volume = float(np.prod(self.spacing))
         self.n_cells = counts[0] * counts[1] * counts[2]
         self._last_cell = np.array(counts)[:, None] - 1
+        # per axis: lower corner, upper corner, spacing and last cell, as floats
+        self._axes = list(zip(box.lower.tolist(), box.upper.tolist(),
+                              self.spacing.tolist(), [c - 1.0 for c in counts]))
         self._control_volumes = {}  # by (roi bounds, n)
-
-    def locate_all(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cells containing the points (..., 3), clamped to the nearest cell
-        when outside. Returns (linear indices, clamped mask) of shape (...).
-
-        The points go to `locate_columns` as one (3, n) array.
-        """
-        points = np.asarray(points, float)
-        cells, clamped = self.locate_columns(points.reshape(-1, 3).T)
-        shape = points.shape[:-1]
-        return cells.reshape(shape), clamped.reshape(shape)
 
     def locate(self, point: np.ndarray) -> tuple[int, bool]:
         """Cell containing `point`; clamps to the nearest cell when outside.
 
-        Returns (linear index, clamped flag).
+        Returns (linear index, clamped flag): `locate_columns` of one
+        point, with its operations on floats. The cell coordinate is
+        clamped to [0, last] before the floor, which is the floor clamped,
+        since both bounds are integers.
         """
-        cell, clamped = self.locate_all(point)
-        return int(cell), bool(clamped)
+        ijk, clamped = [], False
+        for x, (lo, hi, h, last) in zip(np.asarray(point, float).tolist(), self._axes):
+            ijk.append(math.floor(min(max((x - lo) / h, 0.0), last)))
+            clamped = clamped or x < lo or x > hi
+        nx, ny, _ = self.cells_per_axis
+        return ijk[0] + nx * (ijk[1] + ny * ijk[2]), clamped
 
     def locate_columns(self, coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Cells containing the n points whose x, y and z are the rows of

@@ -10,12 +10,17 @@ collision-checked against the existing network. Boundary PO2 values come
 from the run's `OxygenParameters`.
 
 Collision queries go through `OctantIndex`, a uniform bucket grid whose
-edge is set by the network when it is built. `collides` measures the
-index's candidates in one vectorized pass (`segment_distances`) and decides
-on those distances. The kernel takes every dot product with `np.vecdot`,
-which reduces each row on its own, so a row's distance is the same bit for
-bit in any batch and equals `segment_distance`, its one-row call: the
-answers are those of a scan of `segment_distance` over all segments.
+edge is set by the network when it is built. `collides` keeps the index's
+candidates whose radius-inflated boxes reach the query's, drops those
+incident to the attached nodes, and measures the rest in one vectorized
+pass (`segment_distances`), deciding on those distances. The kernel takes
+every dot product with `np.vecdot`, which reduces each row on its own, so a
+row's distance is the same bit for bit in any batch and equals
+`segment_distance`, its one-row call: the answers are those of a scan of
+`segment_distance` over all segments. Tests on one point (a box's
+`contains`, a cell's `locate`, a control volume's saturation) and the cross
+products of the branch directions run on Python floats, with the IEEE
+operations of their numpy forms.
 Linking is one exact vectorized pass over a table of all nodes: its
 distances and cone cosines come from `np.vecdot`, the dot kernel behind
 `np.linalg.norm` and 1-D `@`, so they equal a scalar scan's bit for bit.
@@ -105,6 +110,12 @@ def segment_distances(a0, a1, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     of them (Eberly, "Robust Computation of Distance Between Line Segments",
     2015). Every dot product is an `np.vecdot`, which reduces each row on
     its own, so a row's distance does not depend on the batch around it.
+
+    The branches for zero-length rows, rows that are not skew and line
+    parameters past an end each run on their own rows, and only when some
+    row takes them (`np.count_nonzero` asks, at a third of the cost of
+    `any`); every row gets the same floating-point operations as when all
+    branches ran on every row and a mask picked the answer.
     """
     a0 = np.asarray(a0, float)
     d1 = np.asarray(a1, float) - a0
@@ -117,29 +128,45 @@ def segment_distances(a0, a1, b0: np.ndarray, b1: np.ndarray) -> np.ndarray:
     b = np.vecdot(d2, d1)
     denom = a * e - b * b
     point_b = e <= _EPS
-    e_safe = np.where(point_b, 1.0, e)
-    if a <= _EPS:
-        s = np.zeros_like(e)
-        t = np.where(point_b, 0.0, np.clip(f / e_safe, 0.0, 1.0))
+    some_points = np.count_nonzero(point_b)
+    e_safe = np.where(point_b, 1.0, e) if some_points else e
+    if a <= _EPS:  # s = 0: the point a0 against each segment
+        t = _unit(f / e_safe)
+        if some_points:
+            t[point_b] = 0.0
+        diff = r - t[:, None] * d2
     else:
         skew = denom > 0
-        s = np.clip((b * f - c * e) / np.where(skew, denom, 1.0), 0.0, 1.0)
-        s = np.where(skew, s, 0.0)
+        if np.count_nonzero(skew) == skew.size:
+            s = _unit((b * f - c * e) / denom)
+        else:
+            s = _unit((b * f - c * e) / np.where(skew, denom, 1.0))
+            s[~skew] = 0.0
         t = (b * s + f) / e_safe
-        s_low = np.clip(-c / a, 0.0, 1.0)
-        s_high = np.clip((b - c) / a, 0.0, 1.0)
-        s = np.where(t < 0.0, s_low, np.where(t > 1.0, s_high, s))
-        t = np.clip(t, 0.0, 1.0)
-        s = np.where(point_b, s_low, s)
-        t = np.where(point_b, 0.0, t)
-    diff = r + s[:, None] * d1 - t[:, None] * d2
+        low, high = t < 0.0, t > 1.0  # t clamped to its nearer end, s to match
+        if np.count_nonzero(low):
+            s[low] = _unit(-c[low] / a)
+            t[low] = 0.0
+        if np.count_nonzero(high):
+            s[high] = _unit((b[high] - c[high]) / a)
+            t[high] = 1.0
+        if some_points:
+            s[point_b] = _unit(-c[point_b] / a)
+            t[point_b] = 0.0
+        diff = r + s[:, None] * d1 - t[:, None] * d2
     dist = np.sqrt(np.vecdot(diff, diff))
-    near = np.flatnonzero(denom <= _PARALLEL * a * e)
-    if near.size:
+    near = denom <= _PARALLEL * a * e
+    if np.count_nonzero(near):
         dist[near] = np.minimum(dist[near], _endpoint_distances(
             r[near], d1, d2[near], a, e[near], f[near], c[near], b[near]
         ))
     return dist
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x clamped to [0, 1] in place, NaN kept: np.clip's values, at a
+    fraction of its per-call cost on short rows."""
+    return np.minimum(np.maximum(x, 0.0, out=x), 1.0, out=x)
 
 
 def segment_distance(a0, a1, b0, b1) -> float:
@@ -155,8 +182,8 @@ def _endpoint_distances(r, d1, d2, a, e, f, c, b):
     e_safe = np.where(e > _EPS, e, np.inf)  # a point: parameter 0
     a_safe = a if a > _EPS else np.inf
     zeros, ones = np.zeros_like(e), np.ones_like(e)
-    s = np.stack([zeros, ones, np.clip(-c / a_safe, 0, 1), np.clip((b - c) / a_safe, 0, 1)])
-    t = np.stack([np.clip(f / e_safe, 0, 1), np.clip((f + b) / e_safe, 0, 1), zeros, ones])
+    s = np.stack([zeros, ones, _unit(-c / a_safe), _unit((b - c) / a_safe)])
+    t = np.stack([_unit(f / e_safe), _unit((f + b) / e_safe), zeros, ones])
     diff = r + s[..., None] * d1 - t[..., None] * d2
     return np.sqrt(np.min(np.vecdot(diff, diff), axis=0))
 
@@ -164,7 +191,14 @@ def _endpoint_distances(r, d1, d2, a, e, f, c, b):
 def _rotate(v: np.ndarray, axis: np.ndarray, angle: float) -> np.ndarray:
     """Rodrigues rotation of v about the unit axis."""
     c, s = math.cos(angle), math.sin(angle)
-    return v * c + np.cross(axis, v) * s + axis * (axis @ v) * (1.0 - c)
+    return v * c + _cross(axis, v) * s + axis * (axis @ v) * (1.0 - c)
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """u x v of two 3-vectors on floats: np.cross's products and
+    differences, without its per-call set-up."""
+    (ux, uy, uz), (vx, vy, vz) = u.tolist(), v.tolist()
+    return np.array([uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx])
 
 
 # -- segment index: uniform bucket grid ----------------------------------
@@ -184,7 +218,10 @@ class OctantIndex:
     Bucket coordinates are clamped to the grid, so geometry outside the
     domain falls into the border buckets and is still found. Endpoints and
     radii are kept in arrays, one row (slot) per segment; `remove` only
-    marks a slot dead.
+    marks a slot dead. Each segment's radius-inflated box is kept the same
+    way, as one row of `box`: its lower corner minus the radius, then minus
+    (its upper corner plus the radius), so that one `<=` against a query's
+    row tests the overlap on all six faces (`collides`).
 
     `build` indexes the whole network in one array pass: every segment's
     (bucket, slot) pairs at once (`_bucket_pairs`), sorted by bucket. It
@@ -214,6 +251,7 @@ class OctantIndex:
         self.p0 = np.empty((0, 3))
         self.p1 = np.empty((0, 3))
         self.radius = np.empty(0)
+        self.box = np.empty((0, 6))
         self.alive = np.empty(0, dtype=bool)
 
     def _keys(self, p0: np.ndarray, p1: np.ndarray, pad: float) -> list[int]:
@@ -256,7 +294,7 @@ class OctantIndex:
 
     def _grow(self):
         cap = max(2 * self.size, 64)
-        for name in ("ids", "p0", "p1", "radius", "alive"):
+        for name in ("ids", "p0", "p1", "radius", "box", "alive"):
             old = getattr(self, name)
             new = np.zeros((cap, *old.shape[1:]), dtype=old.dtype)
             new[: self.size] = old[: self.size]
@@ -273,6 +311,9 @@ class OctantIndex:
         self.p0[slot] = p0
         self.p1[slot] = p1
         self.radius[slot] = radius
+        pairs = list(zip(p0.tolist(), p1.tolist()))
+        self.box[slot] = ([min(a, b) - radius for a, b in pairs]
+                          + [-(max(a, b) + radius) for a, b in pairs])
         self.alive[slot] = True
         self.slot_of[seg_id] = slot
         for key in self._keys(p0, p1, radius):
@@ -313,6 +354,8 @@ class OctantIndex:
         index.size = n
         index.ids = table.segment_ids
         index.p0, index.p1, index.radius = p0, p1, radius
+        index.box = np.hstack([np.minimum(p0, p1) - radius[:, None],
+                               -(np.maximum(p0, p1) + radius[:, None])])
         index.alive = np.ones(n, dtype=bool)
         index.slot_of = dict(zip(index.ids.tolist(), range(n)))
         keys, slots = index._bucket_pairs(p0, p1, radius)
@@ -327,6 +370,9 @@ class OctantIndex:
         return index
 
 
+_MARGIN = 1e-9  # of the query radius and of the bucket edge, in the box test
+
+
 def collides(
     net: VascularNetwork,
     octants: OctantIndex,
@@ -339,18 +385,42 @@ def collides(
 
     Segments sharing a network node with the candidate (those incident to
     `attached_nodes`) are exempt; the rejection guard is the strict
-    inequality dist < R_new + R_k on the index's candidates, measured in
-    one batched pass.
+    inequality dist < R_new + R_k on the index's candidates.
+
+    Only candidates that can collide are measured. A candidate is kept
+    where its box row (`OctantIndex`) overlaps the query's box grown by
+    pad = R_new * (1 + _MARGIN) + _MARGIN * edge, in one `<=` of the six
+    bounds; exempt segments are then dropped, and `segment_distances`
+    measures what is left in one batched pass, or is not called when
+    nothing is. The answer is that of measuring every candidate. A dropped
+    row is separated from the query along some axis by more than
+    R_new + R_k plus the margin, and the kernel only ever measures a real
+    pair of points, one on each segment, so its distance for that row
+    could not have come out below R_new + R_k: the margin is many times
+    the rounding of the bounds and of the distance, for coordinates up to
+    about 100 domain sides from the origin. The kernel's rows are
+    independent of the batch around them, so a kept row's distance is the
+    same as among all candidates.
     """
     slots = octants.candidates(p0, p1, radius)
     if not slots.size:
         return False
-    dist = segment_distances(p0, p1, octants.p0[slots], octants.p1[slots])
-    for sid in octants.ids[slots[dist < radius + octants.radius[slots]]].tolist():
+    p0 = np.asarray(p0, float)
+    p1 = np.asarray(p1, float)
+    pad = radius * (1.0 + _MARGIN) + _MARGIN * octants.edge
+    pairs = list(zip(p0.tolist(), p1.tolist()))
+    reach = [max(a, b) + pad for a, b in pairs] + [pad - min(a, b) for a, b in pairs]
+    slots = slots[(octants.box[slots] <= reach).all(1)]
+    rows = []
+    for slot, sid in zip(slots.tolist(), octants.ids[slots].tolist()):
         seg = net.segments.get(sid)
         if seg is not None and not (seg.node_a in attached_nodes or seg.node_b in attached_nodes):
-            return True
-    return False
+            rows.append(slot)
+    if not rows:
+        return False
+    rows = np.array(rows)
+    dist = segment_distances(p0, p1, octants.p0[rows], octants.p1[rows])
+    return bool(np.count_nonzero(dist < radius + octants.radius[rows]))
 
 
 def check_and_insert(
@@ -490,7 +560,7 @@ def build_bifurcation_directions(
     """
     d_k = np.asarray(d_k, float)
     d_g = np.asarray(d_g, float)
-    n_p = np.cross(d_k, d_g)
+    n_p = _cross(d_k, d_g)
     norm = np.linalg.norm(n_p)
     if norm < 1e-12:
         n_p = _perpendicular(d_k, rng)
@@ -807,12 +877,17 @@ class GrowthEngine:
         return self.net
 
     def _cv_saturated(self, position: np.ndarray) -> bool:
+        """Whether `position` lies in a control volume of the roi whose
+        average is above `po2_stop`; a point outside the roi is not."""
         if not self.roi.contains(position):
             return False
         n = self.params.cv_per_axis
-        rel = (position - self.roi.lower) / self.roi.extent * n
-        ix, iy, iz = np.clip(np.floor(rel).astype(int), 0, n - 1)
-        return self.cv_field[ix, iy, iz] > self.params.po2_stop
+        index = tuple(
+            min(max(math.floor((x - lo) / (hi - lo) * n), 0), n - 1)
+            for x, lo, hi in zip(position.tolist(), self.roi.lower.tolist(),
+                                 self.roi.upper.tolist())
+        )
+        return bool(self.cv_field[index] > self.params.po2_stop)
 
     def run_phase3(self):
         """Prune dead ends in the roi, re-link, and clip to the roi."""

@@ -84,10 +84,17 @@ class DomainBox:
         return self.upper - self.lower
 
     def contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x >= self.lower) and np.all(x <= self.upper))
+        """Whether the point x lies in the closed box (False for NaN)."""
+        return all(lo <= v <= hi for lo, v, hi in self._bounds(x))
 
     def strictly_contains(self, x: np.ndarray) -> bool:
-        return bool(np.all(x > self.lower) and np.all(x < self.upper))
+        """Whether the point x lies in the open box (False for NaN)."""
+        return all(lo < v < hi for lo, v, hi in self._bounds(x))
+
+    def _bounds(self, x):
+        """(lower, x, upper) per axis as floats: one point's tests are
+        float comparisons, exact as numpy's."""
+        return zip(self.lower.tolist(), np.asarray(x, float).tolist(), self.upper.tolist())
 
 
 def enlarge_domain(roi: DomainBox, factor: float = 0.10) -> DomainBox:

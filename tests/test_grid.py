@@ -73,15 +73,16 @@ class TestTissueGrid:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_locate_matches_the_per_point_oracle(self, data):
-        """Every shape of input goes through one kernel: cells and clamped
-        flags equal the scalar oracle's bit for bit, and `locate` is the
-        matching row of `locate_all`."""
+        """`locate`, on floats, and `locate_columns`, on arrays, give the
+        scalar oracle's cell and clamped flag on every point: faces, their
+        neighbouring floats, signed zeros and points outside the box."""
         grid = data.draw(dyadic_grids())
         lower, spacing, extent = grid.box.lower, grid.spacing, grid.box.extent
 
         def coordinate(axis):
             """A face of the grid or one beyond it, a face's neighbouring
-            float on either side, or any value in and around the box."""
+            float on either side, a signed zero, or any value in and around
+            the box."""
             face = st.integers(-2, grid.cells_per_axis[axis] + 2).map(
                 lambda i: float(lower[axis] + i * spacing[axis])
             )
@@ -89,24 +90,17 @@ class TestTissueGrid:
                 lambda pair: float(np.nextafter(*pair))
             )
             lo, e = float(lower[axis]), float(extent[axis])
-            return st.one_of(face, beside, st.floats(lo - 2.0 * e, lo + 3.0 * e))
+            return st.one_of(face, beside, st.sampled_from([0.0, -0.0]),
+                             st.floats(lo - 2.0 * e, lo + 3.0 * e))
 
-        n, k = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
-        points = np.array([
-            [[data.draw(coordinate(axis)) for axis in range(3)] for _ in range(k)]
-            for _ in range(n)
-        ])
-        cells, clamped = grid.locate_all(points)
-        assert cells.shape == clamped.shape == (n, k)
-        flat_cells, flat_clamped = grid.locate_all(points.reshape(-1, 3))
-        assert np.array_equal(flat_cells, cells.ravel())
-        assert np.array_equal(flat_clamped, clamped.ravel())
-        for point, cell, flag in zip(points.reshape(-1, 3), flat_cells, flat_clamped):
+        n = data.draw(st.integers(1, 16))
+        points = np.array([[data.draw(coordinate(axis)) for axis in range(3)] for _ in range(n)])
+        cells, clamped = grid.locate_columns(points.T)
+        assert cells.shape == clamped.shape == (n,)
+        for point, cell, flag in zip(points, cells.tolist(), clamped.tolist()):
             assert oracle_locate(grid, point) == (cell, flag)
-            one_cell, one_flag = grid.locate_all(point)
-            assert one_cell.shape == one_flag.shape == ()
-            assert (one_cell, one_flag) == (cell, flag)
             assert grid.locate(point) == (cell, flag)
+            assert grid.locate(point.tolist()) == (cell, flag)
 
     @pytest.mark.parametrize("cells", [(12, 12, 12), (3, 4, 5), (7, 2, 9)])
     def test_cosine_basis_is_the_orthonormal_dct(self, unit_cube, cells):

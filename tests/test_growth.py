@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from microvasc import growth
 from microvasc import (
     DomainBox,
     FlowParameters,
@@ -96,6 +97,64 @@ def reference_segment_distance(a0, a1, b0, b1) -> float:
     ))
 
 
+# -- reference: the batched kernel as it was before its branches were trimmed --
+
+
+def frozen_segment_distances(a0, a1, b0, b1):
+    """`segment_distances` with every branch run on every row and a mask
+    picking the answer, and its clamps by `np.clip`."""
+    a0 = np.asarray(a0, float)
+    d1 = np.asarray(a1, float) - a0
+    d2 = b1 - b0
+    r = a0 - b0
+    a = np.vecdot(d1, d1)
+    e = np.vecdot(d2, d2)
+    f = np.vecdot(d2, r)
+    c = np.vecdot(r, d1)
+    b = np.vecdot(d2, d1)
+    denom = a * e - b * b
+    point_b = e <= _EPS
+    e_safe = np.where(point_b, 1.0, e)
+    if a <= _EPS:
+        s = np.zeros_like(e)
+        t = np.where(point_b, 0.0, np.clip(f / e_safe, 0.0, 1.0))
+    else:
+        skew = denom > 0
+        s = np.clip((b * f - c * e) / np.where(skew, denom, 1.0), 0.0, 1.0)
+        s = np.where(skew, s, 0.0)
+        t = (b * s + f) / e_safe
+        s_low = np.clip(-c / a, 0.0, 1.0)
+        s_high = np.clip((b - c) / a, 0.0, 1.0)
+        s = np.where(t < 0.0, s_low, np.where(t > 1.0, s_high, s))
+        t = np.clip(t, 0.0, 1.0)
+        s = np.where(point_b, s_low, s)
+        t = np.where(point_b, 0.0, t)
+    diff = r + s[:, None] * d1 - t[:, None] * d2
+    dist = np.sqrt(np.vecdot(diff, diff))
+    near = np.flatnonzero(denom <= 1e-6 * a * e)
+    if near.size:
+        r, d2, e, f, c, b = r[near], d2[near], e[near], f[near], c[near], b[near]
+        e_safe = np.where(e > _EPS, e, np.inf)
+        a_safe = a if a > _EPS else np.inf
+        zeros, ones = np.zeros_like(e), np.ones_like(e)
+        s = np.stack([zeros, ones, np.clip(-c / a_safe, 0, 1), np.clip((b - c) / a_safe, 0, 1)])
+        t = np.stack([np.clip(f / e_safe, 0, 1), np.clip((f + b) / e_safe, 0, 1), zeros, ones])
+        ends = r + s[..., None] * d1 - t[..., None] * d2
+        dist[near] = np.minimum(dist[near], np.sqrt(np.min(np.vecdot(ends, ends), axis=0)))
+    return dist
+
+
+def scan_collides(net, p0, p1, radius, attached) -> bool:
+    """`collides` as a scan of `segment_distance` over every segment."""
+    for sid, seg in net.segments.items():
+        if seg.node_a in attached or seg.node_b in attached:
+            continue
+        q0, q1 = endpoints(net, sid)
+        if segment_distance(p0, p1, q0, q1) < radius + seg.radius:
+            return True
+    return False
+
+
 class TestSegmentDistance:
     def test_parallel_offset(self):
         d = segment_distance([0, 0, 0], [1, 0, 0], [0, 0.5, 0], [1, 0.5, 0])
@@ -172,14 +231,7 @@ class TestCollision:
             net.new_segment(a.id, b.id, rng.uniform(2e-6, 8e-6))
         return net
 
-    def brute_force(self, net, p0, p1, radius, attached):
-        for sid, seg in net.segments.items():
-            if seg.node_a in attached or seg.node_b in attached:
-                continue
-            q0, q1 = endpoints(net, sid)
-            if segment_distance(p0, p1, q0, q1) < radius + seg.radius:
-                return True
-        return False
+    brute_force = staticmethod(scan_collides)
 
     def test_octant_matches_brute_force(self):
         domain = DomainBox([0.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3])
@@ -394,6 +446,127 @@ class TestRowIndependence:
         assert mismatches == 0
 
 
+@pytest.mark.blas_threads
+class TestTrimmedKernel:
+    """The kernel runs its zero-length, non-skew and clamp branches only on
+    the rows that take them; its distances are the frozen formula's, bit
+    for bit."""
+
+    @given(data=st.data(), a0=vec3, a1=vec3, zero_length=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_frozen_formula(self, data, a0, a1, zero_length):
+        if zero_length:
+            a1 = a0.copy()
+        pairs = data.draw(st.lists(stored_segment(a0, a1), min_size=1, max_size=32))
+        b0 = np.array([q0 for q0, _ in pairs])
+        b1 = np.array([q1 for _, q1 in pairs])
+        with np.errstate(divide="raise", invalid="raise"):  # no masked-out 0/0
+            trimmed = segment_distances(a0, a1, b0, b1)
+        assert np.array_equal(trimmed.view(np.uint64),
+                              frozen_segment_distances(a0, a1, b0, b1).view(np.uint64))
+
+    def test_seeded_batches(self):
+        rows = 0
+        for a0, a1, b0, b1 in seeded_batches(1, 1000):
+            trimmed = segment_distances(a0, a1, b0, b1)
+            assert np.array_equal(trimmed.view(np.uint64),
+                                  frozen_segment_distances(a0, a1, b0, b1).view(np.uint64))
+            rows += len(b0)
+        assert rows > 15000
+
+
+@pytest.mark.blas_threads
+class TestBoxTest:
+    """`collides` measures only the candidates whose box row reaches the
+    query's box grown by its pad; near-touching pairs on either side of
+    R_new + R_k, and at the pad itself, answer as the scan."""
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_near_touching_pairs_match_the_scan(self, axis):
+        domain = DomainBox([0.0] * 3, [1e-3] * 3)
+        r_new, r_k = 3.0 * UM, 5.0 * UM
+        unit = np.eye(3)
+        along, across = unit[(axis + 1) % 3], unit[(axis + 2) % 3]
+        center = np.array([0.5e-3, 0.45e-3, 0.55e-3])
+        # one stored vessel on each side of the query, at different gaps
+        net = VascularNetwork()
+        below = [net.new_node(center - 40 * UM * along).id,
+                 net.new_node(center + 40 * UM * along).id]
+        net.new_segment(*below, r_k)
+        octants = OctantIndex.build(domain, net)
+        pad = r_new * (1.0 + growth._MARGIN) + growth._MARGIN * octants.edge
+        gaps = [(r_new + r_k) * (1.0 + k * 1e-12) for k in range(-3, 4)]
+        gaps += [(r_k + pad) * (1.0 + k * 1e-15) for k in range(-3, 4)]
+        cases = 0
+        for gap in gaps:
+            offset = center + gap * unit[axis]
+            above = [net.new_node(center + 2.5 * gap * unit[axis] + 30 * UM * across).id,
+                     net.new_node(center + 2.5 * gap * unit[axis] + 50 * UM * across).id]
+            sid = net.new_segment(*above, r_k).id
+            octants.insert(sid, *endpoints(net, sid), r_k)
+            queries = {
+                "parallel": (offset - 30 * UM * along, offset + 30 * UM * along),
+                "skew": (offset - 30 * UM * across, offset + 30 * UM * across),
+                "end on": (offset, offset + 60 * UM * unit[axis]),
+                "end across": (offset + 10 * UM * along, offset + 10 * UM * along
+                               + 60 * UM * across),
+            }
+            for p0, p1 in queries.values():
+                for attached in (set(), {below[0]}, {above[1]}, {below[1], above[0]}):
+                    assert collides(net, octants, p0, p1, r_new, attached) == (
+                        scan_collides(net, p0, p1, r_new, attached)
+                    )
+                    cases += 1
+            octants.remove(sid)
+            net.remove_segment(sid)
+        assert cases == len(gaps) * 16
+        # both answers occur at the edge: 1 - 1e-12 touches, 1 + 1e-12 does not
+        p0 = center + gaps[0] * unit[axis] - 30 * UM * along
+        p1 = center + gaps[0] * unit[axis] + 30 * UM * along
+        assert collides(net, octants, p0, p1, r_new, set())
+        p0, p1 = (p + (gaps[6] - gaps[0]) * unit[axis] for p in (p0, p1))
+        assert not collides(net, octants, p0, p1, r_new, set())
+
+
+@pytest.mark.blas_threads
+class TestGrowthQueries:
+    def test_starter_growth_decides_as_the_scan_and_rarely_measures(self, monkeypatch):
+        """Every `collides` decision of a starter-tree growth run (12^3
+        grid, six steps per phase, seed 0, as the benchmark's
+        `starter_generate`) equals the scan's, and at most a third of the
+        queries reach the distance kernel."""
+        roi = DomainBox([0.0] * 3, [0.5e-3] * 3)
+        domain = enlarge_domain(roi, 0.10)
+        engine = GrowthEngine(
+            make_starter_network(), domain, roi, build_grid(domain, (12, 12, 12)),
+            RheologyParameters(), FlowParameters(), OxygenParameters(),
+            GrowthParameters(max_iter_p1=6, max_iter_p2=6, max_iter_p3=6),
+            np.random.default_rng(0),
+        )
+        decisions, kernel_calls, measured = [], [], []
+        real_collides, real_kernel = growth.collides, growth.segment_distances
+
+        def checked(net, octants, p0, p1, radius, attached):
+            before = len(kernel_calls)
+            hit = real_collides(net, octants, p0, p1, radius, attached)
+            measured.append(len(kernel_calls) - before)
+            decisions.append(hit == scan_collides(net, p0, p1, radius, attached))
+            return hit
+
+        def counted(*args):
+            kernel_calls.append(len(args[2]))
+            return real_kernel(*args)
+
+        monkeypatch.setattr(growth, "collides", checked)
+        monkeypatch.setattr(growth, "segment_distances", counted)
+        engine.run_phase1()
+        engine.run_phase2()
+        engine.run_phase3()
+        assert len(decisions) >= 100 and all(decisions)
+        assert max(measured) == 1  # one batched pass at most
+        assert sum(measured) <= len(decisions) / 3
+
+
 # -- reference: the index built one insert at a time -------------------------
 
 
@@ -439,7 +612,7 @@ def assert_same_index(built, reference):
     assert list(built.slot_of.items()) == list(reference.slot_of.items())
     n = reference.size
     assert built.size == n
-    for name in ("ids", "p0", "p1", "radius", "alive"):
+    for name in ("ids", "p0", "p1", "radius", "box", "alive"):
         ours, theirs = getattr(built, name), getattr(reference, name)
         assert ours.dtype == theirs.dtype
         assert np.array_equal(ours[:n], theirs[:n])

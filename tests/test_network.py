@@ -180,6 +180,31 @@ class TestDomainBox:
         assert not box.strictly_contains([0.0, 0.5, 1.0])
         assert box.strictly_contains([0.5, 0.5, 0.5])
 
+    @given(
+        lower=st.tuples(*[st.sampled_from([-0.0, 0.0, -1e-3, 2.5e-4])] * 3),
+        data=st.data(),
+    )
+    def test_point_tests_match_the_array_forms(self, lower, data):
+        """`contains` and `strictly_contains` compare floats; they answer
+        as numpy's comparisons of the whole point on faces, their
+        neighbouring floats, signed zeros, outside points and NaN."""
+        box = DomainBox(lower, np.add(lower, [1e-3, 0.7e-3, 0.3e-3]))
+
+        def coordinate(axis):
+            lo, hi = float(box.lower[axis]), float(box.upper[axis])
+            faces = st.sampled_from([lo, hi, 0.0, -0.0, math.nan])
+            beside = st.tuples(faces, st.sampled_from([-np.inf, np.inf])).map(
+                lambda pair: float(np.nextafter(*pair))
+            )
+            return st.one_of(faces, beside, st.floats(lo - 1e-3, hi + 1e-3))
+
+        point = np.array([data.draw(coordinate(axis)) for axis in range(3)])
+        closed = bool(np.all(point >= box.lower) and np.all(point <= box.upper))
+        open_ = bool(np.all(point > box.lower) and np.all(point < box.upper))
+        assert box.contains(point) is closed and box.contains(point.tolist()) is closed
+        assert box.strictly_contains(point) is open_
+        assert box.strictly_contains(point.tolist()) is open_
+
     def test_enlarge_symmetric(self):
         roi = DomainBox([0.0, 0.0, 0.0], [1.0e-3, 2.0e-3, 1.0e-3])
         big = enlarge_domain(roi, 0.10)

@@ -7,14 +7,17 @@ Both compartments are assembled into one sparse linear system over
 cosine-transform solve (a multigrid V-cycle when the walls couple
 strongly), behind the row-scaled residual gate, which reads the products
 the solve formed of its answer (`LinearSolver.products`) rather than
-multiplying it, or building |A|, again. The wall exchange is the surface coupling's jump
-operator G = [-C, Pi] weighted by the sample areas: the block
-G^T diag(L_p a) G with right-hand side G^T (L_p a sigma dpi). Both sides
-of the exchange come from the same per-sample terms, so total filtration
-agrees between them to rounding. The matrix is filled on the coupling's
-pattern (`SurfaceCoupling.coupled_matrix`): the grid's face Laplacian
+multiplying it, or building |A|, again. The wall exchange is the surface
+coupling's jump operator G = [-C, Pi] weighted by the sample areas: the
+block G^T diag(L_p a) G with right-hand side G^T (L_p a sigma dpi), both
+assembled from the coupling's per-pair moments with L_p at both ends of
+every pair (`SurfaceCoupling.coupled_matrix` and `pair_transpose`). The
+matrix is filled on the coupling's pattern: the grid's face Laplacian
 scaled by the mobility, the Poiseuille conductances on the segment blocks
-and the exchange, in a `grid.CoupledSystem` pinning pressure-boundary nodes.
+and the exchange, in a `grid.CoupledSystem` pinning pressure-boundary
+nodes. A solved state's Starling flux is evaluated per wall sample, and
+its filtration sums and boundary fluxes are G^T of those sample fluxes, so
+the 3D and 1D totals of filtration agree to rounding.
 """
 
 from __future__ import annotations
@@ -145,9 +148,10 @@ def assemble_flow_system(
 
     alpha = beta = None
     if params.wall_conductivity > 0.0:
-        la = params.wall_conductivity * coupling.area
-        alpha, beta = -la, la
-        rhs = coupling.jump_transpose(la * (params.reflection * params.oncotic_jump))
+        # constant along every pair: L_p at both ends
+        lp = np.full((2, coupling.moments.shape[1]), params.wall_conductivity)
+        alpha, beta = -lp, lp
+        rhs = coupling.pair_transpose(lp * (params.reflection * params.oncotic_jump))
     else:
         # decoupled 3D Neumann problem: pin one tissue cell to remove null space
         tissue[grid.stencil[0][0]] += 1.0

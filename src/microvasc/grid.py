@@ -23,18 +23,27 @@ as (3, n) arrays, one contiguous row per axis.
 On the samples, C maps cell values to samples (one 1 per sample), Pi
 interpolates nodal values with weights w_a = 1 - s/l and w_b = s/l, and
 G = [-C, Pi] is the vessel-minus-tissue jump on the wall. Flow and oxygen
-both need blocks G^T [diag(alpha) C, diag(beta) Pi] for per-sample alpha
-and beta. `SurfaceCoupling` never forms C, Pi or G: it keeps the flat
-sample arrays (cell, weight w_b, area, segment by segment) and the CSR
-pattern of the coupled (cells, nodes) system, built once per coupling with
-the position of every assembled term in it. An assembly is then a few
-bincounts: per-cell, per-pair (one per distinct (segment, cell) of the
-samples) and per-segment sums of the sample terms, scattered onto those
-positions. This is the same algebra as the sparse products, summed in
-another order. From the same pattern the coupling also makes, on first
-use, the linear solver's `BlockPlan` (`SurfaceCoupling.blocks`): where
-the tissue, node and off-diagonal blocks sit in the data, so the flow and
-oxygen solvers of a state gather their blocks without slicing.
+both need blocks G^T [diag(alpha) C, diag(beta) Pi], and every coefficient
+either takes is affine along a segment within one (segment, cell) pair:
+a (gamma_a w_a + gamma_b w_b) per sample, a its area, given by its end
+values gamma_a and gamma_b. Each entry of such a block is then a sum of
+the pair's moments m_ij = sum a w_a^i w_b^j times end values, so
+`SurfaceCoupling` reduces its samples once, to the moments with i + j = 3
+(those with i + j = 2 are their sums, since w_a + w_b = 1), and never
+forms C, Pi or G. The samples of a ring share w_b and a, so it reduces the
+runs of one cell within a ring (about a fifth of the samples on a lattice
+of capillaries), then sums the runs by pair. It keeps the flat sample
+arrays (cell, weight w_b, area, segment by segment), for the per-sample
+fluxes of a solved state, and the CSR pattern of the coupled (cells,
+nodes) system, built once per coupling with the position of every
+assembled term in it. An assembly is then one bincount of per-pair and
+per-segment terms onto those positions, O(pairs + segments): the same
+algebra as the sparse products, summed in another order. From the same
+pattern the coupling also makes, on first use, the linear solver's
+`BlockPlan` (`SurfaceCoupling.blocks`): where the tissue, node and
+off-diagonal blocks sit in the data, so the flow and oxygen solvers of a
+state gather their blocks without slicing, and the node block's order
+that the first of them takes.
 
 `CoupledSystem` is the one system type of flow and oxygen, and the one
 place that writes the rows of pinned (Dirichlet) nodes.
@@ -328,7 +337,8 @@ class CoupledPattern:
 
     indptr: np.ndarray
     indices: np.ndarray
-    pair: np.ndarray  # (samples,) pair of each sample
+    pair_segment: np.ndarray  # (pairs,) segment of each pair, ascending by (segment, cell)
+    pair_cell: np.ndarray  # (pairs,) cell of each pair
     pair_at: np.ndarray  # (4, pairs): (cell, a), (cell, b), (a, cell), (b, cell)
     segment_at: np.ndarray  # (4, segments): (a, a), (a, b), (b, a), (b, b)
     node_diagonal_at: np.ndarray  # (nodes,)
@@ -350,8 +360,11 @@ class SurfaceCoupling:
     Each sample has its cell, its interpolation weight w_b = s/l of the
     segment's node_b (w_a = 1 - w_b) and its area. G = [-C, Pi] maps the
     coupled unknowns to the vessel-minus-tissue jump (see the module
-    docstring); `jump`, `jump_transpose` and `coupled_matrix` apply it on
-    these arrays and `pattern`.
+    docstring); `jump` and `jump_transpose` apply it to per-sample values
+    on these arrays. `coupled_matrix` and `pair_transpose` assemble from
+    `moments` on `pattern`, for coefficients given per pair by their end
+    values: a (2, pairs) array of gamma_a and gamma_b, each sample's
+    coefficient a (gamma_a w_a + gamma_b w_b), pairs in `pattern` order.
     """
 
     clamped_samples: int  # samples that fell outside the grid
@@ -363,6 +376,9 @@ class SurfaceCoupling:
     cells: np.ndarray
     weight: np.ndarray  # w_b = s/l per sample
     area: np.ndarray  # m^2 per sample
+    # (4, pairs): the sums over each pair's samples of a w_a^i w_b^j for
+    # (i, j) = (3, 0), (2, 1), (1, 2), (0, 3), each nonnegative
+    moments: np.ndarray
     pattern: CoupledPattern
 
     @cached_property
@@ -380,6 +396,22 @@ class SurfaceCoupling:
             sid: SegmentCoupling(self.cells[lo:hi], float(self.area[lo]))
             for sid, lo, hi in bounds
         }
+
+    @cached_property
+    def _positions(self) -> np.ndarray:
+        """Where `coupled_matrix` scatters its terms in the data, in their
+        order: the tissue block's, the segments' 2x2 blocks', then the
+        exchange's: each pair's cell diagonal, its `pair_at` entries and
+        its segment's 2x2 block."""
+        pattern, grid = self.pattern, self.grid
+        stencil_at = pattern.stencil_at(grid.laplacian)
+        return np.concatenate([
+            stencil_at,
+            pattern.segment_at.ravel(),
+            stencil_at[grid.stencil[0]][pattern.pair_cell],
+            pattern.pair_at.ravel(),
+            pattern.segment_at[:, pattern.pair_segment].ravel(),
+        ])
 
     def jump(self, x: np.ndarray) -> np.ndarray:
         """G x, evaluated as Pi x_v - C x_t: the wall value of the nodal
@@ -400,40 +432,61 @@ class SurfaceCoupling:
             + np.bincount(table.b - n_cells, on_b, n_nodes),
         ])
 
+    @cached_property
+    def _quadratic(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The moments m20, m11 and m02 of each pair, as sums of `moments`:
+        w_a + w_b = 1."""
+        m30, m21, m12, m03 = self.moments
+        return m30 + m21, m21 + m12, m12 + m03
+
+    def _interpolated(self, ends) -> tuple[np.ndarray, np.ndarray]:
+        """Per pair, the sums of v w_a and v w_b over its samples, v the
+        per-sample coefficient of end values `ends`: gamma_a m20 + gamma_b
+        m11 and gamma_a m11 + gamma_b m02, the pair's (a, cell) and (b,
+        cell) entries of Pi^T diag(v) C."""
+        gamma_a, gamma_b = ends
+        m20, m11, m02 = self._quadratic
+        return gamma_a * m20 + gamma_b * m11, gamma_a * m11 + gamma_b * m02
+
+    def pair_transpose(self, ends) -> np.ndarray:
+        """G^T v for v of end values `ends` (2, pairs): -C^T v on the cells,
+        Pi^T v on the nodes, from the moments."""
+        n_cells, n_nodes, pattern = self.grid.n_cells, len(self.node_order), self.pattern
+        on_a, on_b = self._interpolated(ends)
+        segment = pattern.pair_segment
+        return np.concatenate([
+            -np.bincount(pattern.pair_cell, on_a + on_b, n_cells),
+            np.bincount(self.segments.a[segment] - n_cells, on_a, n_nodes)
+            + np.bincount(self.segments.b[segment] - n_cells, on_b, n_nodes),
+        ])
+
     def coupled_matrix(self, tissue, graph, alpha=None, beta=None) -> sp.csr_matrix:
         """The coupled matrix on `pattern`: `tissue`, data on the grid's
         Laplacian pattern, as the cell block; `graph`, a (4, segments)
-        array, on the segments' 2x2 blocks; plus, given per-sample alpha and
-        beta, the exchange G^T [diag(alpha) C, diag(beta) Pi]."""
-        pattern, grid = self.pattern, self.grid
-        stencil_at = pattern.stencil_at(grid.laplacian)
-        positions = [stencil_at, pattern.segment_at.ravel()]
+        array, on the segments' 2x2 blocks; plus, given alpha and beta as
+        end values (2, pairs), the exchange G^T [diag(alpha) C, diag(beta) Pi].
+
+        Per pair the exchange adds -(sum alpha) on its cell's diagonal,
+        -(sum beta w_a) and -(sum beta w_b) at (cell, a) and (cell, b), the
+        sums of alpha w_a and alpha w_b at (a, cell) and (b, cell), and sum
+        beta w_i w_j at (i, j) of its segment's block: each a sum of moments
+        times end values, with no difference of moments.
+        """
         terms = [tissue, graph.ravel()]
         if alpha is not None:
-            w_b = self.weight
-            w_a = 1.0 - w_b
-            pair, pairs = pattern.pair, pattern.pair_at.shape[1]
-            beta_a, beta_b = beta * w_a, beta * w_b
-            aa, ab, bb = (
-                np.add.reduceat(term, self.offsets[:-1])
-                for term in (beta_a * w_a, beta_a * w_b, beta_b * w_b)
-            )
-            positions += [
-                stencil_at[grid.stencil[0]],
-                pattern.pair_at.ravel(),
-                pattern.segment_at.ravel(),
-            ]
+            alpha_wa, alpha_wb = self._interpolated(alpha)
+            beta_wa, beta_wb = self._interpolated(beta)
+            (beta_a, beta_b), (m30, m21, m12, m03) = beta, self.moments
+            ab = beta_a * m21 + beta_b * m12
             terms += [
-                -np.bincount(self.cells, alpha, grid.n_cells),  # -C^T diag(alpha) C
-                -np.bincount(pair, beta_a, pairs),  # -C^T diag(beta) Pi
-                -np.bincount(pair, beta_b, pairs),
-                np.bincount(pair, alpha * w_a, pairs),  # Pi^T diag(alpha) C
-                np.bincount(pair, alpha * w_b, pairs),
-                aa, ab, ab, bb,  # Pi^T diag(beta) Pi
-            ]
-        data = np.bincount(
-            np.concatenate(positions), np.concatenate(terms), pattern.indices.size
-        )
+                -(alpha_wa + alpha_wb),  # -C^T diag(alpha) C
+                -beta_wa, -beta_wb,  # -C^T diag(beta) Pi
+                alpha_wa, alpha_wb,  # Pi^T diag(alpha) C
+                beta_a * m30 + beta_b * m21, ab, ab, beta_a * m12 + beta_b * m03,
+            ]  # Pi^T diag(beta) Pi
+        terms = np.concatenate(terms)
+        pattern = self.pattern
+        data = np.bincount(self._positions[: terms.size], terms, pattern.indices.size)
         n = pattern.indptr.size - 1
         return sp.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
@@ -544,34 +597,45 @@ def build_surface_coupling(
     cells, clamped = grid.locate_columns(points.reshape(3, -1))
 
     per_sample = na * n_angular
-    offsets = np.concatenate([[0], np.cumsum(per_sample)])
-    sample_seg = np.repeat(np.arange(len(ids)), per_sample)
     seg_area = 2.0 * math.pi * radius * length / per_sample
+    ring_w = ring_s / length[ring_seg]  # w_b = s/l
+    # the samples of a ring share w_b and a: reduce each run of one cell
+    # within a ring, then the runs by (segment, cell) pair
+    first = np.diff(cells, prepend=-1) != 0
+    first[::n_angular] = True
+    run = np.flatnonzero(first)
+    run_ring = run // n_angular
+    run_seg = ring_seg[run_ring]
+    keys, run_pair = np.unique(run_seg * grid.n_cells + cells[run], return_inverse=True)
+    w_b = ring_w[run_ring]
+    w_a = 1.0 - w_b
+    mass = np.diff(run, append=cells.size) * seg_area[run_seg]
+    on_a, on_b = mass * (w_a * w_a), mass * (w_b * w_b)
+    moments = np.stack([
+        np.bincount(run_pair, term, keys.size)
+        for term in (on_a * w_a, on_a * w_b, on_b * w_a, on_b * w_b)
+    ])
+    pair_seg, pair_cell = np.divmod(keys, grid.n_cells)
     return SurfaceCoupling(
         clamped_samples=int(np.count_nonzero(clamped)),
         grid=grid,
         segments=SegmentTable(ids, a, b, length, radius),
         node_order=node_order,
         node_index=node_index,
-        offsets=offsets,
+        offsets=np.concatenate([[0], np.cumsum(per_sample)]),
         cells=cells,
-        weight=np.repeat(ring_s / length[ring_seg], n_angular),  # w_b = s/l
+        weight=np.repeat(ring_w, n_angular),
         area=np.repeat(seg_area, per_sample),
-        pattern=_coupled_pattern(grid, len(node_order), a, b, sample_seg, cells),
+        moments=moments,
+        pattern=_coupled_pattern(grid, len(node_order), a, b, pair_seg, pair_cell),
     )
 
 
-def _coupled_pattern(grid, n_nodes, a, b, sample_seg, cells) -> CoupledPattern:
+def _coupled_pattern(grid, n_nodes, a, b, pair_seg, pair_cell) -> CoupledPattern:
     """The pattern of the coupled system over the grid's cells and n_nodes
-    nodes, for segments from unknowns a to b whose wall samples lie on
-    segments `sample_seg` in cells `cells`."""
+    nodes, for segments from unknowns a to b and the distinct (segment,
+    cell) pairs of their wall samples, `pair_seg` and `pair_cell`."""
     n_cells = grid.n_cells
-    key = sample_seg * n_cells + cells
-    # neighbouring samples mostly share their cell: sort only the runs
-    run = np.flatnonzero(np.diff(key, prepend=-1))
-    keys, run_pair = np.unique(key[run], return_inverse=True)
-    pair = np.repeat(run_pair.astype(np.int32), np.diff(run, append=key.size))
-    pair_seg, pair_cell = np.divmod(keys, n_cells)
     pair_a, pair_b = a[pair_seg], b[pair_seg]
     nodes = np.arange(n_cells, n_cells + n_nodes)
     parts = [  # (rows, columns) of the entries off the face stencil
@@ -595,7 +659,8 @@ def _coupled_pattern(grid, n_nodes, a, b, sample_seg, cells) -> CoupledPattern:
     pattern = CoupledPattern(
         indptr=off_indptr + stencil_indptr,
         indices=np.empty(off_indices.size + laplacian.nnz, np.int32),
-        pair=pair,
+        pair_segment=pair_seg,
+        pair_cell=pair_cell,
         pair_at=pair_at.reshape(4, -1),
         segment_at=segment_at.reshape(4, -1),
         node_diagonal_at=node_diagonal_at,

@@ -67,9 +67,10 @@ and, as CSC for SuperLU, A_vv, each with its gather positions). A
 and the oxygen solver of a state gather their blocks through one plan
 and slice nothing.
 
-Built once per solver: the node-block LU, the off-diagonal blocks, A_rb
-and A_br of every smoothed level, gathered from its values in one pass,
-and the values of the coarsest level. A solve with a cell diagonal d adds
+Built once per solver: the node-block LU (in the minimum-degree order
+the first solver on its plan found and the plan keeps), the off-diagonal
+blocks, A_rb and A_br of every smoothed level, gathered from its values
+in one pass, and the values of the coarsest level. A solve with a cell diagonal d adds
 it in place: d on the finest level and bincount(aggregate, d) on each
 coarser one, exact because P^T (A + D) P = P^T A P + diag(P^T D P) when P
 has one 1 per row; only the per-colour diagonals change, and the coarsest
@@ -299,21 +300,89 @@ class Block:
     def csc(self, data) -> sp.csc_matrix:
         return sp.csc_matrix((data[self.gather], self.indices, self.indptr), shape=self.shape)
 
+    def permuted(self, place) -> Block:
+        """This square block with entry (i, j) moved to (place[i],
+        place[j]), compressed along the same axis."""
+        major = np.repeat(place, np.diff(self.indptr))
+        minor = place[self.indices]
+        at = np.argsort(major.astype(np.int64) * self.shape[0] + minor)
+        compressed = np.zeros(self.indptr.size, np.int32)
+        np.cumsum(np.bincount(major, minlength=self.shape[0]), out=compressed[1:])
+        return Block(compressed, minor[at].astype(np.int32), self.gather[at], self.shape)
 
-@dataclass(frozen=True)
+
+@dataclass
 class BlockPlan:
     """Where the blocks of a coupled matrix over (cells, nodes) sit in its
     data, taken from its pattern once: `tissue`, the position of each
     entry of the grid Laplacian's data, so the tissue block's data on that
     pattern is data[tissue]; `cell_diagonal`, the position of each cell's
     diagonal; A_tv and A_vt as CSR blocks and the node block A_vv as a CSC
-    one, the form `splu` factors."""
+    one, the form `splu` factors.
+
+    `factor_nodes` factors the node block. The first factor on a plan
+    finds SuperLU's minimum-degree order on A^T + A, which depends on the
+    pattern alone (George & Liu, SIAM Rev. 31, 1989), and the plan keeps
+    it as `ordered_nodes`: the node at each place (`order`, the inverse of
+    SuperLU's perm_c) and the node block permuted symmetrically into that
+    order. Every later factor gathers that block and factors it in natural
+    order, with the same fill."""
 
     tissue: np.ndarray
     cell_diagonal: np.ndarray
     tissue_nodes: Block
     nodes_tissue: Block
     nodes: Block
+    ordered_nodes: tuple[np.ndarray, Block] | None = None
+
+    def factor_nodes(self, data) -> NodeFactor:
+        """The LU of the node block of a matrix with `data` on the plan's
+        pattern, in SuperLU's symmetric mode; SolverError when singular.
+
+        The node block is a graph Laplacian plus the wall terms, nearly
+        symmetric: a minimum-degree order on its symmetric part fills in
+        about half what COLAMD's does on a lattice of capillaries. The
+        symmetric mode keeps that order's elimination tree (of A + A^T),
+        where the default postorders the column tree of A^T A instead and
+        factors several times slower with the same fill. Its order must be
+        applied as P A P^T, P the inverse of perm_c: A[:, perm_c] fills
+        several times more."""
+        first = self.ordered_nodes is None
+        order, block = (None, self.nodes) if first else self.ordered_nodes
+        matrix = block.csc(data)
+        try:
+            lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A" if first else "NATURAL",
+                           options={"SymmetricMode": True})
+        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
+            raise SolverError(f"node block: {exc}") from exc
+        # SuperLU stops only at an exact zero pivot. |A^-1 |A| 1| bounds
+        # Skeel's condition number |A^-1||A| from below; past 1 / (n eps),
+        # rounding alone may have moved A off a singular matrix
+        n = block.shape[0]
+        growth = np.max(np.abs(lu.solve(np.bincount(matrix.indices, np.abs(matrix.data), n))))
+        if not growth * n * np.finfo(float).eps < 1.0:
+            raise SolverError(
+                f"node block is singular to working precision: |A^-1||A| 1 reaches {growth:.3e}"
+            )
+        if first:
+            self.ordered_nodes = _inverse(lu.perm_c.astype(np.int64)), block.permuted(lu.perm_c)
+        return NodeFactor(lu, order)
+
+
+@dataclass(frozen=True)
+class NodeFactor:
+    """A SuperLU factor of a node block, taken in the order `order` (the
+    node at each place) when one is given, else of the block as it is."""
+
+    lu: spla.SuperLU
+    order: np.ndarray | None
+
+    def solve(self, r) -> np.ndarray:
+        if self.order is None:
+            return self.lu.solve(r)
+        x = np.empty_like(r)
+        x[self.order] = self.lu.solve(r[self.order])
+        return x
 
 
 def block_plan(pattern, grid) -> BlockPlan:
@@ -611,7 +680,9 @@ class LinearSolver:
     The blocks are gathered from A's data through `plan`, the `BlockPlan`
     of A's canonical CSR pattern: a coupled system passes its coupling's
     (`SurfaceCoupling.blocks`), shared by flow and oxygen; without one it
-    is made from A. A itself is never written: the solver multiplies with
+    is made from A. The node block is factored by `BlockPlan.factor_nodes`:
+    in the minimum-degree order the first solver on the plan found, so
+    oxygen's takes the order of the flow's. A itself is never written: the solver multiplies with
     its own copy of the data, on A's index arrays, whose cell diagonal a
     solve shifts.
 
@@ -641,17 +712,7 @@ class LinearSolver:
         self.diagonal = self.cell_diagonal  # in `matrix`: A's, plus the last solve's d
         self.tissue_nodes = plan.tissue_nodes.csr(data)
         self.nodes_tissue = plan.nodes_tissue.csr(data)
-        # the node block is a graph Laplacian plus the wall terms, nearly
-        # symmetric: a minimum-degree order on its symmetric part fills in
-        # about half what COLAMD's does on a lattice of capillaries. The
-        # symmetric mode keeps that order's elimination tree (of A + A^T),
-        # where the default postorders the column tree of A^T A instead and
-        # factors several times slower with the same fill
-        try:
-            self.nodes = spla.splu(plan.nodes.csc(data), permc_spec="MMD_AT_PLUS_A",
-                                   options={"SymmetricMode": True})
-        except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
-            raise SolverError(f"node block: {exc}") from exc
+        self.nodes = plan.factor_nodes(data)
         self.shifted = False
         self.settled = None  # the last settled iterate's Products, its x a copy
         self.settled_nodes = None  # the node rows of the rhs it was settled for

@@ -21,7 +21,13 @@ which makes the 1D volumetric flow identical to the flow solver's and the
 junction balance conservative. The operator is filled on the same
 coupled pattern as the flow's (`SurfaceCoupling.coupled_matrix`), with the
 same node index, face list and face Laplacian, in the flow's system type,
-a `grid.CoupledSystem`, pinning every boundary node.
+a `grid.CoupledSystem`, pinning every boundary node. Its wall exchange is
+assembled per (segment, cell) pair from the coupling's moments, with
+coefficients formed at the pair's two ends from the flow's pressures
+(`FlowState.p_t` and `p_nodes`), not from its per-sample flux `jp`. Its
+solver gathers the node block in the order the flow's solver on the same
+coupling took (`linsolve.BlockPlan`), so the minimum-degree order is found
+once per coupling.
 The oxygen boundary data, the PO2 of each boundary node by node id, is an
 input of the assembly, made by `classify_arterial_venous` from a flow state
 and the run's `OxygenParameters`.
@@ -149,6 +155,10 @@ def assemble_transport_operator(
     Per sample the wall flux is linear in the partial pressures:
     J = (1-sigma)*J_p*(po2_v + po2_t)/2 + L*(po2_v - po2_t), so
     J*a = c_t po2_t + c_v po2_v with c_t, c_v = ((1-sigma)*J_p/2 -/+ L)*a.
+    J_p = L_p(w_a p_a + w_b p_b - p_t - sigma*dpi) is affine along a
+    (segment, cell) pair, and so are c_t and c_v: the exchange is assembled
+    from their values at the pair's two ends, read from the pressures of
+    `flow` (`p_t`, `p_nodes`) and `flow_params`, on the coupling's moments.
     Outer tissue faces are zero-flux for both terms, which realises the
     zero-total-flux boundary condition exactly (the Darcy normal velocity
     vanishes there by the Neumann flow condition).
@@ -173,9 +183,16 @@ def assemble_transport_operator(
     q = flow.velocity * cross
     graph = np.outer(GRAPH_LAPLACIAN, params.diffusion_vessel * cross / table.length) + _upwind(q)
 
-    adv = 0.5 * (1.0 - flow_params.reflection) * flow.jp
-    c_t = (adv - params.wall_permeability) * coupling.area
-    c_v = (adv + params.wall_permeability) * coupling.area
+    # J_p at both ends of each (segment, cell) pair, from the pressures
+    pattern, n = coupling.pattern, grid.n_cells
+    ends = np.stack([table.a, table.b])[:, pattern.pair_segment] - n
+    jp = flow_params.wall_conductivity * (
+        (flow.p_nodes[ends] - flow.p_t[pattern.pair_cell])
+        - flow_params.reflection * flow_params.oncotic_jump
+    )
+    adv = 0.5 * (1.0 - flow_params.reflection) * jp
+    c_t = adv - params.wall_permeability
+    c_v = adv + params.wall_permeability
 
     matrix = coupling.coupled_matrix(tissue, graph, c_t, c_v)
     return CoupledSystem(coupling, matrix, np.zeros(matrix.shape[0]), dirichlet)

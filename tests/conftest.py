@@ -1,6 +1,8 @@
 """Shared network/grid fixtures for the test suite."""
 
+import importlib.util
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -149,6 +151,17 @@ def make_jittered_lattice(seed, n_per_axis, side=0.5e-3, jitter=0.15,
             net.new_segment(prev, tip.id, 2.5 * UM)
             prev = tip.id
     return net
+
+
+def make_perfbench_lattice():
+    """Variant 0 of the benchmark's `lattice` workload, as (network, grid):
+    5,594 segments on its 12^3 grid."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "lattice.py"
+    spec = importlib.util.spec_from_file_location("perfbench_lattice", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    box = enlarge_domain(DomainBox([0.0] * 3, [module.SIDE] * 3), 0.10)
+    return module.make_lattice(0, 13), build_grid(box, (12, 12, 12))
 
 
 def endpoints(net, sid):

@@ -1,9 +1,10 @@
 """The operator-built 3D-1D exchange against the per-segment reference
-assemblies in `exchange_oracle`, and the scatter assembly on the coupled
-pattern against scipy's sparse products."""
+assemblies in `exchange_oracle`; the coupling's per-pair moments against
+per-sample sums; and the assembly on the coupled pattern, from per-pair
+end values, against scipy's sparse products with per-sample
+coefficients."""
 
-import importlib.util
-from pathlib import Path
+import dataclasses
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from conftest import (
     dyadic_grids,
     make_desk_network,
     make_jittered_lattice,
+    make_perfbench_lattice,
     make_single_vessel,
     make_y_junction,
 )
@@ -71,6 +73,10 @@ CASES = {
         FlowParameters(wall_conductivity=0.0),
     ),
 }
+
+
+def _perfbench_lattice():
+    return (*make_perfbench_lattice(), FlowParameters())
 
 
 @pytest.fixture(params=sorted(CASES))
@@ -181,21 +187,48 @@ def sample_operators(coupling):
     return C, Pi
 
 
+def sample_pairs(coupling):
+    """The pair of each sample, found from its segment and cell among the
+    pattern's (segment, cell) pairs."""
+    pattern, n = coupling.pattern, coupling.grid.n_cells
+    segment = np.repeat(np.arange(len(coupling.segments.ids)), np.diff(coupling.offsets))
+    keys = pattern.pair_segment * n + pattern.pair_cell
+    pair = np.searchsorted(keys, segment * n + coupling.cells)
+    assert np.array_equal(keys[pair], segment * n + coupling.cells)
+    return pair
+
+
+def per_sample(coupling, ends):
+    """The per-sample coefficient a (gamma_a w_a + gamma_b w_b) of per-pair
+    end values `ends` (2, pairs)."""
+    gamma_a, gamma_b = ends[:, sample_pairs(coupling)]
+    w_b = coupling.weight
+    return coupling.area * (gamma_a * (1.0 - w_b) + gamma_b * w_b)
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_scatter_matches_the_sparse_products(case):
+    """`coupled_matrix`, given coefficients affine along each pair by their
+    end values, against G^T [diag(alpha) C, diag(beta) Pi] with alpha and
+    beta evaluated per sample; `pair_transpose` against G^T alpha."""
     net, grid, _ = CASES[case]()
     coupling = build_surface_coupling(grid, net)
     C, Pi = sample_operators(coupling)
     G = sp.hstack([-C, Pi], format="csr")
     rng = np.random.default_rng(sorted(CASES).index(case))
-    alpha, beta = rng.standard_normal((2, C.shape[0]))
+    pairs = coupling.moments.shape[1]
+    alpha_ends, beta_ends = rng.standard_normal((2, 2, pairs))
+    alpha, beta = per_sample(coupling, alpha_ends), per_sample(coupling, beta_ends)
     want = G.T @ sp.hstack([sp.diags(alpha) @ C, sp.diags(beta) @ Pi], format="csr")
     zero_tissue = np.zeros(grid.laplacian.nnz)
     zero_graph = np.zeros((4, len(coupling.segments.ids)))
-    got = coupling.coupled_matrix(zero_tissue, zero_graph, alpha, beta)
+    got = coupling.coupled_matrix(zero_tissue, zero_graph, alpha_ends, beta_ends)
     assert row_scaled_difference(got, want) <= OPERATOR_RTOL
     for mine, theirs in zip(pattern(got), pattern(want)):
         assert np.array_equal(mine, theirs)
+    scale = abs(G.T) @ np.abs(alpha)
+    assert np.all(np.abs(coupling.pair_transpose(alpha_ends) - G.T @ alpha)
+                  <= OPERATOR_RTOL * scale)
 
     # the products with G, each row against sum_j |G_ij y_j|
     x, v = rng.standard_normal(G.shape[1]), rng.standard_normal(G.shape[0])
@@ -229,15 +262,74 @@ def test_scatter_matches_the_sparse_products(case):
     assert np.array_equal(ones.indices, finest.indices)
 
 
-def _perfbench_lattice():
-    """Variant 0 of the benchmark's `lattice` workload: 5,594 segments on
-    its 12^3 grid."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "lattice.py"
-    spec = importlib.util.spec_from_file_location("perfbench_lattice", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    box = enlarge_domain(DomainBox([0.0] * 3, [module.SIDE] * 3), 0.10)
-    return module.make_lattice(0, 13), build_grid(box, (12, 12, 12)), FlowParameters()
+MOMENT_CASES = {**CASES, "perfbench_lattice_0": _perfbench_lattice}
+
+
+@pytest.mark.parametrize("case", sorted(MOMENT_CASES))
+def test_moments_are_the_per_sample_sums_by_pair(case):
+    """The moments the coupling keeps, reduced over runs of samples, are
+    the sums over each pair's samples of a w_a^i w_b^j, i + j = 3, to
+    rounding, and none is negative."""
+    net, grid, _ = MOMENT_CASES[case]()
+    coupling = build_surface_coupling(grid, net)
+    pair, pairs = sample_pairs(coupling), coupling.moments.shape[1]
+    assert np.array_equal(np.unique(pair), np.arange(pairs))  # every pair has samples
+    w_b = coupling.weight
+    w_a = 1.0 - w_b
+    for i, moment in zip((3, 2, 1, 0), coupling.moments):
+        want = np.bincount(pair, coupling.area * w_a**i * w_b ** (3 - i), pairs)
+        assert relative_difference(moment, want) <= 1e-14
+        assert np.all(moment >= 0.0)
+
+
+ASSEMBLY_CASES = {"desk": CASES["desk"], "lattice": CASES["lattice"],
+                  "perfbench_lattice_0": _perfbench_lattice}
+
+
+@pytest.fixture(scope="module", params=sorted(ASSEMBLY_CASES))
+def flow_solved(request):
+    net, grid, flow_params = ASSEMBLY_CASES[request.param]()
+    coupling = build_surface_coupling(grid, net)
+    system = assemble_flow_system(net, grid, coupling, RheologyParameters(), flow_params)
+    return net, grid, flow_params, coupling, system, solve_flow(system)
+
+
+def test_flow_rhs_is_the_per_sample_product(flow_solved):
+    """Flow's right-hand side from the moments is G^T (L_p a sigma dpi)
+    with the per-sample vector, on every row it does not pin."""
+    _, _, flow_params, coupling, system, _ = flow_solved
+    C, Pi = sample_operators(coupling)
+    G = sp.hstack([-C, Pi], format="csr")
+    filtration = flow_params.reflection * flow_params.oncotic_jump
+    want = G.T @ (flow_params.wall_conductivity * coupling.area * filtration)
+    free = np.setdiff1d(np.arange(want.size), system.pinned)
+    assert relative_difference(system.rhs[free], want[free]) <= 1e-14
+    assert np.abs(want[free]).max() > 0.0  # not vacuous
+
+
+def test_transport_operator_is_the_per_sample_product(flow_solved):
+    """The transport operator, assembled from the pair ends of the flow's
+    pressures, against the same operator with its wall terms off plus
+    G^T [diag(c_t) C, diag(c_v) Pi], c_t and c_v from the flow's
+    per-sample `jp`, row-scaled on every row it does not pin."""
+    net, grid, flow_params, coupling, _, flow = flow_solved
+    params = OxygenParameters()
+    operator = assemble_transport_operator(net, grid, coupling, flow, flow_params, params)
+    closed = assemble_transport_operator(
+        net, grid, coupling, flow,
+        dataclasses.replace(flow_params, reflection=1.0),
+        dataclasses.replace(params, wall_permeability=0.0),
+    )
+    C, Pi = sample_operators(coupling)
+    G = sp.hstack([-C, Pi], format="csr")
+    adv = 0.5 * (1.0 - flow_params.reflection) * flow.jp
+    c_t = (adv - params.wall_permeability) * coupling.area
+    c_v = (adv + params.wall_permeability) * coupling.area
+    exchange = G.T @ sp.hstack([sp.diags(c_t) @ C, sp.diags(c_v) @ Pi], format="csr")
+    free = np.setdiff1d(np.arange(operator.n_unknowns), operator.pinned)
+    want = (closed.matrix + exchange).tocsr()[free]
+    assert row_scaled_difference(operator.matrix.tocsr()[free], want) <= 1e-14
+    assert abs(exchange[free]).max() > 0.0  # not vacuous
 
 
 PINNED_CASES = {"desk": CASES["desk"], "perfbench_lattice_0": _perfbench_lattice}

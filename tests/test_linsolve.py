@@ -12,7 +12,10 @@ P^T A P, also kept here only, its red-black colouring against the parity
 of every level's cells, its banded coarsest solve against a dense solve,
 and one V-cycle against a dense one written out here. The coarsest level
 is factored only when a V-cycle reaches it. The blocks a coupling's
-block plan gathers are bit for bit scipy's slices of the same matrix.
+block plan gathers are bit for bit scipy's slices of the same matrix, and
+the oxygen solver factors its node block in the order the flow solver on
+the same plan took, with the fill of a fresh minimum-degree factor. A
+node block singular to working precision is rejected.
 
 The cosine solve is checked against `spsolve` on c L + eps I over
 anisotropic grids, the grid's eigenvalue table against a dense
@@ -77,6 +80,7 @@ from conftest import (
     UM,
     make_desk_network,
     make_jittered_lattice,
+    make_perfbench_lattice,
     make_starter_network,
     make_y_junction,
     outside_krylov,
@@ -679,6 +683,57 @@ def test_block_plan_gathers_the_scipy_slices(net_fn, box, cells):
             assert got.format == want.format and got.shape == want.shape
             for part in ("indptr", "indices", "data"):
                 assert np.array_equal(getattr(got, part), getattr(want, part))
+
+
+@pytest.mark.blas_threads
+def test_oxygen_factors_its_node_block_in_the_flow_order():
+    """On the benchmark lattice, the flow solver, the first on its
+    coupling's block plan, keeps its minimum-degree order in the plan; the
+    oxygen solver on the same plan factors its node block in that order,
+    with the fill of a fresh minimum-degree factor, and its node solves
+    match spsolve. A solver on a bare matrix makes its own plan and takes
+    the minimum-degree order itself."""
+    net, grid = make_perfbench_lattice()
+    coupling = build_surface_coupling(grid, net)
+    system = assemble_flow_system(net, grid, coupling, RheologyParameters(), FlowParameters())
+    flow = solve_flow(system)
+    plan = coupling.blocks
+    order, _ = plan.ordered_nodes
+    operator = assemble_transport_operator(
+        net, grid, coupling, flow, FlowParameters(), OxygenParameters()
+    )
+    solver = LinearSolver(operator.matrix, grid, plan)
+    assert solver.nodes.order is order and plan.ordered_nodes[0] is order
+    block = plan.nodes.csc(operator.matrix.data)
+    fresh = spla.splu(block, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+
+    def fill(lu):
+        return lu.L.nnz + lu.U.nnz
+
+    assert fill(solver.nodes.lu) == fill(fresh)
+    r = np.random.default_rng(0).standard_normal(block.shape[0])
+    want = spla.spsolve(block, r)
+    assert np.max(np.abs(solver.nodes.solve(r) - want)) <= AGREEMENT * np.max(np.abs(want))
+    bare = LinearSolver(operator.matrix, grid)
+    assert bare.nodes.order is None and fill(bare.nodes.lu) == fill(fresh)
+    assert np.array_equal(bare.nodes.lu.perm_c, fresh.perm_c)
+
+
+@pytest.mark.parametrize(
+    "shift, singular", [(0.0, True), (np.finfo(float).eps, True), (1e-6, False)]
+)
+def test_node_block_singular_to_rounding_is_rejected(shift, singular):
+    """A node block with an exactly zero pivot, or one that rounding could
+    have moved off a singular one (|A^-1||A| 1 past 1 / (n eps)), raises
+    SolverError; one far from singular factors."""
+    grid = build_grid(CUBE, (4, 4, 4))
+    nodes = sp.csr_matrix([[1.0, -1.0], [-1.0, 1.0 + shift]])
+    matrix = sp.block_diag([grid.laplacian + sp.eye(grid.n_cells), nodes], format="csr")
+    if singular:
+        with pytest.raises(SolverError, match="singular"):
+            LinearSolver(matrix, grid)
+    else:
+        LinearSolver(matrix, grid)
 
 
 # unequal extents make the three axes' face weights area/h differ

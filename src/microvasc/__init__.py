@@ -6,10 +6,12 @@ __version__ = "0.1.0"
 from .network import (  # noqa: F401
     DomainBox,
     NetworkNode,
+    NetworkTable,
     Segment,
     VascularNetwork,
     enlarge_domain,
     parse_dgf,
+    read_dgf,
     serialize_dgf,
 )
 from .rheology import RheologyParameters, in_vivo_viscosity, vessel_conductance  # noqa: F401

@@ -20,7 +20,7 @@ from .export import cell_field_to_vtk, network_to_vtk, write_csv
 from .flow import assemble_flow_system, solve_flow
 from .grid import build_grid, build_surface_coupling
 from .growth import GrowthEngine, control_volume_averages
-from .network import enlarge_domain, parse_dgf, serialize_dgf
+from .network import enlarge_domain, parse_dgf, read_dgf, serialize_dgf
 from .oxygen import assemble_transport_operator, classify_arterial_venous, solve_oxygen
 from .stats import (
     QUANTITIES,
@@ -47,13 +47,15 @@ def _load_config(args) -> RunConfig:
     return dataclasses.replace(config, **overrides)
 
 
-def _read_network(config: RunConfig):
+def _read_input(config: RunConfig) -> str:
+    """The input network's DGF text, read once per command: the network is
+    made from it and the provenance's digest covers it."""
     if not config.input_dgf:
         raise MicrovascError("no input network given (set input_dgf or --input)")
     path = Path(config.input_dgf)
     if not path.exists():
         raise MicrovascError(f"input not found: {path}")
-    return parse_dgf(path.read_text())
+    return path.read_text()
 
 
 def _setup_domain(config: RunConfig):
@@ -77,14 +79,15 @@ def _solve_states(net, grid, config):
 
 def cmd_solve(args) -> int:
     config = _load_config(args)
-    net = _read_network(config)
+    text = _read_input(config)
+    net = read_dgf(text)  # read-only: its columns, no node or segment objects
     roi, _, grid = _setup_domain(config)
     coupling, flow, oxy = _solve_states(net, grid, config)
     po2_roi, pt_roi, f_tv = tissue_averages(flow, oxy, grid, roi)
 
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prov = config.provenance(__version__)
+    prov = config.provenance(__version__, text)
     if config.export_vtk:
         (out / "tissue.vtk").write_text(
             cell_field_to_vtk(grid, {"pressure_pa": flow.p_t, "po2_mmhg": oxy.po2_t})
@@ -94,7 +97,7 @@ def cmd_solve(args) -> int:
         write_csv(
             out / "nodes.csv",
             ["node", "x", "y", "z", "p_v_pa", "po2_v_mmhg"],
-            [flow.node_order, *net.table().position.T.tolist(),
+            [flow.node_order, *net.position.T.tolist(),
              flow.p_nodes.tolist(), oxy.po2_nodes.tolist()],
             prov,
         )
@@ -111,8 +114,10 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _run_generation(config: RunConfig, seed: int, out_dir: Path | None):
-    """Grow one network with `seed`; return the engine and its statistics.
+def _run_generation(config: RunConfig, seed: int, out_dir: Path | None,
+                    text: str | None = None):
+    """Grow one network with `seed` from the input's DGF `text`, read from
+    `config.input_dgf` when not given; return the engine and its statistics.
 
     The statistics describe two different networks. `L`, `A`, `V` and
     `N_seg` measure the final network: pruned and clipped to the roi when
@@ -122,7 +127,7 @@ def _run_generation(config: RunConfig, seed: int, out_dir: Path | None):
     so a run of phase 3 alone leaves them nan.
     `N_it` counts the steps of all three phases, `engine.steps`.
     """
-    net = _read_network(config)
+    net = parse_dgf(_read_input(config) if text is None else text)
     roi, domain, grid = _setup_domain(config)
     rng = np.random.default_rng(seed)
     checkpoint = None
@@ -163,8 +168,9 @@ def cmd_generate(args) -> int:
     config = _load_config(args)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    engine, stats = _run_generation(config, config.master_seed, out)
-    prov = config.provenance(__version__)
+    text = _read_input(config)
+    engine, stats = _run_generation(config, config.master_seed, out, text)
+    prov = config.provenance(__version__, text)
 
     (out / "final_network.dgf").write_text(serialize_dgf(engine.net))
     if config.export_vtk:
@@ -185,10 +191,11 @@ def cmd_stats(args) -> int:
     config = _load_config(args)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    prov = config.provenance(__version__)
+    text = _read_input(config)
+    prov = config.provenance(__version__, text)
     samples = []
     for n in range(config.repetitions):
-        _, stats = _run_generation(config, config.master_seed + n, None)
+        _, stats = _run_generation(config, config.master_seed + n, None, text)
         samples.append(stats)
         print(f"run {n}: " + " ".join(f"{v:.5g}" for v in stats.as_row()))
     means = running_means(samples)
@@ -205,7 +212,7 @@ def cmd_stats(args) -> int:
 
 def cmd_export_vtk(args) -> int:
     config = _load_config(args)
-    net = _read_network(config)
+    net = read_dgf(_read_input(config))
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "network.vtk").write_text(network_to_vtk(net))
@@ -215,8 +222,8 @@ def cmd_export_vtk(args) -> int:
 
 def cmd_characteristics(args) -> int:
     config = _load_config(args)
-    net = _read_network(config)
-    length, area, volume, n_seg = network_characteristics(net)
+    text = _read_input(config)
+    length, area, volume, n_seg = network_characteristics(read_dgf(text))
     print(f"L     = {length:.6g} m")
     print(f"A     = {area:.6g} m^2")
     print(f"V     = {volume:.6g} m^3")
@@ -228,7 +235,7 @@ def cmd_characteristics(args) -> int:
             out / "characteristics.csv",
             ["L_m", "A_m2", "V_m3", "N_seg"],
             [[length], [area], [volume], [n_seg]],
-            config.provenance(__version__),
+            config.provenance(__version__, text),
         )
     return 0
 

@@ -64,19 +64,26 @@ class RunConfig:
     def roi_box(self) -> DomainBox:
         return DomainBox(np.array(self.roi_lower), np.array(self.roi_upper))
 
-    def digest(self) -> str:
-        """Hash of the scientific parameters; artifact location is excluded
-        so identical runs into different directories share a digest."""
+    def digest(self, network: str | None = None) -> str:
+        """Hash of the scientific parameters and of the input network's DGF
+        text `network`, as the command read it. Paths are excluded, the
+        input's and the artifacts', so identical runs on copies of one
+        input into different directories share a digest, and an input
+        edited in place gets a new one."""
         payload = dataclasses.asdict(self)
-        payload.pop("output_dir", None)
+        del payload["output_dir"], payload["input_dgf"]
+        if network is not None:
+            payload["input_sha256"] = hashlib.sha256(network.encode()).hexdigest()
         return hashlib.sha256(
             json.dumps(payload, sort_keys=True).encode()
         ).hexdigest()[:16]
 
-    def provenance(self, version: str) -> list[str]:
+    def provenance(self, version: str, network: str | None = None) -> list[str]:
+        """Header lines of every artifact; `network` is the input's DGF text
+        (see `digest`)."""
         return [
             f"microvasc {version}",
-            f"config {self.digest()}",
+            f"config {self.digest(network)}",
             f"seed {self.master_seed}",
         ]
 

@@ -12,11 +12,12 @@ from itertools import chain
 import numpy as np
 
 from .grid import TissueGrid
-from .network import VascularNetwork
+from .network import NetworkTable, VascularNetwork
 
 
-def network_to_vtk(net: VascularNetwork) -> str:
-    """VTK polydata: points, lines, and radius as point data."""
+def network_to_vtk(net: VascularNetwork | NetworkTable) -> str:
+    """VTK polydata of a network or its table: points, lines, and radius as
+    point data."""
     table = net.table()
     # point radius: max incident segment radius (nodes have no radius of
     # their own; this renders tube scaling sensibly)

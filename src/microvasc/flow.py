@@ -32,7 +32,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import SolverError, ValidationError, require_finite
 from .grid import CoupledSystem, SurfaceCoupling, TissueGrid
 from .linsolve import LinearSolver, row_scaled
-from .network import VascularNetwork
+from .network import NetworkTable, VascularNetwork
 from .rheology import RheologyParameters, segment_viscosity, vessel_conductance
 from .units import MICROGRAM_PER_KG, WATER_DENSITY
 
@@ -125,17 +125,19 @@ class FlowSystem(CoupledSystem):
 
 
 def assemble_flow_system(
-    net: VascularNetwork,
+    net: VascularNetwork | NetworkTable,
     grid: TissueGrid,
     coupling: SurfaceCoupling,
     rheology: RheologyParameters,
     params: FlowParameters,
 ) -> FlowSystem:
-    dirichlet = {
-        nid: node.boundary_pressure
-        for nid, node in net.nodes.items()
-        if node.kind == "boundary" and node.boundary_pressure is not None
-    }
+    """The pressure system on `coupling`, pinning every node that has a
+    boundary pressure. The nodes and their pressures are read from the
+    columns the coupling keeps (`coupling.network`), not from `net`, the
+    network or table it was built on."""
+    nodes = coupling.network
+    held = np.flatnonzero(~np.isnan(nodes.pressure))
+    dirichlet = dict(zip(nodes.node_ids[held].tolist(), nodes.pressure[held].tolist()))
     _check_solvability(coupling, dirichlet, params)
 
     # Poiseuille conductances on the graph, two-point fluxes in the tissue

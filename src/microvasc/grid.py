@@ -60,7 +60,7 @@ import scipy.sparse as sp
 
 from .errors import ValidationError
 from .linsolve import BlockPlan, CosineFit, MultigridPlan, block_plan, csr_pattern
-from .network import DomainBox, VascularNetwork
+from .network import DomainBox, NetworkTable, VascularNetwork
 
 
 class TissueGrid:
@@ -312,7 +312,7 @@ class SegmentCoupling:
 
 @dataclass
 class SegmentTable:
-    """Segments in `VascularNetwork.table()` order, with their end nodes as
+    """Segments in `NetworkTable` order, with their end nodes as
     unknown indices of the coupled system (n_cells + place in node order)."""
 
     ids: list[int]
@@ -369,6 +369,7 @@ class SurfaceCoupling:
 
     clamped_samples: int  # samples that fell outside the grid
     grid: TissueGrid
+    network: NetworkTable  # the columns it was built from: nodes in node_order
     segments: SegmentTable
     node_order: list[int]  # node ids in unknown order
     node_index: dict[int, int]  # node id -> unknown index
@@ -548,7 +549,7 @@ def _frames(orientation: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_surface_coupling(
     grid: TissueGrid,
-    net: VascularNetwork,
+    net: VascularNetwork | NetworkTable,
     n_axial: int | None = None,
     n_angular: int = 8,
 ) -> SurfaceCoupling:
@@ -557,7 +558,8 @@ def build_surface_coupling(
     n_axial defaults per segment to max(4, 2*ceil(l/h)) with h the minimum
     cell spacing, so each cell crossed by a vessel receives samples. Each
     sample point is (x0 + s*o) + offset, summed axis by axis into (3, n)
-    coordinate rows that `TissueGrid.locate_columns` locates.
+    coordinate rows that `TissueGrid.locate_columns` locates. The coupling
+    keeps `net.table()`, whose boundary columns the assemblies pin.
     """
     if n_angular < 2 or (n_axial is not None and n_axial < 2):
         raise ValidationError("need at least two samples per direction")
@@ -619,6 +621,7 @@ def build_surface_coupling(
     return SurfaceCoupling(
         clamped_samples=int(np.count_nonzero(clamped)),
         grid=grid,
+        network=table,
         segments=SegmentTable(ids, a, b, length, radius),
         node_order=node_order,
         node_index=node_index,

@@ -671,7 +671,8 @@ class GrowthEngine:
         )
         self.flow = solve_flow(system)
         if self.boundary_po2 is None:
-            self.boundary_po2 = classify_arterial_venous(self.net, self.flow, self.oxygen_params)
+            self.boundary_po2 = classify_arterial_venous(
+                coupling.network, self.flow, self.oxygen_params)
         operator = assemble_transport_operator(
             self.net, self.grid, coupling, self.flow, self.flow_params,
             self.oxygen_params, self.boundary_po2,

@@ -5,8 +5,14 @@ Nodes carrying a pressure value are Dirichlet boundary nodes of the 1D flow
 problem. Their oxygen boundary values are not stored here: they are a map
 passed to the oxygen assembly (`oxygen.classify_arterial_venous`).
 
-Code that reads the network as arrays reads `VascularNetwork.table()`, the
-one place that numbers nodes and segments.
+A network has two forms. `VascularNetwork` holds node and segment objects
+and an adjacency; growth edits it. `NetworkTable` holds the same network as
+columns, nodes and segments each in ascending id order; it is the one
+numbering of nodes and segments, and every reader of a network takes it:
+`VascularNetwork.table()` gathers it from the objects, and `table()` of a
+table is the table itself, so code that only reads a network takes either
+form. `read_dgf` reads a DGF file straight into a table, with no objects;
+`parse_dgf` builds the objects from that table (`VascularNetwork.from_table`).
 """
 
 from __future__ import annotations
@@ -112,9 +118,15 @@ class NetworkTable:
     node_ids: np.ndarray  # (n,) int64
     position: np.ndarray  # (n, 3) m
     pressure: np.ndarray  # (n,) Pa; NaN unless a boundary node with a pressure
+    boundary: np.ndarray  # (n,) bool; a boundary node, with a pressure or without
     segment_ids: np.ndarray  # (m,) int64
     ends: np.ndarray  # (m, 2) places of node_a and node_b in node_ids
     radius: np.ndarray  # (m,) m
+
+    def table(self) -> NetworkTable:
+        """The table itself: a reader of `net.table()` takes a table or a
+        `VascularNetwork`."""
+        return self
 
 
 class VascularNetwork:
@@ -176,6 +188,36 @@ class VascularNetwork:
             out.add_segment(seg.copy())
         return out
 
+    @classmethod
+    def from_table(cls, table: NetworkTable) -> VascularNetwork:
+        """The network of a table's columns as objects, each node's segments
+        listed in ascending id order. Every node owns its position: a row of
+        the network's own copy of the table's positions, writable, never a
+        view of the table."""
+        net = cls()
+        node_ids, segment_ids = table.node_ids.tolist(), table.segment_ids.tolist()
+        # the constructors check each value; ids and ends of a table are
+        # unique and known, which is what add_node and add_segment check
+        net.nodes = {
+            nid: NetworkNode(nid, position, "boundary", None if math.isnan(p) else p)
+            if boundary else NetworkNode(nid, position)
+            for nid, position, p, boundary in zip(
+                node_ids, table.position.copy(), table.pressure.tolist(), table.boundary.tolist())
+        }
+        net.segments = {
+            sid: Segment(sid, a, b, r)
+            for sid, a, b, r in zip(segment_ids, *table.node_ids[table.ends].T.tolist(),
+                                    table.radius.tolist())
+        }
+        # each node's segments in ascending id order, as add_segment appends them
+        places = table.ends.ravel()
+        incident = table.segment_ids[np.argsort(places, kind="stable") // 2].tolist()
+        bounds = np.cumsum(np.bincount(places, minlength=len(node_ids))).tolist()
+        net.adjacency = {nid: incident[lo:hi] for nid, lo, hi in zip(node_ids, [0] + bounds, bounds)}
+        net._next_node_id = node_ids[-1] + 1 if node_ids else 0
+        net._next_segment_id = segment_ids[-1] + 1 if segment_ids else 0
+        return net
+
     # -- queries --------------------------------------------------------
 
     def table(self) -> NetworkTable:
@@ -185,12 +227,14 @@ class VascularNetwork:
         segment_ids = np.array(sorted(self.segments), np.int64)
         segments = [self.segments[sid] for sid in segment_ids.tolist()]
         ends = np.array([[s.node_a for s in segments], [s.node_b for s in segments]], np.int64)
+        boundary = [node.kind == "boundary" for node in nodes]
         return NetworkTable(
             node_ids=node_ids,
             position=np.array([node.position for node in nodes]).reshape(-1, 3),
             # None, for a node written without a pressure, becomes NaN
-            pressure=np.array([node.boundary_pressure if node.kind == "boundary" else None
-                               for node in nodes], float),
+            pressure=np.array([node.boundary_pressure if b else None
+                               for node, b in zip(nodes, boundary)], float),
+            boundary=np.array(boundary, bool),
             segment_ids=segment_ids,
             ends=np.searchsorted(node_ids, ends).T,
             radius=np.array([s.radius for s in segments], float),
@@ -204,9 +248,6 @@ class VascularNetwork:
         if length == 0.0:
             raise ValidationError(f"segment {seg_id}: coincident endpoints")
         return length, delta / length
-
-    def boundary_nodes(self) -> list[int]:
-        return [n.id for n in self.nodes.values() if n.kind == "boundary"]
 
     def terminal_nodes(self, region: DomainBox) -> list[int]:
         """Degree-1 nodes strictly inside `region`, excluding designated
@@ -242,6 +283,30 @@ _NUMBER_START = frozenset("0123456789+-.")
 def _is_comment(line: str) -> bool:
     s = line.strip()
     return s.startswith("%") or (s.startswith("#") and s != "#")
+
+
+_DATA = object()  # what `_block_after` returns for a data line
+
+
+def _block_after(line: str, block):
+    """The block the reader is in after a stripped line that starts with no
+    number: the one a keyword opens ("vertex", "simplex", "ignored"; None
+    after a bare '#'), `block` after a blank, a comment or a skipped keyword,
+    and `_DATA` when the line is none of these, a data line of `block`."""
+    if not line or _is_comment(line):
+        return block
+    upper = line.upper()
+    if upper == "DGF" or upper.startswith("PARAMETERS"):
+        return block
+    if upper.startswith("VERTEX"):
+        return "vertex"
+    if upper.startswith(("SIMPLEX", "CUBE")):
+        return "simplex"
+    if line == "#":
+        return None
+    if upper.startswith(("BOUNDARYDOMAIN", "GRIDPARAMETER")):
+        return "ignored"
+    return _DATA
 
 
 class _FirstFailure:
@@ -362,88 +427,71 @@ def _segment_block(lines, linenos, known, first):
     return ends, radius
 
 
-def _dgf_columns(text: str):
-    """Positions, boundary pressures (NaN where none), end node indices and
-    radii of a DGF text, every check passed; the error of the first
-    offending line otherwise.
+def read_dgf(text: str) -> NetworkTable:
+    """Read the three-block DGF dialect (vertices, simplex list) into a table.
 
-    One pass sorts the lines into blocks; each block's numbers are then
-    converted and checked as whole arrays. The lines are released on
-    return, before the network's objects are built.
+    Vertex lines hold three coordinates in meters and an optional boundary
+    pressure in Pa; a vertex with a pressure is a boundary node, node ids
+    are the vertices' zero-based places. Simplex lines hold two zero-based
+    node indices and a radius in meters; segment ids are their places. A
+    bare '#' terminates a block; lines starting with '#text' or '%' are
+    comments. Every number must be finite. A malformed file raises the
+    error of its first offending line, as a line-by-line reader would.
+
+    The lines are sorted into blocks run by run; each block's numbers are
+    then converted and checked as whole arrays. The table's arrays are
+    read-only, and no node or segment object is built.
     """
+    # only a line that starts with no number can be a blank, a comment or a
+    # keyword; the lines between two of those are data of the block they
+    # sit in, and are sorted as one run. A '#' after the last line closes
+    # the last run.
+    lines = list(map(str.strip, text.splitlines()))
+    lines.append("#")
     vertices, vertex_linenos = [], []
     segments, segment_linenos, known = [], [], []
     first = _FirstFailure()
-    block = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line[:1] not in _NUMBER_START:
-            if not line or _is_comment(line):
-                continue
-            upper = line.upper()
-            if upper == "DGF":
-                continue
-            if upper.startswith("VERTEX"):
-                block = "vertex"
-                continue
-            if upper.startswith("SIMPLEX") or upper.startswith("CUBE"):
-                block = "simplex"
-                continue
-            if upper.startswith("PARAMETERS"):
-                continue
-            if line == "#":
-                block = None
-                continue
-            if upper.startswith("BOUNDARYDOMAIN") or upper.startswith("GRIDPARAMETER"):
-                block = "ignored"
-                continue
-        if block == "vertex":
-            vertices.append(line)
-            vertex_linenos.append(lineno)
-        elif block == "simplex":
-            segments.append(line)
-            segment_linenos.append(lineno)
-            known.append(len(vertices))
-        elif block is None:
-            first.line = lineno
-            first.error = ParseError(f"data outside any block: {line!r}", lineno)
-            break
+    block, start = None, 0  # the block read in, and where its run of data lines starts
+    for end in [i for i, line in enumerate(lines) if line[:1] not in _NUMBER_START]:
+        after = _block_after(lines[end], block)
+        if after is _DATA:
+            continue  # a line of text in the run
+        if start < end:
+            if block is None:
+                first.line = start + 1
+                first.error = ParseError(f"data outside any block: {lines[start]!r}", start + 1)
+                break
+            if block == "vertex":
+                vertices += lines[start:end]
+                vertex_linenos += range(start + 1, end + 1)
+            elif block == "simplex":
+                segments += lines[start:end]
+                segment_linenos += range(start + 1, end + 1)
+                known += [len(vertices)] * (end - start)
+        block, start = after, end + 1
 
     positions, pressure = _vertex_block(vertices, vertex_linenos, first)
     ends, radius = _segment_block(segments, segment_linenos, known, first)
     if first.error is not None:
         raise first.error
-    return positions, pressure, ends, radius
+    columns = NetworkTable(
+        node_ids=np.arange(len(positions), dtype=np.int64),
+        position=positions,
+        pressure=pressure,
+        boundary=~np.isnan(pressure),
+        segment_ids=np.arange(len(radius), dtype=np.int64),
+        ends=np.ascontiguousarray(ends),
+        radius=radius,
+    )
+    for array in vars(columns).values():
+        array.flags.writeable = False
+    return columns
 
 
 def parse_dgf(text: str) -> VascularNetwork:
-    """Parse the three-block DGF dialect (vertices, simplex list).
-
-    Vertex lines hold three coordinates in meters and an optional boundary
-    pressure in Pa. Simplex lines hold two zero-based node indices and a
-    radius in meters. A bare '#' terminates a block; lines starting with
-    '#text' or '%' are comments. Every number must be finite. A malformed
-    file raises the error of its first offending line, as a line-by-line
-    reader would.
-    """
-    positions, pressure, ends, radius = _dgf_columns(text)
-    # the checks passed are add_node's and add_segment's: fill the tables at once
-    net = VascularNetwork()
-    net.nodes = {
-        nid: NetworkNode(nid, position) if math.isnan(p)
-        else NetworkNode(nid, position, "boundary", p)
-        for nid, position, p in zip(range(len(positions)), positions, pressure.tolist())
-    }
-    net.segments = {
-        sid: Segment(sid, a, b, r)
-        for sid, a, b, r in zip(range(len(radius)), *ends.T.tolist(), radius.tolist())
-    }
-    # each node's segments in ascending id order, as add_segment appends them
-    incident = (np.argsort(ends.ravel(), kind="stable") // 2).tolist()
-    bounds = np.cumsum(np.bincount(ends.ravel(), minlength=len(positions))).tolist()
-    net.adjacency = {nid: incident[lo:hi] for nid, lo, hi in zip(net.nodes, [0] + bounds, bounds)}
-    net._next_node_id, net._next_segment_id = len(net.nodes), len(net.segments)
-    return net
+    """`read_dgf`'s network as node and segment objects, for code that
+    edits it (`VascularNetwork.from_table`)."""
+    return VascularNetwork.from_table(read_dgf(text))
 
 
 def serialize_dgf(net: VascularNetwork) -> str:

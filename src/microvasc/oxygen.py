@@ -45,7 +45,7 @@ from .errors import ConvergenceError, StateError, ValidationError, require_finit
 from .flow import GRAPH_LAPLACIAN, RESIDUAL_TOL, FlowParameters, FlowState, starling_flux
 from .grid import CoupledSystem, SurfaceCoupling, TissueGrid
 from .linsolve import LinearSolver, row_scaled
-from .network import VascularNetwork
+from .network import NetworkTable, VascularNetwork
 
 
 @dataclass
@@ -93,13 +93,14 @@ def kedem_katchalsky_flux(
 
 
 def classify_arterial_venous(
-    net: VascularNetwork, flow, params: OxygenParameters = OxygenParameters()
+    net: VascularNetwork | NetworkTable, flow, params: OxygenParameters = OxygenParameters()
 ) -> dict[int, float]:
     """The boundary PO2 in mmHg of every boundary node with a segment, by
     node id, from an artery/vein label read off the segment velocities.
 
-    A boundary node whose terminal segment moves blood slower than the
-    network-wide mean velocity magnitude is a vein (low-velocity side),
+    A boundary node whose terminal segment, its segment of lowest id (the
+    first `net.table()` lists), moves blood slower than the network-wide
+    mean velocity magnitude is a vein (low-velocity side),
     `params.venous_po2`; ties go to artery, `params.arterial_po2`.
     """
     if flow is None:
@@ -107,10 +108,15 @@ def classify_arterial_venous(
     speed = np.abs(flow.velocity)
     if not speed.size:
         return {}
-    ends = [nid for nid in net.boundary_nodes() if net.adjacency[nid]]
-    terminal = np.searchsorted(flow.segment_ids, [net.adjacency[nid][0] for nid in ends])
+    table = net.table()
+    # each node with a segment, and its first place in the row-major ends:
+    # that place's row is the node's first segment
+    nodes, first = np.unique(table.ends.ravel(), return_index=True)
+    ends = table.boundary[nodes]
+    terminal = np.searchsorted(flow.segment_ids, table.segment_ids[first[ends] // 2])
     veins = (speed[terminal] < np.mean(speed)).tolist()
-    return {nid: params.venous_po2 if v else params.arterial_po2 for nid, v in zip(ends, veins)}
+    return {nid: params.venous_po2 if v else params.arterial_po2
+            for nid, v in zip(table.node_ids[nodes[ends]].tolist(), veins)}
 
 
 @dataclass
@@ -138,7 +144,7 @@ class OxygenState:
 
 
 def assemble_transport_operator(
-    net: VascularNetwork,
+    net: VascularNetwork | NetworkTable,
     grid: TissueGrid,
     coupling: SurfaceCoupling,
     flow: FlowState,
@@ -151,6 +157,9 @@ def assemble_transport_operator(
 
     Every boundary node is pinned to its `boundary_po2` value, by default
     the classification of `flow`; one the map lacks raises `StateError`.
+    The boundary nodes are read from the columns the coupling keeps
+    (`coupling.network`), not from `net`, the network or table it was built
+    on.
 
     Per sample the wall flux is linear in the partial pressures:
     J = (1-sigma)*J_p*(po2_v + po2_t)/2 + L*(po2_v - po2_t), so
@@ -163,10 +172,11 @@ def assemble_transport_operator(
     zero-total-flux boundary condition exactly (the Darcy normal velocity
     vanishes there by the Neumann flow condition).
     """
+    nodes = coupling.network
     if boundary_po2 is None:
-        boundary_po2 = classify_arterial_venous(net, flow, params)
+        boundary_po2 = classify_arterial_venous(nodes, flow, params)
     try:
-        dirichlet = {nid: boundary_po2[nid] for nid in net.boundary_nodes()}
+        dirichlet = {nid: boundary_po2[nid] for nid in nodes.node_ids[nodes.boundary].tolist()}
     except KeyError as missing:
         raise StateError(f"boundary node {missing.args[0]} has no boundary PO2") from None
     table = coupling.segments

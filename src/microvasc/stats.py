@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .growth import control_volume_averages
-from .network import DomainBox, VascularNetwork
+from .network import DomainBox, NetworkTable, VascularNetwork
 from .units import pa_to_mmhg
 
 QUANTITIES = ("L", "A", "V", "N_seg", "PO2_roi", "p_t_roi", "F_tv", "N_it")
@@ -31,8 +31,9 @@ class RunStatistics:
         return [getattr(self, f.name) for f in fields(self)]
 
 
-def network_characteristics(net: VascularNetwork):
-    """Total length, lateral area, volume, and segment count."""
+def network_characteristics(net: VascularNetwork | NetworkTable):
+    """Total length, lateral area, volume, and segment count of a network or
+    its table."""
     table = net.table()
     delta = table.position[table.ends[:, 1]] - table.position[table.ends[:, 0]]
     length = np.sqrt(np.vecdot(delta, delta))  # np.linalg.norm's rounding, row by row

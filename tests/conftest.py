@@ -153,15 +153,21 @@ def make_jittered_lattice(seed, n_per_axis, side=0.5e-3, jitter=0.15,
     return net
 
 
-def make_perfbench_lattice():
-    """Variant 0 of the benchmark's `lattice` workload, as (network, grid):
-    5,594 segments on its 12^3 grid."""
+def make_perfbench_lattice(variant=0):
+    """A variant of the benchmark's `lattice` workload, as (network, grid):
+    variant 0 has 5,594 segments, on its 12^3 grid."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "lattice.py"
     spec = importlib.util.spec_from_file_location("perfbench_lattice", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     box = enlarge_domain(DomainBox([0.0] * 3, [module.SIDE] * 3), 0.10)
-    return module.make_lattice(0, 13), build_grid(box, (12, 12, 12))
+    return module.make_lattice(variant, 13), build_grid(box, (12, 12, 12))
+
+
+def boundary_nodes(net):
+    """Ids of the network's boundary nodes, with a pressure or without, in
+    insertion order."""
+    return [nid for nid, node in net.nodes.items() if node.kind == "boundary"]
 
 
 def endpoints(net, sid):

@@ -256,7 +256,8 @@ def transport_operator(net, grid, coupling, flow, flow_params, params, boundary_
     n = grid.n_cells + len(node_order)
     rows, cols, vals = [], [], []
     rhs = np.zeros(n)
-    dirichlet = {nid: boundary_po2[nid] for nid in net.boundary_nodes()}
+    dirichlet = {nid: boundary_po2[nid] for nid, node in net.nodes.items()
+                 if node.kind == "boundary"}
 
     _tissue_transport_entries(grid, flow, flow_params, params, rows, cols, vals)
     _vessel_transport_entries(

@@ -48,6 +48,7 @@ from microvasc.stats import network_characteristics, tissue_averages
 
 from conftest import (
     UM,
+    boundary_nodes,
     endpoints,
     make_desk_network,
     make_single_vessel,
@@ -279,7 +280,7 @@ class InstrumentedEngine(GrowthEngine):
                 self.net, self.flow, self.oxygen_params
             )
         po2 = dict(zip(self.oxygen.node_order, self.oxygen.po2_nodes.tolist()))
-        self.pinned_po2.append({nid: po2[nid] for nid in self.net.boundary_nodes()})
+        self.pinned_po2.append({nid: po2[nid] for nid in boundary_nodes(self.net)})
         return out
 
     def _child_radius(self, raw_radius, parent_radius, phase):

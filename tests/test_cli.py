@@ -10,18 +10,28 @@ from microvasc import (
     FlowParameters,
     GrowthEngine,
     GrowthParameters,
+    NetworkNode,
     OxygenParameters,
     RheologyParameters,
     RunConfig,
+    Segment,
     network_characteristics,
+    parse_dgf,
+    read_dgf,
     serialize_dgf,
 )
-from microvasc.cli import _run_generation, _setup_domain, main
+from microvasc.cli import _run_generation, _setup_domain, _solve_states, main
 from microvasc.errors import ValidationError
 from microvasc.growth import control_volume_averages
 from microvasc.units import pa_to_mmhg
 
-from conftest import UM, make_desk_network, make_single_vessel, make_starter_network
+from conftest import (
+    UM,
+    make_desk_network,
+    make_perfbench_lattice,
+    make_single_vessel,
+    make_starter_network,
+)
 
 
 def write_inputs(tmp_path, net=None, **overrides):
@@ -109,6 +119,87 @@ class TestConfig:
         lines = RunConfig(master_seed=3).provenance("0.1.0")
         assert any("seed 3" in line for line in lines)
         assert any("config" in line for line in lines)
+
+    def test_digest_covers_the_input_text_not_its_path(self, tmp_path):
+        """Copies of one input at two paths, written to two directories,
+        share a digest; a one-byte edit of the input changes it."""
+        text = serialize_dgf(make_desk_network())
+
+        def written_digest(name, text):
+            (tmp_path / name).mkdir()
+            dgf = tmp_path / name / "input.dgf"
+            dgf.write_text(text)
+            out = tmp_path / name / "out"
+            argv = ["characteristics", "--input", str(dgf), "--output", str(out)]
+            assert main(argv) == 0
+            (line,) = [line for line in (out / "characteristics.csv").read_text().splitlines()
+                       if line.startswith("# config ")]
+            return line
+
+        first, copy = written_digest("a", text), written_digest("b", text)
+        assert first == copy
+        # the last radius's last digit, one byte, still a valid file
+        at = text.rindex("\n#\n") - 1
+        edited = text[:at] + str((int(text[at]) + 1) % 10) + text[at + 1:]
+        assert len(edited.encode()) == len(text.encode()) and edited != text
+        assert written_digest("c", edited) != first
+        config = RunConfig()
+        assert config.digest(text) == RunConfig(input_dgf="elsewhere.dgf").digest(text)
+        assert config.digest(text) != config.digest(edited) != config.digest()
+
+
+def counted_constructions(monkeypatch) -> dict:
+    """Node and segment objects constructed from now on, by class."""
+    counts = {NetworkNode: 0, Segment: 0}
+    for cls in counts:
+        def counting(self, cls=cls, post_init=cls.__post_init__):
+            counts[cls] += 1
+            post_init(self)
+
+        monkeypatch.setattr(cls, "__post_init__", counting)
+    return counts
+
+
+class TestReadOnlyCommands:
+    """`solve`, `export-vtk` and `characteristics` read the network as its
+    columns; `generate` edits it, so it builds the objects."""
+
+    @pytest.mark.parametrize("command", ["solve", "export-vtk", "characteristics"])
+    def test_builds_no_node_or_segment(self, tmp_path, monkeypatch, command):
+        config, _ = write_inputs(tmp_path, net=make_desk_network())
+        built = counted_constructions(monkeypatch)
+        assert main([command, "--config", str(config), "--output", str(tmp_path / "out")]) == 0
+        assert built == {NetworkNode: 0, Segment: 0}
+
+    def test_the_count_sees_the_objects_of_a_parse(self, monkeypatch):
+        net = make_desk_network()
+        text = serialize_dgf(net)
+        built = counted_constructions(monkeypatch)
+        read_dgf(text)
+        assert built == {NetworkNode: 0, Segment: 0}
+        parse_dgf(text)
+        assert built == {NetworkNode: len(net.nodes), Segment: len(net.segments)}
+
+    @pytest.mark.parametrize("source", ["desk", "starter", "lattice 0", "lattice 1"])
+    def test_solve_states_are_the_same_on_the_table(self, source):
+        """The flow and oxygen of `_solve_states` on `read_dgf(text)`
+        equal those on `parse_dgf(text)` bit for bit."""
+        if source == "desk":
+            net, box, cells = make_desk_network(), [1.0e-3] * 3, 10
+        elif source == "starter":
+            net, box, cells = make_starter_network(), [0.5e-3] * 3, 10
+        else:
+            net, _ = make_perfbench_lattice(int(source.split()[1]))
+            box, cells = [0.5e-3] * 3, 12
+        config = RunConfig(grid_cells=(cells,) * 3, roi_lower=(0.0,) * 3, roi_upper=tuple(box))
+        _, _, grid = _setup_domain(config)
+        text = serialize_dgf(net)
+        (_, flow, oxy), (_, flow_objects, oxy_objects) = (
+            _solve_states(read(text), grid, config) for read in (read_dgf, parse_dgf))
+        assert flow.p_t.tobytes() == flow_objects.p_t.tobytes()
+        assert flow.p_nodes.tobytes() == flow_objects.p_nodes.tobytes()
+        assert oxy.po2_t.tobytes() == oxy_objects.po2_t.tobytes()
+        assert oxy.po2_nodes.tobytes() == oxy_objects.po2_nodes.tobytes()
 
 
 class TestCommands:

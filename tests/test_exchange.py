@@ -32,6 +32,7 @@ from microvasc.grid import CoupledSystem
 
 from conftest import (
     UM,
+    boundary_nodes,
     dyadic_grids,
     make_desk_network,
     make_jittered_lattice,
@@ -349,7 +350,7 @@ def both_physics(request):
         net, grid, coupling, flow, flow_params, params, boundary_po2
     )
     oxygen = solve_oxygen(operator, params)
-    pressure = {nid: net.nodes[nid].boundary_pressure for nid in net.boundary_nodes()}
+    pressure = {nid: net.nodes[nid].boundary_pressure for nid in boundary_nodes(net)}
     return net, {
         "flow": (system, flow.p_v, pressure),
         "oxygen": (operator, oxygen.po2_v, boundary_po2),
@@ -360,7 +361,7 @@ def both_physics(request):
 def test_solve_returns_the_pinned_values_exactly(both_physics, physics):
     net, systems = both_physics
     system, values, pinned = systems[physics]
-    boundary = net.boundary_nodes()
+    boundary = boundary_nodes(net)
     assert boundary and sorted(system.dirichlet) == sorted(boundary)
     assert all(system.dirichlet[nid] == pinned[nid] for nid in boundary)
     assert_pinned_rows(system)

@@ -22,7 +22,7 @@ from microvasc.linsolve import scaled_residual
 from microvasc.linsolve import RESTART
 from microvasc.rheology import segment_viscosity, vessel_conductance
 
-from conftest import UM, make_desk_network, make_single_vessel, make_y_junction
+from conftest import UM, boundary_nodes, make_desk_network, make_single_vessel, make_y_junction
 
 DECOUPLED = FlowParameters(wall_conductivity=0.0)
 
@@ -155,7 +155,7 @@ class TestCoupledFlow:
         # wall leakage couples every node to the tissue, but only a
         # Dirichlet node fixes the level of the pressures
         net = make_desk_network()
-        for nid in net.boundary_nodes():
+        for nid in boundary_nodes(net):
             net.nodes[nid].kind = "inner"
         grid = small_grid()
         coupling = build_surface_coupling(grid, net)

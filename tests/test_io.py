@@ -2,6 +2,7 @@
 line-by-line references in `io_oracle`: the same bytes out, the same
 networks in, and the same error, message and line for a malformed file."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import io_oracle as oracle
-from microvasc import DomainBox, VascularNetwork, build_grid, parse_dgf, serialize_dgf
+from microvasc import (
+    DomainBox,
+    NetworkTable,
+    VascularNetwork,
+    build_grid,
+    parse_dgf,
+    read_dgf,
+    serialize_dgf,
+)
 from microvasc.errors import MicrovascError
 from microvasc.export import cell_field_to_vtk, network_to_vtk, write_csv
 
@@ -64,6 +73,14 @@ def assert_same_network(got, want):
         want._next_node_id, want._next_segment_id)
 
 
+def assert_same_table(got, want):
+    """Every column equal by dtype, shape and bytes."""
+    for column in dataclasses.fields(NetworkTable):
+        a, b = getattr(got, column.name), getattr(want, column.name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), column.name
+        assert a.tobytes() == b.tobytes(), column.name
+
+
 def outcome(parse, text):
     try:
         return parse(text)
@@ -102,6 +119,27 @@ def test_parse_matches_reference_and_round_trips(net):
         assert back.radius == seg.radius
 
 
+@given(networks())
+@example(FIXED[0])
+@example(FIXED[1])
+@example(FIXED[2])
+def test_reader_gives_the_parsed_objects_table(net):
+    # a boundary node written without a pressure reads back as an inner node
+    text = serialize_dgf(net)
+    table = read_dgf(text)
+    assert_same_table(table, parse_dgf(text).table())
+    assert table.table() is table
+    assert np.array_equal(table.boundary, ~np.isnan(table.pressure))
+
+
+@given(networks())
+@example(FIXED[2])
+def test_objects_from_a_table_give_the_table_back(net):
+    # sparse ids, isolated nodes and boundary nodes without a pressure
+    table = net.table()
+    assert_same_table(VascularNetwork.from_table(table).table(), table)
+
+
 def test_parse_matches_reference_on_a_lattice():
     text = serialize_dgf(make_jittered_lattice(seed=1, n_per_axis=5))
     assert_same_network(parse_dgf(text), oracle.reference_parse_dgf(text))
@@ -116,6 +154,18 @@ def test_parsed_nodes_share_no_position_memory():
     positions[2][2] = 1.0
     for i, (p, q) in enumerate(zip(positions, before)):
         assert np.array_equal(p, q) == (i != 2)
+
+
+def test_objects_from_a_table_own_their_positions():
+    table = read_dgf(serialize_dgf(make_y_junction()))
+    assert not any(array.flags.writeable for array in vars(table).values())
+    net = VascularNetwork.from_table(table)
+    for node in net.nodes.values():
+        assert node.position.flags.writeable
+        assert not np.shares_memory(node.position, table.position)
+    before = table.position.copy()
+    net.nodes[1].position[0] = 1.0
+    assert np.array_equal(table.position, before)
 
 
 # tokens of a damaged DGF file; none is NaN or infinite, which the
@@ -143,8 +193,9 @@ def test_damaged_files_fail_as_the_reference_does(base, edits):
     got = outcome(parse_dgf, text)
     if isinstance(want, VascularNetwork):
         assert_same_network(got, want)
+        assert_same_table(read_dgf(text), got.table())
     else:
-        assert got == want
+        assert got == want == outcome(read_dgf, text)
 
 
 # -- VTK ---------------------------------------------------------------------

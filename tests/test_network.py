@@ -7,14 +7,23 @@ from hypothesis import example, given, strategies as st
 
 from microvasc import (
     DomainBox,
+    FlowParameters,
+    GrowthEngine,
+    GrowthParameters,
     NetworkNode,
+    RheologyParameters,
     Segment,
     VascularNetwork,
+    assemble_flow_system,
+    build_grid,
+    build_surface_coupling,
     classify_arterial_venous,
     clip_to_box,
     enlarge_domain,
     parse_dgf,
+    read_dgf,
     serialize_dgf,
+    solve_flow,
 )
 from microvasc.errors import (
     ParseError,
@@ -24,7 +33,15 @@ from microvasc.errors import (
 )
 from microvasc import OxygenParameters
 
-from conftest import UM, make_single_vessel, make_y_junction
+from conftest import (
+    UM,
+    boundary_nodes,
+    make_desk_network,
+    make_perfbench_lattice,
+    make_single_vessel,
+    make_starter_network,
+    make_y_junction,
+)
 
 SIMPLE_DGF = """\
 DGF
@@ -244,7 +261,70 @@ class TestTerminalNodes:
         assert net.terminal_nodes(roi) == [0]
 
 
+def first_listed_segment_rule(net, flow, params=OxygenParameters()):
+    """The artery/vein rule written on the objects: each boundary node's
+    terminal segment is the first its adjacency lists."""
+    speed = np.abs(flow.velocity)
+    ends = [nid for nid in boundary_nodes(net) if net.adjacency[nid]]
+    terminal = np.searchsorted(flow.segment_ids, [net.adjacency[nid][0] for nid in ends])
+    veins = (speed[terminal] < np.mean(speed)).tolist()
+    return {nid: params.venous_po2 if v else params.arterial_po2 for nid, v in zip(ends, veins)}
+
+
+def grown_starter():
+    """A starter tree's network at its last phase-2 checkpoint: the objects
+    growth edited, and their DGF text."""
+    roi = DomainBox([0.0] * 3, [0.5e-3] * 3)
+    domain = enlarge_domain(roi, 0.10)
+    engine = GrowthEngine(
+        make_starter_network(), domain, roi, build_grid(domain, (8, 8, 8)),
+        RheologyParameters(), FlowParameters(), OxygenParameters(),
+        GrowthParameters(max_iter_p1=2, max_iter_p2=2), np.random.default_rng(3),
+    )
+    engine.run_phase1()
+    engine.run_phase2()
+    return engine.net, serialize_dgf(engine.net)
+
+
 class TestClassification:
+    @pytest.mark.parametrize("source", ["desk", "starter", "lattice", "grown starter"])
+    def test_table_rule_is_the_first_listed_segment_rule(self, source):
+        """On a table, each boundary node's terminal segment is its
+        lowest-id one; on the objects of a parsed or grown network that is
+        the one its adjacency lists first. Random speeds label many nodes
+        each way; a solved flow labels the desk ladder."""
+        if source == "grown starter":
+            grown, text = grown_starter()
+            grown_table = grown.table()
+        elif source == "lattice":
+            text = serialize_dgf(make_perfbench_lattice()[0])
+        else:
+            text = serialize_dgf({"desk": make_desk_network, "starter": make_starter_network}[source]())
+        table, net = read_dgf(text), parse_dgf(text)
+        rng = np.random.default_rng(0)
+
+        class Flow:
+            segment_ids = table.segment_ids.tolist()
+            velocity = rng.uniform(-1.0, 1.0, table.segment_ids.size)
+
+        flows = [Flow()]
+        if source == "desk":
+            grid = build_grid(DomainBox([0.0] * 3, [1e-3] * 3), (8, 8, 8))
+            coupling = build_surface_coupling(grid, table)
+            flows.append(solve_flow(assemble_flow_system(
+                table, grid, coupling, RheologyParameters(), FlowParameters())))
+        seen = set()
+        for flow in flows:
+            labels = classify_arterial_venous(table, flow)
+            assert labels == classify_arterial_venous(net, flow)
+            assert labels == first_listed_segment_rule(net, flow)
+            seen |= set(labels.values())
+        assert len(seen) == 2
+        if source == "grown starter":  # the objects as growth left them, not parsed
+            assert grown_table.segment_ids.tolist() == table.segment_ids.tolist()
+            assert classify_arterial_venous(grown_table, flows[0]) == first_listed_segment_rule(
+                grown, flows[0])
+
     def test_two_velocity_split(self):
         net = make_single_vessel()
         net.new_node([0.0, 50 * UM, 0.0], kind="boundary", boundary_pressure=7000.0)

@@ -25,7 +25,7 @@ from microvasc.errors import ConvergenceError, StateError, ValidationError
 from microvasc.flow import RESIDUAL_TOL
 from microvasc.linsolve import scaled_residual
 
-from conftest import make_desk_network, outside_krylov
+from conftest import boundary_nodes, make_desk_network, outside_krylov
 
 ARTERIAL_PO2 = OxygenParameters().arterial_po2
 VENOUS_PO2 = OxygenParameters().venous_po2
@@ -50,8 +50,11 @@ def desk_operator(net, grid, oxy_params, flow_params=None, pin_boundary=True):
     )
     flow = solve_flow(system)
     if not pin_boundary:
-        for nid in net.boundary_nodes():
+        # the coupling keeps the boundary column the assembly pins: take
+        # a new one of the network without boundary nodes
+        for nid in boundary_nodes(net):
             net.nodes[nid].kind = "inner"
+        coupling = build_surface_coupling(grid, net)
     operator = assemble_transport_operator(
         net, grid, coupling, flow, flow_params, oxy_params
     )
@@ -247,7 +250,7 @@ class TestCoupledOxygen:
     def test_boundary_values_pinned(self, desk_grid):
         net = make_desk_network()
         state, _ = coupled_solve(net, desk_grid)
-        for nid in net.boundary_nodes():
+        for nid in boundary_nodes(net):
             assert state.po2_v[nid] in (ARTERIAL_PO2, VENOUS_PO2)
 
     def test_boundary_po2_comes_from_parameters(self, desk_grid):
@@ -542,6 +545,23 @@ class TestCoupledOxygen:
         missing = sorted(swapped)[1]
         with pytest.raises(StateError, match=f"boundary node {missing} "):
             assemble({nid: po2 for nid, po2 in swapped.items() if nid != missing})
+
+    def test_boundary_node_without_a_pressure_is_pinned(self, desk_grid):
+        """A boundary node built without a pressure is free in the flow and
+        pinned in the oxygen, to the PO2 its vessel classifies it with."""
+        net = make_desk_network()
+        tip = net.new_node(np.array([0.5e-3, 0.3e-3, 0.7e-3]), kind="boundary")
+        net.new_segment(6, tip.id, 4e-6)
+        fp, params = FlowParameters(), OxygenParameters()
+        coupling = build_surface_coupling(desk_grid, net)
+        system = assemble_flow_system(net, desk_grid, coupling, RheologyParameters(), fp)
+        assert tip.id not in system.dirichlet and len(system.dirichlet) == 2
+        flow = solve_flow(system)
+        operator = assemble_transport_operator(net, desk_grid, coupling, flow, fp, params)
+        classified = classify_arterial_venous(net, flow, params)
+        assert tip.id in classified and operator.dirichlet == classified
+        state = solve_oxygen(operator, params)
+        assert state.po2_v[tip.id] == classified[tip.id]
 
     @pytest.mark.parametrize("case", list(INVALID_SETTINGS))
     def test_invalid_solver_settings(self, desk_grid, case):

@@ -16,7 +16,7 @@ def paper():
 
 def test_nine_roots_per_face_with_the_face_pressure(paper):
     net, roi = paper
-    roots = net.boundary_nodes()
+    roots = [nid for nid, node in net.nodes.items() if node.kind == "boundary"]
     assert len(roots) == 36 and len(net.nodes) == 72 and len(net.segments) == 36
     fractions = (np.arange(3) + 0.5) / 3
     for (axis, side), pressure in FACE_PRESSURES.items():

@@ -8,10 +8,8 @@ entries sit in that Laplacian, and, for the linear solver's cosine solve,
 the orthonormal DCT-II matrix of each axis, the Laplacian's eigenvalues
 in that basis and what the fit of a block to it takes from the grid
 alone (`CosineFit`); only when a tissue block takes the V-cycle, the
-solver's `MultigridPlan`. For each region of interest and division it is
-asked for, it also keeps the control volumes' overlaps with its cells
-(`ControlVolumes`). They are kept on the instance, not in the module, so
-a new grid starts afresh.
+solver's `MultigridPlan`. They are kept on the instance, not in the
+module, so a new grid starts afresh.
 
 The Dirac surface measure concentrated on the vessel walls is discretised
 by equal-area point sampling of each cylinder's lateral surface on an
@@ -42,8 +40,7 @@ algebra as the sparse products, summed in another order. From the same
 pattern the coupling also makes, on first use, the linear solver's
 `BlockPlan` (`SurfaceCoupling.blocks`): where the tissue, node and
 off-diagonal blocks sit in the data, so the flow and oxygen solvers of a
-state gather their blocks without slicing, and the node block's order
-that the first of them takes.
+state gather their blocks without slicing.
 
 `CoupledSystem` is the one system type of flow and oxygen, and the one
 place that writes the rows of pinned (Dirichlet) nodes.
@@ -66,9 +63,8 @@ from .network import DomainBox, NetworkTable, VascularNetwork
 class TissueGrid:
     """Cell-centered uniform grid tiling a box; linear index i + nx*(j + ny*k).
 
-    `faces()`, `laplacian`, `stencil`, `cosine_basis`, `eigenvalues`,
-    `cosine_fit` and `multigrid` are built on first use and kept, and so
-    is each `control_volumes(roi, n)`.
+    `faces`, `laplacian`, `stencil`, `cosine_basis`, `eigenvalues`,
+    `cosine_fit` and `multigrid` are built on first use and kept.
     """
 
     def __init__(self, box: DomainBox, cells_per_axis):
@@ -86,7 +82,6 @@ class TissueGrid:
         # per axis: lower corner, upper corner, spacing and last cell, as floats
         self._axes = list(zip(box.lower.tolist(), box.upper.tolist(),
                               self.spacing.tolist(), [c - 1.0 for c in counts]))
-        self._control_volumes = {}  # by (roi bounds, n)
 
     def locate(self, point: np.ndarray) -> tuple[int, bool]:
         """Cell containing `point`; clamps to the nearest cell when outside.
@@ -126,14 +121,11 @@ class TissueGrid:
         nx, ny, _ = self.cells_per_axis
         return ijk[0] + nx * (ijk[1] + ny * ijk[2]), outside[0] | outside[1] | outside[2]
 
+    @cached_property
     def faces(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Interior faces as flat read-only arrays (lo cell, hi cell, face
         area, cell spacing across the face): x faces, then y, then z, each in
         the order of np.diff along that axis of the [z, y, x] cell array."""
-        return self._faces
-
-    @cached_property
-    def _faces(self):
         nx, ny, nz = self.cells_per_axis
         dx, dy, dz = self.spacing
         idx = np.arange(self.n_cells).reshape((nz, ny, nx))
@@ -149,7 +141,7 @@ class TissueGrid:
         """Face Laplacian with unit coefficient, weight area/h per face, over
         the cells; read-only. Its sparsity, the face stencil plus the
         diagonal, is that of the tissue block of every coupled system."""
-        lo, hi, area, h = self.faces()
+        lo, hi, area, h = self.faces
         matrix = edge_laplacian(lo, hi, area / h, self.n_cells)
         for array in (matrix.data, matrix.indices, matrix.indptr):
             _read_only(array)
@@ -159,8 +151,8 @@ class TissueGrid:
     def stencil(self) -> tuple[np.ndarray, np.ndarray]:
         """Where the face stencil sits in `laplacian.data`: the position of
         each cell's diagonal, and a (4, faces) array of each face's (lo, lo),
-        (lo, hi), (hi, lo) and (hi, hi) entries, faces in `faces()` order."""
-        lo, hi, _, _ = self.faces()
+        (lo, hi), (hi, lo) and (hi, hi) entries, faces in `faces` order."""
+        lo, hi, _, _ = self.faces
         laplacian, n = self.laplacian, self.n_cells
         rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(laplacian.indptr))
         keys = rows * n + laplacian.indices  # ascending: the CSR is canonical
@@ -194,16 +186,8 @@ class TissueGrid:
         face coupling min(area/h)."""
         faces = self.stencil[1][1:3].ravel()  # the (lo, hi) and (hi, lo) entries
         unit = _read_only(self.laplacian.data[faces])
-        _, _, area, h = self.faces()
+        _, _, area, h = self.faces
         return CosineFit(faces, unit, float(unit @ unit), float(np.min(area / h)))
-
-    def control_volumes(self, roi: DomainBox, n: int) -> ControlVolumes:
-        """The n x n x n control volumes tiling `roi` as overlaps with the
-        cells, built once per (roi, n) and kept: see `ControlVolumes`."""
-        key = (roi.lower.tobytes(), roi.upper.tobytes(), n)
-        if key not in self._control_volumes:
-            self._control_volumes[key] = ControlVolumes.build(self, roi, n)
-        return self._control_volumes[key]
 
     @cached_property
     def multigrid(self) -> MultigridPlan:
@@ -216,53 +200,6 @@ class TissueGrid:
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-def _axis_overlaps(grid_lo, spacing, n_cells, roi_lo, roi_hi, n_cv):
-    """(n_cells, n_cv) matrix of interval overlap lengths along one axis."""
-    cv_edges = np.linspace(roi_lo, roi_hi, n_cv + 1)
-    cell_lo = grid_lo + spacing * np.arange(n_cells)
-    cell_hi = cell_lo + spacing
-    lo = np.maximum(cell_lo[:, None], cv_edges[None, :-1])
-    hi = np.minimum(cell_hi[:, None], cv_edges[None, 1:])
-    return np.maximum(hi - lo, 0.0)
-
-
-# value[cx, cy, cz] = sum_ijk p[k, j, i] ox[i, cx] oy[j, cy] oz[k, cz]
-_WEIGHTED_SUMS = "kji,ix,jy,kz->xyz"
-
-
-@dataclass(frozen=True)
-class ControlVolumes:
-    """The n x n x n control volumes tiling a box, as what a volume-weighted
-    average over them needs of a grid: the (cells, n) overlap lengths of
-    each axis (x, y, z), the overlap volume of each control volume, indexed
-    [ix, iy, iz], their sum, and the contraction order (`np.einsum_path`)
-    of `sums`."""
-
-    overlaps: tuple[np.ndarray, np.ndarray, np.ndarray]
-    volume: np.ndarray
-    total: float
-    path: list
-
-    @classmethod
-    def build(cls, grid: TissueGrid, roi: DomainBox, n: int) -> ControlVolumes:
-        overlaps = tuple(
-            _read_only(_axis_overlaps(grid.box.lower[a], grid.spacing[a],
-                                      grid.cells_per_axis[a], roi.lower[a], roi.upper[a], n))
-            for a in range(3)
-        )
-        volume = np.einsum("ix,jy,kz->xyz", *overlaps, optimize=True)
-        field = np.empty(grid.cells_per_axis[::-1])
-        path, _ = np.einsum_path(_WEIGHTED_SUMS, field, *overlaps, optimize=True)
-        return cls(overlaps, _read_only(volume), float(np.sum(volume)), path)
-
-    def sums(self, values: np.ndarray) -> np.ndarray:
-        """Overlap-weighted sums of a cell field per control volume, indexed
-        [ix, iy, iz]."""
-        nx, ny, nz = (overlap.shape[0] for overlap in self.overlaps)
-        field = values.reshape((nz, ny, nx))
-        return np.einsum(_WEIGHTED_SUMS, field, *self.overlaps, optimize=self.path)
 
 
 def cosine_matrix(n: int) -> np.ndarray:

@@ -589,6 +589,16 @@ def cell_gradient(values: np.ndarray, grid: TissueGrid) -> np.ndarray:
     return np.stack([d_x.ravel(), d_y.ravel(), d_z.ravel()], axis=1)
 
 
+def _axis_overlaps(grid_lo, spacing, n_cells, roi_lo, roi_hi, n_cv):
+    """(n_cells, n_cv) matrix of interval overlap lengths along one axis."""
+    cv_edges = np.linspace(roi_lo, roi_hi, n_cv + 1)
+    cell_lo = grid_lo + spacing * np.arange(n_cells)
+    cell_hi = cell_lo + spacing
+    lo = np.maximum(cell_lo[:, None], cv_edges[None, :-1])
+    hi = np.minimum(cell_hi[:, None], cv_edges[None, 1:])
+    return np.maximum(hi - lo, 0.0)
+
+
 def control_volume_averages(
     po2_t: np.ndarray, grid: TissueGrid, roi: DomainBox, n_per_axis: int
 ):
@@ -596,15 +606,21 @@ def control_volume_averages(
 
     Grid cells partially covered by a control volume contribute with their
     geometric overlap volume, so the control volumes tile the roi exactly.
-    The overlaps, volumes and contraction order are the grid's, built once
-    per (roi, n_per_axis) (`TissueGrid.control_volumes`).
     Returns (cv_averages with shape (n,n,n) indexed [ix, iy, iz], po2_roi).
     """
-    cv = grid.control_volumes(roi, n_per_axis)
-    weighted = cv.sums(po2_t)
+    nx, ny, nz = grid.cells_per_axis
+    ox, oy, oz = (
+        _axis_overlaps(grid.box.lower[a], grid.spacing[a], grid.cells_per_axis[a],
+                       roi.lower[a], roi.upper[a], n_per_axis)
+        for a in range(3)
+    )
+    p = po2_t.reshape((nz, ny, nx))
+    # weighted sums: value[cx,cy,cz] = sum_{ijk} p[k,j,i] ox[i,cx] oy[j,cy] oz[k,cz]
+    weighted = np.einsum("kji,ix,jy,kz->xyz", p, ox, oy, oz, optimize=True)
+    volume = np.einsum("ix,jy,kz->xyz", ox, oy, oz, optimize=True)
     with np.errstate(invalid="ignore"):
-        averages = np.where(cv.volume > 0.0, weighted / np.maximum(cv.volume, 1e-300), 0.0)
-    po2_roi = float(np.sum(weighted) / cv.total)
+        averages = np.where(volume > 0.0, weighted / np.maximum(volume, 1e-300), 0.0)
+    po2_roi = float(np.sum(weighted) / np.sum(volume))
     return averages, po2_roi
 
 

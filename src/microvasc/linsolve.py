@@ -67,10 +67,9 @@ and, as CSC for SuperLU, A_vv, each with its gather positions). A
 and the oxygen solver of a state gather their blocks through one plan
 and slice nothing.
 
-Built once per solver: the node-block LU (in the minimum-degree order
-the first solver on its plan found and the plan keeps), the off-diagonal
-blocks, A_rb and A_br of every smoothed level, gathered from its values
-in one pass, and the values of the coarsest level. A solve with a cell diagonal d adds
+Built once per solver: the node-block LU, the off-diagonal blocks, A_rb
+and A_br of every smoothed level, gathered from its values in one pass,
+and the values of the coarsest level. A solve with a cell diagonal d adds
 it in place: d on the finest level and bincount(aggregate, d) on each
 coarser one, exact because P^T (A + D) P = P^T A P + diag(P^T D P) when P
 has one 1 per row; only the per-colour diagonals change, and the coarsest
@@ -300,42 +299,23 @@ class Block:
     def csc(self, data) -> sp.csc_matrix:
         return sp.csc_matrix((data[self.gather], self.indices, self.indptr), shape=self.shape)
 
-    def permuted(self, place) -> Block:
-        """This square block with entry (i, j) moved to (place[i],
-        place[j]), compressed along the same axis."""
-        major = np.repeat(place, np.diff(self.indptr))
-        minor = place[self.indices]
-        at = np.argsort(major.astype(np.int64) * self.shape[0] + minor)
-        compressed = np.zeros(self.indptr.size, np.int32)
-        np.cumsum(np.bincount(major, minlength=self.shape[0]), out=compressed[1:])
-        return Block(compressed, minor[at].astype(np.int32), self.gather[at], self.shape)
 
-
-@dataclass
+@dataclass(frozen=True)
 class BlockPlan:
     """Where the blocks of a coupled matrix over (cells, nodes) sit in its
     data, taken from its pattern once: `tissue`, the position of each
     entry of the grid Laplacian's data, so the tissue block's data on that
     pattern is data[tissue]; `cell_diagonal`, the position of each cell's
     diagonal; A_tv and A_vt as CSR blocks and the node block A_vv as a CSC
-    one, the form `splu` factors.
-
-    `factor_nodes` factors the node block. The first factor on a plan
-    finds SuperLU's minimum-degree order on A^T + A, which depends on the
-    pattern alone (George & Liu, SIAM Rev. 31, 1989), and the plan keeps
-    it as `ordered_nodes`: the node at each place (`order`, the inverse of
-    SuperLU's perm_c) and the node block permuted symmetrically into that
-    order. Every later factor gathers that block and factors it in natural
-    order, with the same fill."""
+    one, the form `splu` factors."""
 
     tissue: np.ndarray
     cell_diagonal: np.ndarray
     tissue_nodes: Block
     nodes_tissue: Block
     nodes: Block
-    ordered_nodes: tuple[np.ndarray, Block] | None = None
 
-    def factor_nodes(self, data) -> NodeFactor:
+    def factor_nodes(self, data) -> spla.SuperLU:
         """The LU of the node block of a matrix with `data` on the plan's
         pattern, in SuperLU's symmetric mode; SolverError when singular.
 
@@ -344,45 +324,24 @@ class BlockPlan:
         about half what COLAMD's does on a lattice of capillaries. The
         symmetric mode keeps that order's elimination tree (of A + A^T),
         where the default postorders the column tree of A^T A instead and
-        factors several times slower with the same fill. Its order must be
-        applied as P A P^T, P the inverse of perm_c: A[:, perm_c] fills
-        several times more."""
-        first = self.ordered_nodes is None
-        order, block = (None, self.nodes) if first else self.ordered_nodes
-        matrix = block.csc(data)
+        factors several times slower with the same fill. The order depends
+        on the pattern alone (George & Liu, SIAM Rev. 31, 1989), so every
+        factor on a plan takes the same one."""
+        matrix = self.nodes.csc(data)
         try:
-            lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A" if first else "NATURAL",
-                           options={"SymmetricMode": True})
+            lu = spla.splu(matrix, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
         except RuntimeError as exc:  # SuperLU: "Factor is exactly singular"
             raise SolverError(f"node block: {exc}") from exc
         # SuperLU stops only at an exact zero pivot. |A^-1 |A| 1| bounds
         # Skeel's condition number |A^-1||A| from below; past 1 / (n eps),
         # rounding alone may have moved A off a singular matrix
-        n = block.shape[0]
+        n = self.nodes.shape[0]
         growth = np.max(np.abs(lu.solve(np.bincount(matrix.indices, np.abs(matrix.data), n))))
         if not growth * n * np.finfo(float).eps < 1.0:
             raise SolverError(
                 f"node block is singular to working precision: |A^-1||A| 1 reaches {growth:.3e}"
             )
-        if first:
-            self.ordered_nodes = _inverse(lu.perm_c.astype(np.int64)), block.permuted(lu.perm_c)
-        return NodeFactor(lu, order)
-
-
-@dataclass(frozen=True)
-class NodeFactor:
-    """A SuperLU factor of a node block, taken in the order `order` (the
-    node at each place) when one is given, else of the block as it is."""
-
-    lu: spla.SuperLU
-    order: np.ndarray | None
-
-    def solve(self, r) -> np.ndarray:
-        if self.order is None:
-            return self.lu.solve(r)
-        x = np.empty_like(r)
-        x[self.order] = self.lu.solve(r[self.order])
-        return x
+        return lu
 
 
 def block_plan(pattern, grid) -> BlockPlan:
@@ -433,16 +392,6 @@ def block_plan(pattern, grid) -> BlockPlan:
     )
 
 
-def tissue_data(tissue, grid) -> np.ndarray:
-    """The data of a tissue block on the grid Laplacian's pattern: `tissue`
-    itself when it is that data, as a `BlockPlan` gathers it, else gathered
-    from the sparse block by its own block plan."""
-    if not sp.issparse(tissue):
-        return tissue
-    tissue = tissue.tocsr()
-    return tissue.data[block_plan(tissue, grid).tissue]
-
-
 class MultigridPlan:
     """What a V-cycle needs of a grid and does not depend on the values:
     the aggregation, every level's pattern and Galerkin map, the red-black
@@ -489,16 +438,14 @@ class MultigridPlan:
 
 class VCycle:
     """Aggregation V-cycle for a tissue block of `grid`'s cells, given as
-    its data on the grid Laplacian's pattern or as a sparse block (see
-    `tissue_data`): the grid's `MultigridPlan` filled with the block's
-    values, and a cell diagonal set by `shift`. Each smoothed level is kept
-    in red-black order, as its off-diagonal blocks A_rb and A_br and its
-    diagonal; the cycle permutes only on entry and exit. The coarsest level
-    is factored when a cycle first reaches it after construction or a
-    shift."""
+    its data on the grid Laplacian's pattern (`BlockPlan.tissue` gathers
+    it): the grid's `MultigridPlan` filled with the block's values, and a
+    cell diagonal set by `shift`. Each smoothed level is kept in red-black
+    order, as its off-diagonal blocks A_rb and A_br and its diagonal; the
+    cycle permutes only on entry and exit. The coarsest level is factored
+    when a cycle first reaches it after construction or a shift."""
 
-    def __init__(self, tissue, grid):
-        data = tissue_data(tissue, grid)
+    def __init__(self, data, grid):
         self.plan = plan = grid.multigrid
         self.levels = []  # (A_rb, A_br, red-black diagonal as built)
         for level, colouring in zip(plan.levels, plan.red_black):
@@ -594,9 +541,9 @@ class CosineSolve:
     alone, the grid keeps (`TissueGrid.cosine_fit`).
     """
 
-    def __init__(self, tissue, grid):
+    def __init__(self, data, grid):
         self.grid = grid
-        data, fit = tissue_data(tissue, grid), grid.cosine_fit
+        fit = grid.cosine_fit
         self.coefficient = c = data[fit.faces] @ fit.unit / fit.norm
         self.mismatch = (
             np.max(np.abs(data - c * grid.laplacian.data)) / (c * fit.weakest)
@@ -632,16 +579,16 @@ class CosineSolve:
         return (x.reshape(nz * ny, nx) @ qx).ravel()
 
 
-def tissue_preconditioner(tissue, grid):
+def tissue_preconditioner(data, grid):
     """The cosine solve of a tissue block, given as in `VCycle`, when it is
     close to a constant-coefficient c L, that is c > 0 and no entry of
     A - c L outweighs c times the weakest face coupling; the V-cycle
     otherwise, which is the path that converges for strongly coupled
     walls."""
-    cosine = CosineSolve(tissue, grid)
+    cosine = CosineSolve(data, grid)
     if cosine.mismatch <= 1.0:
         return cosine
-    return VCycle(tissue, grid)
+    return VCycle(data, grid)
 
 
 @dataclass(frozen=True)
@@ -680,11 +627,9 @@ class LinearSolver:
     The blocks are gathered from A's data through `plan`, the `BlockPlan`
     of A's canonical CSR pattern: a coupled system passes its coupling's
     (`SurfaceCoupling.blocks`), shared by flow and oxygen; without one it
-    is made from A. The node block is factored by `BlockPlan.factor_nodes`:
-    in the minimum-degree order the first solver on the plan found, so
-    oxygen's takes the order of the flow's. A itself is never written: the solver multiplies with
-    its own copy of the data, on A's index arrays, whose cell diagonal a
-    solve shifts.
+    is made from A. The node block is factored by `BlockPlan.factor_nodes`.
+    A itself is never written: the solver multiplies with its own copy of
+    the data, on A's index arrays, whose cell diagonal a solve shifts.
 
     Each iterate a solve settles is multiplied once. The solver keeps the
     last one (a copy, `settled`), the node rows it was settled for and

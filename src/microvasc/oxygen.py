@@ -25,9 +25,8 @@ a `grid.CoupledSystem`, pinning every boundary node. Its wall exchange is
 assembled per (segment, cell) pair from the coupling's moments, with
 coefficients formed at the pair's two ends from the flow's pressures
 (`FlowState.p_t` and `p_nodes`), not from its per-sample flux `jp`. Its
-solver gathers the node block in the order the flow's solver on the same
-coupling took (`linsolve.BlockPlan`), so the minimum-degree order is found
-once per coupling.
+solver gathers its blocks through the coupling's plan, as the flow's does
+(`linsolve.BlockPlan`).
 The oxygen boundary data, the PO2 of each boundary node by node id, is an
 input of the assembly, made by `classify_arterial_venous` from a flow state
 and the run's `OxygenParameters`.
@@ -183,7 +182,7 @@ def assemble_transport_operator(
 
     # upwinded convection: volumetric flow v out of lo into hi (tissue faces)
     # and q out of node_a into node_b (vessels), carrying po2 of the upwind end
-    lo, hi, area, h = grid.faces()
+    lo, hi, area, h = grid.faces
     v = -flow_params.mobility * (flow.p_t[hi] - flow.p_t[lo]) / h * area
     laplacian = grid.laplacian
     tissue = params.diffusion_tissue * laplacian.data + np.bincount(

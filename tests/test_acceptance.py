@@ -22,6 +22,7 @@ from microvasc import (
     OctantIndex,
     OxygenParameters,
     RheologyParameters,
+    RunConfig,
     VascularNetwork,
     assemble_flow_system,
     build_grid,
@@ -36,7 +37,8 @@ from microvasc import (
     vessel_conductance,
 )
 from microvasc import growth
-from microvasc.cli import main
+from microvasc.cli import _run_generation, main
+from microvasc.errors import MicrovascError
 from microvasc.growth import GrowthEngine
 from microvasc.oxygen import (
     assemble_transport_operator,
@@ -394,6 +396,49 @@ def test_criterion_09_growth_invariants(monkeypatch):
 def test_growth_invariants_hold_over_seeds(seed, monkeypatch):
     """Criterion 9's invariants on the starter tree, seeds 0-9, 12^3 grid."""
     _assert_growth_invariants(*_grown_engine(seed, 12, monkeypatch))
+
+
+def _pressure_roots(net):
+    """Position and pressure of every node that holds a pressure."""
+    return {
+        (tuple(node.position.tolist()), node.boundary_pressure)
+        for node in net.nodes.values()
+        if node.boundary_pressure is not None
+    }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="a link demotes a pressure root of a tree read from DGF, which "
+    "carries no is_root; seed 5 loses all four and raises SolverError "
+    "(ROADMAP item 2)",
+)
+def test_generate_keeps_every_pressure_root_over_seeds():
+    """`generate`'s path, from the starter tree's DGF text through
+    `cli._run_generation`, at the benchmark's config (12^3, 6 steps per
+    phase), seeds 0-19: every run completes and keeps every pressure root
+    of its input. The seeds that do not are collected, then reported."""
+    text = serialize_dgf(make_starter_network())
+    config = RunConfig.from_dict({
+        "input_dgf": "starter.dgf",
+        "grid_cells": [12] * 3,
+        "roi_lower": [0.0] * 3,
+        "roi_upper": [0.5e-3] * 3,
+        "growth": {"max_iter_p1": 6, "max_iter_p2": 6, "max_iter_p3": 6},
+    })
+    roots = _pressure_roots(parse_dgf(text))
+    failed = {}
+    for seed in range(20):
+        try:
+            engine, _ = _run_generation(config, seed, None, text)
+        except MicrovascError as exc:
+            failed[seed] = f"{type(exc).__name__}: {exc}"
+            continue
+        lost = roots - _pressure_roots(engine.net)
+        if lost:
+            failed[seed] = f"lost {len(lost)} of {len(roots)} pressure roots"
+    assert failed == {}
 
 
 def test_criterion_10_distribution_fidelity():

@@ -987,10 +987,6 @@ class TestStochasticRules:
             GrowthParameters(gamma=5.0)
 
 
-STARTER_ROI = DomainBox([0.0] * 3, [0.5e-3] * 3)
-STARTER_DOMAIN = enlarge_domain(STARTER_ROI, 0.10)
-
-
 class TestControlVolumes:
     def test_uniform_field_average(self):
         box = DomainBox([0.0, 0.0, 0.0], [1e-3, 1e-3, 1e-3])
@@ -1023,52 +1019,6 @@ class TestControlVolumes:
         cv, mean = control_volume_averages(field, grid, box, 1)
         assert mean == pytest.approx(field.mean(), rel=1e-12)
         assert cv[0, 0, 0] == pytest.approx(field.mean(), rel=1e-12)
-
-    @pytest.mark.parametrize(
-        "box, cells, roi, n",
-        [
-            (STARTER_DOMAIN, (12, 12, 12), STARTER_ROI, 4),
-            (STARTER_DOMAIN, (12, 12, 12), STARTER_ROI, 1),
-            (DomainBox([0.0] * 3, [1e-3] * 3), (20, 20, 20), DomainBox([0.0] * 3, [1e-3] * 3), 1),
-            (DomainBox([0.1e-3, -0.2e-3, 0.0], [0.6e-3, 0.5e-3, 0.3e-3]), (5, 7, 3),
-             DomainBox([0.2e-3, -0.1e-3, 0.05e-3], [0.55e-3, 0.45e-3, 0.3e-3]), 3),
-        ],
-    )
-    @pytest.mark.blas_threads
-    def test_kept_weights_give_the_uncached_averages(self, box, cells, roi, n):
-        """The grid's overlaps, volumes and contraction order, built once
-        per (roi, n), give the averages of the formulas formed afresh on
-        every call, bit for bit: the same contractions in the same order."""
-        grid = build_grid(box, cells)
-        for seed in range(3):
-            field = np.random.default_rng(seed).uniform(0.0, 80.0, grid.n_cells)
-            cv, mean = control_volume_averages(field, grid, roi, n)
-            want_cv, want_mean = uncached_averages(field, grid, roi, n)
-            assert np.array_equal(cv, want_cv) and mean == want_mean
-        same_roi = DomainBox(roi.lower.copy(), roi.upper.copy())
-        assert grid.control_volumes(same_roi, n) is grid.control_volumes(roi, n)
-        assert grid.control_volumes(roi, n + 1) is not grid.control_volumes(roi, n)
-
-
-def uncached_averages(values, grid, roi, n):
-    """`control_volume_averages` as formed before the grid kept its
-    control volumes: every overlap, volume and contraction path anew."""
-
-    def overlaps(axis):
-        edges = np.linspace(roi.lower[axis], roi.upper[axis], n + 1)
-        cell_lo = grid.box.lower[axis] + grid.spacing[axis] * np.arange(grid.cells_per_axis[axis])
-        lo = np.maximum(cell_lo[:, None], edges[None, :-1])
-        hi = np.minimum((cell_lo + grid.spacing[axis])[:, None], edges[None, 1:])
-        return np.maximum(hi - lo, 0.0)
-
-    nx, ny, nz = grid.cells_per_axis
-    ox, oy, oz = (overlaps(axis) for axis in range(3))
-    weighted = np.einsum("kji,ix,jy,kz->xyz", values.reshape((nz, ny, nx)), ox, oy, oz,
-                         optimize=True)
-    volume = np.einsum("ix,jy,kz->xyz", ox, oy, oz, optimize=True)
-    with np.errstate(invalid="ignore"):
-        averages = np.where(volume > 0.0, weighted / np.maximum(volume, 1e-300), 0.0)
-    return averages, float(np.sum(weighted) / np.sum(volume))
 
 
 def stencil_gradient(po2_t, grid, position):

@@ -12,10 +12,11 @@ P^T A P, also kept here only, its red-black colouring against the parity
 of every level's cells, its banded coarsest solve against a dense solve,
 and one V-cycle against a dense one written out here. The coarsest level
 is factored only when a V-cycle reaches it. The blocks a coupling's
-block plan gathers are bit for bit scipy's slices of the same matrix, and
-the oxygen solver factors its node block in the order the flow solver on
-the same plan took, with the fill of a fresh minimum-degree factor. A
-node block singular to working precision is rejected.
+block plan gathers are bit for bit scipy's slices of the same matrix. An
+oxygen solver factors its node block alike on a fresh plan and on one a
+flow solver used first, in the minimum-degree order with the fill of a
+fresh factor, and the plan cannot be written. A node block singular to
+working precision is rejected.
 
 The cosine solve is checked against `spsolve` on c L + eps I over
 anisotropic grids, the grid's eigenvalue table against a dense
@@ -34,6 +35,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import numpy as np
@@ -70,6 +72,7 @@ from microvasc.linsolve import (
     MultigridPlan,
     VCycle,
     _aggregate,
+    block_plan,
     scaled_residual,
     scaled_residuals,
     tissue_preconditioner,
@@ -91,6 +94,13 @@ CUBE = DomainBox([0.0, 0.0, 0.0], [1.0e-3, 1.0e-3, 1.0e-3])
 Y_BOX = DomainBox([-50 * UM, -100 * UM, -50 * UM], [250 * UM, 120 * UM, 50 * UM])
 LATTICE_BOX = enlarge_domain(DomainBox([0.0] * 3, [0.5e-3] * 3), 0.10)
 STARTER_BOX = enlarge_domain(DomainBox([0.0] * 3, [0.5e-3] * 3), 0.10)
+
+
+def tissue_data(block, grid):
+    """The data of a sparse tissue block on the grid Laplacian's pattern,
+    the form the tissue preconditioners take, gathered by its block plan."""
+    block = block.tocsr()
+    return block.data[block_plan(block, grid).tissue]
 
 
 def flow_system(net, box, cells, params=None):
@@ -349,9 +359,9 @@ def test_diagonal_update_matches_rebuilt_hierarchy(cells):
     n = system.grid.n_cells
     tissue = system.matrix[:n, :n]
     d = np.random.default_rng(7).uniform(0.0, 1.0, n) * tissue.diagonal()
-    shifted = VCycle(tissue, system.grid)
+    shifted = VCycle(tissue_data(tissue, system.grid), system.grid)
     shifted.shift(d)
-    rebuilt = VCycle(tissue + sp.diags(d), system.grid)
+    rebuilt = VCycle(tissue_data(tissue + sp.diags(d), system.grid), system.grid)
     levels, fresh = level_matrices(shifted), level_matrices(rebuilt)
     assert len(levels) == len(fresh) > 1
     for a, b in zip(levels, fresh):
@@ -375,9 +385,9 @@ def test_aggregation_covers_every_coarse_cell(shape):
 
 def test_vcycle_coarsens_odd_axes_down_to_the_direct_size():
     grid = build_grid(CUBE, (25, 23, 21))
-    lo, hi, area, h = grid.faces()
+    lo, hi, area, h = grid.faces
     matrix = edge_laplacian(lo, hi, area / h, grid.n_cells) + sp.identity(grid.n_cells) * 1e-6
-    vcycle = VCycle(matrix.tocsr(), grid)
+    vcycle = VCycle(tissue_data(matrix, grid), grid)
     # smoothed levels above COARSEST_CELLS, then one level factored on use
     assert [level.size for level in vcycle.diagonals] == [25 * 23 * 21, 13 * 12 * 11]
     assert vcycle.bottom[0].shape == (7 * 6 * 6, 7 * 6 * 6)
@@ -422,7 +432,7 @@ def test_galerkin_levels_match_the_triple_product(physics, cells):
     tissue, grid = tissue_block(physics, cells)
     if physics == "oxygen":  # convection: nonsymmetric far above the tolerance
         assert abs(tissue - tissue.T).max() > 1e-12 * abs(tissue).max()
-    vcycle = VCycle(tissue, grid)
+    vcycle = VCycle(tissue_data(tissue, grid), grid)
     levels = level_matrices(vcycle)
     oracle, shape = tissue.tocsr(), grid.cells_per_axis
     for level in levels:
@@ -510,7 +520,7 @@ def dense_vcycle(a, shape, r):
 def test_vcycle_matches_a_dense_one(monkeypatch, physics, cells, limit):
     monkeypatch.setattr(linsolve, "COARSEST_CELLS", limit)
     tissue, grid = tissue_block(physics, cells)
-    vcycle = VCycle(tissue, grid)
+    vcycle = VCycle(tissue_data(tissue, grid), grid)
     d = np.random.default_rng(5).uniform(0.0, 1.0, grid.n_cells) * tissue.diagonal()
     vcycle.shift(d)  # as a Newton step shifts it
     r = np.random.default_rng(6).standard_normal(grid.n_cells)
@@ -550,7 +560,7 @@ def test_coarsest_band_is_the_two_shorter_axes(cells, coarsest, bandwidth):
 def test_banded_coarsest_matches_dense_solve(case):
     matrix, _, grid = CASES[case]()
     n = grid.n_cells
-    vcycle = VCycle(matrix[:n, :n], grid)
+    vcycle = VCycle(tissue_data(matrix[:n, :n], grid), grid)
     bottom, rank = vcycle.bottom[0], vcycle.plan.levels[-1].aggregate
     r = np.random.default_rng(3).standard_normal(bottom.shape[0])
     got = vcycle._solve_coarsest(r[np.argsort(rank)])[rank]  # in band order
@@ -561,7 +571,7 @@ def test_banded_coarsest_matches_dense_solve(case):
 
 def test_singular_coarsest_level_raises():
     grid = build_grid(CUBE, (7, 5, 9))  # the finest level is the coarsest
-    vcycle = VCycle(grid.laplacian * 0.0, grid)  # the pattern, all zeros
+    vcycle = VCycle(np.zeros(grid.laplacian.nnz), grid)  # the pattern, all zeros
     with pytest.raises(SolverError, match="singular"):
         vcycle(np.ones(grid.n_cells))
 
@@ -576,7 +586,7 @@ def test_coarsest_factored_on_first_use_and_once_after_each_shift(monkeypatch):
         return dgbtrf(band, *args, **kwargs)
 
     monkeypatch.setattr(linsolve, "dgbtrf", counted)
-    vcycle = VCycle(tissue, grid)
+    vcycle = VCycle(tissue_data(tissue, grid), grid)
     r = np.ones(grid.n_cells)
     assert factored == []
     vcycle(r)
@@ -646,9 +656,8 @@ def test_tissue_block_off_the_grid_pattern_is_rejected():
     n = grid.n_cells
     coupled = matrix.tolil()
     coupled[0, n - 1] = -1e-30  # no face joins these cells
-    for build in (VCycle, CosineSolve):
-        with pytest.raises(SolverError, match="face stencil"):
-            build(coupled.tocsr()[:n, :n], grid)
+    with pytest.raises(SolverError, match="face stencil"):
+        block_plan(coupled.tocsr()[:n, :n], grid)
     with pytest.raises(SolverError, match="face stencil"):
         LinearSolver(coupled.tocsr(), grid)
 
@@ -686,37 +695,35 @@ def test_block_plan_gathers_the_scipy_slices(net_fn, box, cells):
 
 
 @pytest.mark.blas_threads
-def test_oxygen_factors_its_node_block_in_the_flow_order():
-    """On the benchmark lattice, the flow solver, the first on its
-    coupling's block plan, keeps its minimum-degree order in the plan; the
-    oxygen solver on the same plan factors its node block in that order,
-    with the fill of a fresh minimum-degree factor, and its node solves
-    match spsolve. A solver on a bare matrix makes its own plan and takes
-    the minimum-degree order itself."""
+def test_the_node_factor_is_the_same_on_a_plan_a_flow_solver_used():
+    """On the benchmark lattice, an oxygen solver on a fresh coupling's
+    block plan and one on a plan that a flow solver used first factor
+    their node blocks alike: in SuperLU's minimum-degree order, with the
+    fill of a fresh factor, and with node solves equal to the bit that
+    match spsolve. The plan is frozen, so a solver leaves nothing on it."""
     net, grid = make_perfbench_lattice()
-    coupling = build_surface_coupling(grid, net)
-    system = assemble_flow_system(net, grid, coupling, RheologyParameters(), FlowParameters())
-    flow = solve_flow(system)
-    plan = coupling.blocks
-    order, _ = plan.ordered_nodes
+    used = build_surface_coupling(grid, net)
+    system = assemble_flow_system(net, grid, used, RheologyParameters(), FlowParameters())
     operator = assemble_transport_operator(
-        net, grid, coupling, flow, FlowParameters(), OxygenParameters()
+        net, grid, used, solve_flow(system), FlowParameters(), OxygenParameters()
     )
-    solver = LinearSolver(operator.matrix, grid, plan)
-    assert solver.nodes.order is order and plan.ordered_nodes[0] is order
-    block = plan.nodes.csc(operator.matrix.data)
-    fresh = spla.splu(block, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
+    after_flow = LinearSolver(operator.matrix, grid, used.blocks)
+    fresh = LinearSolver(operator.matrix, grid, build_surface_coupling(grid, net).blocks)
+    block = used.blocks.nodes.csc(operator.matrix.data)
+    want = spla.splu(block, permc_spec="MMD_AT_PLUS_A", options={"SymmetricMode": True})
 
     def fill(lu):
         return lu.L.nnz + lu.U.nnz
 
-    assert fill(solver.nodes.lu) == fill(fresh)
+    for solver in (after_flow, fresh):
+        assert np.array_equal(solver.nodes.perm_c, want.perm_c)
+        assert fill(solver.nodes) == fill(want)
     r = np.random.default_rng(0).standard_normal(block.shape[0])
-    want = spla.spsolve(block, r)
-    assert np.max(np.abs(solver.nodes.solve(r) - want)) <= AGREEMENT * np.max(np.abs(want))
-    bare = LinearSolver(operator.matrix, grid)
-    assert bare.nodes.order is None and fill(bare.nodes.lu) == fill(fresh)
-    assert np.array_equal(bare.nodes.lu.perm_c, fresh.perm_c)
+    got, exact = after_flow.nodes.solve(r), spla.spsolve(block, r)
+    assert np.array_equal(got, fresh.nodes.solve(r))
+    assert np.max(np.abs(got - exact)) <= AGREEMENT * np.max(np.abs(exact))
+    with pytest.raises(FrozenInstanceError):
+        used.blocks.nodes = block
 
 
 @pytest.mark.parametrize(
@@ -772,10 +779,10 @@ def test_cosine_solve_matches_direct_solve(box, cells):
     grid = build_grid(box, cells)
     c, epsilon = 2.7e-3, 1.0e-9
     matrix = constant_coefficient(grid, c, epsilon)
-    cosine = CosineSolve(matrix, grid)
+    cosine = CosineSolve(tissue_data(matrix, grid), grid)
     assert cosine.coefficient == pytest.approx(c, rel=1e-14)
     assert cosine.epsilon == pytest.approx(epsilon, rel=1e-6)  # a sum of terms of c
-    _, _, area, h = grid.faces()  # A - c L is eps I
+    _, _, area, h = grid.faces  # A - c L is eps I
     assert cosine.mismatch == pytest.approx(epsilon / (c * np.min(area / h)), rel=1e-6)
     r = np.random.default_rng(4).standard_normal(grid.n_cells)
     exact = spla.spsolve(matrix.tocsc(), r)
@@ -786,7 +793,7 @@ def test_shift_moves_epsilon_by_the_mean_of_the_diagonal():
     box, cells = ANISOTROPIC[0]
     grid = build_grid(box, cells)
     c, epsilon = 2.7e-3, 1.0e-6
-    cosine = CosineSolve(constant_coefficient(grid, c, epsilon), grid)
+    cosine = CosineSolve(tissue_data(constant_coefficient(grid, c, epsilon), grid), grid)
     d = np.random.default_rng(9).uniform(0.0, 2.0e-6, grid.n_cells)
     before = cosine.epsilon
     cosine.shift(d)
@@ -805,7 +812,7 @@ def uncached_fit(data, grid):
     faces = grid.stencil[1][1:3].ravel()
     block, unit = data[faces], laplacian[faces]
     c = block @ unit / (unit @ unit)
-    _, _, area, h = grid.faces()
+    _, _, area, h = grid.faces
     weakest = c * np.min(area / h)
     mismatch = np.max(np.abs(data - c * laplacian)) / weakest if c > 0.0 else np.inf
     return c, mismatch, np.sum(data) / grid.n_cells
@@ -834,9 +841,10 @@ def test_cached_fit_reproduces_the_uncached_formulas(case):
     for bit: the same operations on the same operands, only kept."""
     blocks, grid = fitted_blocks(case)
     for block in blocks:
-        cosine = CosineSolve(block, grid)
+        data = tissue_data(block, grid)
+        cosine = CosineSolve(data, grid)
         got = (cosine.coefficient, cosine.mismatch, cosine.row_sum)
-        assert got == uncached_fit(linsolve.tissue_data(block, grid), grid)
+        assert got == uncached_fit(data, grid)
     assert grid.cosine_fit is grid.cosine_fit  # built once per grid
 
 
@@ -844,7 +852,7 @@ def test_cached_fit_reproduces_the_uncached_formulas(case):
 def test_nonpositive_epsilon_is_singular(shift):
     box, cells = ANISOTROPIC[1]
     grid = build_grid(box, cells)
-    cosine = CosineSolve(constant_coefficient(grid, 2.7e-3, 0.0), grid)
+    cosine = CosineSolve(tissue_data(constant_coefficient(grid, 2.7e-3, 0.0), grid), grid)
     cosine.shift(np.full(grid.n_cells, shift))
     with pytest.raises(SolverError, match="singular"):
         cosine(np.ones(grid.n_cells))
@@ -875,7 +883,7 @@ BENCHMARK_GRIDS = [
 def test_default_tissue_blocks_take_the_cosine_solve(net_fn, box, cells):
     blocks, grid = coupled_blocks(net_fn(), box, cells)
     for block in blocks.values():
-        chosen = tissue_preconditioner(block, grid)
+        chosen = tissue_preconditioner(tissue_data(block, grid), grid)
         assert isinstance(chosen, CosineSolve) and chosen.mismatch <= 1.0
     assert "multigrid" not in vars(grid)  # no plan on the cosine path
 
@@ -884,8 +892,9 @@ def test_default_tissue_blocks_take_the_cosine_solve(net_fn, box, cells):
 def test_strongly_coupled_or_pinned_tissue_takes_the_vcycle(wall_conductivity):
     params = FlowParameters(wall_conductivity=wall_conductivity)
     blocks, grid = coupled_blocks(make_desk_network(), CUBE, (20, 20, 20), params)
-    assert CosineSolve(blocks["flow"], grid).mismatch > 1.0
-    assert isinstance(tissue_preconditioner(blocks["flow"], grid), VCycle)
+    data = tissue_data(blocks["flow"], grid)
+    assert CosineSolve(data, grid).mismatch > 1.0
+    assert isinstance(tissue_preconditioner(data, grid), VCycle)
     assert "multigrid" in vars(grid)
 
 
@@ -913,7 +922,8 @@ def test_wall_coupling_sweep_takes_no_more_iterations_than_the_vcycle(
 ):
     params = FlowParameters(wall_conductivity=factor * FlowParameters().wall_conductivity)
     blocks, grid = coupled_blocks(make_desk_network(), CUBE, (20, 20, 20), params)
-    assert isinstance(tissue_preconditioner(blocks["flow"], grid), CosineSolve) == cosine
+    chosen = tissue_preconditioner(tissue_data(blocks["flow"], grid), grid)
+    assert isinstance(chosen, CosineSolve) == cosine
     selected = desk_iterations((20, 20, 20), params)
     monkeypatch.setattr(linsolve, "tissue_preconditioner", VCycle)
     vcycle = desk_iterations((20, 20, 20), params)
@@ -929,7 +939,8 @@ def test_vcycle_newton_solve_agrees_with_spsolve():
     net = make_desk_network()
     system = flow_system(net, CUBE, (20, 20, 20), params)
     n = system.grid.n_cells
-    assert isinstance(tissue_preconditioner(system.matrix[:n, :n], system.grid), VCycle)
+    chosen = tissue_preconditioner(tissue_data(system.matrix[:n, :n], system.grid), system.grid)
+    assert isinstance(chosen, VCycle)
     flow = solve_flow(system)
     pressures = np.concatenate([flow.p_t, flow.p_nodes])
     exact = spla.spsolve(system.matrix.tocsc(), system.rhs)
